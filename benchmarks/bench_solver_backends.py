@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.thermal.backends import SOLVER_BACKENDS, BatchedLU, make_backend
+from repro.thermal.backends import SOLVER_BACKENDS, CachedLU, make_backend
 from repro.thermal.floorplan import floorplan_4xarm11, floorplan_4xarm7
 from repro.thermal.rc_network import network_for
 from repro.thermal.solver import ThermalSolver
@@ -103,14 +103,14 @@ def run_windows(backend_name, network, schedule):
 
 
 def run_batched_columns(network, schedule, columns, scale_span=0.2):
-    """Step ``columns`` power-scaled runs through one shared BatchedLU.
+    """Step ``columns`` power-scaled runs through one shared CachedLU.
 
     The shared factorization is linearized at the batch mean, so each
     column's error is bounded by its thermal distance from that mean —
     ``scale_span`` controls how far the bench spreads the columns.
     """
     nets = [network.clone() for _ in range(columns)]
-    backend = BatchedLU().bind(nets[0])
+    backend = CachedLU().bind(nets[0])
     temps = np.full((network.num_cells, columns), network.properties.ambient)
     scales = np.linspace(1.0 - scale_span, 1.0 + scale_span, columns)
     start = time.perf_counter()

@@ -18,7 +18,7 @@ from repro.core.sniffers import (
 )
 from repro.core.dispatcher import BramBuffer, EthernetDispatcher, StatisticsFrame
 from repro.core.stats import ThermalTrace, TraceSample, diff_stats
-from repro.core.thermal_manager import (
+from repro.policy import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     PerCoreDfsPolicy,

@@ -248,6 +248,94 @@ def _string_keyed(stats):
     return out
 
 
+class ThermalSide:
+    """The SW thermal tool of Figure 5, shared by live and replayed runs.
+
+    Owns one run's RC network, solver, sensor bank and trace.  Whatever
+    produces the per-window power stream — an emulated platform
+    (:class:`EmulationFramework`) or a recorded archive
+    (:class:`repro.trace.replay.ReplaySource`) — injects each window's
+    power into ``network``, steps ``solver`` one sampling period, then
+    calls :meth:`sense` and :meth:`commit`.
+    """
+
+    def __init__(self, floorplan, config, properties=None):
+        # Structure-cached assembly: sweeps over one floorplan + grid
+        # configuration share a single grid/RCNetwork build per process.
+        self.network = network_for(
+            floorplan,
+            mode=config.grid_mode,
+            refine_critical=config.refine_critical,
+            die_resolution=config.die_resolution,
+            spreader_resolution=config.spreader_resolution,
+            properties=properties,
+        )
+        self.solver = ThermalSolver(
+            self.network,
+            initial_temperature=config.initial_temperature_kelvin,
+            backend=config.solver_backend,
+        )
+        self.sensors = SensorBank(
+            _monitored_components(floorplan, config.monitored_components),
+            upper_kelvin=config.sensor_upper_kelvin,
+            lower_kelvin=config.sensor_lower_kelvin,
+        )
+        self.trace = ThermalTrace()
+        self.trace_stride = config.trace_stride
+        self.windows = 0
+        # Peak/final run independently of the (possibly decimated) trace,
+        # so trace_stride never changes the reported temperatures.
+        self.peak_temp_k = float("nan")
+        self.final_temp_k = float("nan")
+
+    def sense(self, powers, frequency, now):
+        """Read the solved window out to the sensors; returns its sample."""
+        temps = self.solver.component_temperatures()
+        transitions = self.sensors.update(temps, now)
+        return TraceSample(
+            time_s=now,
+            frequency_hz=frequency,
+            total_power_w=sum(powers.values()),
+            max_temp_k=max(temps.values()),
+            component_temps=temps,
+            events=tuple(sorted(transitions.items())),
+        )
+
+    def commit(self, sample):
+        """Count one sensed window into the trace, peak and final."""
+        if not (self.windows % self.trace_stride):
+            self.trace.append(sample)
+        if not (self.peak_temp_k >= sample.max_temp_k):  # NaN-aware max
+            self.peak_temp_k = sample.max_temp_k
+        self.final_temp_k = sample.max_temp_k
+        self.windows += 1
+        return sample
+
+
+def _monitored_components(floorplan, monitored):
+    """The sensor set of a run, validated against the floorplan at launch
+    (every active component when ``monitored`` is None)."""
+    active_names = {c.name for c in floorplan.active_components()}
+    if monitored is None:
+        monitored = [c.name for c in floorplan.active_components()]
+    if not monitored:
+        # Launch-time twin of the config-time empty-tuple check: a
+        # floorplan of pure filler has nothing to monitor and the
+        # closed loop (max over component temperatures) needs >= 1.
+        raise ValueError(
+            f"floorplan {floorplan.name!r} has no active components to "
+            f"monitor; the co-emulation loop needs at least one "
+            f"temperature-monitored component"
+        )
+    unknown = sorted(set(monitored) - active_names)
+    if unknown:
+        raise ValueError(
+            f"monitored_components {', '.join(unknown)} not in floorplan "
+            f"{floorplan.name!r} (active: {', '.join(sorted(active_names))})"
+        )
+    return monitored
+
+
 class EmulationFramework:
     """One fully wired HW/SW co-emulation instance."""
 
@@ -290,46 +378,13 @@ class EmulationFramework:
             buffer=BramBuffer(capacity_bytes=cfg.bram_capacity_bytes),
         )
 
-        # Structure-cached assembly: sweeps over one floorplan + grid
-        # configuration share a single grid/RCNetwork build per process.
-        self.network = network_for(
-            floorplan,
-            mode=cfg.grid_mode,
-            refine_critical=cfg.refine_critical,
-            die_resolution=cfg.die_resolution,
-            spreader_resolution=cfg.spreader_resolution,
-        )
+        # The SW thermal tool; its parts stay reachable under their names.
+        self.thermal = ThermalSide(floorplan, cfg)
+        self.network = self.thermal.network
         self.grid = self.network.grid
-        self.solver = ThermalSolver(
-            self.network,
-            initial_temperature=cfg.initial_temperature_kelvin,
-            backend=cfg.solver_backend,
-        )
-
-        active_names = {c.name for c in floorplan.active_components()}
-        monitored = cfg.monitored_components
-        if monitored is None:
-            monitored = [c.name for c in floorplan.active_components()]
-        if not monitored:
-            # Launch-time twin of the config-time empty-tuple check: a
-            # floorplan of pure filler has nothing to monitor and the
-            # closed loop (max over component temperatures) needs >= 1.
-            raise ValueError(
-                f"floorplan {floorplan.name!r} has no active components to "
-                f"monitor; the co-emulation loop needs at least one "
-                f"temperature-monitored component"
-            )
-        unknown = sorted(set(monitored) - active_names)
-        if unknown:
-            raise ValueError(
-                f"monitored_components {', '.join(unknown)} not in floorplan "
-                f"{floorplan.name!r} (active: {', '.join(sorted(active_names))})"
-            )
-        self.sensors = SensorBank(
-            monitored,
-            upper_kelvin=cfg.sensor_upper_kelvin,
-            lower_kelvin=cfg.sensor_lower_kelvin,
-        )
+        self.solver = self.thermal.solver
+        self.sensors = self.thermal.sensors
+        self.trace = self.thermal.trace
 
         # Which emulation backend drives the platform (None when the
         # caller passed a ready-made workload object).
@@ -341,8 +396,6 @@ class EmulationFramework:
             workload = backend.build_workload(platform, self.power_model)
             self.emulation_backend = backend.name
         self.workload = workload
-        self.trace = ThermalTrace()
-        self.windows = 0
         # Per-phase wall-time accumulators (seconds); "other" is the
         # per-window residual (sensors, policy, bookkeeping) so the five
         # shares sum to step_window's wall time.  The solve slot is
@@ -359,10 +412,6 @@ class EmulationFramework:
         # boundary through these) — called for *every* window, before
         # trace_stride decimation.
         self.captures = []
-        # Peak/final run independently of the (possibly decimated) trace,
-        # so trace_stride never changes the reported temperatures.
-        self._peak_temp_k = float("nan")
-        self._final_temp_k = float("nan")
         # Launch-time policy validation: a policy naming components with
         # no sensor (or needing floorplan defaults) finds out now, not
         # silently mid-run.  getattr keeps duck-typed legacy policies
@@ -474,32 +523,19 @@ class EmulationFramework:
     def _window_commit(self, powers, frequency):
         """Phase 5 of a window, after the thermal solve: sensors, policy,
         trace.  Assumes the solver already integrated one period."""
-        period = self.config.sampling_period_s
-        temps = self.solver.component_temperatures()
-
         # 5. Temperatures return to the sensors; the policy reacts via VPCM.
-        self.vpcm.account_window(period)
+        self.vpcm.account_window(self.config.sampling_period_s)
         now = self.vpcm.emulated_seconds
-        transitions = self.sensors.update(temps, now)
+        sample = self.thermal.sense(powers, frequency, now)
         self.policy.react(self.sensors, self.vpcm, now)
-
-        sample = TraceSample(
-            time_s=now,
-            frequency_hz=frequency,
-            total_power_w=sum(powers.values()),
-            max_temp_k=max(temps.values()),
-            component_temps=temps,
-            events=tuple(sorted(transitions.items())),
-        )
         for capture in self.captures:
             capture.on_window(self, powers, frequency, sample)
-        if not (self.windows % self.config.trace_stride):
-            self.trace.append(sample)
-        if not (self._peak_temp_k >= sample.max_temp_k):  # NaN-aware max
-            self._peak_temp_k = sample.max_temp_k
-        self._final_temp_k = sample.max_temp_k
-        self.windows += 1
-        return sample
+        return self.thermal.commit(sample)
+
+    @property
+    def windows(self):
+        """Sampling windows completed so far."""
+        return self.thermal.windows
 
     def attach_capture(self, capture):
         """Register a per-window capture hook (``on_window(framework,
@@ -633,8 +669,8 @@ class EmulationFramework:
             fpga_real_seconds=self.vpcm.real_seconds,
             windows=self.windows,
             workload_done=self.workload.done,
-            peak_temperature_k=self._peak_temp_k,
-            final_temperature_k=self._final_temp_k,
+            peak_temperature_k=self.thermal.peak_temp_k,
+            final_temperature_k=self.thermal.final_temp_k,
             freeze_breakdown=dict(self.vpcm.freezes),
             frequency_transitions=len(self.vpcm.transitions),
             dispatcher=self.dispatcher.stats(),

@@ -702,7 +702,7 @@ def _fig3_scenarios(resolutions, max_windows):
 
 def _fig3_extract(results):
     # Group the batched results by shared structure (cell count): both
-    # policy variants of one resolution co-stepped through one BatchedLU.
+    # policy variants of one resolution co-stepped through one CachedLU.
     groups = {}
     for result in results:
         cells = int(result.report.extras["thermal_cells"])

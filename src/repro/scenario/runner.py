@@ -11,7 +11,7 @@ one the CLI imposes: it must be expressible as plain data.
 fanning scenarios out, it co-steps scenarios that share one network
 structure through a single multi-RHS thermal solve per window (one
 factorization for the whole group — see
-:class:`repro.thermal.backends.BatchedLU`).
+:meth:`repro.thermal.backends.CachedLU.step_batch`).
 
 ``trace_store`` adds the record-once/replay-many decoupling from
 :mod:`repro.trace`: every emulated scenario is captured into the store
@@ -21,7 +21,8 @@ whose digest is already present — a previous run, or another member of
 the *same* batch that differs only in thermal-side knobs — replays the
 recorded boundary stream through the thermal solver instead of
 re-emulating the platform.  Replayed members carry provenance in
-``report.extras["replay"]``.
+``report.extras["replay"]``.  Both entry points share one planner for
+that split (:class:`_DedupPlan`) and differ only in how they execute it.
 """
 
 import multiprocessing
@@ -36,7 +37,7 @@ from repro.core.framework import RunReport
 from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.scenario.spec import Scenario
-from repro.thermal.backends import BatchedLU
+from repro.thermal.backends import CachedLU
 
 #: Scenarios-per-batch histogram buckets (counts, not seconds).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -149,6 +150,106 @@ def _group_key(runnable):
     return (structure, runnable.config.sampling_period_s)
 
 
+def _failure(index, name, exc, wall=0.0):
+    """The failed result of one member, from the exception being handled."""
+    return ScenarioResult(
+        name=name,
+        index=index,
+        wall_seconds=wall,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback=traceback_module.format_exc(),
+    )
+
+
+@dataclass
+class _Member:
+    """One batch item as :class:`_DedupPlan` classified it."""
+
+    index: int
+    data: dict  # the scenario dict, runner overrides applied
+    kind: str  # "hit", "leader", "follower" or "error"
+    scenario: Scenario | None = None
+    digest: str | None = None
+    archive: object = None  # the recording a hit or follower replays
+    error: ScenarioResult | None = None  # the result of an "error" item
+
+    @property
+    def records(self):
+        """Whether this member's live run is captured for the store."""
+        return self.kind == "leader" and self.digest is not None
+
+
+class _DedupPlan:
+    """The store-hit / leader / follower split of one batch.
+
+    Every item is parsed and, with a trace store, digested and looked up
+    once.  A digest already in the store makes a *hit*; the first item of
+    an unseen digest is its *leader* (it emulates and records), later
+    items of that digest are *followers* that replay the leader's
+    recording.  Unparseable items are *errors*.  Without a store every
+    parsed item leads and nothing records.
+    """
+
+    def __init__(self, runner, scenarios):
+        store = self.store = runner.trace_store
+        self.source = None
+        if store is not None:
+            from repro.trace.store import scenario_trace_digest
+
+            self.source = "memory" if store.in_memory else str(store.root)
+        self._recordings = {}  # digest -> archive, one store load each
+        self.members = []
+        claimed = set()
+        for index, item in enumerate(scenarios):
+            data = runner._scenario_dict(item, index)
+            member = _Member(index, data, "leader")
+            self.members.append(member)
+            try:
+                member.scenario = Scenario.from_dict(data)
+                if store is not None:
+                    member.digest = scenario_trace_digest(member.scenario)
+            except Exception as exc:  # the batch survives one bad scenario
+                member.kind = "error"
+                member.error = _failure(index, data["name"], exc)
+                continue
+            if store is None:
+                continue
+            member.archive = store.get(member.digest)
+            if member.archive is not None:
+                member.kind = "hit"
+            elif member.digest in claimed:
+                member.kind = "follower"
+            else:
+                claimed.add(member.digest)
+
+    def first_pass(self):
+        """Store hits and leaders, in input order."""
+        return [m for m in self.members if m.kind in ("hit", "leader")]
+
+    def second_pass(self):
+        """Followers, once every leader ran, in input order.
+
+        Each follower gets its leader's recording.  A follower whose
+        leader recorded nothing (the leader failed) keeps ``archive``
+        None and runs live: its thermal side differs, so the failure may
+        not repeat.
+        """
+        followers = [m for m in self.members if m.kind == "follower"]
+        for member in followers:
+            if member.digest not in self._recordings:
+                self._recordings[member.digest] = self.store.get(member.digest)
+            member.archive = self._recordings[member.digest]
+        return followers
+
+    def recorded(self, archive):
+        """File a leader's fresh recording for its followers and the store."""
+        self._recordings[archive.scenario_digest] = archive
+        try:
+            self.store.put(archive)
+        except OSError:
+            pass  # a full disk must not fail the run
+
+
 class Runner:
     """Executes scenario batches with ``workers`` parallel processes.
 
@@ -203,15 +304,14 @@ class Runner:
             data["config"] = config
         return data
 
-    def _replay_result(self, index, scenario_dict, archive, source):
-        """Replay one store hit in-process; mirrors ``_execute``."""
+    def _replay_result(self, member, source):
+        """Replay one member's recording in-process; mirrors ``_execute``."""
         from repro.trace.replay import replay_for_scenario
 
         start = time.perf_counter()
-        name = scenario_dict.get("name", f"scenario{index}")
+        scenario = member.scenario
         try:
-            scenario = Scenario.from_dict(scenario_dict)
-            player = replay_for_scenario(archive, scenario, source=source)
+            player = replay_for_scenario(member.archive, scenario, source=source)
             report = player.run(
                 max_emulated_seconds=scenario.max_emulated_seconds,
                 max_windows=scenario.max_windows,
@@ -219,19 +319,14 @@ class Runner:
             wall = time.perf_counter() - start
             return ScenarioResult(
                 name=scenario.name,
-                index=index,
+                index=member.index,
                 report=report,
                 wall_seconds=wall,
                 trace=player.trace if self.capture_trace else None,
             )
         except Exception as exc:
-            wall = time.perf_counter() - start
-            return ScenarioResult(
-                name=name,
-                index=index,
-                wall_seconds=wall,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback_module.format_exc(),
+            return _failure(
+                member.index, scenario.name, exc, time.perf_counter() - start
             )
 
     # -- observability ---------------------------------------------------------
@@ -295,71 +390,24 @@ class Runner:
         return results
 
     def _run(self, scenarios):
-        dicts = [
-            self._scenario_dict(item, index)
-            for index, item in enumerate(scenarios)
-        ]
-        if not dicts:
-            return []
-        if self.trace_store is None:
-            raw = self._run_payloads(
-                [(i, d, self.capture_trace, False) for i, d in enumerate(dicts)]
-            )
-            return [self._result_of(r) for r in sorted(raw)]
-
-        from repro.trace.store import scenario_trace_digest
-
-        store = self.trace_store
-        source = "memory" if store.in_memory else str(store.root)
-        results = [None] * len(dicts)
-        digests = []
-        for data in dicts:
-            try:
-                digests.append(scenario_trace_digest(data))
-            except Exception:
-                # Unparseable scenario: let _execute produce its error
-                # result; it just can't participate in replay dedup.
-                digests.append(None)
-        leaders, followers = [], []
-        claimed = set()
-        for index, (data, digest) in enumerate(zip(dicts, digests)):
-            archive = store.get(digest)
-            if archive is not None:
-                results[index] = self._replay_result(
-                    index, data, archive, source
-                )
-            elif digest is not None and digest in claimed:
-                followers.append(index)
-            else:
-                claimed.add(digest)
-                leaders.append(index)
-        raw = self._run_payloads(
-            [(i, dicts[i], self.capture_trace, True) for i in leaders]
-        )
-        fresh = {}  # digest -> archive, so followers skip disk re-loads
-        for row in raw:
-            index, archive = row[0], row[7]
-            results[index] = self._result_of(row)
-            if archive is not None:
-                fresh[archive.scenario_digest] = archive
-                try:
-                    store.put(archive)
-                except OSError:
-                    pass  # a full disk must not fail the run
-        for index in followers:
-            archive = fresh.get(digests[index])
-            if archive is None:
-                archive = store.get(digests[index])
-            if archive is None:
-                # The leader failed to record (its error is its own
-                # result); the follower still runs live — its thermal
-                # side differs, so the failure may not repeat.
-                row = _execute((index, dicts[index], self.capture_trace, False))
-                results[index] = self._result_of(row)
-            else:
-                results[index] = self._replay_result(
-                    index, dicts[index], archive, source
-                )
+        plan = _DedupPlan(self, scenarios)
+        results = [member.error for member in plan.members]
+        for members in (plan.first_pass, plan.second_pass):
+            live = []
+            for member in members():
+                if member.archive is None:
+                    live.append(member)
+                else:
+                    results[member.index] = self._replay_result(
+                        member, plan.source
+                    )
+            raw = self._run_payloads([
+                (m.index, m.data, self.capture_trace, m.records) for m in live
+            ])
+            for row in raw:
+                results[row[0]] = self._result_of(row)
+                if row[7] is not None:
+                    plan.recorded(row[7])
         return results
 
     def _run_payloads(self, payloads):
@@ -392,7 +440,7 @@ class Runner:
         coincide (and therefore share one cached network structure) are
         advanced window by window *together*: every window each member
         contributes one right-hand-side column and one shared
-        :class:`~repro.thermal.backends.BatchedLU` performs a single
+        :class:`~repro.thermal.backends.CachedLU` performs a single
         multi-RHS backward-Euler solve — one factorization for the whole
         group instead of one per scenario per window.  The members'
         configured solver backends are bypassed for the shared
@@ -417,105 +465,41 @@ class Runner:
         return results
 
     def _run_batched(self, scenarios, library=None):
-        scenarios = list(scenarios)
-        results = [None] * len(scenarios)
-        store = self.trace_store
-        source = None
-        digests = [None] * len(scenarios)
-        if store is not None:
-            from repro.trace.store import scenario_trace_digest
-
-            source = "memory" if store.in_memory else str(store.root)
-
-        groups = defaultdict(list)
-        followers = []
-        captures = {}
-        claimed = set()
-        parsed = {}
-        for index, item in enumerate(scenarios):
-            if isinstance(item, Scenario):
-                name = item.name
-            else:
-                item = dict(item)
-                name = item.get("name", f"scenario{index}")
-            try:  # the batch survives one bad scenario
-                data = self._scenario_dict(item, index)
-                scenario = Scenario.from_dict(data)
-                parsed[index] = scenario
-                if store is not None:
-                    digests[index] = scenario_trace_digest(data)
-                    archive = store.get(digests[index])
-                    if archive is not None:
+        plan = _DedupPlan(self, scenarios)
+        results = [member.error for member in plan.members]
+        # Hits co-step with the leaders, followers only after every
+        # leader recorded: the shared solve linearizes at the group
+        # mean, so group composition is part of the numbers.
+        for members in (plan.first_pass, plan.second_pass):
+            groups = defaultdict(list)
+            captures = {}
+            for member in members():
+                try:
+                    if member.archive is not None:
                         from repro.trace.replay import replay_for_scenario
 
-                        player = replay_for_scenario(
-                            archive, scenario, source=source
+                        runnable = replay_for_scenario(
+                            member.archive, member.scenario, source=plan.source
                         )
-                        groups[_group_key(player)].append(
-                            (index, scenario, player)
-                        )
-                        continue
-                    if digests[index] in claimed:
-                        followers.append(index)
-                        continue
-                    claimed.add(digests[index])
-                framework = scenario.build(library=library)
-                if store is not None:
-                    from repro.trace.capture import PowerTraceCapture
+                    else:
+                        runnable = member.scenario.build(library=library)
+                        if member.records:
+                            from repro.trace.capture import PowerTraceCapture
 
-                    captures[index] = framework.attach_capture(
-                        PowerTraceCapture()
+                            captures[member.index] = runnable.attach_capture(
+                                PowerTraceCapture()
+                            )
+                    groups[_group_key(runnable)].append(
+                        (member, runnable)
                     )
-                groups[_group_key(framework)].append(
-                    (index, scenario, framework)
-                )
-            except Exception as exc:
-                results[index] = ScenarioResult(
-                    name=name,
-                    index=index,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback_module.format_exc(),
-                )
-                continue
-        self._run_groups(groups, results, captures, store)
-
-        if followers:
-            replay_groups = defaultdict(list)
-            loaded = {}  # digest -> archive, one disk load per digest
-            for index in followers:
-                scenario = parsed[index]
-                digest = digests[index]
-                if digest not in loaded:
-                    loaded[digest] = store.get(digest)
-                archive = loaded[digest]
-                try:
-                    if archive is None:
-                        # Leader never recorded (it failed); run live —
-                        # this member's thermal side may still succeed.
-                        framework = scenario.build(library=library)
-                        replay_groups[_group_key(framework)].append(
-                            (index, scenario, framework)
-                        )
-                        continue
-                    from repro.trace.replay import replay_for_scenario
-
-                    player = replay_for_scenario(
-                        archive, scenario, source=source
+                except Exception as exc:  # the batch survives one bad scenario
+                    results[member.index] = _failure(
+                        member.index, member.scenario.name, exc
                     )
-                    replay_groups[_group_key(player)].append(
-                        (index, scenario, player)
-                    )
-                except Exception as exc:
-                    results[index] = ScenarioResult(
-                        name=scenario.name,
-                        index=index,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback_module.format_exc(),
-                    )
-            self._run_groups(replay_groups, results, {}, None)
+            self._run_groups(groups, results, captures, plan)
         return results
 
-    def _run_groups(self, groups, results, captures, store):
+    def _run_groups(self, groups, results, captures, plan):
         """Co-step every group, fill ``results``, file recordings."""
         for group in groups.values():
             start = time.perf_counter()
@@ -527,7 +511,7 @@ class Runner:
                 error = f"{type(exc).__name__}: {exc}"
                 tb = traceback_module.format_exc()
             wall = time.perf_counter() - start
-            for position, (index, scenario, runnable) in enumerate(group):
+            for position, (member, runnable) in enumerate(group):
                 # A member that had already reached its bounds *before*
                 # the failing window completed normally and keeps its
                 # report; everyone else (including a member whose
@@ -537,21 +521,17 @@ class Runner:
                 report = None
                 if not member_error:
                     report = runnable.report()
-                    capture = captures.get(index)
-                    if capture is not None and store is not None:
+                    capture = captures.get(member.index)
+                    if capture is not None:
                         # Assembly errors propagate (they are bugs, and
-                        # masking them would silently disable replay);
-                        # only store I/O is best-effort.
-                        archive = capture.to_archive(
-                            runnable, scenario=scenario, report=report
-                        )
-                        try:
-                            store.put(archive)
-                        except OSError:
-                            pass  # a full disk must not fail the run
-                results[index] = ScenarioResult(
-                    name=scenario.name,
-                    index=index,
+                        # masking them would silently disable replay).
+                        plan.recorded(capture.to_archive(
+                            runnable, scenario=member.scenario, report=report,
+                            scenario_digest=member.digest,
+                        ))
+                results[member.index] = ScenarioResult(
+                    name=member.scenario.name,
+                    index=member.index,
                     report=report,
                     wall_seconds=wall,
                     error=member_error,
@@ -575,16 +555,16 @@ class Runner:
         :class:`~repro.trace.replay.ReplaySource` players — both speak
         the same window protocol.
         """
-        frameworks = [framework for _, _, framework in group]
+        frameworks = [runnable for _, runnable in group]
         bounds = [
             (
-                scenario.max_emulated_seconds,
-                scenario.max_windows,
-                scenario.max_stall_windows,
+                member.scenario.max_emulated_seconds,
+                member.scenario.max_windows,
+                member.scenario.max_stall_windows,
             )
-            for _, scenario, _ in group
+            for member, _ in group
         ]
-        backend = BatchedLU().bind(frameworks[0].network)
+        backend = CachedLU().bind(frameworks[0].network)
         dt = frameworks[0].config.sampling_period_s
         active = list(range(len(frameworks)))
         while True:

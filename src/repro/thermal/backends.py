@@ -4,7 +4,7 @@ The co-emulation loop advances one sampling period per window by solving
 
     (C/dt + G(T_n)) T_{n+1} = (C/dt) T_n + P + G_amb T_amb
 
-Three strategies for that solve, all behind one :class:`SolverBackend`
+Two strategies for that solve, both behind one :class:`SolverBackend`
 interface and resolvable by name through :data:`SOLVER_BACKENDS`:
 
 ``sparse_be`` (:class:`SparseBE`)
@@ -24,13 +24,16 @@ interface and resolvable by name through :data:`SOLVER_BACKENDS`:
     introduces a bounded error of order ``(4/3) * tol / T`` in the
     silicon conductances — well under 1 % for the default 1 K tolerance.
 
-``batched_lu`` (:class:`BatchedLU`)
-    :class:`CachedLU` plus a true multi-right-hand-side path: B
+    :meth:`CachedLU.step_batch` is the multi-right-hand-side path: B
     structurally identical scenarios step together through **one**
     factorization and a single ``solve(n x B)`` call per window, so a
     B-scenario sweep costs one factorization instead of B x windows.
     The shared reference temperature is the batch column mean, refreshed
     under the same drift tolerance.
+
+``batched_lu``
+    An alias of ``cached_lu`` (and ``BatchedLU`` of :class:`CachedLU`),
+    kept so specs that name it still load.
 
 Backends carry ``factorizations`` / ``solves`` counters so benchmarks
 and tests can assert the reuse actually happens.
@@ -127,7 +130,9 @@ class CachedLU(SolverBackend):
 
     ``refactor_tolerance_kelvin`` bounds how far any non-linear (silicon)
     cell may drift from the linearization temperature before the factors
-    are rebuilt; see the module docstring for the error analysis.
+    are rebuilt; see the module docstring for the error analysis.  Bound
+    once per *group* of structurally identical networks, the same backend
+    co-steps the whole group through :meth:`step_batch`.
     """
 
     name = "cached_lu"
@@ -150,11 +155,20 @@ class CachedLU(SolverBackend):
 
     # -- factorization policy ------------------------------------------------
     def _drifted(self, temperatures):
-        """Has any non-linear cell left the tolerance band around T_ref?"""
+        """Has any non-linear cell left the tolerance band around T_ref?
+
+        A batch drifts when its *column mean* leaves the band: one matrix
+        serves every column, so re-linearizing cannot reduce a persistent
+        spread between columns, and chasing individual columns would
+        thrash the factorization for no accuracy gain.  The residual
+        per-column error is bounded by the column's distance from the
+        batch mean.
+        """
         mask = self.network.is_nonlinear
         if not mask.any():
             return False
-        drift = np.abs(temperatures[mask] - self._t_ref[mask])
+        t = temperatures.mean(axis=1) if temperatures.ndim == 2 else temperatures
+        drift = np.abs(t[mask] - self._t_ref[mask])
         return float(drift.max()) > self.refactor_tolerance_kelvin
 
     def _refactor(self, t_ref, dt):
@@ -177,40 +191,20 @@ class CachedLU(SolverBackend):
         self.solves += 1
         return self._solve(b)
 
-
-@SOLVER_BACKENDS.register("batched_lu")
-class BatchedLU(CachedLU):
-    """CachedLU with a shared multi-RHS solve for scenario batches.
-
-    As a single-scenario backend it behaves exactly like
-    :class:`CachedLU`.  Bound once per *group* of structurally identical
-    networks, :meth:`step_batch` advances every group member through one
-    factorization (linearized at the batch-mean temperature) and one
-    multi-column backsolve per window.
-    """
-
-    name = "batched_lu"
-
     def step_batch(self, temperatures, dt, rhs):
+        """One factorization (linearized at the batch-mean temperature)
+        and one multi-column backsolve for every column."""
         reference = temperatures.mean(axis=1)
         self._ensure_factors(reference, temperatures, dt)
         b = self._c_over_dt[:, None] * temperatures + rhs
         self.solves += temperatures.shape[1]
         return self._solve(b)
 
-    def _drifted(self, temperatures):
-        # Refactorize when the *batch mean* leaves the tolerance band:
-        # a persistent spread between columns cannot be reduced by
-        # re-linearizing (one matrix serves every column), so chasing
-        # individual columns would thrash the factorization for no
-        # accuracy gain.  The residual per-column error is bounded by
-        # the column's distance from the batch mean.
-        mask = self.network.is_nonlinear
-        if not mask.any():
-            return False
-        t = temperatures.mean(axis=1) if temperatures.ndim == 2 else temperatures
-        drift = np.abs(t[mask] - self._t_ref[mask])
-        return float(drift.max()) > self.refactor_tolerance_kelvin
+
+#: ``batched_lu`` names CachedLU, whose :meth:`~CachedLU.step_batch`
+#: serves co-stepped groups; the alias keeps older specs loading.
+BatchedLU = CachedLU
+SOLVER_BACKENDS.register("batched_lu", CachedLU)
 
 
 def make_backend(spec=None):

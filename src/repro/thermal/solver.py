@@ -21,8 +21,9 @@ error; choose by name (``solver_backend`` in
   cell drifts more than ``refactor_tolerance_kelvin`` (default 1 K)
   from the linearization temperature.  Exact for linear stacks; bounded
   error (sub-percent conductance perturbation) for non-linear silicon.
-* ``batched_lu`` — ``cached_lu`` plus a multi-RHS path used by batched
-  scenario sweeps: B runs share one factorization per window.
+  Its ``step_batch`` serves batched scenario sweeps: B co-stepped runs
+  share one factorization per window.  ``batched_lu`` is an alias of
+  ``cached_lu``.
 
 An explicit forward-Euler path (with a stability guard) and a Picard
 steady-state solver complete the API; the calibration suite in

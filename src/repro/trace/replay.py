@@ -1,7 +1,8 @@
 """Driving the SW thermal side straight from a recorded archive.
 
-A :class:`ReplaySource` is deliberately *framework-shaped*: it exposes
-the same window protocol as
+A :class:`ReplaySource` feeds a recorded power stream to the same
+:class:`~repro.core.framework.ThermalSide` a live run uses, and is
+deliberately *framework-shaped*: it exposes the same window protocol as
 :class:`~repro.core.framework.EmulationFramework` (``_window_power`` /
 ``_window_commit`` / ``bounds_reached`` / ``report`` plus the
 ``solver``/``network``/``config``/``trace`` attributes), so everything
@@ -27,11 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.framework import FrameworkConfig, RunReport
-from repro.core.stats import ThermalTrace, TraceSample
-from repro.thermal.rc_network import network_for
-from repro.thermal.sensors import SensorBank
-from repro.thermal.solver import ThermalSolver
+from repro.core.framework import FrameworkConfig, RunReport, ThermalSide
 from repro.trace.store import THERMAL_SIDE_KEYS
 
 
@@ -103,15 +100,12 @@ class ReplaySource:
         self.source = source  # provenance label ("memory", a store path…)
         cfg = self.config
 
-        self.network = network_for(
-            self.floorplan,
-            mode=cfg.grid_mode,
-            refine_critical=cfg.refine_critical,
-            die_resolution=cfg.die_resolution,
-            spreader_resolution=cfg.spreader_resolution,
-            properties=properties,
-        )
+        self.thermal = ThermalSide(self.floorplan, cfg, properties=properties)
+        self.network = self.thermal.network
         self.grid = self.network.grid
+        self.solver = self.thermal.solver
+        self.sensors = self.thermal.sensors
+        self.trace = self.thermal.trace
         recorded = set(archive.components)
         present = set(self.network.component_names)
         if recorded != present:
@@ -129,25 +123,8 @@ class ReplaySource:
             [archive.components.index(name)
              for name in self.network.component_names]
         )
-        self.solver = ThermalSolver(
-            self.network,
-            initial_temperature=cfg.initial_temperature_kelvin,
-            backend=cfg.solver_backend,
-        )
-        monitored = cfg.monitored_components
-        if monitored is None:
-            monitored = [c.name for c in self.floorplan.active_components()]
-        self.sensors = SensorBank(
-            monitored,
-            upper_kelvin=cfg.sensor_upper_kelvin,
-            lower_kelvin=cfg.sensor_lower_kelvin,
-        )
-        self.trace = ThermalTrace()
-        self.windows = 0
         self.stall_windows = 0  # interface parity; replay never stalls
         self._time = 0.0
-        self._peak_temp_k = float("nan")
-        self._final_temp_k = float("nan")
 
     # -- the replayed closed loop -----------------------------------------
     @property
@@ -195,27 +172,15 @@ class ReplaySource:
         return powers, float(self.archive.frequency_hz[index])
 
     def _window_commit(self, powers, frequency):
-        """Mirror of the framework's commit: sensors, trace, bookkeeping."""
-        index = self.windows
-        temps = self.solver.component_temperatures()
-        now = float(self.archive.time_s[index])
+        """The framework's commit at the recorded time, without a policy."""
+        now = float(self.archive.time_s[self.windows])
         self._time = now
-        transitions = self.sensors.update(temps, now)
-        sample = TraceSample(
-            time_s=now,
-            frequency_hz=frequency,
-            total_power_w=sum(powers.values()),
-            max_temp_k=max(temps.values()),
-            component_temps=temps,
-            events=tuple(sorted(transitions.items())),
-        )
-        if not (index % self.config.trace_stride):
-            self.trace.append(sample)
-        if not (self._peak_temp_k >= sample.max_temp_k):  # NaN-aware max
-            self._peak_temp_k = sample.max_temp_k
-        self._final_temp_k = sample.max_temp_k
-        self.windows += 1
-        return sample
+        return self.thermal.commit(self.thermal.sense(powers, frequency, now))
+
+    @property
+    def windows(self):
+        """Recorded windows replayed so far."""
+        return self.thermal.windows
 
     def step_window(self):
         """Replay exactly one recorded sampling window."""
@@ -297,8 +262,8 @@ class ReplaySource:
         return replace(
             base,
             windows=self.windows,
-            peak_temperature_k=self._peak_temp_k,
-            final_temperature_k=self._final_temp_k,
+            peak_temperature_k=self.thermal.peak_temp_k,
+            final_temperature_k=self.thermal.final_temp_k,
             extras=extras,
         )
 

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
-from repro.core.thermal_manager import (
+from repro.core.workload_model import ActivityProfile, ProfiledWorkload
+from repro.policy import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     StopGoPolicy,
 )
-from repro.core.workload_model import ActivityProfile, ProfiledWorkload
 from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import MHZ, MS
 

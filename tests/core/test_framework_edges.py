@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
-from repro.core.thermal_manager import DualThresholdDfsPolicy, NoManagementPolicy
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
+from repro.policy import DualThresholdDfsPolicy, NoManagementPolicy
 from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import MHZ
 

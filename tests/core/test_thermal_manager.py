@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.thermal_manager import (
+from repro.core.vpcm import Vpcm
+from repro.policy import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     PerCoreDfsPolicy,
     StopGoPolicy,
 )
-from repro.core.vpcm import Vpcm
 from repro.thermal.sensors import SensorBank
 from repro.util.units import MHZ
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.thermal_manager import (
+from repro.policy import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     PerCoreDfsPolicy,
+    PerDomainPolicy,
     StopGoPolicy,
 )
-from repro.policy import PerDomainPolicy
 from repro.scenario import FLOORPLANS, POLICIES, WORKLOADS, Registry
 
 

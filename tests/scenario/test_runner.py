@@ -165,8 +165,8 @@ def test_batched_sweep_shares_one_assembly():
 def test_batched_failure_keeps_finished_members_reports():
     """A mid-co-step crash fails only the unfinished group members; runs
     that had already reached their bounds keep their reports."""
+    from repro.policy import NoManagementPolicy
     from repro.scenario.registry import POLICIES
-    from repro.core.thermal_manager import NoManagementPolicy
 
     class ExplodeAfter(NoManagementPolicy):
         def react(self, sensors, vpcm, now):
@@ -194,8 +194,8 @@ def test_batched_member_failing_in_its_final_window_is_failed():
     """A scenario whose workload completes during the very window that
     raises must come back FAILED (matching serial semantics), not as a
     bogus zero-window success."""
+    from repro.policy import NoManagementPolicy
     from repro.scenario.registry import POLICIES
-    from repro.core.thermal_manager import NoManagementPolicy
 
     class AlwaysExplode(NoManagementPolicy):
         def react(self, sensors, vpcm, now):

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.core.framework import FrameworkConfig, RunReport
-from repro.core.thermal_manager import DualThresholdDfsPolicy
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
 from repro.mpsoc import MPSoCConfig, generate_mesh
 from repro.mpsoc.bus import BusConfig
 from repro.mpsoc.cache import CacheConfig
 from repro.mpsoc.platform import CoreConfig
+from repro.policy import DualThresholdDfsPolicy
 from repro.scenario import PolicySpec, Scenario, WorkloadSpec
 from repro.util.units import KB, MHZ
 

@@ -112,6 +112,21 @@ def test_mismatched_floorplan_is_rejected(stress_scenario):
         replay(archive, floorplan="4xarm7")
 
 
+def test_unknown_monitored_component_is_rejected_like_a_live_launch():
+    """Replay validates the sensor set exactly as the live launch does,
+    instead of replaying the whole recording with a blind sensor."""
+    scenario = short_scenario("matrix_tm_cached")
+    scenario.max_windows = 5
+    _, _, archive = record(scenario)
+    live = short_scenario("matrix_tm_cached")
+    live.config.monitored_components = ("nope",)
+    with pytest.raises(ValueError, match="nope not in floorplan") as launch:
+        live.build()
+    with pytest.raises(ValueError, match="nope not in floorplan") as replayed:
+        replay(archive, config={"monitored_components": ["nope"]})
+    assert str(replayed.value) == str(launch.value)
+
+
 def test_replay_respects_max_windows(stress_scenario):
     _, _, archive = record(stress_scenario)
     player, report = replay(archive, max_windows=10)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.scenario import Runner
+from repro.scenario import Runner, Scenario
 from repro.scenario.sweep import Variant, sweep
 from repro.trace import TraceStore, record, scenario_trace_digest
 from tests.trace.conftest import short_scenario
@@ -118,6 +118,41 @@ def test_follower_falls_back_to_live_when_leader_fails():
     results = Runner(trace_store=TraceStore()).run([bad, good])
     assert not results[0].ok
     assert results[1].ok  # ran live despite the failed leader
+
+
+def planner_batch():
+    """A store hit, two leaders (the second fails on its thermal side),
+    one follower of each leader, and an unparseable dict."""
+    hit = short_scenario(name="hit", seconds=0.5)
+    leader = short_scenario(name="leader")
+    leader_twin = short_scenario(name="leader_twin")
+    leader_twin.config.grid_mode = "uniform"
+    doomed = short_scenario(name="doomed", seconds=0.7)
+    doomed.config.grid_mode = "bogus"  # parses; fails when built
+    doomed_twin = short_scenario(name="doomed_twin", seconds=0.7)
+    return [hit, leader, doomed, leader_twin, doomed_twin, {"name": "x"}]
+
+
+@pytest.mark.parametrize("entry", ["run", "run_batched"])
+def test_serial_and_batched_entry_points_plan_alike(entry):
+    batch = planner_batch()
+    store = TraceStore()
+    store.put(record(batch[0])[2])
+    with pytest.raises(ValueError) as build_error:
+        batch[2].build()
+    with pytest.raises(ValueError) as parse_error:
+        Scenario.from_dict(batch[5])
+    results = getattr(Runner(trace_store=store), entry)(batch)
+    assert [(r.status, r.replayed, r.error) for r in results] == [
+        ("ok", True, None),
+        ("ok", False, None),
+        ("failed", False, f"ValueError: {build_error.value}"),
+        ("ok", True, None),
+        # The failed leader recorded nothing: its follower runs live.
+        ("ok", False, None),
+        ("failed", False, f"ValueError: {parse_error.value}"),
+    ]
+    assert results[4].report.windows > 0
 
 
 def test_trace_stride_bounds_captured_samples():
