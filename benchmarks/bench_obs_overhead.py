@@ -1,7 +1,7 @@
 """Observability overhead: the repro.obs hot-path tax, gated.
 
-The per-window instrumentation in ``EmulationFramework.step_window``
-promises to be near-free when tracing is off: one module attribute read
+The per-window instrumentation in the window driver
+(``repro.core.framework.step_windows``) promises to be near-free when tracing is off: one module attribute read
 and an ``is None`` branch per window (the phase accumulators existed
 before :mod:`repro.obs`).  This bench holds the layer to that promise
 two ways:

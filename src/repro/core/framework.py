@@ -12,6 +12,8 @@ run-time thermal-management policy through the VPCM.
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from repro.core.dispatcher import BramBuffer, EthernetDispatcher
 from repro.core.sniffers import SnifferBank
 from repro.core.stats import ThermalTrace, TraceSample
@@ -20,13 +22,23 @@ from repro.emulation.backends import make_emulation_backend
 from repro.emulation.ethernet import EthernetLink
 from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
+from repro.obs.timeline import PHASE_ORDER
 from repro.policy.builtin import NoManagementPolicy
 from repro.power.models import PowerModel, make_tech_node
-from repro.thermal.backends import make_backend
+from repro.thermal.backends import CachedLU, make_backend
 from repro.thermal.rc_network import network_for
 from repro.thermal.sensors import SensorBank
 from repro.thermal.solver import ThermalSolver
 from repro.util.units import MHZ, MS
+
+
+def check_trace_stride(stride):
+    """Reject a ``trace_stride`` that is not a positive integer."""
+    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
+        raise ValueError(
+            f"trace_stride must be a positive integer (1 keeps every "
+            f"sample), got {stride!r}"
+        )
 
 
 @dataclass
@@ -70,13 +82,7 @@ class FrameworkConfig:
         self._validate_solver_backend()
         self._validate_emulation_backend()
         self._validate_tech_node()
-        if not isinstance(self.trace_stride, int) or isinstance(
-            self.trace_stride, bool
-        ) or self.trace_stride < 1:
-            raise ValueError(
-                f"trace_stride must be a positive integer (1 keeps every "
-                f"sample), got {self.trace_stride!r}"
-            )
+        check_trace_stride(self.trace_stride)
         if self.sensor_upper_kelvin <= self.sensor_lower_kelvin:
             raise ValueError(
                 f"sensor upper threshold ({self.sensor_upper_kelvin} K) must be "
@@ -249,14 +255,15 @@ def _string_keyed(stats):
 
 
 class ThermalSide:
-    """The SW thermal tool of Figure 5, shared by live and replayed runs.
+    """The SW thermal tool of Figure 5: what the window driver steps.
 
-    Owns one run's RC network, solver, sensor bank and trace.  Whatever
-    produces the per-window power stream — an emulated platform
-    (:class:`EmulationFramework`) or a recorded archive
-    (:class:`repro.trace.replay.ReplaySource`) — injects each window's
-    power into ``network``, steps ``solver`` one sampling period, then
-    calls :meth:`sense` and :meth:`commit`.
+    Owns one run's RC network, solver, sensor bank, trace and phase
+    ``timing``.  Subclasses supply the per-window power stream — an
+    emulated platform (:class:`EmulationFramework`) or a recorded archive
+    (:class:`repro.trace.replay.ReplaySource`): ``_window_power`` injects
+    one window's power into ``network``, :func:`step_windows` steps
+    ``solver`` one sampling period, and ``_window_commit`` reads the
+    result out through :meth:`sense` and counts it with :meth:`commit`.
     """
 
     def __init__(self, floorplan, config, properties=None):
@@ -270,6 +277,7 @@ class ThermalSide:
             spreader_resolution=config.spreader_resolution,
             properties=properties,
         )
+        self.grid = self.network.grid
         self.solver = ThermalSolver(
             self.network,
             initial_temperature=config.initial_temperature_kelvin,
@@ -282,11 +290,14 @@ class ThermalSide:
         )
         self.trace = ThermalTrace()
         self.trace_stride = config.trace_stride
-        self.windows = 0
+        self.windows = 0  # sampling windows completed so far
         # Peak/final run independently of the (possibly decimated) trace,
         # so trace_stride never changes the reported temperatures.
         self.peak_temp_k = float("nan")
         self.final_temp_k = float("nan")
+        # Per-phase wall-time accumulators (seconds), filled by
+        # _window_power and by the window driver (see step_windows).
+        self.timing = dict.fromkeys(PHASE_ORDER, 0.0)
 
     def sense(self, powers, frequency, now):
         """Read the solved window out to the sensors; returns its sample."""
@@ -336,7 +347,7 @@ def _monitored_components(floorplan, monitored):
     return monitored
 
 
-class EmulationFramework:
+class EmulationFramework(ThermalSide):
     """One fully wired HW/SW co-emulation instance."""
 
     def __init__(
@@ -378,13 +389,7 @@ class EmulationFramework:
             buffer=BramBuffer(capacity_bytes=cfg.bram_capacity_bytes),
         )
 
-        # The SW thermal tool; its parts stay reachable under their names.
-        self.thermal = ThermalSide(floorplan, cfg)
-        self.network = self.thermal.network
-        self.grid = self.network.grid
-        self.solver = self.thermal.solver
-        self.sensors = self.thermal.sensors
-        self.trace = self.thermal.trace
+        super().__init__(floorplan, cfg)  # the SW thermal tool
 
         # Which emulation backend drives the platform (None when the
         # caller passed a ready-made workload object).
@@ -396,13 +401,6 @@ class EmulationFramework:
             workload = backend.build_workload(platform, self.power_model)
             self.emulation_backend = backend.name
         self.workload = workload
-        # Per-phase wall-time accumulators (seconds); "other" is the
-        # per-window residual (sensors, policy, bookkeeping) so the five
-        # shares sum to step_window's wall time.  The solve slot is
-        # filled by step_window — batched sweeps solve outside the
-        # framework, so solve and other stay 0.0 there by design.
-        self.timing = {"emulate": 0.0, "power": 0.0, "dispatch": 0.0,
-                       "solve": 0.0, "other": 0.0}
         # High-water marks of what report() already pushed into the
         # metrics registry, so repeated reports never double count.
         self._published = {"windows": 0, "timing": {}, "solver": {}}
@@ -423,40 +421,14 @@ class EmulationFramework:
     # -- the closed loop ---------------------------------------------------------
     def step_window(self):
         """Run exactly one sampling window of the co-emulation loop."""
-        tracer = obs_tracing.ACTIVE
-        timing = self.timing
-        t_start = time.perf_counter()
-        base_emulate = timing["emulate"]
-        base_power = timing["power"]
-        base_dispatch = timing["dispatch"]
-        powers, frequency = self._window_power()
-        # 4. The SW thermal tool integrates one sampling period.
-        t0 = time.perf_counter()
-        self.solver.step_be(self.config.sampling_period_s)
-        d_solve = time.perf_counter() - t0
-        timing["solve"] += d_solve
-        sample = self._window_commit(powers, frequency)
-        d_emulate = timing["emulate"] - base_emulate
-        d_power = timing["power"] - base_power
-        d_dispatch = timing["dispatch"] - base_dispatch
-        spent = d_emulate + d_power + d_dispatch + d_solve
-        d_other = max(0.0, time.perf_counter() - t_start - spent)
-        timing["other"] += d_other
-        if tracer is not None:
-            tracer.emit("window.emulate", d_emulate)
-            tracer.emit("window.power", d_power)
-            tracer.emit("window.dispatch", d_dispatch)
-            tracer.emit("window.solve", d_solve)
-            tracer.emit("window.other", d_other)
-        return sample
+        return step_windows((self,))[0]
 
     def _window_power(self):
         """Phases 1-3 of a window: emulate, convert to power, dispatch.
 
         Leaves the window's power injected into ``self.network`` and
-        returns ``(powers, frequency)`` for :meth:`_window_commit`.  The
-        batched sweep runner uses this split to co-step many frameworks
-        through one shared multi-RHS thermal solve.
+        returns ``(powers, frequency)`` for :meth:`_window_commit`; the
+        thermal solve in between belongs to :func:`step_windows`.
         """
         cfg = self.config
         period = cfg.sampling_period_s
@@ -526,16 +498,11 @@ class EmulationFramework:
         # 5. Temperatures return to the sensors; the policy reacts via VPCM.
         self.vpcm.account_window(self.config.sampling_period_s)
         now = self.vpcm.emulated_seconds
-        sample = self.thermal.sense(powers, frequency, now)
+        sample = self.sense(powers, frequency, now)
         self.policy.react(self.sensors, self.vpcm, now)
         for capture in self.captures:
             capture.on_window(self, powers, frequency, sample)
-        return self.thermal.commit(sample)
-
-    @property
-    def windows(self):
-        """Sampling windows completed so far."""
-        return self.thermal.windows
+        return self.commit(sample)
 
     def attach_capture(self, capture):
         """Register a per-window capture hook (``on_window(framework,
@@ -587,20 +554,15 @@ class EmulationFramework:
         windows instead of spinning forever, and the returned report
         carries ``stalled=True``.
         """
+        bounds = [(max_emulated_seconds, max_windows, max_stall_windows)]
         tracer = obs_tracing.ACTIVE
         if tracer is None:
-            while not self.bounds_reached(
-                max_emulated_seconds, max_windows, max_stall_windows
-            ):
-                self.step_window()
+            run_windows([self], bounds)
             return self.report()
         with tracer.span(
             "run", backend=self.emulation_backend or "custom"
         ) as span:
-            while not self.bounds_reached(
-                max_emulated_seconds, max_windows, max_stall_windows
-            ):
-                self.step_window()
+            run_windows([self], bounds)
             span.set(
                 windows=self.windows,
                 emulated_s=self.vpcm.emulated_seconds,
@@ -669,8 +631,8 @@ class EmulationFramework:
             fpga_real_seconds=self.vpcm.real_seconds,
             windows=self.windows,
             workload_done=self.workload.done,
-            peak_temperature_k=self.thermal.peak_temp_k,
-            final_temperature_k=self.thermal.final_temp_k,
+            peak_temperature_k=self.peak_temp_k,
+            final_temperature_k=self.final_temp_k,
             freeze_breakdown=dict(self.vpcm.freezes),
             frequency_transitions=len(self.vpcm.transitions),
             dispatcher=self.dispatcher.stats(),
@@ -678,3 +640,96 @@ class EmulationFramework:
             stalled=self.stalled,
             extras=extras,
         )
+
+
+# -- the window driver -----------------------------------------------------------
+def step_windows(runnables, backend=None):
+    """Advance each :class:`ThermalSide` runnable by one sampling window.
+
+    Every member's ``_window_power()`` runs, then the solve — each
+    member's own solver, or with ``backend`` (a bound
+    :class:`~repro.thermal.backends.CachedLU`) one multi-RHS
+    ``step_batch`` over the members' stacked columns — then every
+    member's ``_window_commit()``.  Each member's ``timing`` keeps the
+    emulate/power/dispatch its ``_window_power`` measured and gains an
+    even share of the solve and of the residual (``other``), so the
+    members' phases add up to the window's wall time; with a tracer
+    active, each member emits its five ``window.*`` spans.  Returns the
+    members' trace samples.
+    """
+    tracer = obs_tracing.ACTIVE
+    t_start = time.perf_counter()
+    pending = []
+    spent = 0.0
+    for runnable in runnables:
+        timing = runnable.timing
+        emulate, power, dispatch = (
+            timing["emulate"], timing["power"], timing["dispatch"]
+        )
+        powers, frequency = runnable._window_power()
+        delta = (timing["emulate"] - emulate, timing["power"] - power,
+                 timing["dispatch"] - dispatch)
+        spent += delta[0] + delta[1] + delta[2]
+        pending.append((runnable, powers, frequency, delta))
+    # 4. The SW thermal tool integrates one sampling period.
+    t0 = time.perf_counter()
+    if backend is None:
+        for runnable in runnables:
+            runnable.solver.step_be(runnable.config.sampling_period_s)
+    else:
+        dt = runnables[0].config.sampling_period_s
+        advanced = backend.step_batch(
+            np.stack([r.solver.temperatures for r in runnables], axis=1),
+            dt,
+            np.stack([r.network.rhs() for r in runnables], axis=1),
+        )
+        for col, runnable in enumerate(runnables):
+            runnable.solver.temperatures = advanced[:, col]
+            runnable.solver.time += dt
+    d_solve = time.perf_counter() - t0
+    samples = [
+        runnable._window_commit(powers, frequency)
+        for runnable, powers, frequency, _ in pending
+    ]
+    count = len(pending)
+    d_other = max(0.0, time.perf_counter() - t_start - spent - d_solve) / count
+    d_solve /= count
+    for runnable, _, _, (d_emulate, d_power, d_dispatch) in pending:
+        timing = runnable.timing
+        timing["solve"] += d_solve
+        timing["other"] += d_other
+        if tracer is not None:
+            tracer.emit("window.emulate", d_emulate)
+            tracer.emit("window.power", d_power)
+            tracer.emit("window.dispatch", d_dispatch)
+            tracer.emit("window.solve", d_solve)
+            tracer.emit("window.other", d_other)
+    return samples
+
+
+def run_windows(runnables, bounds, co_step=False, completed=None):
+    """Step ``runnables`` until each reaches its ``(max_emulated_seconds,
+    max_windows, max_stall_windows)`` in ``bounds``.
+
+    A member's position goes into ``completed`` (a set) at the first
+    window boundary where it is done, so a caller knows who finished
+    even if a later window raises.  Alone, each member steps through its
+    own ``step_window`` (the per-window entry point callers may wrap);
+    with ``co_step`` the active members share one ``CachedLU`` bound to
+    the first member's network.
+    """
+    backend = CachedLU().bind(runnables[0].network) if co_step else None
+    completed = set() if completed is None else completed
+    active = range(len(runnables))
+    while True:
+        completed.update(
+            b for b in active if runnables[b].bounds_reached(*bounds[b])
+        )
+        active = [b for b in active if b not in completed]
+        if not active:
+            return
+        if backend is None:
+            for b in active:
+                runnables[b].step_window()
+        else:
+            step_windows([runnables[b] for b in active], backend)

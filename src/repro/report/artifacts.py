@@ -1139,8 +1139,9 @@ def _obs_overview_extract(results):
     ledger.add_row("span-log structure digest",
                    timeline.digest()[:16] + "…")
     note = (
-        "Per-phase wall-time breakdown of the one emulated member, folded "
-        "from the JSONL span log the tracer streamed (the same view "
+        "Per-phase wall-time breakdown of all six members (the emulated "
+        "one and the five replays, which emulate nothing), folded from "
+        "the JSONL span log the tracer streamed (the same view "
         "`python -m repro obs timeline` renders from `--obs-log` runs):"
     )
     body = (

@@ -11,7 +11,11 @@ one the CLI imposes: it must be expressible as plain data.
 fanning scenarios out, it co-steps scenarios that share one network
 structure through a single multi-RHS thermal solve per window (one
 factorization for the whole group — see
-:meth:`repro.thermal.backends.CachedLU.step_batch`).
+:meth:`repro.thermal.backends.CachedLU.step_batch`).  The co-step is
+the same window driver serial and replayed runs go through
+(:func:`repro.core.framework.run_windows`), so every member's
+``extras["timing"]`` carries its own phases plus an even share of the
+group's solve and residual.
 
 ``trace_store`` adds the record-once/replay-many decoupling from
 :mod:`repro.trace`: every emulated scenario is captured into the store
@@ -31,13 +35,10 @@ import traceback as traceback_module
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.framework import RunReport
+from repro.core.framework import RunReport, check_trace_stride, run_windows
 from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.scenario.spec import Scenario
-from repro.thermal.backends import CachedLU
 
 #: Scenarios-per-batch histogram buckets (counts, not seconds).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -270,12 +271,8 @@ class Runner:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self.capture_trace = capture_trace
-        if trace_stride is not None and (
-            not isinstance(trace_stride, int) or trace_stride < 1
-        ):
-            raise ValueError(
-                f"trace_stride must be a positive integer, got {trace_stride!r}"
-            )
+        if trace_stride is not None:
+            check_trace_stride(trace_stride)
         self.trace_stride = trace_stride
         if trace_store is not None:
             from repro.trace.store import TraceStore
@@ -312,10 +309,7 @@ class Runner:
         scenario = member.scenario
         try:
             player = replay_for_scenario(member.archive, scenario, source=source)
-            report = player.run(
-                max_emulated_seconds=scenario.max_emulated_seconds,
-                max_windows=scenario.max_windows,
-            )
+            report = player.run(*scenario.bounds)
             wall = time.perf_counter() - start
             return ScenarioResult(
                 name=scenario.name,
@@ -455,7 +449,8 @@ class Runner:
         attached and are filed into the store when their group ends.
 
         Results return in input order.  ``wall_seconds`` of each member
-        is its *group's* wall time (the solves are genuinely shared); a
+        is its *group's* wall time (the solves are genuinely shared),
+        while its ``extras["timing"]`` holds its share of that wall; a
         failure while co-stepping marks every unfinished member of that
         group as failed.
         """
@@ -500,12 +495,18 @@ class Runner:
         return results
 
     def _run_groups(self, groups, results, captures, plan):
-        """Co-step every group, fill ``results``, file recordings."""
+        """Co-step every group through the window driver, fill
+        ``results``, file recordings."""
         for group in groups.values():
             start = time.perf_counter()
             completed = set()
             try:
-                self._co_step(group, completed)
+                run_windows(
+                    [runnable for _, runnable in group],
+                    [member.scenario.bounds for member, _ in group],
+                    co_step=True,
+                    completed=completed,
+                )
                 error = tb = None
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
@@ -542,54 +543,3 @@ class Runner:
                         else None
                     ),
                 )
-
-    @staticmethod
-    def _co_step(group, completed):
-        """Advance one structure-sharing group to its bounds, window by
-        window, through a single shared multi-RHS factorization.
-
-        ``completed`` (a set of group positions) is filled in-place as
-        members reach their bounds at a window boundary, so the caller
-        knows who finished cleanly even if a later window raises.
-        Members may be live :class:`EmulationFramework` instances or
-        :class:`~repro.trace.replay.ReplaySource` players — both speak
-        the same window protocol.
-        """
-        frameworks = [runnable for _, runnable in group]
-        bounds = [
-            (
-                member.scenario.max_emulated_seconds,
-                member.scenario.max_windows,
-                member.scenario.max_stall_windows,
-            )
-            for member, _ in group
-        ]
-        backend = CachedLU().bind(frameworks[0].network)
-        dt = frameworks[0].config.sampling_period_s
-        active = list(range(len(frameworks)))
-        while True:
-            still = []
-            for b in active:
-                if frameworks[b].bounds_reached(*bounds[b]):
-                    completed.add(b)
-                else:
-                    still.append(b)
-            active = still
-            if not active:
-                return backend
-            pending = []
-            for b in active:
-                powers, frequency = frameworks[b]._window_power()
-                pending.append((b, powers, frequency))
-            temps = np.stack(
-                [frameworks[b].solver.temperatures for b, _, _ in pending], axis=1
-            )
-            rhs = np.stack(
-                [frameworks[b].network.rhs() for b, _, _ in pending], axis=1
-            )
-            advanced = backend.step_batch(temps, dt, rhs)
-            for col, (b, powers, frequency) in enumerate(pending):
-                solver = frameworks[b].solver
-                solver.temperatures = advanced[:, col]
-                solver.time += dt
-                frameworks[b]._window_commit(powers, frequency)

@@ -157,13 +157,15 @@ class Scenario:
             library=library,
         )
 
+    @property
+    def bounds(self):
+        """``(max_emulated_seconds, max_windows, max_stall_windows)``, in
+        the order ``run`` and ``bounds_reached`` take them."""
+        return (self.max_emulated_seconds, self.max_windows,
+                self.max_stall_windows)
+
     def run(self, library=None):
         """Build and run to the scenario's bounds; returns
         ``(framework, RunReport)``."""
         framework = self.build(library=library)
-        report = framework.run(
-            max_emulated_seconds=self.max_emulated_seconds,
-            max_windows=self.max_windows,
-            max_stall_windows=self.max_stall_windows,
-        )
-        return framework, report
+        return framework, framework.run(*self.bounds)

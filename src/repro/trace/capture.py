@@ -143,10 +143,6 @@ def record(scenario, library=None):
     """
     framework = scenario.build(library=library)
     capture = framework.attach_capture(PowerTraceCapture())
-    report = framework.run(
-        max_emulated_seconds=scenario.max_emulated_seconds,
-        max_windows=scenario.max_windows,
-        max_stall_windows=scenario.max_stall_windows,
-    )
+    report = framework.run(*scenario.bounds)
     archive = capture.to_archive(framework, scenario=scenario, report=report)
     return framework, report, archive

@@ -1,15 +1,18 @@
 """Driving the SW thermal side straight from a recorded archive.
 
-A :class:`ReplaySource` feeds a recorded power stream to the same
-:class:`~repro.core.framework.ThermalSide` a live run uses, and is
-deliberately *framework-shaped*: it exposes the same window protocol as
-:class:`~repro.core.framework.EmulationFramework` (``_window_power`` /
-``_window_commit`` / ``bounds_reached`` / ``report`` plus the
-``solver``/``network``/``config``/``trace`` attributes), so everything
-downstream of the dispatcher boundary — serial stepping, the batched
-multi-RHS co-step in :meth:`repro.scenario.runner.Runner.run_batched`,
-trace capture itself — works identically whether the power stream comes
-from a live emulated platform or from a
+A :class:`ReplaySource` is the same
+:class:`~repro.core.framework.ThermalSide` a live run is, fed by a
+recorded power stream.  It supplies only the replay-specific half of a
+window — the recorded power
+injection (``_window_power``) and the commit at the recorded time
+(``_window_commit``) — and leaves the loop to the one window driver
+(:func:`~repro.core.framework.step_windows` /
+:func:`~repro.core.framework.run_windows`), which also steps live
+:class:`~repro.core.framework.EmulationFramework` runs and the batched
+multi-RHS co-step in :meth:`repro.scenario.runner.Runner.run_batched`.
+Serial, co-stepped and replayed windows therefore share one window
+order, one thermal solve and one phase timing, whether the power stream
+comes from a live emulated platform or from a
 :class:`~repro.trace.format.TraceArchive`.
 
 What replay recomputes is exactly the SW half of Figure 5: RC-network
@@ -24,11 +27,18 @@ reproduces the live run's :meth:`~repro.core.stats.ThermalTrace.digest`
 bit-for-bit (same float64 power vectors, same solve sequence).
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core.framework import FrameworkConfig, RunReport, ThermalSide
+from repro.core.framework import (
+    FrameworkConfig,
+    RunReport,
+    ThermalSide,
+    run_windows,
+    step_windows,
+)
 from repro.trace.store import THERMAL_SIDE_KEYS
 
 
@@ -87,7 +97,7 @@ def replay_config(archive, config=None):
     return FrameworkConfig.from_dict(merged)
 
 
-class ReplaySource:
+class ReplaySource(ThermalSide):
     """One replayable run: a recorded boundary stream + a fresh SW side."""
 
     def __init__(self, archive, config=None, floorplan=None, properties=None,
@@ -98,14 +108,7 @@ class ReplaySource:
         self.floorplan = _resolve_floorplan(floorplan, archive)
         self.properties = properties
         self.source = source  # provenance label ("memory", a store path…)
-        cfg = self.config
-
-        self.thermal = ThermalSide(self.floorplan, cfg, properties=properties)
-        self.network = self.thermal.network
-        self.grid = self.network.grid
-        self.solver = self.thermal.solver
-        self.sensors = self.thermal.sensors
-        self.trace = self.thermal.trace
+        super().__init__(self.floorplan, self.config, properties=properties)
         recorded = set(archive.components)
         present = set(self.network.component_names)
         if recorded != present:
@@ -123,21 +126,12 @@ class ReplaySource:
             [archive.components.index(name)
              for name in self.network.component_names]
         )
-        self.stall_windows = 0  # interface parity; replay never stalls
         self._time = 0.0
 
     # -- the replayed closed loop -----------------------------------------
     @property
-    def recorded_windows(self):
-        return self.archive.windows
-
-    @property
     def exhausted(self):
-        return self.windows >= self.recorded_windows
-
-    @property
-    def emulated_seconds(self):
-        return self._time
+        return self.windows >= self.archive.windows
 
     def bounds_reached(self, max_emulated_seconds=None, max_windows=None,
                        max_stall_windows=None):
@@ -153,11 +147,13 @@ class ReplaySource:
         return max_windows is not None and self.windows >= max_windows
 
     def _window_power(self):
-        """Inject the next recorded power vector; no platform runs."""
+        """Inject the next recorded power vector; no platform runs, so
+        the injection is the window's whole ``dispatch`` time."""
+        t0 = time.perf_counter()
         index = self.windows
-        if index >= self.recorded_windows:
+        if index >= self.archive.windows:
             raise IndexError(
-                f"recording exhausted after {self.recorded_windows} windows"
+                f"recording exhausted after {self.archive.windows} windows"
             )
         watts = self.archive.power_w[index]
         # Same product set_power computes, on the recording's float64
@@ -169,30 +165,25 @@ class ReplaySource:
                 self.network.component_names, self._column_of
             )
         }
-        return powers, float(self.archive.frequency_hz[index])
+        frequency = float(self.archive.frequency_hz[index])
+        self.timing["dispatch"] += time.perf_counter() - t0
+        return powers, frequency
 
     def _window_commit(self, powers, frequency):
         """The framework's commit at the recorded time, without a policy."""
         now = float(self.archive.time_s[self.windows])
         self._time = now
-        return self.thermal.commit(self.thermal.sense(powers, frequency, now))
-
-    @property
-    def windows(self):
-        """Recorded windows replayed so far."""
-        return self.thermal.windows
+        return self.commit(self.sense(powers, frequency, now))
 
     def step_window(self):
         """Replay exactly one recorded sampling window."""
-        powers, frequency = self._window_power()
-        self.solver.step_be(self.config.sampling_period_s)
-        return self._window_commit(powers, frequency)
+        return step_windows((self,))[0]
 
     def run(self, max_emulated_seconds=None, max_windows=None,
             max_stall_windows=None):
         """Replay to the recording's end (or an earlier bound)."""
-        while not self.bounds_reached(max_emulated_seconds, max_windows):
-            self.step_window()
+        run_windows([self], [(max_emulated_seconds, max_windows,
+                              max_stall_windows)])
         return self.report()
 
     # -- reporting ---------------------------------------------------------
@@ -227,13 +218,13 @@ class ReplaySource:
         Emulation-side facts (board time, freezes, dispatcher stats,
         instructions, workload completion) are the recording's own — the
         replay never re-derives them; thermal-side facts (peak/final
-        temperature, cell count) are freshly computed.  A replay
+        temperature, cell count) and the phase ``timing`` are the
+        replay's own.  A replay
         truncated before the recording's end falls back to what it
         actually observed.
         """
         recorded = self.archive.metadata.get("report") or {}
-        complete = self.exhausted and self.windows == self.recorded_windows
-        if complete and recorded:
+        if self.exhausted and recorded:
             base = RunReport.from_dict(recorded)
         else:
             frequencies = self.archive.frequency_hz[: max(self.windows, 1)]
@@ -252,9 +243,10 @@ class ReplaySource:
             )
         extras = dict(base.extras)
         extras["thermal_cells"] = self.network.num_cells
+        extras["timing"] = dict(self.timing)
         extras["replay"] = {
             "scenario_digest": self.archive.scenario_digest,
-            "recorded_windows": self.recorded_windows,
+            "recorded_windows": self.archive.windows,
             "replayed_windows": self.windows,
             "source": self.source or "archive",
             "overrides": self.overrides(),
@@ -262,8 +254,8 @@ class ReplaySource:
         return replace(
             base,
             windows=self.windows,
-            peak_temperature_k=self.thermal.peak_temp_k,
-            final_temperature_k=self.thermal.final_temp_k,
+            peak_temperature_k=self.peak_temp_k,
+            final_temperature_k=self.final_temp_k,
             extras=extras,
         )
 

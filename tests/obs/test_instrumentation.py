@@ -7,16 +7,22 @@ from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.obs.timeline import PHASE_ORDER, RunTimeline
 from repro.obs.tracing import SpanTracer
+from repro.scenario import Runner
 from repro.scenario.presets import PRESETS
+from repro.trace import record, replay
 from repro.trace.store import TraceStore
 
 
-def quick_framework(backend="event_driven"):
+def quick_scenario(backend="event_driven"):
     scenario = PRESETS.get("matrix_quickstart")()
     scenario.workload.params["iterations"] = 2
     scenario.config.sampling_period_s = 2e-5
     scenario.config.emulation_backend = backend
-    return scenario.build()
+    return scenario
+
+
+def quick_framework(backend="event_driven"):
+    return quick_scenario(backend).build()
 
 
 def counter_value(name, **labels):
@@ -29,23 +35,51 @@ def counter_value(name, **labels):
 # -- framework spans -------------------------------------------------------
 
 
-def test_run_emits_run_and_window_spans():
+def serial_path():
     framework = quick_framework()
+    return lambda: [framework.run(max_windows=8)]
+
+
+def replay_path():
+    _, _, archive = record(quick_scenario())
+    return lambda: [replay(archive)[1]]
+
+
+def batched_path():
+    scenarios = []
+    for upper in (350.0, 355.0):
+        scenario = quick_scenario()
+        scenario.name = f"upper{upper:g}"
+        scenario.config.sensor_upper_kelvin = upper
+        scenarios.append(scenario)
+    return lambda: [r.report for r in Runner().run_batched(scenarios)]
+
+
+@pytest.mark.parametrize(
+    "path", [serial_path, replay_path, batched_path],
+    ids=["serial", "replay", "batched"],
+)
+def test_run_emits_run_and_window_spans(path):
+    """The one window driver emits the window spans on every path."""
+    run = path()
     tracer = SpanTracer()
     with obs_tracing.activate(tracer):
-        report = framework.run(max_windows=8)
+        reports = run()
     timeline = RunTimeline.from_events(tracer.events)
-    run_stats = timeline.by_name["run"]
-    assert run_stats["count"] == 1
+    windows = sum(report.windows for report in reports)
+    assert windows > 0
     for phase in PHASE_ORDER:
-        assert timeline.by_name["window." + phase]["count"] == report.windows
-    run_event = next(e for e in tracer.events if e["name"] == "run")
-    assert run_event["attrs"]["windows"] == report.windows
-    assert run_event["attrs"]["backend"] == "event_driven"
-    # The span log reconstructs the report's timing breakdown.
-    timing = report.extras["timing"]
+        assert timeline.by_name["window." + phase]["count"] == windows
+    if path is serial_path:
+        [report] = reports
+        assert timeline.by_name["run"]["count"] == 1
+        run_event = next(e for e in tracer.events if e["name"] == "run")
+        assert run_event["attrs"]["windows"] == report.windows
+        assert run_event["attrs"]["backend"] == "event_driven"
+    # The span log reconstructs the reports' summed timing breakdown.
     for phase, wall in timeline.to_timing().items():
-        assert wall == pytest.approx(timing[phase], abs=1e-6)
+        timing = sum(report.extras["timing"][phase] for report in reports)
+        assert wall == pytest.approx(timing, abs=1e-6)
 
 
 def test_timing_phases_cover_window_wall_time():

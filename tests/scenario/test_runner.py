@@ -162,6 +162,31 @@ def test_batched_sweep_shares_one_assembly():
     assert all(r.ok for r in results)
 
 
+def test_batched_members_report_their_share_of_solve_and_residual():
+    """Every co-stepped member carries an even share of the group's shared
+    solve and residual; the members' phases never exceed the group wall."""
+    from repro.scenario.presets import PRESETS
+
+    scenarios = []
+    for upper in (345.0, 350.0):
+        scenario = PRESETS.get("matrix_tm_cached")()
+        scenario.name = f"upper{upper:g}"
+        scenario.max_emulated_seconds = 0.5
+        scenario.config.sensor_upper_kelvin = upper
+        scenarios.append(scenario)
+    results = Runner().run_batched(scenarios)
+    assert all(r.ok for r in results)
+    assert results[0].wall_seconds == results[1].wall_seconds  # one group
+    for result in results:
+        timing = result.report.extras["timing"]
+        assert timing["solve"] > 0.0
+        assert timing["other"] > 0.0
+    member_phases = sum(
+        sum(r.report.extras["timing"].values()) for r in results
+    )
+    assert member_phases <= results[0].wall_seconds
+
+
 def test_batched_failure_keeps_finished_members_reports():
     """A mid-co-step crash fails only the unfinished group members; runs
     that had already reached their bounds keep their reports."""

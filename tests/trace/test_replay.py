@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import FrameworkConfig
+from repro.obs.timeline import PHASE_ORDER
 from repro.thermal.properties import (
     SILICON_VOLUMETRIC_HEAT,
     Material,
@@ -56,6 +57,18 @@ def test_replay_report_carries_recorded_emulation_facts(stress_scenario):
     assert provenance["scenario_digest"] == archive.scenario_digest
     assert provenance["recorded_windows"] == archive.windows
     assert provenance["overrides"] == {}
+
+
+def test_complete_replay_reports_its_own_timing():
+    """A full replay takes the recording's emulation facts, not its phase
+    timing: nothing is emulated or converted, and the solve is its own."""
+    _, _, archive = record(short_scenario("matrix_tm_cached"))
+    _, report = replay(archive)
+    assert report.extras["replay"]["replayed_windows"] == archive.windows
+    timing = report.extras["timing"]
+    assert tuple(timing) == PHASE_ORDER
+    assert timing["emulate"] == timing["power"] == 0.0
+    assert timing["solve"] > 0.0
 
 
 def test_thermal_knob_overrides_change_the_solve(stress_scenario):

@@ -172,6 +172,8 @@ def test_trace_stride_bounds_captured_samples():
 def test_trace_stride_validation():
     with pytest.raises(ValueError, match="trace_stride"):
         Runner(trace_stride=0)
+    with pytest.raises(ValueError, match="trace_stride"):
+        Runner(trace_stride=True)
     from repro.core.framework import FrameworkConfig
 
     with pytest.raises(ValueError, match="trace_stride"):
