@@ -16,7 +16,7 @@ asserts that.
 """
 
 from repro.mpsoc.bus import Arbiter
-from repro.mpsoc.isa import CLASS_LOAD, CLASS_STORE, CLASS_SYSTEM
+from repro.mpsoc.isa import CLASS_LOAD, CLASS_STORE
 
 S_FETCH = "fetch"
 S_FETCH_WAIT = "fetch-wait"
@@ -205,7 +205,7 @@ class _CaCore:
         self.master_id = master_id
         self.state = S_FETCH if not core.halted else S_HALTED
         self.countdown = 0
-        self._pending_instr = None
+        self._pending_cls = None
 
     # -- memory path helpers -------------------------------------------------
     def _shared_request(self, is_write, nwords, on_done):
@@ -292,84 +292,32 @@ class _CaCore:
             self._issue_access(fetch_addr, False, True, self._after_fetch)
 
     def _after_fetch(self):
-        core = self.core
-        instr = core._code[core.pc]
-        self._pending_instr = instr
-        cpi = core.spec.cycles_for(instr.cls)
-        if instr.cls in (CLASS_LOAD, CLASS_STORE):
-            # Execute semantics now (functional), pay the memory timing.
-            addr, is_write = self._data_access_of(instr)
+        # The core's interpreter performs the instruction's architectural
+        # effects now (a load's value is read when the fetch completes);
+        # this state machine pays its CPI and memory timing, then retires
+        # it in _finish_instruction.
+        cls, cpi, access = self.core.execute()
+        self._pending_cls = cls
+        self.countdown = cpi
+        if cls in (CLASS_LOAD, CLASS_STORE):
             self.state = S_MEM_WAIT
-            self.countdown = cpi
 
             def on_data():
                 self.state = S_EXEC  # burn the CPI after the data returns
 
-            self._issue_access(addr, is_write, False, on_data)
+            if access is None:  # MMIO
+                self._finish_in(1, on_data)
+            else:
+                addr, is_write = access
+                self._issue_access(addr, is_write, False, on_data)
             return
         self.state = S_EXEC
-        self.countdown = cpi
-
-    def _data_access_of(self, instr):
-        """Perform the functional part of a load/store; returns (addr, W)."""
-        core = self.core
-        regs = core.regs
-        addr = (regs[instr.rs1] + instr.imm) & 0xFFFFFFFF
-        size = 4 if instr.mnemonic in ("lw", "sw") else 1
-        memctrl = core.memctrl
-        if instr.cls == CLASS_LOAD:
-            memctrl.counters.add("loads")
-            rng = memctrl.decode(addr)
-            if rng.is_mmio:
-                value = rng.target.mmio_read(rng.offset(addr))
-            else:
-                value = memctrl.read_value(addr, size)
-            if instr.mnemonic == "lb":
-                from repro.mpsoc.isa import sign_extend
-
-                value = sign_extend(value, 8) & 0xFFFFFFFF
-            if instr.rd != 0:
-                regs[instr.rd] = value & 0xFFFFFFFF
-            return addr, False
-        memctrl.counters.add("stores")
-        memctrl.write_value(addr, size, regs[instr.rd])
-        return addr, True
 
     def _finish_instruction(self):
         core = self.core
-        instr = self._pending_instr
-        self._pending_instr = None
-        m = instr.mnemonic
-        next_pc = core.pc + 1
-        if instr.cls == CLASS_SYSTEM:
-            if m == "halt":
-                core.state = "halted"
-        elif instr.cls in (CLASS_LOAD, CLASS_STORE):
-            pass  # handled in _data_access_of
-        elif instr.cls == "branch":
-            if core._branch_taken(instr):
-                next_pc = core.pc + 1 + instr.imm
-        elif instr.cls == "jump":
-            if m == "j":
-                next_pc = instr.imm
-            elif m == "jal":
-                if instr.rd != 0:
-                    core.regs[instr.rd] = core.pc + 1
-                next_pc = instr.imm
-            elif m == "jr":
-                next_pc = core.regs[instr.rs1]
-            elif m == "jalr":
-                target = core.regs[instr.rs1]
-                if instr.rd != 0:
-                    core.regs[instr.rd] = core.pc + 1
-                next_pc = target
-        elif instr.cls in ("mul", "div"):
-            core._execute_muldiv(instr)
-        else:
-            core._execute_alu(instr)
         core.instructions += 1
-        core.class_counts[instr.cls] += 1
-        core.pc = next_pc
+        core.class_counts[self._pending_cls] += 1
+        self._pending_cls = None
         core.cycle = self.engine.cycle
         self.state = S_HALTED if core.halted else S_FETCH
 

@@ -27,38 +27,43 @@ class EventDrivenEngine:
         accounted (the sniffers report active/stalled/idle splits).
         Returns the number of instructions executed in this window.
         """
-        heap = []
-        for index, core in enumerate(self.platform.cores):
-            if not core.halted and core.cycle < until_cycle:
-                # Tie-break same-cycle cores by platform index: a stable,
-                # process-independent order (id() varies per process and
-                # would make contention outcomes and trace digests
-                # irreproducible).
-                heapq.heappush(heap, (core.cycle, index, core))
+        # Tie-break same-cycle cores by platform index: a stable,
+        # process-independent order (id() varies per process and would
+        # make contention outcomes and trace digests irreproducible).
+        heap = [
+            (core.cycle, index, core.run_until, core)
+            for index, core in enumerate(self.platform.cores)
+            if core.state != "halted" and core.cycle < until_cycle
+        ]
+        heapq.heapify(heap)
+        heapreplace, heappop = heapq.heapreplace, heapq.heappop
         executed = 0
-        budget = max_instructions
+        # Like one instruction at a time: the budget is checked after an
+        # instruction ran, so even a budget of 0 runs one.
+        budget = None if max_instructions is None else max(max_instructions, 1)
         while heap:
-            cycle, index, core = heapq.heappop(heap)
-            if core.halted or core.cycle >= until_cycle:
-                continue
+            _, index, run_until, core = heap[0]
             # Run this core while it remains the globally earliest one:
             # accesses it issues cannot be overtaken by any other core.
-            next_cycle = heap[0][0] if heap else until_cycle
-            horizon = min(until_cycle, next_cycle)
-            while core.cycle <= horizon and not core.halted:
-                if core.cycle >= until_cycle:
+            # The next core is the smaller of the root's children.
+            horizon = until_cycle
+            size = len(heap)
+            if size > 1:
+                horizon = heap[1][0]
+                if size > 2 and heap[2][0] < horizon:
+                    horizon = heap[2][0]
+                if horizon > until_cycle:
+                    horizon = until_cycle
+            ran = run_until(horizon, until_cycle, budget)
+            executed += ran
+            if budget is not None:
+                budget -= ran
+                if budget <= 0:
                     break
-                core.step()
-                executed += 1
-                if budget is not None:
-                    budget -= 1
-                    if budget <= 0:
-                        if idle_to_boundary:
-                            self._idle_stragglers(until_cycle)
-                        self.instructions_executed += executed
-                        return executed
-            if not core.halted and core.cycle < until_cycle:
-                heapq.heappush(heap, (core.cycle, index, core))
+            if core.state != "halted" and core.cycle < until_cycle:
+                heapreplace(heap, (core.cycle, index, run_until, core))
+            else:
+                heappop(heap)
         if idle_to_boundary:
             self._idle_stragglers(until_cycle)
         self.instructions_executed += executed

@@ -137,6 +137,8 @@ def _functional_snapshot(platform):
 
 
 def _restore_functional(platform, snapshot):
+    """Put the snapshot back *in place*: a core's prepared run loop holds
+    its register file, cache tag arrays and memory bytes by reference."""
     for memory, blob in zip(
         [*platform.private_mems, platform.shared_mem], snapshot["mems"]
     ):
@@ -144,9 +146,9 @@ def _restore_functional(platform, snapshot):
     for cache, sets in zip(
         platform.icaches + platform.dcaches, snapshot["caches"]
     ):
-        cache._sets = copy.deepcopy(sets)
+        cache._sets[:] = copy.deepcopy(sets)
     for core, (regs, pc, state) in zip(platform.cores, snapshot["cores"]):
-        core.regs = list(regs)
+        core.regs[:] = regs
         core.pc = pc
         core.state = state
 

@@ -208,7 +208,7 @@ class Bus(Observable):
         if wait:
             self.counters.add(ev.BUS_WAIT, wait)
             self.per_master_wait[master_id] += wait
-        if self.has_hooks:
+        if self._event_hooks:
             self.emit(
                 grant_t, self.name, ev.BUS_TXN, (master_id, addr, is_write, nwords)
             )

@@ -97,19 +97,23 @@ class Cache(Observable):
         # last = MRU).  Exact, order-preserving model.
         self._sets = [[] for _ in range(config.num_sets)]
         self.counters = CounterBlock(config.name)
+        # Geometry and timing as plain ints for the access paths.
+        self.line_size = config.line_size
+        self.num_sets = config.num_sets
+        self.line_words = config.line_words
+        self.hit_latency = config.hit_latency
 
     # -- address helpers -----------------------------------------------------
     def _index_tag(self, addr):
-        line = addr // self.config.line_size
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = addr // self.line_size
+        return line % self.num_sets, line // self.num_sets
 
     def line_base(self, addr):
         """Base address of the line containing ``addr``."""
-        return addr - (addr % self.config.line_size)
+        return addr - (addr % self.line_size)
 
     def _victim_base(self, set_index, tag):
-        line = tag * self.config.num_sets + set_index
-        return line * self.config.line_size
+        return (tag * self.num_sets + set_index) * self.line_size
 
     # -- the access path -------------------------------------------------------
     def access(self, addr, is_write, cycle=0):
@@ -135,12 +139,12 @@ class Cache(Observable):
                 else:
                     result = CacheResult(hit=True)
                 self.counters.add(ev.CACHE_HIT)
-                if self.has_hooks:
+                if self._event_hooks:
                     self.emit(cycle, self.name, ev.CACHE_HIT, (addr, is_write))
                 return result
         # Miss.
         self.counters.add(ev.CACHE_MISS)
-        if self.has_hooks:
+        if self._event_hooks:
             self.emit(cycle, self.name, ev.CACHE_MISS, (addr, is_write))
         if is_write and cfg.write_policy == WRITE_THROUGH:
             # No-write-allocate: just pass the write through.
@@ -155,7 +159,7 @@ class Cache(Observable):
             if victim_dirty:
                 writeback = True
                 self.counters.add(ev.CACHE_WRITEBACK)
-                if self.has_hooks:
+                if self._event_hooks:
                     self.emit(cycle, self.name, ev.CACHE_WRITEBACK, (victim_addr,))
         dirty = bool(is_write and cfg.write_policy == WRITE_BACK)
         entries.append([tag, dirty])
@@ -189,7 +193,8 @@ class Cache(Observable):
         from the timing state (their data is already in backing store —
         see the module docstring on the functional/timing split)."""
         dirty = len(self.dirty_lines())
-        self._sets = [[] for _ in range(self.config.num_sets)]
+        for entries in self._sets:
+            entries.clear()
         return dirty
 
     def stats(self):

@@ -50,9 +50,6 @@ class AddressRange:
     def contains(self, addr):
         return self.base <= addr < self.base + self.size
 
-    def offset(self, addr):
-        return addr - self.base
-
 
 class MemoryController(Observable):
     """Memory controller for one processing core."""
@@ -63,6 +60,7 @@ class MemoryController(Observable):
         self.icache = icache
         self.dcache = dcache
         self.ranges = []
+        self._bounds = ()  # (lo, hi, range) per range, for decode
         self.counters = CounterBlock(name)
         # Set by the VPCM when the framework wires the platform; receives
         # the number of *physical* cycles to inhibit the virtual clock.
@@ -79,34 +77,41 @@ class MemoryController(Observable):
                     f"{self.name}: range {address_range.name} overlaps {existing.name}"
                 )
         self.ranges.append(address_range)
+        lo = address_range.base
+        self._bounds += ((lo, lo + address_range.size, address_range),)
         return address_range
 
     def decode(self, addr):
-        for rng in self.ranges:
-            if rng.contains(addr):
+        for lo, hi, rng in self._bounds:
+            if lo <= addr < hi:
                 return rng
         raise AccessFault(f"{self.name}: no range maps address 0x{addr:08x}")
 
     # -- functional data access ------------------------------------------------
-    def read_value(self, addr, size):
-        rng = self.decode(addr)
+    @staticmethod
+    def _read(rng, addr, size):
+        off = addr - rng.base
         if rng.is_mmio:
-            return rng.target.mmio_read(rng.offset(addr))
-        off = rng.offset(addr)
+            return rng.target.mmio_read(off)
         if size == 4:
             return rng.target.read_word(off)
         return rng.target.read_byte(off)
 
-    def write_value(self, addr, size, value):
-        rng = self.decode(addr)
+    @staticmethod
+    def _write(rng, addr, size, value):
+        off = addr - rng.base
         if rng.is_mmio:
-            rng.target.mmio_write(rng.offset(addr), value)
-            return
-        off = rng.offset(addr)
-        if size == 4:
+            rng.target.mmio_write(off, value)
+        elif size == 4:
             rng.target.write_word(off, value)
         else:
             rng.target.write_byte(off, value)
+
+    def read_value(self, addr, size):
+        return self._read(self.decode(addr), addr, size)
+
+    def write_value(self, addr, size, value):
+        self._write(self.decode(addr), addr, size, value)
 
     # -- timing helpers ----------------------------------------------------------
     def _suppress(self, real_cycles):
@@ -132,14 +137,16 @@ class MemoryController(Observable):
         else:
             latency = memory.access_latency(nwords)
             memory.record_access(t, is_write, nwords)
-        self._suppress(memory.physical_penalty(nwords))
+        penalty = memory.physical_penalty(nwords)
+        if penalty > 0:
+            self._suppress(penalty)
         return latency
 
     def _cached_access(self, cache, rng, addr, is_write, t):
         """Access through an L1; returns total latency in virtual cycles."""
         result = cache.access(addr, is_write, t)
-        latency = cache.config.hit_latency
-        line_words = cache.config.line_words
+        latency = cache.hit_latency
+        line_words = cache.line_words
         if result.writeback:
             latency += self._backing_latency(
                 rng, result.victim_addr, True, line_words, t + latency
@@ -152,7 +159,7 @@ class MemoryController(Observable):
             latency += self._backing_latency(rng, addr, True, 1, t + latency)
         return latency
 
-    # -- the three access paths used by the processor ---------------------------
+    # -- the access paths used by the processors ---------------------------------
     def fetch_timing(self, addr, t):
         """Instruction-fetch latency at virtual cycle ``t``."""
         rng = self.decode(addr)
@@ -161,28 +168,32 @@ class MemoryController(Observable):
             return self._cached_access(self.icache, rng, addr, False, t)
         return self._backing_latency(rng, addr, False, 1, t)
 
+    def data_timing(self, rng, addr, is_write, t):
+        """Latency of one data access at virtual cycle ``t`` to ``addr``
+        in the (already decoded, non-MMIO) range ``rng``: through the
+        D-cache for cacheable ranges, else straight to the backing
+        device."""
+        if rng.cacheable and self.dcache is not None:
+            return self._cached_access(self.dcache, rng, addr, is_write, t)
+        return self._backing_latency(rng, addr, is_write, 1, t)
+
     def load(self, addr, size, t):
         """Data load; returns ``(value, latency)``."""
         rng = self.decode(addr)
         self.counters.add("loads")
+        value = self._read(rng, addr, size)
         if rng.is_mmio:
-            return rng.target.mmio_read(rng.offset(addr)), 1
-        value = self.read_value(addr, size)
-        if rng.cacheable and self.dcache is not None:
-            return value, self._cached_access(self.dcache, rng, addr, False, t)
-        return value, self._backing_latency(rng, addr, False, 1, t)
+            return value, 1
+        return value, self.data_timing(rng, addr, False, t)
 
     def store(self, addr, size, value, t):
         """Data store; returns the latency."""
         rng = self.decode(addr)
         self.counters.add("stores")
+        self._write(rng, addr, size, value)
         if rng.is_mmio:
-            rng.target.mmio_write(rng.offset(addr), value)
             return 1
-        self.write_value(addr, size, value)
-        if rng.cacheable and self.dcache is not None:
-            return self._cached_access(self.dcache, rng, addr, True, t)
-        return self._backing_latency(rng, addr, True, 1, t)
+        return self.data_timing(rng, addr, True, t)
 
     def stats(self):
         return {

@@ -128,7 +128,7 @@ class Memory(Observable):
     def record_access(self, cycle, is_write, nwords=1):
         kind = ev.MEM_WRITE if is_write else ev.MEM_READ
         self.counters.add(kind, nwords)
-        if self.has_hooks:
+        if self._event_hooks:
             self.emit(cycle, self.name, kind, (nwords,))
 
     def stats(self):

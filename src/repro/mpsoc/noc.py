@@ -23,7 +23,6 @@ import networkx as nx
 
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
-from repro.mpsoc.ocp import CMD_READ, CMD_WRITE, OcpRequest
 
 
 @dataclass
@@ -91,6 +90,7 @@ class Noc(Observable):
             raise ValueError(f"{config.name}: topology is not connected")
         self._endpoints = {}  # endpoint name -> switch
         self._routes = {}  # (src switch, dst switch) -> [switches]
+        self._paths = {}  # (master id, slave name) -> see _path
         self._link_busy = {}  # (a, b) directed -> busy-until cycle
         self.switch_flits = {s: 0 for s in config.switches}
         self.link_flits = {}
@@ -139,24 +139,40 @@ class Noc(Observable):
         return list(self._routes[(src, dst)])
 
     # -- fast timed transfer ---------------------------------------------------
-    def _traverse(self, path, nflits, t):
-        """Send one packet's flits along ``path``; returns tail arrival time.
+    def _path(self, master_id, slave):
+        """``(master name, request hops, response hops)`` of one
+        master/slave pair, computed on first use.  Hops are ``(first
+        switch, ((link, next switch), ...))`` along the static route."""
+        plan = self._paths.get((master_id, slave.name))
+        if plan is None:
+            if not 0 <= master_id < len(self.masters):
+                raise ValueError(f"{self.name}: unknown master id {master_id}")
+            master_name = self.masters[master_id]
+            path = self.route(master_name, slave.name)
+            plan = (master_name, _hops(path), _hops(path[::-1]))
+            self._paths[(master_id, slave.name)] = plan
+        return plan
+
+    def _traverse(self, hops, nflits, t):
+        """Send one packet's flits along ``hops``; returns tail arrival time.
 
         Wormhole: the head advances hop by hop, stalling on busy links;
         each traversed link stays occupied for ``nflits`` cycles behind
         the head (flits stream in its wake).
         """
         cfg = self.config
+        per_hop = cfg.hop_latency + cfg.link_latency
+        link_busy, link_flits = self._link_busy, self.link_flits
+        switch_flits = self.switch_flits
+        first, links = hops
         head_t = t + cfg.ni_latency
-        for a, b in zip(path, path[1:]):
-            link = (a, b)
-            free_t = self._link_busy.get(link, 0)
-            head_t = max(head_t, free_t) + cfg.hop_latency + cfg.link_latency
-            self._link_busy[link] = head_t + nflits - 1
-            self.link_flits[link] = self.link_flits.get(link, 0) + nflits
-            self.switch_flits[b] += nflits
-        if path:
-            self.switch_flits[path[0]] += nflits
+        for link, switch in links:
+            free_t = link_busy.get(link, 0)
+            head_t = (head_t if head_t > free_t else free_t) + per_hop
+            link_busy[link] = head_t + nflits - 1
+            link_flits[link] = link_flits.get(link, 0) + nflits
+            switch_flits[switch] += nflits
+        switch_flits[first] += nflits
         # Tail flit arrives nflits-1 cycles behind the head, plus the
         # depacketization latency at the destination NI.
         return head_t + nflits - 1 + cfg.ni_latency
@@ -165,36 +181,33 @@ class Noc(Observable):
         """Execute one OCP burst over the NoC; returns total latency.
 
         ``slave`` must expose ``name``/``access_latency``/``record_access``
-        and have been attached with :meth:`register_endpoint`.
+        and have been attached with :meth:`register_endpoint`.  Flit
+        counts follow :class:`repro.mpsoc.ocp.OcpRequest`: the request
+        is a header and an address flit plus the written words, the
+        response a header plus the read words.
         """
-        if not 0 <= master_id < len(self.masters):
-            raise ValueError(f"{self.name}: unknown master id {master_id}")
-        master_name = self.masters[master_id]
-        request = OcpRequest(
-            master=master_name,
-            cmd=CMD_WRITE if is_write else CMD_READ,
-            addr=addr,
-            burst_len=nwords,
-        )
-        path = self.route(master_name, slave.name)
-        req_arrival = self._traverse(path, request.request_flits(), t)
+        master_name, request_hops, response_hops = self._path(master_id, slave)
+        if nwords < 1:
+            raise ValueError(f"bad OCP burst length {nwords}")
+        request_flits = 2 + nwords if is_write else 2
+        response_flits = 1 if is_write else 1 + nwords
+        req_arrival = self._traverse(request_hops, request_flits, t)
         # Memory service at the destination.
         service_start = max(req_arrival, getattr(slave, "port_busy_until", 0))
         service_done = service_start + slave.access_latency(nwords)
         slave.port_busy_until = service_done
         slave.record_access(service_start, is_write, nwords)
         # Response packet back to the master.
-        resp_done = self._traverse(
-            list(reversed(path)), request.response_flits(), service_done
+        resp_done = self._traverse(response_hops, response_flits, service_done)
+        counts = self.counters.counts
+        counts[ev.NOC_PACKET] = counts.get(ev.NOC_PACKET, 0) + 2
+        counts[ev.NOC_FLIT] = (
+            counts.get(ev.NOC_FLIT, 0) + request_flits + response_flits
         )
-        latency = resp_done - t
-        total_flits = request.request_flits() + request.response_flits()
-        self.counters.add(ev.NOC_PACKET, 2)
-        self.counters.add(ev.NOC_FLIT, total_flits)
-        self.counters.add("ocp_transactions")
-        if self.has_hooks:
+        counts["ocp_transactions"] = counts.get("ocp_transactions", 0) + 1
+        if self._event_hooks:
             self.emit(t, self.name, ev.NOC_PACKET, (master_name, slave.name, nwords))
-        return latency
+        return resp_done - t
 
     # -- statistics ------------------------------------------------------------
     def stats(self):
@@ -205,6 +218,10 @@ class Noc(Observable):
             "switch_flits": dict(self.switch_flits),
             "link_flits": dict(self.link_flits),
         }
+
+
+def _hops(path):
+    return path[0], tuple(((a, b), b) for a, b in zip(path, path[1:]))
 
 
 def generate_mesh(name, rows, cols, **kwargs):

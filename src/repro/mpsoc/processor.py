@@ -14,9 +14,12 @@ need ("HW sniffers measure the time that each processor spends in
 active/stalled/idle mode", Section 4.1).
 """
 
+import struct
 from dataclasses import dataclass
 
+from repro.mpsoc import events as ev
 from repro.mpsoc import isa
+from repro.mpsoc.cache import WRITE_BACK
 from repro.mpsoc.events import CounterBlock, Observable
 from repro.mpsoc.isa import (
     CLASS_ALU,
@@ -27,12 +30,14 @@ from repro.mpsoc.isa import (
     CLASS_MUL,
     CLASS_STORE,
     CLASS_SYSTEM,
-    to_signed,
-    to_unsigned,
 )
+from repro.mpsoc.memctrl import AccessFault
+from repro.mpsoc.memory import Memory
 
 STATE_RUNNING = "running"
 STATE_HALTED = "halted"
+
+_FOREVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,90 @@ class ExecutionError(Exception):
     """Raised on run-time program faults (bad jump, misaligned access...)."""
 
 
+# -- predecoded programs ---------------------------------------------------------
+# ``load_program`` decodes every instruction once into a flat tuple the
+# run loop unpacks without attribute or property lookups:
+#
+#   (op, rd, rs1, rs2, imm, cls, cpi, hit_cycles, fetch_set, fetch_tag)
+#
+# ``op`` is one of the small ints below, ordered by how often the
+# MATRIX and DITHERING kernels execute them (the dispatch chain tests
+# them in this order).  Decoding also folds what the encoding leaves to
+# execution: ALU and mul/div ops writing ``r0`` become ``_NOP`` (they
+# have no other effect), branch immediates become absolute targets,
+# shift immediates are masked, ``lui`` becomes a constant load,
+# ``jal``/``jalr`` writing ``r0`` become ``j``/``jr``.  ``hit_cycles``
+# is the CPI plus the I-cache hit latency (an instruction whose fetch
+# hits costs exactly that), ``fetch_set``/``fetch_tag`` locate its
+# fetch address in the I-cache.
+(
+    _ADDI, _ADD, _SLLI, _SRAI, _SUB, _SLTI, _LI, _AND, _ANDI, _OR, _ORI,
+    _XOR, _XORI, _SLL, _SRL, _SRLI, _SRA, _SLT, _SLTU, _MUL, _DIV, _REM,
+) = range(22)
+_ALU_LAST = _REM  # every op up to here writes ``rd``
+_BGE, _BLT, _BNE, _BEQ, _BLTU, _BGEU = range(_ALU_LAST + 1, _ALU_LAST + 7)
+_LBU, _LW, _LB = range(_BGEU + 1, _BGEU + 4)
+_SB, _SW = range(_LB + 1, _LB + 3)
+_JAL, _JR, _J, _JALR, _HALT, _NOP = range(_SW + 1, _SW + 7)
+
+_OP_IDS = {
+    "addi": _ADDI, "add": _ADD, "slli": _SLLI, "srai": _SRAI, "sub": _SUB,
+    "slti": _SLTI, "lui": _LI, "and": _AND, "andi": _ANDI, "or": _OR,
+    "ori": _ORI, "xor": _XOR, "xori": _XORI, "sll": _SLL, "srl": _SRL,
+    "srli": _SRLI, "sra": _SRA, "slt": _SLT, "sltu": _SLTU, "mul": _MUL,
+    "div": _DIV, "rem": _REM, "bge": _BGE, "blt": _BLT, "bne": _BNE,
+    "beq": _BEQ, "bltu": _BLTU, "bgeu": _BGEU, "lbu": _LBU, "lw": _LW,
+    "lb": _LB, "sb": _SB, "sw": _SW, "jal": _JAL, "jr": _JR, "j": _J,
+    "jalr": _JALR, "halt": _HALT, "nop": _NOP,
+}
+
+_MASK = isa.WORD_MASK
+_SIGN = 0x80000000  # (w ^ _SIGN) orders unsigned words as signed ones
+
+_WORD = struct.Struct("<I")
+_unpack_word, _pack_word = _WORD.unpack_from, _WORD.pack_into
+_HIT = ev.CACHE_HIT
+
+
+def _predecode(instr, pc):
+    """``(op, rd, rs1, rs2, imm)`` of one decoded instruction at ``pc``."""
+    op = _OP_IDS[instr.mnemonic]
+    rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+    if op <= _ALU_LAST and rd == 0:
+        op = _NOP  # writes r0 only: no architectural effect
+    elif op in (_SLLI, _SRAI, _SRLI):
+        imm &= 31
+    elif op == _LI:
+        imm = (imm & 0xFFFF) << 16
+    elif _BGE <= op <= _BGEU:
+        imm = pc + 1 + imm
+    elif op == _JAL and rd == 0:
+        op = _J
+    elif op == _JALR and rd == 0:
+        op = _JR
+    return op, rd, rs1, rs2, imm
+
+
+def _lru_hit(entries, tag):
+    """A hit below the MRU position of a cache set: move the line to MRU
+    (as :meth:`repro.mpsoc.cache.Cache.access` does) and return True."""
+    for pos in range(len(entries) - 1):
+        if entries[pos][0] == tag:
+            entries.append(entries.pop(pos))
+            return True
+    return False
+
+
+def _no_fetch(addr, t):
+    return 0
+
+
 class Processor(Observable):
-    """A timed RISC-32 interpreter bound to one memory controller."""
+    """A timed RISC-32 interpreter bound to one memory controller.
+
+    Registers always hold unsigned 32-bit words (every write is masked),
+    which the run loop relies on for its signed comparisons.
+    """
 
     def __init__(self, name, spec, memctrl, frequency_hz=None):
         super().__init__()
@@ -165,8 +252,11 @@ class Processor(Observable):
         self.cycle = 0  # local virtual time
         self.state = STATE_HALTED
         self.program = None
-        self._code = []  # decoded instructions (decode once, execute many)
+        self._code = []  # predecoded instructions (decode once, execute many)
         self._text_base = 0
+        self._prepared = None  # run-loop state, built by load_program
+        self._functional = None  # the same for execute(), built lazily
+        self._access = None  # data access of the last execute()
         # active/stall/idle accounting (virtual cycles)
         self.active_cycles = 0
         self.stall_cycles = 0
@@ -177,14 +267,96 @@ class Processor(Observable):
     # -- program loading ----------------------------------------------------
     def load_program(self, program):
         """Bind an assembled program; text/data must already be in memory
-        (the platform loader does that) — the core keeps a decoded copy of
-        the text for interpretation speed."""
+        (the platform loader does that) — the core keeps a predecoded copy
+        of the text and prepares its run loop once here."""
         self.program = program
-        self._code = [isa.decode(word) for word in program.code]
         self._text_base = program.text_base
         self.pc = program.entry
-        self.regs = [0] * isa.NUM_REGISTERS
+        self.regs[:] = [0] * isa.NUM_REGISTERS
         self.state = STATE_RUNNING
+        icache = self.memctrl.icache
+        cpi = self.spec.cpi
+        ihit = icache.hit_latency if icache is not None else 1
+        code = []
+        for pc, word in enumerate(program.code):
+            instr = isa.decode(word)
+            cls = instr.cls
+            fetch_set = fetch_tag = 0
+            if icache is not None:
+                line = (program.text_base + 4 * pc) // icache.line_size
+                fetch_set = line % icache.num_sets
+                fetch_tag = line // icache.num_sets
+            code.append((*_predecode(instr, pc), cls, cpi[cls], cpi[cls] + ihit,
+                         fetch_set, fetch_tag))
+        self._code = code
+        self._prepared = self._prepare(timed=True)
+        self._functional = None
+
+    def _prepare(self, timed):
+        """The per-core state the run loop unpacks in one go.
+
+        Timed: fetches from a cacheable text range hit the I-cache
+        inline, and data accesses to the first (private) address range
+        hit the D-cache inline; everything else calls the memory
+        controller.  Functional (``execute``): no fetch or data timing at
+        all — the data port only records the access — and a scratch copy
+        of the class counters, since the caller retires the instruction.
+        """
+        memctrl = self.memctrl
+        icache, dcache = memctrl.icache, memctrl.dcache
+        ranges = memctrl.ranges
+        first = ranges[0] if ranges else None
+        # Inline functional access to the first range: a plain memory
+        # whose words the range maps one to one.
+        inline = (
+            first is not None
+            and not first.is_mmio
+            and isinstance(first.target, Memory)
+            and first.base % 4 == 0
+            and first.size % 4 == 0
+            and first.size <= first.target.config.size
+        )
+        p_lo, p_hi = (first.base, first.base + first.size) if inline else (0, 0)
+        text_cached = False
+        if timed and icache is not None and self._code:
+            last = self._text_base + 4 * (len(self._code) - 1)
+            try:
+                text = memctrl.decode(self._text_base)
+            except AccessFault:
+                text = None
+            text_cached = text is not None and text.cacheable and text.contains(last)
+        d_cached = timed and inline and first.cacheable and dcache is not None
+        return (
+            self._code,
+            self.regs,
+            self.class_counts if timed else dict(self.class_counts),
+            memctrl.counters.counts,
+            memctrl.fetch_timing if timed else _no_fetch,
+            memctrl.data_timing if timed else self._record_access,
+            memctrl.decode,
+            text_cached,
+            icache._sets if text_cached else None,
+            icache._event_hooks if text_cached else None,
+            icache.counters.counts if text_cached else None,
+            icache.hit_latency if icache is not None else 1,
+            d_cached,
+            dcache._sets if d_cached else None,
+            dcache._event_hooks if d_cached else None,
+            dcache.counters.counts if d_cached else None,
+            dcache.hit_latency if dcache is not None else 1,
+            dcache.line_size if d_cached else 1,
+            dcache.num_sets if d_cached else 1,
+            d_cached and dcache.config.write_policy == WRITE_BACK,
+            first,
+            p_lo,
+            p_hi,
+            first.target.data if inline else None,
+        )
+
+    def _record_access(self, rng, addr, is_write, t):
+        """The functional data port: remember the access, charge nothing."""
+        self._access = (addr, is_write)
+        return 0
 
     def reset_stats(self):
         self.counters.reset()
@@ -192,209 +364,350 @@ class Processor(Observable):
         self.stall_cycles = 0
         self.idle_cycles = 0
         self.instructions = 0
-        self.class_counts = {cls: 0 for cls in isa.INSTRUCTION_CLASSES}
+        self.class_counts.clear()
+        self.class_counts.update({cls: 0 for cls in isa.INSTRUCTION_CLASSES})
 
     @property
     def halted(self):
         return self.state == STATE_HALTED
 
     # -- execution --------------------------------------------------------------
-    def step(self):
-        """Execute one instruction; returns the virtual cycles it took.
+    def run_until(self, horizon, until_cycle, budget=None, timed=True):
+        """Execute instructions while ``cycle <= horizon`` and
+        ``cycle < until_cycle``, at most ``budget`` of them, stopping at
+        halt; returns the number executed.
 
-        Returns 0 when the core is halted.  Fetch goes through the
-        I-cache path of the memory controller; loads/stores through the
-        D-side.  Cycle split: CPI + cache hit latencies count as *active*,
-        anything beyond (miss refills, bus waits) as *stall*.
+        This is the one interpreter: the event-driven engine calls it
+        once per scheduling decision (``horizon`` is the next core's
+        clock), :meth:`step` and :meth:`run` are batches of it.  Fetch
+        goes through the I-cache path of the memory controller,
+        loads/stores through the D-side.  Cycle split: CPI + cache hit
+        latencies count as *active*, anything beyond (miss refills, bus
+        waits) as *stall*.
+
+        Fast paths: an I-cache hit on the text and a D-cache hit on the
+        private range are resolved inline, and the counters they bump
+        (``fetches``/``loads``/``stores``, cache ``accesses`` and hits)
+        are kept in locals.  Misses, an attached cache event hook and
+        every other range fall back to the memory controller.  The
+        locals are written back when the batch ends (also on a fault)
+        and before any MMIO access, since sniffer registers read live
+        counters.
+
+        ``timed=False`` is the functional mode :meth:`execute` uses.
         """
         if self.state != STATE_RUNNING:
             return 0
-        if not 0 <= self.pc < len(self._code):
-            raise ExecutionError(
-                f"{self.name}: pc {self.pc} outside text ({len(self._code)} instrs)"
-            )
-        fetch_addr = self._text_base + 4 * self.pc
-        fetch_latency = self.memctrl.fetch_timing(fetch_addr, self.cycle)
-        instr = self._code[self.pc]
-        cls = instr.cls
-        cpi = self.spec.cycles_for(cls)
-        exec_start = self.cycle + fetch_latency
-        mem_latency = 0
-        taken_extra = 0
+        (
+            code, regs, cc, mc_counts, fetch_timing, data_timing, decode,
+            ifast, isets, ihooks, ic_counts, ihit,
+            dfast, dsets, dhooks, dc_counts, dhit, dls, dns, dwb,
+            rng0, p_lo, p_hi, pdata,
+        ) = self._prepared if timed else self._functional
+        # An event-logging sniffer on a cache needs one event per access:
+        # the memory controller's path emits them.
+        if ifast and ihooks:
+            ifast = False
+        if dfast and dhooks:
+            dfast = dwb = False
+        ncode = len(code)
+        text_base = self._text_base
+        pc = self.pc
+        cycle = cycle0 = self.cycle
+        limit = -1 if budget is None else budget
+        n = synced = act = ih = dh = nld = nst = 0
+        try:
+            while cycle <= horizon and cycle < until_cycle:
+                if not 0 <= pc < ncode:
+                    raise ExecutionError(
+                        f"{self.name}: pc {pc} outside text ({ncode} instrs)"
+                    )
+                op, rd, rs1, rs2, imm, cls, cpi, hc, fset, ftag = code[pc]
+                # ``dc``/``da``: this instruction's cycles and active
+                # cycles, added to the clock once it completes (a fault or
+                # an MMIO access sees the state before it, as in hardware).
+                if ifast and (
+                    (entries := isets[fset]) and entries[-1][0] == ftag
+                    or _lru_hit(entries, ftag)
+                ):
+                    ih += 1
+                    dc = da = hc
+                else:
+                    lat = fetch_timing(text_base + 4 * pc, cycle)
+                    dc = lat + cpi
+                    da = (lat if lat < ihit else ihit) + cpi
+                if op <= _ALU_LAST:
+                    a = regs[rs1]
+                    if op == _ADDI:
+                        value = a + imm
+                    elif op == _ADD:
+                        value = a + regs[rs2]
+                    elif op == _SLLI:
+                        value = a << imm
+                    elif op == _SRAI:
+                        value = ((a ^ _SIGN) - _SIGN) >> imm
+                    elif op == _SUB:
+                        value = a - regs[rs2]
+                    elif op == _SLTI:
+                        value = 1 if (a ^ _SIGN) - _SIGN < imm else 0
+                    elif op == _LI:
+                        value = imm
+                    elif op == _AND:
+                        value = a & regs[rs2]
+                    elif op == _ANDI:
+                        value = a & imm
+                    elif op == _OR:
+                        value = a | regs[rs2]
+                    elif op == _ORI:
+                        value = a | imm
+                    elif op == _XOR:
+                        value = a ^ regs[rs2]
+                    elif op == _XORI:
+                        value = a ^ imm
+                    elif op == _SLL:
+                        value = a << (regs[rs2] & 31)
+                    elif op == _SRL:
+                        value = a >> (regs[rs2] & 31)
+                    elif op == _SRLI:
+                        value = a >> imm
+                    elif op == _SRA:
+                        value = ((a ^ _SIGN) - _SIGN) >> (regs[rs2] & 31)
+                    elif op == _SLT:
+                        value = 1 if (a ^ _SIGN) < (regs[rs2] ^ _SIGN) else 0
+                    elif op == _SLTU:
+                        value = 1 if a < regs[rs2] else 0
+                    else:
+                        a = (a ^ _SIGN) - _SIGN
+                        b = (regs[rs2] ^ _SIGN) - _SIGN
+                        if op == _MUL:
+                            value = a * b
+                        elif op == _DIV:
+                            # C-style truncation toward zero; x / 0 == -1.
+                            value = int(a / b) if b else -1
+                        else:
+                            value = a - int(a / b) * b if b else a
+                    regs[rd] = value & _MASK
+                    pc += 1
+                elif op <= _BGEU:
+                    a = regs[rs1]
+                    b = regs[rs2]
+                    if op == _BGE:
+                        taken = (a ^ _SIGN) >= (b ^ _SIGN)
+                    elif op == _BLT:
+                        taken = (a ^ _SIGN) < (b ^ _SIGN)
+                    elif op == _BNE:
+                        taken = a != b
+                    elif op == _BEQ:
+                        taken = a == b
+                    elif op == _BLTU:
+                        taken = a < b
+                    else:
+                        taken = a >= b
+                    pc = imm if taken else pc + 1
+                elif op <= _LB:
+                    addr = (regs[rs1] + imm) & _MASK
+                    if op == _LW and addr & 3:
+                        raise ExecutionError(
+                            f"{self.name}: misaligned lw at 0x{addr:08x}"
+                        )
+                    t = cycle + dc - cpi + 1
+                    if p_lo <= addr < p_hi:
+                        nld += 1
+                        off = addr - p_lo
+                        value = _unpack_word(pdata, off)[0] if op == _LW else pdata[off]
+                        hit = False
+                        if dfast:
+                            line = addr // dls
+                            entries = dsets[line % dns]
+                            tag = line // dns
+                            hit = (entries and entries[-1][0] == tag
+                                   or _lru_hit(entries, tag))
+                        if hit:
+                            dh += 1
+                            lat = dhit
+                        else:
+                            lat = data_timing(rng0, addr, False, t)
+                    else:
+                        rng = decode(addr)
+                        off = addr - rng.base
+                        if rng.is_mmio:
+                            self._sync(pc, cycle, cycle0, act, n - synced,
+                                       ih, dh, nld, nst, timed)
+                            cycle0, synced = cycle, n
+                            act = ih = dh = nld = nst = 0
+                            mc_counts["loads"] = mc_counts.get("loads", 0) + 1
+                            value = rng.target.mmio_read(off)
+                            lat = 1
+                        else:
+                            nld += 1
+                            target = rng.target
+                            value = (target.read_word(off) if op == _LW
+                                     else target.read_byte(off))
+                            lat = data_timing(rng, addr, False, t)
+                    if op == _LB:
+                        value = ((value & 0xFF) ^ 0x80) - 0x80
+                    if rd:
+                        regs[rd] = value & _MASK
+                    dc += lat
+                    da += lat if lat < dhit else dhit
+                    pc += 1
+                elif op <= _SW:
+                    addr = (regs[rs1] + imm) & _MASK
+                    if op == _SW and addr & 3:
+                        raise ExecutionError(
+                            f"{self.name}: misaligned sw at 0x{addr:08x}"
+                        )
+                    value = regs[rd]
+                    t = cycle + dc - cpi + 1
+                    if p_lo <= addr < p_hi:
+                        nst += 1
+                        off = addr - p_lo
+                        if op == _SW:
+                            _pack_word(pdata, off, value)
+                        else:
+                            pdata[off] = value & 0xFF
+                        hit = False
+                        if dwb:  # a write-back hit only dirties the line
+                            line = addr // dls
+                            entries = dsets[line % dns]
+                            tag = line // dns
+                            hit = (entries and entries[-1][0] == tag
+                                   or _lru_hit(entries, tag))
+                        if hit:
+                            entries[-1][1] = True
+                            dh += 1
+                            lat = dhit
+                        else:
+                            lat = data_timing(rng0, addr, True, t)
+                    else:
+                        rng = decode(addr)
+                        off = addr - rng.base
+                        if rng.is_mmio:
+                            self._sync(pc, cycle, cycle0, act, n - synced,
+                                       ih, dh, nld, nst, timed)
+                            cycle0, synced = cycle, n
+                            act = ih = dh = nld = nst = 0
+                            mc_counts["stores"] = mc_counts.get("stores", 0) + 1
+                            rng.target.mmio_write(off, value)
+                            lat = 1
+                        else:
+                            nst += 1
+                            if op == _SW:
+                                rng.target.write_word(off, value)
+                            else:
+                                rng.target.write_byte(off, value)
+                            lat = data_timing(rng, addr, True, t)
+                    dc += lat
+                    da += lat if lat < dhit else dhit
+                    pc += 1
+                elif op == _JAL:
+                    regs[rd] = pc + 1
+                    pc = imm
+                elif op == _JR:
+                    pc = regs[rs1]
+                elif op == _J:
+                    pc = imm
+                elif op == _JALR:
+                    target_pc = regs[rs1]
+                    regs[rd] = pc + 1
+                    pc = target_pc
+                else:
+                    if op == _HALT:
+                        self.state = STATE_HALTED
+                        limit = n + 1
+                    pc += 1
+                cycle += dc
+                act += da
+                cc[cls] += 1
+                n += 1
+                if n == limit:
+                    break
+        finally:
+            # ``_sync`` inline: this runs once per batch.
+            self.pc = pc
+            if timed:
+                self.cycle = cycle
+                self.active_cycles += act
+                self.stall_cycles += cycle - cycle0 - act
+                self.instructions += n - synced
+            if ih:
+                mc_counts["fetches"] = mc_counts.get("fetches", 0) + ih
+                ic_counts["accesses"] = ic_counts.get("accesses", 0) + ih
+                ic_counts[_HIT] = ic_counts.get(_HIT, 0) + ih
+            if dh:
+                dc_counts["accesses"] = dc_counts.get("accesses", 0) + dh
+                dc_counts[_HIT] = dc_counts.get(_HIT, 0) + dh
+            if nld:
+                mc_counts["loads"] = mc_counts.get("loads", 0) + nld
+            if nst:
+                mc_counts["stores"] = mc_counts.get("stores", 0) + nst
+        return n
 
-        m = instr.mnemonic
-        regs = self.regs
-        next_pc = self.pc + 1
+    def _sync(self, pc, cycle, cycle0, active, executed, fetch_hits,
+              dcache_hits, loads, stores, timed):
+        """Write the run loop's locals back: the clock, the accounting
+        since ``cycle0`` and the counters the fast paths deferred."""
+        self.pc = pc
+        if timed:
+            self.cycle = cycle
+            self.active_cycles += active
+            self.stall_cycles += cycle - cycle0 - active
+            self.instructions += executed
+        memctrl = self.memctrl
+        if fetch_hits:
+            memctrl.counters.add("fetches", fetch_hits)
+            memctrl.icache.counters.add("accesses", fetch_hits)
+            memctrl.icache.counters.add(ev.CACHE_HIT, fetch_hits)
+        if dcache_hits:
+            memctrl.dcache.counters.add("accesses", dcache_hits)
+            memctrl.dcache.counters.add(ev.CACHE_HIT, dcache_hits)
+        if loads:
+            memctrl.counters.add("loads", loads)
+        if stores:
+            memctrl.counters.add("stores", stores)
 
-        if cls == CLASS_ALU:
-            self._execute_alu(instr)
-        elif cls in (CLASS_MUL, CLASS_DIV):
-            self._execute_muldiv(instr)
-        elif cls == CLASS_LOAD:
-            addr = to_unsigned(regs[instr.rs1] + instr.imm)
-            size = 4 if m == "lw" else 1
-            if size == 4 and addr % 4:
-                raise ExecutionError(f"{self.name}: misaligned lw at 0x{addr:08x}")
-            value, mem_latency = self.memctrl.load(addr, size, exec_start + 1)
-            if m == "lb":
-                value = isa.sign_extend(value, 8) & 0xFFFFFFFF
-            if instr.rd != 0:
-                regs[instr.rd] = value & 0xFFFFFFFF
-        elif cls == CLASS_STORE:
-            addr = to_unsigned(regs[instr.rs1] + instr.imm)
-            size = 4 if m == "sw" else 1
-            if size == 4 and addr % 4:
-                raise ExecutionError(f"{self.name}: misaligned sw at 0x{addr:08x}")
-            mem_latency = self.memctrl.store(addr, size, regs[instr.rd], exec_start + 1)
-        elif cls == CLASS_BRANCH:
-            if self._branch_taken(instr):
-                next_pc = self.pc + 1 + instr.imm
-                taken_extra = 0  # CPI table already charges the taken cost
-        elif cls == CLASS_JUMP:
-            if m == "j":
-                next_pc = instr.imm
-            elif m == "jal":
-                if instr.rd != 0:
-                    regs[instr.rd] = self.pc + 1
-                next_pc = instr.imm
-            elif m == "jr":
-                next_pc = regs[instr.rs1]
-            elif m == "jalr":
-                target = regs[instr.rs1]
-                if instr.rd != 0:
-                    regs[instr.rd] = self.pc + 1
-                next_pc = target
-        elif cls == CLASS_SYSTEM:
-            if m == "halt":
-                self.state = STATE_HALTED
-
-        # Timing and accounting.
-        hit_lat = 0
-        if self.memctrl.icache is not None:
-            hit_lat += self.memctrl.icache.config.hit_latency
-        else:
-            hit_lat += 1
-        active = cpi + min(fetch_latency, hit_lat)
-        if cls in (CLASS_LOAD, CLASS_STORE):
-            dhit = (
-                self.memctrl.dcache.config.hit_latency
-                if self.memctrl.dcache is not None
-                else 1
-            )
-            active += min(mem_latency, dhit)
-        total = fetch_latency + cpi + mem_latency + taken_extra
-        stall = total - active
-        self.active_cycles += active
-        self.stall_cycles += stall
-        self.cycle += total
-        self.instructions += 1
-        self.class_counts[cls] += 1
-        self.pc = next_pc
-        return total
+    def step(self):
+        """Execute one instruction (a one-instruction :meth:`run_until`);
+        returns the virtual cycles it took, 0 when the core is halted."""
+        start = self.cycle
+        self.run_until(_FOREVER, _FOREVER, 1)
+        return self.cycle - start
 
     def run(self, max_instructions=None, until_cycle=None):
         """Run until halt / instruction budget / cycle horizon.
 
         Returns the number of instructions executed in this call.
         """
-        executed = 0
-        while self.state == STATE_RUNNING:
-            if max_instructions is not None and executed >= max_instructions:
-                break
-            if until_cycle is not None and self.cycle >= until_cycle:
-                break
-            self.step()
-            executed += 1
-        return executed
+        if max_instructions is not None and max_instructions <= 0:
+            return 0
+        return self.run_until(
+            _FOREVER, _FOREVER if until_cycle is None else until_cycle,
+            max_instructions,
+        )
+
+    def execute(self):
+        """Execute one instruction *functionally* — registers, memory, pc,
+        halt and the ``loads``/``stores`` counters, but no timing and no
+        cycle or instruction accounting — for an engine that models the
+        timing itself (:mod:`repro.emulation.cycle_accurate`).
+
+        Returns ``(cls, cpi, access)``; ``access`` is the
+        ``(addr, is_write)`` data access to time, ``None`` for
+        non-memory instructions and MMIO accesses (which take 1 cycle).
+        """
+        if self._functional is None:
+            self._functional = self._prepare(timed=False)
+        self._access = None
+        pc = self.pc
+        self.run_until(_FOREVER, _FOREVER, 1, timed=False)  # checks pc
+        cls, cpi = self._code[pc][5:7]
+        return cls, cpi, self._access
 
     def idle_until(self, cycle):
         """Advance local time in the idle state (halted core, frozen clock)."""
         if cycle > self.cycle:
             self.idle_cycles += cycle - self.cycle
             self.cycle = cycle
-
-    # -- semantics helpers -----------------------------------------------------
-    def _execute_alu(self, instr):
-        regs = self.regs
-        m = instr.mnemonic
-        a = regs[instr.rs1]
-        if instr.spec.fmt == "R":
-            b = regs[instr.rs2]
-        else:
-            b = instr.imm & 0xFFFFFFFF if instr.imm >= 0 else instr.imm
-
-        if m in ("add", "addi"):
-            value = a + (b if m == "add" else instr.imm)
-        elif m == "sub":
-            value = a - b
-        elif m in ("and", "andi"):
-            value = a & (b if m == "and" else instr.imm)
-        elif m in ("or", "ori"):
-            value = a | (b if m == "or" else instr.imm)
-        elif m in ("xor", "xori"):
-            value = a ^ (b if m == "xor" else instr.imm)
-        elif m in ("sll", "slli"):
-            shift = (b if m == "sll" else instr.imm) & 31
-            value = a << shift
-        elif m in ("srl", "srli"):
-            shift = (b if m == "srl" else instr.imm) & 31
-            value = (a & 0xFFFFFFFF) >> shift
-        elif m in ("sra", "srai"):
-            shift = (b if m == "sra" else instr.imm) & 31
-            value = to_signed(a) >> shift
-        elif m in ("slt", "slti"):
-            rhs = to_signed(b) if m == "slt" else instr.imm
-            value = 1 if to_signed(a) < rhs else 0
-        elif m == "sltu":
-            value = 1 if to_unsigned(a) < to_unsigned(b) else 0
-        elif m == "lui":
-            value = (instr.imm & 0xFFFF) << 16
-        elif m == "nop":
-            return
-        else:  # pragma: no cover - exhaustive over CLASS_ALU mnemonics
-            raise ExecutionError(f"unhandled ALU op {m}")
-        if instr.rd != 0:
-            regs[instr.rd] = value & 0xFFFFFFFF
-
-    def _execute_muldiv(self, instr):
-        regs = self.regs
-        a = to_signed(regs[instr.rs1])
-        b = to_signed(regs[instr.rs2])
-        m = instr.mnemonic
-        if m == "mul":
-            value = a * b
-        elif m == "div":
-            if b == 0:
-                value = -1
-            else:
-                value = int(a / b)  # C-style truncation toward zero
-        elif m == "rem":
-            if b == 0:
-                value = a
-            else:
-                value = a - int(a / b) * b
-        else:  # pragma: no cover
-            raise ExecutionError(f"unhandled mul/div op {m}")
-        if instr.rd != 0:
-            regs[instr.rd] = value & 0xFFFFFFFF
-
-    def _branch_taken(self, instr):
-        a = self.regs[instr.rs1]
-        b = self.regs[instr.rs2]
-        m = instr.mnemonic
-        if m == "beq":
-            return a == b
-        if m == "bne":
-            return a != b
-        if m == "blt":
-            return to_signed(a) < to_signed(b)
-        if m == "bge":
-            return to_signed(a) >= to_signed(b)
-        if m == "bltu":
-            return to_unsigned(a) < to_unsigned(b)
-        if m == "bgeu":
-            return to_unsigned(a) >= to_unsigned(b)
-        raise ExecutionError(f"unhandled branch {m}")  # pragma: no cover
 
     # -- statistics -----------------------------------------------------------
     def stats(self):

@@ -36,9 +36,9 @@ class TraceCore(Observable):
     """Replays a memory-access trace through a memory controller.
 
     API-compatible with :class:`repro.mpsoc.processor.Processor` where
-    the engine and the sniffers are concerned (``step``/``run``/
-    ``halted``/``cycle``/``stats``), so it can stand in for a core in
-    any platform slot.
+    the engine and the sniffers are concerned (``run_until``/``step``/
+    ``run``/``state``/``halted``/``cycle``/``stats``), so it can stand
+    in for a core in any platform slot.
     """
 
     def __init__(self, name, memctrl, trace, frequency_hz=100e6, repeat=1):
@@ -91,16 +91,27 @@ class TraceCore(Observable):
                 self.state = "halted"
         return cycles
 
-    def run(self, max_instructions=None, until_cycle=None):
+    def run_until(self, horizon, until_cycle, budget=None):
+        """The engine's batch call: replay records while ``cycle <=
+        horizon`` and ``cycle < until_cycle``, at most ``budget`` of
+        them; returns the number replayed."""
         executed = 0
-        while not self.halted:
-            if max_instructions is not None and executed >= max_instructions:
-                break
-            if until_cycle is not None and self.cycle >= until_cycle:
-                break
+        while (not self.halted and self.cycle <= horizon
+               and self.cycle < until_cycle):
             self.step()
             executed += 1
+            if executed == budget:
+                break
         return executed
+
+    def run(self, max_instructions=None, until_cycle=None):
+        if max_instructions is not None and max_instructions <= 0:
+            return 0
+        forever = float("inf")
+        return self.run_until(
+            forever, forever if until_cycle is None else until_cycle,
+            max_instructions,
+        )
 
     def idle_until(self, cycle):
         if cycle > self.cycle:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpsoc.asm import assemble
 from repro.mpsoc.cache import WRITE_BACK, WRITE_THROUGH, Cache, CacheConfig
 
 
@@ -120,6 +121,23 @@ def test_flush_reports_dirty_lines():
     cache.access(0x80, False)
     assert cache.flush() == 2
     assert cache.resident_lines() == []
+
+
+def test_flush_mid_run_makes_the_next_fetch_miss(platform1):
+    # A running core resolves I-cache hits against the tag arrays it
+    # prepared at load time, so flush must empty them in place.
+    platform1.load_program(0, assemble("""
+        main:   li   r2, 100
+        loop:   addi r1, r1, 1
+                blt  r1, r2, loop
+                halt
+    """))
+    core, icache = platform1.cores[0], platform1.icaches[0]
+    core.run(max_instructions=20)
+    misses = icache.stats()["misses"]
+    icache.flush()
+    core.step()
+    assert icache.stats()["misses"] == misses + 1
 
 
 ADDRESSES = st.lists(
