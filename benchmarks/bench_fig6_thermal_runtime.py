@@ -46,7 +46,7 @@ def test_fig6_sensor_crossings(benchmark, report):
     with the first over-crossing the paper's policy reacts to."""
     managed_fw, _ = PRESETS.get("matrix_tm_dfs")().run()
     # Benchmark the sensor-bank update (the per-window feedback path).
-    temps = managed_fw.solver.component_temperatures()
+    temps = managed_fw.network.as_map(managed_fw.solver.component_temperatures())
     benchmark(managed_fw.sensors.update, temps, 0.0)
     crossings = managed_fw.sensors.crossings()
     assert crossings, "the stressed run must cross the 350 K threshold"

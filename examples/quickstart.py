@@ -101,7 +101,8 @@ def main():
     )
 
     print("\nComponent temperatures after the run:")
-    for name, temp in sorted(framework.solver.component_temperatures().items()):
+    temps = framework.network.as_map(framework.solver.component_temperatures())
+    for name, temp in sorted(temps.items()):
         if not name.startswith("fill"):
             print(f"  {name:12s} {temp:8.3f} K")
 

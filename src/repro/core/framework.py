@@ -288,6 +288,15 @@ class ThermalSide:
             upper_kelvin=config.sensor_upper_kelvin,
             lower_kelvin=config.sensor_lower_kelvin,
         )
+        # Readout vector -> sensor order (monitored names are validated
+        # against the floorplan, so each has a network column); None when
+        # the sensors are the network's components in its own order.
+        columns = [self.network.component_names.index(name)
+                   for name in self.sensors.names]
+        self._sensor_columns = (
+            None if columns == list(range(len(self.network.component_names)))
+            else np.array(columns, dtype=np.int64)
+        )
         self.trace = ThermalTrace()
         self.trace_stride = config.trace_stride
         self.windows = 0  # sampling windows completed so far
@@ -299,16 +308,25 @@ class ThermalSide:
         # _window_power and by the window driver (see step_windows).
         self.timing = dict.fromkeys(PHASE_ORDER, 0.0)
 
-    def sense(self, powers, frequency, now):
-        """Read the solved window out to the sensors; returns its sample."""
-        temps = self.solver.component_temperatures()
-        transitions = self.sensors.update(temps, now)
+    def sense(self, watts, frequency, now):
+        """Read the solved window out to the sensors; returns its sample.
+
+        ``watts`` is the window's power vector in the network's
+        ``component_names`` order; the sample's ``component_temps`` is
+        the one per-window dict, kept for the trace and its readers.
+        """
+        means = self.solver.component_temperatures()
+        columns = self._sensor_columns
+        transitions = self.sensors.update(
+            means if columns is None else means[columns], now
+        )
+        temps = means.tolist()
         return TraceSample(
             time_s=now,
             frequency_hz=frequency,
-            total_power_w=sum(powers.values()),
-            max_temp_k=max(temps.values()),
-            component_temps=temps,
+            total_power_w=sum(watts.tolist()),
+            max_temp_k=max(temps),
+            component_temps=dict(zip(self.network.component_names, temps)),
             events=tuple(sorted(transitions.items())),
         )
 
@@ -427,8 +445,9 @@ class EmulationFramework(ThermalSide):
         """Phases 1-3 of a window: emulate, convert to power, dispatch.
 
         Leaves the window's power injected into ``self.network`` and
-        returns ``(powers, frequency)`` for :meth:`_window_commit`; the
-        thermal solve in between belongs to :func:`step_windows`.
+        returns ``(watts, frequency)`` for :meth:`_window_commit`, the
+        watts a vector in ``network.component_names`` order; the thermal
+        solve in between belongs to :func:`step_windows`.
         """
         cfg = self.config
         period = cfg.sampling_period_s
@@ -470,7 +489,7 @@ class EmulationFramework(ThermalSide):
         self.timing["emulate"] += t1 - t0
 
         # 2. Activity -> power (per floorplan component).
-        powers = self.power_model.component_power(
+        watts = self.power_model.component_power(
             activity,
             frequency_hz=frequency if frequency > 0 else 0.0,
             core_frequencies=core_frequencies,
@@ -483,31 +502,33 @@ class EmulationFramework(ThermalSide):
         self.sniffer_bank.collect_window()
         real_window = self.vpcm.window_real_seconds(period)
         freeze = self.dispatcher.dispatch_window(
-            payload, real_window, num_sensors=len(self.sensors.sensors)
+            payload, real_window, num_sensors=len(self.sensors.names)
         )
         if freeze > 0:
             self.vpcm.freeze_seconds(freeze, FREEZE_ETHERNET)
 
-        self.network.set_power(powers)
+        self.network.set_power(watts)
         self.timing["dispatch"] += time.perf_counter() - t2
-        return powers, frequency
+        return watts, frequency
 
-    def _window_commit(self, powers, frequency):
+    def _window_commit(self, watts, frequency):
         """Phase 5 of a window, after the thermal solve: sensors, policy,
         trace.  Assumes the solver already integrated one period."""
         # 5. Temperatures return to the sensors; the policy reacts via VPCM.
         self.vpcm.account_window(self.config.sampling_period_s)
         now = self.vpcm.emulated_seconds
-        sample = self.sense(powers, frequency, now)
+        sample = self.sense(watts, frequency, now)
         self.policy.react(self.sensors, self.vpcm, now)
         for capture in self.captures:
-            capture.on_window(self, powers, frequency, sample)
+            capture.on_window(self, watts, frequency, sample)
         return self.commit(sample)
 
     def attach_capture(self, capture):
         """Register a per-window capture hook (``on_window(framework,
-        powers, frequency, sample)``); returns ``capture`` for chaining.
-        Captures see every window, even ones ``trace_stride`` drops."""
+        watts, frequency, sample)``, ``watts`` the injected power vector
+        in ``network.component_names`` order); returns ``capture`` for
+        chaining.  Captures see every window, even ones ``trace_stride``
+        drops."""
         self.captures.append(capture)
         return capture
 
@@ -666,11 +687,11 @@ def step_windows(runnables, backend=None):
         emulate, power, dispatch = (
             timing["emulate"], timing["power"], timing["dispatch"]
         )
-        powers, frequency = runnable._window_power()
+        watts, frequency = runnable._window_power()
         delta = (timing["emulate"] - emulate, timing["power"] - power,
                  timing["dispatch"] - dispatch)
         spent += delta[0] + delta[1] + delta[2]
-        pending.append((runnable, powers, frequency, delta))
+        pending.append((runnable, watts, frequency, delta))
     # 4. The SW thermal tool integrates one sampling period.
     t0 = time.perf_counter()
     if backend is None:
@@ -688,8 +709,8 @@ def step_windows(runnables, backend=None):
             runnable.solver.time += dt
     d_solve = time.perf_counter() - t0
     samples = [
-        runnable._window_commit(powers, frequency)
-        for runnable, powers, frequency, _ in pending
+        runnable._window_commit(watts, frequency)
+        for runnable, watts, frequency, _ in pending
     ]
     count = len(pending)
     d_other = max(0.0, time.perf_counter() - t_start - spent - d_solve) / count

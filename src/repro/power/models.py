@@ -18,6 +18,9 @@ Utilization definitions (per window of ``W`` virtual cycles):
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from repro.power.library import DEFAULT_LIBRARY
 from repro.util.registry import Registry
@@ -236,6 +239,14 @@ class PowerModel:
     powers additionally scale with ``(V(f) / V_nominal)^2`` so DVFS
     steps change voltage as well as frequency; without one, voltage is
     fixed (the paper's model).
+
+    Powers are vectors in ``component_names`` order — the floorplan's
+    non-filler components, the same fixed order the RC network injects
+    and reads out in.  Each component's max power, reference clock,
+    activity-source slot and core index are compiled once here, so a
+    window's power is one elementwise ``max_power * util * (f / ref_hz)``
+    (times the V(f)^2 factor), IEEE-identical to the per-component
+    :meth:`~repro.power.library.PowerClass.power_at`.
     """
 
     def __init__(self, floorplan, library=None, tech_node=None):
@@ -248,6 +259,32 @@ class PowerModel:
                     f"floorplan {floorplan.name}: component {comp.name} has "
                     f"unknown power class {comp.power_class!r}"
                 )
+        components = [c for c in floorplan.components if not c.is_filler]
+        self.component_names = tuple(c.name for c in components)
+        sources = {}  # activity source -> slot, in first-use order
+        slots, max_power, ref_hz, core_slots = [], [], [], []
+        for k, comp in enumerate(components):
+            source = comp.activity_source
+            if source is None:  # passive: zero power at any activity
+                slots.append(-1)
+                max_power.append(0.0)
+                ref_hz.append(1.0)
+                continue
+            cls = self.library[comp.power_class]
+            slots.append(sources.setdefault(source, len(sources)))
+            max_power.append(cls.max_power)
+            ref_hz.append(cls.ref_hz)
+            if source[0] == "core":
+                core_slots.append((k, source[1]))
+        # Passive components read a slot no activity table has a key for.
+        self._sources = tuple(sources) + (object(),)
+        self._slots = np.array(
+            [len(sources) if slot < 0 else slot for slot in slots],
+            dtype=np.int64,
+        )
+        self._max_power = np.array(max_power)
+        self._ref_hz = np.array(ref_hz)
+        self._core_slots = tuple(core_slots)
 
     # -- utilization extraction ------------------------------------------------
     def activity_from_stats(self, stats_delta, window_cycles):
@@ -290,38 +327,73 @@ class PowerModel:
 
     # -- power mapping -------------------------------------------------------------
     def component_power(self, activity, frequency_hz=None, core_frequencies=None):
-        """Per-component power map ``{component name: watts}``.
+        """Per-component watts as a vector in ``component_names`` order.
 
         ``frequency_hz`` scales every component (global DFS, the paper's
-        policy); ``core_frequencies`` optionally overrides per core index
-        for per-core DFS and heterogeneous-platform exploration.  A tech
+        policy; ``None`` runs each at its library reference clock);
+        ``core_frequencies`` optionally overrides per core index for
+        per-core DFS and heterogeneous-platform exploration.  A tech
         node folds its voltage factor into each component at that
         component's own effective clock.
         """
-        powers = {}
+        sources = self._sources
+        util = np.fromiter(
+            map(activity.utilization.get, sources, repeat(0.0)),
+            float, len(sources),
+        )[self._slots]
+        if not (0.0 <= util.min() and util.max() <= 1.0 + 1e-9):
+            self._reject(util)
+        f = self._ref_hz if frequency_hz is None else float(frequency_hz)
+        if core_frequencies:
+            clocks = (self._ref_hz.tolist() if frequency_hz is None
+                      else [f] * len(self._ref_hz))
+            for k, core in self._core_slots:
+                if core in core_frequencies:
+                    clocks[k] = core_frequencies[core]
+            f = np.array(clocks, dtype=float)
+        power = self._max_power * util * (f / self._ref_hz)
         node = self.tech_node
-        for comp in self.floorplan.components:
-            if comp.is_filler or comp.activity_source is None:
-                powers[comp.name] = 0.0
-                continue
-            cls = self.library[comp.power_class]
-            util = activity.get(comp.activity_source)
-            f = frequency_hz
-            if (
-                core_frequencies is not None
-                and comp.activity_source[0] == "core"
-                and comp.activity_source[1] in core_frequencies
-            ):
-                f = core_frequencies[comp.activity_source[1]]
-            power = cls.power_at(util, f)
-            if node is not None and power > 0.0:
-                power *= node.voltage_scale(cls.ref_hz if f is None else f)
-            powers[comp.name] = power
-        return powers
+        if node is not None:
+            # One V(f)^2 factor per distinct clock.  Scaling a zero power
+            # leaves it zero, and a clock <= 0 yields no power to scale,
+            # so this matches scaling only the components that draw power.
+            clocks = f.tolist() if isinstance(f, np.ndarray) else [f]
+            scales = {
+                hz: node.voltage_scale(hz) if hz > 0.0 else 1.0
+                for hz in dict.fromkeys(clocks)
+            }
+            if len(clocks) == 1:
+                power *= scales[clocks[0]]
+            else:
+                power *= [scales[hz] for hz in clocks]
+        return power
+
+    def _reject(self, util):
+        """Raise for the first component whose utilization is outside
+        [0, 1], as :meth:`~repro.power.library.PowerClass.power_at` does."""
+        components = [c for c in self.floorplan.components if not c.is_filler]
+        for comp, value in zip(components, util.tolist()):
+            if not 0.0 <= value <= 1.0 + 1e-9:
+                name = self.library[comp.power_class].name
+                raise ValueError(f"{name}: utilization {value} not in [0,1]")
+
+    def power_map(self, activity, frequency_hz=None, core_frequencies=None):
+        """``{component name: watts}`` over every floorplan component
+        (filler included, at 0.0) — for reports and design aids."""
+        watts = dict(zip(
+            self.component_names,
+            self.component_power(
+                activity, frequency_hz, core_frequencies
+            ).tolist(),
+        ))
+        return {
+            comp.name: watts.get(comp.name, 0.0)
+            for comp in self.floorplan.components
+        }
 
     def total_power(self, activity, frequency_hz=None, core_frequencies=None):
         return sum(
-            self.component_power(activity, frequency_hz, core_frequencies).values()
+            self.component_power(activity, frequency_hz, core_frequencies).tolist()
         )
 
     def peak_power(self, frequency_hz=None):

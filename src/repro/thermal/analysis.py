@@ -57,17 +57,19 @@ class OperatingPointAnalyzer:
         a full :class:`ActivityVector` (e.g. a measured workload profile).
         """
         activity = self._activity(utilization)
-        powers = self.power_model.component_power(
+        watts = self.power_model.component_power(
             activity, frequency_hz=frequency_hz
         )
-        self.network.set_power(powers)
+        self.network.set_power(watts)
         solver = ThermalSolver(self.network)
         solver.steady_state()
         return OperatingPoint(
             frequency_hz=frequency_hz,
-            total_power_w=sum(powers.values()),
+            total_power_w=sum(watts.tolist()),
             max_temperature_k=solver.max_temperature(),
-            component_temperatures=solver.component_temperatures(),
+            component_temperatures=self.network.as_map(
+                solver.component_temperatures()
+            ),
         )
 
     def sweep(self, frequencies, utilization=1.0):

@@ -8,7 +8,7 @@ Two strategies for that solve, both behind one :class:`SolverBackend`
 interface and resolvable by name through :data:`SOLVER_BACKENDS`:
 
 ``sparse_be`` (:class:`SparseBE`)
-    The reference: re-assemble ``G(T_n)`` and run a fresh sparse
+    The reference: re-assemble ``C/dt + G(T_n)`` and run a fresh sparse
     factorization every step.  Exact semi-implicit behaviour, and the
     baseline every other backend is tested against.
 
@@ -35,13 +35,16 @@ interface and resolvable by name through :data:`SOLVER_BACKENDS`:
     An alias of ``cached_lu`` (and ``BatchedLU`` of :class:`CachedLU`),
     kept so specs that name it still load.
 
-Backends carry ``factorizations`` / ``solves`` counters so benchmarks
-and tests can assert the reuse actually happens.
+Both assemble through
+:meth:`~repro.thermal.rc_network.RCNetwork.system_matrix`, which writes
+the values into the network's prebuilt CSC pattern (one matrix per
+backend, refilled in place).  Backends carry ``factorizations`` /
+``solves`` counters so benchmarks and tests can assert the reuse
+actually happens.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import factorized, spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from repro.util.registry import Registry
 
@@ -98,10 +101,10 @@ class SolverBackend:
         c_over_dt = net.capacitance / dt
         for col in range(temperatures.shape[1]):
             t = temperatures[:, col]
-            a = net.conductance_matrix(t) + sparse.diags(c_over_dt)
+            a = net.system_matrix(t, c_over_dt)
             self.factorizations += 1
             self.solves += 1
-            out[:, col] = spsolve(a.tocsc(), c_over_dt * t + rhs[:, col])
+            out[:, col] = spsolve(a, c_over_dt * t + rhs[:, col])
         return out
 
     def stats(self):
@@ -114,14 +117,18 @@ class SparseBE(SolverBackend):
 
     name = "sparse_be"
 
+    def __init__(self):
+        super().__init__()
+        self._matrix = None
+
     def step(self, temperatures, dt):
         net = self.network
         c_over_dt = net.capacitance / dt
-        a = net.conductance_matrix(temperatures) + sparse.diags(c_over_dt)
+        self._matrix = net.system_matrix(temperatures, c_over_dt, self._matrix)
         b = c_over_dt * temperatures + net.rhs()
         self.factorizations += 1
         self.solves += 1
-        return spsolve(a.tocsc(), b)
+        return spsolve(self._matrix, b)
 
 
 @SOLVER_BACKENDS.register("cached_lu")
@@ -142,15 +149,19 @@ class CachedLU(SolverBackend):
         if refactor_tolerance_kelvin <= 0:
             raise ValueError("refactor tolerance must be positive kelvin")
         self.refactor_tolerance_kelvin = float(refactor_tolerance_kelvin)
-        self._solve = None
-        self._dt = None
-        self._t_ref = None
-        self._c_over_dt = None
+        self._matrix = None
+        self._nonlinear = None
+        self.invalidate()
+
+    def bind(self, network):
+        super().bind(network)
+        self._nonlinear = network.nonlinear_cells
+        return self
 
     def invalidate(self):
         self._solve = None
         self._dt = None
-        self._t_ref = None
+        self._t_ref = None  # non-linear cells' linearization temperatures
         self._c_over_dt = None
 
     # -- factorization policy ------------------------------------------------
@@ -164,20 +175,20 @@ class CachedLU(SolverBackend):
         per-column error is bounded by the column's distance from the
         batch mean.
         """
-        mask = self.network.is_nonlinear
-        if not mask.any():
+        cells = self._nonlinear
+        if not len(cells):
             return False
         t = temperatures.mean(axis=1) if temperatures.ndim == 2 else temperatures
-        drift = np.abs(t[mask] - self._t_ref[mask])
-        return float(drift.max()) > self.refactor_tolerance_kelvin
+        drift = np.abs(t[cells] - self._t_ref)
+        return bool(np.count_nonzero(drift > self.refactor_tolerance_kelvin))
 
     def _refactor(self, t_ref, dt):
         net = self.network
         self._c_over_dt = net.capacitance / dt
-        a = net.conductance_matrix(t_ref) + sparse.diags(self._c_over_dt)
-        self._solve = factorized(a.tocsc())
+        self._matrix = net.system_matrix(t_ref, self._c_over_dt, self._matrix)
+        self._solve = splu(self._matrix).solve
         self._dt = dt
-        self._t_ref = np.array(t_ref, dtype=float, copy=True)
+        self._t_ref = np.asarray(t_ref, dtype=float)[self._nonlinear]
         self.factorizations += 1
 
     def _ensure_factors(self, t_ref, temperatures, dt):

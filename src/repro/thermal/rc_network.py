@@ -25,7 +25,17 @@ cost are linear in the number of cells (sparse matrices).
 Power injection and component readout are precomputed sparse maps:
 ``set_power`` is one matrix-vector product ``P = M_inj @ w`` over the
 component wattage vector, and per-component mean temperatures are one
-product ``W @ T`` — no per-window Python loops on the hot path.
+product ``W @ T`` — no per-window Python loops on the hot path.  Both
+vectors are in ``component_names`` order, the one fixed component order
+of the whole window.
+
+The backward-Euler system ``C/dt + G(T)`` is written straight into a CSC
+pattern derived once per network structure (:class:`SystemPattern`, at
+the first assembly, never at build time).  The pattern replays SciPy's
+own COO canonicalisation — duplicate entries summed left to right in
+the order its index sort leaves them — so ``data``, ``indices`` and
+``indptr`` are bit-identical to assembling the COO edge list, adding
+``diags(C/dt)`` and converting to CSC.
 
 :func:`network_for` is a structure-keyed assembly cache: scenarios that
 share a floorplan and grid configuration (a parameter sweep, a batched
@@ -34,6 +44,7 @@ matrix assembly happen exactly once per structure per process.
 """
 
 import copy
+from collections.abc import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -130,6 +141,12 @@ class RCNetwork:
             r_half = (cell.thickness / 2.0) / (k_cu * cell.area)
             g_amb[index] = 1.0 / (r_conv + r_half)
         self.g_ambient = g_amb
+        # The ambient Dirichlet term of every right-hand side.
+        self._ambient_source = g_amb * props.ambient
+        self.nonlinear_cells = np.flatnonzero(self.is_nonlinear)
+        # Lazily derived, structure-level state shared with every clone
+        # (the system-matrix pattern).
+        self._structure = {}
 
         # Precomputed sparse injection / readout maps (component order is
         # the floorplan's cover order; both matrices are built once).
@@ -168,13 +185,8 @@ class RCNetwork:
     # -- power -----------------------------------------------------------------
     def watts_vector(self, component_powers):
         """A ``{component: watts}`` map as a vector in
-        ``component_names`` order.
-
-        Shared by :meth:`set_power` and the power-trace capture
-        (:mod:`repro.trace.capture`): replay fidelity depends on the
-        recorded vector being built exactly the way injection consumes
-        it, so there must be only one implementation.
-        """
+        ``component_names`` order (for hand-built power maps; the
+        window produces the vector directly)."""
         watts = np.zeros(len(self.component_names))
         for name, value in component_powers.items():
             if value == 0.0:  # passive/filler entries carry no source
@@ -185,25 +197,33 @@ class RCNetwork:
             watts[index] = value
         return watts
 
-    def set_power(self, component_powers):
-        """Set the current sources from a ``{component: watts}`` map.
+    def set_power(self, watts):
+        """Set the current sources from component watts.
 
+        ``watts`` is a vector in ``component_names`` order, or a
+        ``{component: watts}`` map (converted by :meth:`watts_vector`).
         Power is spread over the component's covering die cells
         proportionally to overlap area ("the heat injected by the current
         source corresponds to the power density of the architectural
         component covering the cell multiplied by the surface area of the
         cell") — one sparse product ``P = M_inj @ w``.
         """
-        self.power = self._injection @ self.watts_vector(component_powers)
+        if isinstance(watts, Mapping):
+            watts = self.watts_vector(watts)
+        self.power = self._injection @ watts
 
     def total_power(self):
         return float(self.power.sum())
 
     # -- readout ---------------------------------------------------------------
     def component_temperatures(self, temperatures):
-        """Area-weighted mean temperature per component: ``W @ T``."""
-        means = self._readout @ np.asarray(temperatures)
-        return dict(zip(self.component_names, means.tolist()))
+        """Area-weighted mean temperature per component, ``W @ T``, as a
+        vector in ``component_names`` order."""
+        return self._readout @ np.asarray(temperatures)
+
+    def as_map(self, vector):
+        """A per-component vector as ``{component: value}``."""
+        return dict(zip(self.component_names, vector.tolist()))
 
     def component_temperature(self, name, temperatures):
         index = self._comp_index.get(name)
@@ -216,9 +236,9 @@ class RCNetwork:
     def cell_conductivity(self, temperatures):
         """Per-cell conductivity at the given temperatures."""
         k = self._linear_k.copy()
-        if self.is_nonlinear.any():
-            t = np.asarray(temperatures)
-            k[self.is_nonlinear] = silicon_conductivity(t[self.is_nonlinear])
+        cells = self.nonlinear_cells
+        if len(cells):
+            k[cells] = silicon_conductivity(np.asarray(temperatures)[cells])
         return k
 
     def edge_conductances(self, temperatures):
@@ -226,19 +246,42 @@ class RCNetwork:
         r = self.geom_i / k[self.edge_i] + self.geom_j / k[self.edge_j]
         return 1.0 / r
 
+    def _system_pattern(self):
+        """The :class:`SystemPattern` of this structure, derived at the
+        first call and shared by every clone."""
+        pattern = self._structure.get("pattern")
+        if pattern is None:
+            pattern = self._structure["pattern"] = SystemPattern(self)
+        return pattern
+
+    def system_matrix(self, temperatures, c_over_dt=None, out=None):
+        """``C/dt + G(T)`` in CSC form (``G(T)`` alone without ``c_over_dt``).
+
+        With ``out`` (a matrix this method returned before, for this
+        structure) the values are written into it and it is returned;
+        otherwise a new matrix with its own index arrays is built.
+        """
+        pattern = self._system_pattern()
+        if c_over_dt is None:
+            c_over_dt = pattern.no_diagonal
+        data = pattern.values(
+            self.edge_conductances(temperatures), self.g_ambient, c_over_dt
+        )
+        if out is None:
+            return sparse.csc_matrix(
+                (data, pattern.indices.copy(), pattern.indptr.copy()),
+                shape=(self.num_cells, self.num_cells),
+            )
+        out.data = data
+        return out
+
     def conductance_matrix(self, temperatures):
-        """Sparse G(T): graph Laplacian over the edges + ambient leakage."""
-        n = self.num_cells
-        g = self.edge_conductances(temperatures)
-        i, j = self.edge_i, self.edge_j
-        rows = np.concatenate([i, j, i, j, np.arange(n)])
-        cols = np.concatenate([j, i, i, j, np.arange(n)])
-        data = np.concatenate([-g, -g, g, g, self.g_ambient])
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        """Sparse G(T) (CSC): graph Laplacian over the edges + ambient leakage."""
+        return self.system_matrix(temperatures)
 
     def rhs(self):
         """Right-hand side: injected power + ambient Dirichlet term."""
-        return self.power + self.g_ambient * self.properties.ambient
+        return self.power + self._ambient_source
 
     # -- energy bookkeeping (property tests) ---------------------------------
     def heat_outflow(self, temperatures):
@@ -260,6 +303,116 @@ class RCNetwork:
         twin = copy.copy(self)
         twin.power = np.zeros(self.num_cells)
         return twin
+
+
+class SystemPattern:
+    """Where every value of ``C/dt + G(T)`` comes from, in CSC order.
+
+    ``G(T)`` is the COO edge list ``(i, j, -g)``, ``(j, i, -g)``,
+    ``(i, i, g)``, ``(j, j, g)`` plus the ambient diagonal; SciPy sums
+    its duplicates left to right in the order its (not always stable)
+    index sort leaves them, then ``+ diags(C/dt)`` adds one more term to
+    each diagonal slot.  That order depends on the index pattern alone,
+    so it is read off once by running SciPy's canonicalisation on
+    marker values (each entry's own position).  :meth:`values` then
+    replays the same additions in the same order on real values:
+    ``data``, ``indices`` and ``indptr`` come out bit-identical to the
+    COO route at a fraction of its cost.
+    """
+
+    def __init__(self, network):
+        n = network.num_cells
+        edge_i, edge_j = network.edge_i, network.edge_j
+        edges = len(edge_i)
+        cells = np.arange(n)
+        rows = np.concatenate([edge_i, edge_j, edge_i, edge_j, cells])
+        cols = np.concatenate([edge_j, edge_i, edge_i, edge_j, cells])
+        # Each COO entry's value as an index into the ``source`` vector
+        # [-g, g, g_ambient, diagonal, 0.0] that values() concatenates.
+        edge = np.arange(edges)
+        source = np.concatenate(
+            [edge, edge, edges + edge, edges + edge, 2 * edges + cells]
+        )
+        diagonal_source = 2 * edges + n  # + cell
+        zero_source = 2 * edges + 2 * n
+
+        # SciPy's COO -> CSR keeps each row's entries in input order; its
+        # canonicalisation then sorts every row by column.  Run that sort
+        # on the entries' positions to learn the summation order.
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        markers = sparse.csr_matrix(
+            (by_row.astype(float), cols[by_row], indptr), shape=(n, n)
+        )
+        markers.sort_indices()
+        entry = markers.data.astype(np.int64)
+        row, col = rows[entry], markers.indices.astype(np.int64)
+
+        # Runs of one (row, col) are the slots duplicates sum into.
+        first = np.ones(len(entry), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        slot_row, slot_col = row[first], col[first]
+        # CSR slot -> CSC position: columns major, rows ascending.
+        to_csc = np.empty(len(slot_row), dtype=np.int64)
+        to_csc[np.lexsort((slot_row, slot_col))] = np.arange(len(slot_row))
+        slot = to_csc[np.cumsum(first) - 1]
+        slots = len(slot_row)
+        diagonal = to_csc[slot_row == slot_col]
+
+        # Terms per CSC slot, in summation order: the entries, then the
+        # diagonal's C/dt term (appended last; a stable sort keeps it so).
+        term_slot = np.concatenate([slot, diagonal])
+        term_source = np.concatenate(
+            [source[entry], diagonal_source + slot_row[slot_row == slot_col]]
+        )
+        order = np.argsort(term_slot, kind="stable")
+        term_slot, term_source = term_slot[order], term_source[order]
+        length = np.bincount(term_slot, minlength=slots)
+        rank = np.arange(len(term_slot)) - (np.cumsum(length) - length)[term_slot]
+
+        single = length == 1
+        self.single_slots = np.flatnonzero(single)
+        self.single_sources = term_source[single[term_slot]]
+        # Multi-term slots as a (depth, slots) table, right-aligned and
+        # padded in front with the 0.0 source: accumulating down the
+        # rows adds the terms in order (0.0 + x is x for every x != -0.0,
+        # and no slot's first term is -0.0).
+        multi = np.flatnonzero(~single)
+        depth = int(length.max())
+        column = np.full(slots, -1, dtype=np.int64)
+        column[multi] = np.arange(len(multi))
+        in_multi = ~single[term_slot]
+        table = np.full((depth, len(multi)), zero_source, dtype=np.int64)
+        table[
+            (depth - length[term_slot] + rank)[in_multi],
+            column[term_slot][in_multi],
+        ] = term_source[in_multi]
+        self.multi_slots = multi
+        self.multi_sources = table
+
+        self.indices = np.empty(slots, dtype=np.int32)
+        self.indices[to_csc] = slot_row
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot_col, minlength=n), out=self.indptr[1:])
+        self.nnz = slots
+        self.no_diagonal = np.zeros(n)
+
+    def values(self, conductances, g_ambient, c_over_dt):
+        """The CSC ``data`` of ``diags(c_over_dt) + G`` for edge
+        conductances ``conductances``."""
+        source = np.concatenate(
+            (-conductances, conductances, g_ambient, c_over_dt, _ZERO)
+        )
+        data = np.empty(self.nnz)
+        data[self.single_slots] = source[self.single_sources]
+        data[self.multi_slots] = np.add.accumulate(
+            source[self.multi_sources], axis=0
+        )[-1]
+        return data
+
+
+_ZERO = np.zeros(1)
 
 
 # -- structure-keyed assembly cache ------------------------------------------

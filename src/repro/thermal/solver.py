@@ -127,8 +127,7 @@ class ThermalSolver:
         net = self.network
         t = self.temperatures.copy()
         for _ in range(max_iterations):
-            g = net.conductance_matrix(t)
-            t_next = spsolve(g.tocsc(), net.rhs())
+            t_next = spsolve(net.conductance_matrix(t), net.rhs())
             delta = float(np.max(np.abs(t_next - t)))
             t = t_next
             if delta < tol:
@@ -149,7 +148,8 @@ class ThermalSolver:
         return self.network.component_temperature(name, self.temperatures)
 
     def component_temperatures(self):
-        """All component means in one sparse product (``W @ T``)."""
+        """All component means in one sparse product (``W @ T``), as a
+        vector in ``network.component_names`` order."""
         return self.network.component_temperatures(self.temperatures)
 
     def reset(self, temperature=None):

@@ -10,13 +10,14 @@ temperatures the thermal tool computed.  :func:`record` is the
 one-call front-end: build a scenario's framework, capture its run and
 return the finished :class:`~repro.trace.format.TraceArchive`.
 
-The power vector is rebuilt exactly the way
-:meth:`~repro.thermal.rc_network.RCNetwork.set_power` builds its
-injection input (same component order, same float64 values), which is
-what makes replay under unchanged thermal knobs bit-for-bit faithful.
+The recorded power vector is the one
+:meth:`~repro.thermal.rc_network.RCNetwork.set_power` injected (same
+component order, same float64 values), which is what makes replay under
+unchanged thermal knobs bit-for-bit faithful.
 """
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -51,13 +52,18 @@ class PowerTraceCapture:
         return len(self._power_rows)
 
     # -- the framework hook ------------------------------------------------
-    def on_window(self, framework, powers, frequency, sample):
-        """Record one window (called from ``_window_commit``)."""
+    def on_window(self, framework, watts, frequency, sample):
+        """Record one window (called from ``_window_commit``).
+
+        ``watts`` is the vector the window injected, in network
+        component order (a hand-fed ``{component: watts}`` map goes
+        through the network's own conversion).
+        """
         if self.component_names is None:
             self.component_names = tuple(framework.network.component_names)
-        # The network's own conversion, so the recorded vector is
-        # bit-for-bit the one set_power injected this window.
-        self._power_rows.append(framework.network.watts_vector(powers))
+        if isinstance(watts, Mapping):
+            watts = framework.network.watts_vector(watts)
+        self._power_rows.append(np.array(watts, dtype=float))
         self._frequencies.append(float(frequency))
         self._times.append(float(sample.time_s))
         self._temp_rows.append(

@@ -155,25 +155,19 @@ class ReplaySource(ThermalSide):
             raise IndexError(
                 f"recording exhausted after {self.archive.windows} windows"
             )
-        watts = self.archive.power_w[index]
-        # Same product set_power computes, on the recording's float64
-        # values — the root of bit-for-bit replay fidelity.
-        self.network.power = self.network._injection @ watts[self._column_of]
-        powers = {
-            name: float(watts[column])
-            for name, column in zip(
-                self.network.component_names, self._column_of
-            )
-        }
+        # The recording's float64 vector, reordered to the network's
+        # component order — the root of bit-for-bit replay fidelity.
+        watts = self.archive.power_w[index][self._column_of]
+        self.network.set_power(watts)
         frequency = float(self.archive.frequency_hz[index])
         self.timing["dispatch"] += time.perf_counter() - t0
-        return powers, frequency
+        return watts, frequency
 
-    def _window_commit(self, powers, frequency):
+    def _window_commit(self, watts, frequency):
         """The framework's commit at the recorded time, without a policy."""
         now = float(self.archive.time_s[self.windows])
         self._time = now
-        return self.commit(self.sense(powers, frequency, now))
+        return self.commit(self.sense(watts, frequency, now))
 
     def step_window(self):
         """Replay exactly one recorded sampling window."""

@@ -213,7 +213,7 @@ def test_sample_fields_consistent():
     assert sample.frequency_hz == 500 * MHZ
     assert sample.total_power_w == pytest.approx(
         sum(
-            framework.power_model.component_power(
+            framework.power_model.power_map(
                 framework.workload.advance(0), frequency_hz=500 * MHZ
             ).values()
         ),

@@ -15,11 +15,13 @@ def quick_scenario(name="farm_job", seconds=0.5, **config_overrides):
     return scenario
 
 
-def slow_scenario(name="slow_job", seconds=600.0):
-    """A scenario that takes a few wall seconds (~0.3 s wall per 60
-    emulated s) — long enough to kill a worker mid-run
-    deterministically."""
-    return quick_scenario(name=name, seconds=seconds)
+def slow_scenario(name="slow_job", seconds=60.0):
+    """A scenario that takes about a wall second (6000 windows, the
+    workload sized to outlast the time bound) — long enough to kill a
+    worker mid-run deterministically."""
+    scenario = quick_scenario(name=name, seconds=seconds)
+    scenario.workload.params["total_iterations"] = 10**9
+    return scenario
 
 
 @pytest.fixture

@@ -97,7 +97,7 @@ def test_little_cores_draw_proportionally_less_power():
     from repro.power.models import ActivityVector
 
     activity = ActivityVector(1, {("core", i): 1.0 for i in range(3)})
-    powers = framework.power_model.component_power(
+    powers = framework.power_model.power_map(
         activity,
         frequency_hz=200 * MHZ,
         core_frequencies={0: 200 * MHZ, 1: 200 * MHZ, 2: 100 * MHZ},

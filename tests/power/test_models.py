@@ -70,10 +70,10 @@ def test_component_power_scaling(model):
     activity = ActivityVector(1000)
     for i in range(4):
         activity.set(("core", i), 1.0)
-    powers = model.component_power(activity, frequency_hz=500 * MHZ)
+    powers = model.power_map(activity, frequency_hz=500 * MHZ)
     assert powers["arm11_0"] == pytest.approx(1.5)
     # At 100 MHz (DFS low point), one fifth the power.
-    low = model.component_power(activity, frequency_hz=100 * MHZ)
+    low = model.power_map(activity, frequency_hz=100 * MHZ)
     assert low["arm11_0"] == pytest.approx(0.3)
     # Idle components and filler draw nothing.
     assert powers["icache_0"] == 0.0
@@ -85,7 +85,7 @@ def test_per_core_frequency_overrides(model):
     for i in range(4):
         activity.set(("core", i), 1.0)
         activity.set(("icache", i), 0.5)
-    powers = model.component_power(
+    powers = model.power_map(
         activity,
         frequency_hz=500 * MHZ,
         core_frequencies={0: 100 * MHZ},
@@ -142,7 +142,64 @@ def test_power_monotone_in_utilization_and_frequency(util, f):
     activity_hi = ActivityVector(100)
     activity_lo.set(("core", 0), util * 0.5)
     activity_hi.set(("core", 0), util)
-    lo = model.component_power(activity_lo, frequency_hz=f)["arm11_0"]
-    hi = model.component_power(activity_hi, frequency_hz=f)["arm11_0"]
-    hi_f = model.component_power(activity_hi, frequency_hz=f * 1.5)["arm11_0"]
+    lo = model.power_map(activity_lo, frequency_hz=f)["arm11_0"]
+    hi = model.power_map(activity_hi, frequency_hz=f)["arm11_0"]
+    hi_f = model.power_map(activity_hi, frequency_hz=f * 1.5)["arm11_0"]
     assert lo <= hi <= hi_f + 1e-12
+
+
+def loop_component_power(model, activity, frequency_hz=None, core_frequencies=None):
+    """The per-component scalar model the vectorized power replays."""
+    powers = []
+    node = model.tech_node
+    for comp in model.floorplan.components:
+        if comp.is_filler:
+            continue
+        if comp.activity_source is None:
+            powers.append(0.0)
+            continue
+        cls = model.library[comp.power_class]
+        f = frequency_hz
+        if (
+            core_frequencies is not None
+            and comp.activity_source[0] == "core"
+            and comp.activity_source[1] in core_frequencies
+        ):
+            f = core_frequencies[comp.activity_source[1]]
+        power = cls.power_at(activity.get(comp.activity_source), f)
+        if node is not None and power > 0.0:
+            power *= node.voltage_scale(cls.ref_hz if f is None else f)
+        powers.append(power)
+    return powers
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    utils=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=21,
+                   max_size=21),
+    f=st.one_of(st.none(), st.floats(min_value=1e6, max_value=800e6)),
+    throttled=st.dictionaries(st.integers(0, 3),
+                              st.floats(min_value=1e6, max_value=800e6)),
+    node=st.sampled_from([None, "130nm", "90nm", "65nm"]),
+)
+def test_vector_power_matches_per_component_loop_bitwise(utils, f, throttled,
+                                                         node):
+    model = PowerModel(floorplan_4xarm11(), tech_node=node)
+    activity = ActivityVector(1)
+    sources = [c.activity_source for c in model.floorplan.active_components()
+               if c.activity_source is not None]
+    for source, value in zip(sources, utils):
+        activity.set(source, value)
+    watts = model.component_power(activity, f, throttled or None)
+    assert watts.tolist() == loop_component_power(
+        model, activity, f, throttled or None
+    )
+    assert model.component_names == tuple(
+        c.name for c in model.floorplan.components if not c.is_filler
+    )
+
+
+def test_out_of_range_utilization_names_the_power_class(model):
+    activity = ActivityVector(1, {("icache", 2): 1.5})
+    with pytest.raises(ValueError, match="icache_8k_dm: utilization 1.5"):
+        model.component_power(activity, 500 * MHZ)

@@ -122,8 +122,8 @@ def test_power_model_scales_by_voltage_squared(floorplan):
     scaled = PowerModel(floorplan, tech_node="65nm")
     node = scaled.tech_node
     frequency = 200 * MHZ
-    base = nominal.component_power(busy_vector(), frequency)
-    low = scaled.component_power(busy_vector(), frequency)
+    base = nominal.power_map(busy_vector(), frequency)
+    low = scaled.power_map(busy_vector(), frequency)
     for name, watts in base.items():
         if watts > 0:
             assert low[name] == pytest.approx(
@@ -138,8 +138,8 @@ def test_power_model_nominal_point_is_identity(floorplan):
     nominal = PowerModel(floorplan)
     scaled = PowerModel(floorplan, tech_node="130nm")
     frequency = 600 * MHZ
-    base = nominal.component_power(busy_vector(), frequency)
-    top = scaled.component_power(busy_vector(), frequency)
+    base = nominal.power_map(busy_vector(), frequency)
+    top = scaled.power_map(busy_vector(), frequency)
     for name in base:
         assert top[name] == pytest.approx(base[name])
 
@@ -148,8 +148,8 @@ def test_dvfs_step_changes_voltage_as_well_as_frequency(floorplan):
     # Halving f under a tech node drops power by MORE than 2x: the
     # ladder lowers V alongside f, so the step is f * V(f)^2.
     model = PowerModel(floorplan, tech_node="65nm")
-    high = sum(model.component_power(busy_vector(), 400 * MHZ).values())
-    low = sum(model.component_power(busy_vector(), 200 * MHZ).values())
+    high = sum(model.power_map(busy_vector(), 400 * MHZ).values())
+    low = sum(model.power_map(busy_vector(), 200 * MHZ).values())
     assert low < high / 2
     node = model.tech_node
     expected = (200 / 400) * (

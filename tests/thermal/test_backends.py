@@ -259,7 +259,7 @@ def test_network_for_bypasses_cache_for_custom_properties():
 def test_vectorized_readout_matches_manual_mean():
     network = component_network()
     temps = np.linspace(300.0, 360.0, network.num_cells)
-    means = network.component_temperatures(temps)
+    means = network.as_map(network.component_temperatures(temps))
     for name, cover in network.grid.component_cover.items():
         total = sum(area for _, area in cover)
         manual = sum(temps[i] * area for i, area in cover) / total

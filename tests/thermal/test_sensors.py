@@ -1,5 +1,6 @@
 """Temperature-sensor hysteresis tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,3 +80,32 @@ def test_hot_state_consistent_with_history(temps):
         elif hot and t <= 340.0:
             hot = False
         assert sensor.hot == hot
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.floats(min_value=320.0, max_value=370.0), min_size=3,
+                 max_size=3),
+        min_size=1, max_size=60,
+    )
+)
+def test_vector_bank_matches_independent_sensors(rows):
+    """The bank's elementwise hysteresis against one scalar
+    TemperatureSensor per component, window by window."""
+    names = ["a", "b", "c"]
+    bank = SensorBank(names)
+    reference = {name: TemperatureSensor(name) for name in names}
+    for window, row in enumerate(rows):
+        expected = {}
+        for name, value in zip(names, row):
+            band = reference[name].update(value, window)
+            if band != IN_BAND:
+                expected[name] = band
+        assert bank.update(np.array(row), window) == expected
+        assert bank.any_hot == any(s.hot for s in reference.values())
+        assert bank.max_temperature() == max(row)
+    for name in names:
+        assert bank.sensors[name].hot == reference[name].hot
+        assert bank.sensors[name].temperature == reference[name].temperature
+        assert bank.sensors[name].crossings == reference[name].crossings

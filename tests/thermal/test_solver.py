@@ -111,7 +111,7 @@ def test_component_temperature_readout():
     net.set_power({"arm11_0": 2.0})  # only one core dissipates
     solver = ThermalSolver(net)
     solver.steady_state()
-    temps = solver.component_temperatures()
+    temps = net.as_map(solver.component_temperatures())
     hottest = max(temps, key=temps.get)
     assert hottest == "arm11_0"
     # Components far from the heater run cooler.
