@@ -49,9 +49,10 @@ def main():
     platform.load_program_all(matrix_programs(2, n=6, iterations=1))
     engine = EventDrivenEngine(platform)
 
-    # Window 1: run a slice and collect.
+    # Window 1: run a slice and collect.  A count sniffer's record is a
+    # flat {counter: delta} dict; nested stats join their keys with dots.
     engine.run_window(2000)
-    records = bank.collect_window()
+    records, _ = bank.collect_window()
     print("Window 1 counter deltas (selection):")
     for name in sorted(records):
         if name.endswith(".cnt"):
@@ -75,8 +76,11 @@ def main():
     print(f"\nDisabled sniffer {target.name!r} via MMIO "
           f"(address 0x{MMIO_BASE + offset:08x})")
     engine.run_window(4000)
-    records = bank.collect_window()
+    # The payload is sized from the same snapshot as the records: one
+    # header per enabled count sniffer, one entry per counter and event.
+    records, payload = bank.collect_window()
     print(f"  its window-2 record: {records[target.name]!r}")
+    print(f"  window 2 streamed {payload} bytes, D-cache events included")
 
     # Dispatcher accounting: a healthy link vs a starved one.
     payload = bank.window_payload_bytes()

@@ -29,6 +29,7 @@ from repro.thermal.backends import CachedLU, make_backend
 from repro.thermal.rc_network import network_for
 from repro.thermal.sensors import SensorBank
 from repro.thermal.solver import ThermalSolver
+from repro.util.jsondata import json_copy
 from repro.util.units import MHZ, MS
 
 
@@ -161,12 +162,28 @@ class FrameworkConfig:
 
     def to_dict(self):
         """JSON-compatible dict; ``from_dict`` round-trips it losslessly."""
-        out = asdict(self)
-        out["die_resolution"] = list(self.die_resolution)
-        out["spreader_resolution"] = list(self.spreader_resolution)
-        if self.monitored_components is not None:
-            out["monitored_components"] = list(self.monitored_components)
-        return out
+        monitored = self.monitored_components
+        return {
+            "sampling_period_s": self.sampling_period_s,
+            "virtual_hz": self.virtual_hz,
+            "physical_hz": self.physical_hz,
+            "sensor_upper_kelvin": self.sensor_upper_kelvin,
+            "sensor_lower_kelvin": self.sensor_lower_kelvin,
+            "monitored_components": (
+                None if monitored is None else list(monitored)
+            ),
+            "grid_mode": self.grid_mode,
+            "refine_critical": self.refine_critical,
+            "die_resolution": list(self.die_resolution),
+            "spreader_resolution": list(self.spreader_resolution),
+            "ethernet_bandwidth_bps": self.ethernet_bandwidth_bps,
+            "bram_capacity_bytes": self.bram_capacity_bytes,
+            "initial_temperature_kelvin": self.initial_temperature_kelvin,
+            "solver_backend": json_copy(self.solver_backend),
+            "trace_stride": self.trace_stride,
+            "emulation_backend": json_copy(self.emulation_backend),
+            "tech_node": json_copy(self.tech_node),
+        }
 
     @classmethod
     def from_dict(cls, data):
@@ -498,8 +515,7 @@ class EmulationFramework(ThermalSide):
         self.timing["power"] += t2 - t1
 
         # 3. Statistics stream to the host; congestion freezes the clocks.
-        payload = self.sniffer_bank.window_payload_bytes()
-        self.sniffer_bank.collect_window()
+        _, payload = self.sniffer_bank.collect_window()
         real_window = self.vpcm.window_real_seconds(period)
         freeze = self.dispatcher.dispatch_window(
             payload, real_window, num_sensors=len(self.sensors.names)

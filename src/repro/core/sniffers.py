@@ -18,7 +18,7 @@ FPGA overhead: 0.2 % of the V2VP30 per event-logging sniffer, 0.3 % per
 count-logging sniffer (Section 4.1); the resource model uses those.
 """
 
-from repro.core.stats import diff_stats, flatten_numeric
+from repro.core.stats import flatten_numeric
 
 # MMIO register map (one 16-byte window per sniffer).
 REG_ENABLE = 0x0
@@ -70,16 +70,27 @@ class Sniffer:
 
     # -- window interface ---------------------------------------------------------
     def window_payload_bytes(self):
-        """Bytes this sniffer contributes to one statistics window."""
+        """Bytes this sniffer would contribute to the pending window."""
         raise NotImplementedError
 
     def collect(self):
-        """Produce this window's records (and reset per-window state)."""
+        """Produce this window's record (and reset per-window state)."""
+        raise NotImplementedError
+
+    def record_bytes(self, record):
+        """Bytes a record :meth:`collect` just returned occupies."""
         raise NotImplementedError
 
 
 class CountLoggingSniffer(Sniffer):
-    """Counts high-level events; reports per-window counter deltas."""
+    """Counts high-level events; reports per-window counter deltas.
+
+    One record is a flat ``{counter: delta}`` dict over the component's
+    numeric ``stats()`` leaves (nested keys joined with dots), and on
+    the wire one header plus one entry per counter.  Counter sets may
+    grow mid-run (a core's instruction classes, a bus's masters), so
+    every window is sized from its own snapshot.
+    """
 
     kind_code = KIND_COUNT_LOGGING
     fpga_overhead_percent = 0.3
@@ -103,21 +114,28 @@ class CountLoggingSniffer(Sniffer):
         return sorted(self._current())
 
     def collect(self):
-        """Counter deltas since the previous window (empty if disabled)."""
+        """Counter deltas since the previous window (empty if disabled);
+        a counter new since then diffs against zero."""
         if not self.enabled:
             return {}
         current = self._current()
-        delta = diff_stats(current, self._last)
+        last = self._last
         self._last = current
-        return delta
+        return {name: value - last.get(name, 0)
+                for name, value in current.items()}
 
-    def window_payload_bytes(self):
+    def record_bytes(self, record):
         if not self.enabled:
             return 0
         return (
             COUNT_RECORD_HEADER_BYTES
-            + COUNT_RECORD_BYTES_PER_COUNTER * len(self._current())
+            + COUNT_RECORD_BYTES_PER_COUNTER * len(record)
         )
+
+    def window_payload_bytes(self):
+        if not self.enabled:
+            return 0
+        return self.record_bytes(self._current())
 
 
 class EventLoggingSniffer(Sniffer):
@@ -149,8 +167,11 @@ class EventLoggingSniffer(Sniffer):
         events, self.events = self.events, []
         return events
 
+    def record_bytes(self, record):
+        return EVENT_RECORD_BYTES * len(record)
+
     def window_payload_bytes(self):
-        return EVENT_RECORD_BYTES * len(self.events)
+        return self.record_bytes(self.events)
 
 
 class SnifferBank:
@@ -198,11 +219,24 @@ class SnifferBank:
         return [s for s in self.sniffers if isinstance(s, EventLoggingSniffer)]
 
     def window_payload_bytes(self):
+        """Bytes the pending window would stream (nothing is collected)."""
         return sum(s.window_payload_bytes() for s in self.sniffers)
 
     def collect_window(self):
-        """All sniffers' records for this window, keyed by sniffer name."""
-        return {s.name: s.collect() for s in self.sniffers}
+        """Close one statistics window: ``(records, payload_bytes)``.
+
+        ``records`` holds each sniffer's record keyed by sniffer name; a
+        count sniffer's is its flat ``{counter: delta}`` dict, an event
+        sniffer's its event list.  ``payload_bytes`` is what those
+        records occupy in the BRAM buffer, sized from the same snapshot
+        — one ``stats()`` read per count sniffer per window.
+        """
+        records = {}
+        payload = 0
+        for sniffer in self.sniffers:
+            record = records[sniffer.name] = sniffer.collect()
+            payload += sniffer.record_bytes(record)
+        return records, payload
 
     def fpga_overhead_percent(self):
         return sum(s.fpga_overhead_percent for s in self.sniffers)

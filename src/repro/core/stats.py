@@ -31,13 +31,20 @@ def diff_stats(new, old):
 def flatten_numeric(stats, prefix=""):
     """Flatten a nested numeric dict into ``{dotted.key: value}``."""
     flat = {}
+    _flatten_into(flat, stats, prefix)
+    return flat
+
+
+def _flatten_into(flat, stats, prefix):
     for key, value in stats.items():
         name = f"{prefix}.{key}" if prefix else str(key)
-        if isinstance(value, dict):
-            flat.update(flatten_numeric(value, name))
+        kind = type(value)
+        if kind is int or kind is float:  # the common leaves, first
+            flat[name] = value
+        elif isinstance(value, dict):
+            _flatten_into(flat, value, name)
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
             flat[name] = value
-    return flat
 
 
 @dataclass

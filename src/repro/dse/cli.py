@@ -9,6 +9,7 @@ produce a non-empty front.
 """
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -21,6 +22,7 @@ from repro.dse.space import (
     DEFAULT_TECH_NODES,
     generate_points,
 )
+from repro.obs import tracing as obs_tracing
 from repro.util.units import MHZ
 
 
@@ -81,6 +83,11 @@ def main(argv=None):
         "--json", action="store_true", dest="as_json",
         help="print the full report JSON to stdout",
     )
+    parser.add_argument(
+        "--obs-log", metavar="PATH",
+        help="record a JSONL span log of the sweep (inspect with "
+        "'python -m repro obs timeline PATH')",
+    )
     args = parser.parse_args(argv)
 
     kwargs = {}
@@ -90,11 +97,15 @@ def main(argv=None):
         kwargs["big_hz_steps"] = tuple(f * MHZ for f in args.big_hz)
     points = generate_points(**kwargs)
 
-    report = run_dse(
-        points,
-        max_windows=args.max_windows,
-        refine_top=args.refine_top,
-    )
+    observe = contextlib.nullcontext()
+    if args.obs_log:
+        observe = obs_tracing.trace_to(args.obs_log)
+    with observe:
+        report = run_dse(
+            points,
+            max_windows=args.max_windows,
+            refine_top=args.refine_top,
+        )
 
     if args.out:
         pathlib.Path(args.out).write_text(json.dumps(report, indent=2))

@@ -40,23 +40,52 @@ def dominates(a, b, objectives=OBJECTIVES):
     return strictly_better
 
 
+def _has_nan(row, objectives):
+    return any(row[key] != row[key] for key, _ in objectives)
+
+
 def pareto_front(rows, objectives=OBJECTIVES):
     """Split ``rows`` into ``(front, dominated)``, preserving order.
 
     A row lands on the front iff no other row dominates it; rows with
     identical objective values all stay on the front (neither dominates
-    the other).  O(n^2) with early exit — fine for the few-thousand-row
-    spaces the DSE driver evaluates.
+    the other).
+
+    Rows are visited in lexicographic order of their objectives, each
+    descending where larger is better.  A dominator is no worse anywhere
+    and better somewhere, so it sorts strictly before every row it
+    dominates; dominance is transitive, so a dominated row is dominated
+    by a non-dominated row visited before it.  Each row is therefore
+    tested against the front found so far only.  A NaN objective
+    compares neither way and breaks both arguments, so a row holding
+    one is tested against every other row, and every other row against
+    it.
     """
     rows = list(rows)
-    front, dominated = [], []
+    if len(rows) < 2:
+        return rows, []
+    irregular, regular = [], []
     for i, row in enumerate(rows):
-        if any(
-            dominates(other, row, objectives)
-            for j, other in enumerate(rows)
-            if j != i
-        ):
-            dominated.append(row)
-        else:
-            front.append(row)
+        (irregular if _has_nan(row, objectives) else regular).append(i)
+    # Stable sorts, last objective first: a lexicographic order.
+    for key, sense in reversed(objectives):
+        regular.sort(key=lambda i: rows[i][key], reverse=sense == "max")
+    is_dominated = [False] * len(rows)
+    regular_front = []  # rows no NaN-free row dominates, in visit order
+    for i in regular:
+        row = rows[i]
+        if any(dominates(other, row, objectives) for other in regular_front):
+            is_dominated[i] = True
+            continue
+        regular_front.append(row)
+        is_dominated[i] = any(
+            dominates(rows[j], row, objectives) for j in irregular
+        )
+    for i in irregular:
+        is_dominated[i] = any(
+            dominates(other, rows[i], objectives)
+            for j, other in enumerate(rows) if j != i
+        )
+    front = [row for row, out in zip(rows, is_dominated) if not out]
+    dominated = [row for row, out in zip(rows, is_dominated) if out]
     return front, dominated

@@ -167,6 +167,14 @@ OBS_SPANS.register(
     "One scenario inside a runner batch",
 )
 OBS_SPANS.register(
+    "runner.plan",
+    "Runner.run_batched() planning: parse, digest and store lookups",
+)
+OBS_SPANS.register(
+    "runner.setup",
+    "Runner.run_batched() set-up: scenario builds and replay set-ups",
+)
+OBS_SPANS.register(
     "farm.job",
     "One farm job: claim-to-report on a FarmWorker",
 )

@@ -46,6 +46,7 @@ __all__ = [
     "Registry",
     "SOLVER_BACKENDS",
     "WORKLOADS",
+    "resolve_floorplan",
 ]
 
 
@@ -58,6 +59,20 @@ for _name, _factory in BUILTIN_FLOORPLANS.items():
 
 for _name, _factory in BUILTIN_POLICIES.items():
     POLICIES.register(_name, _factory)
+
+
+def resolve_floorplan(spec):
+    """A fresh floorplan from a scenario's ``floorplan`` field.
+
+    ``spec`` is a registered name, a ``{"name": ..., "params": {...}}``
+    dict for parameterized factories like ``"hetero"``, or a ready
+    floorplan object, which is returned as is.
+    """
+    if isinstance(spec, str):
+        return FLOORPLANS.get(spec)()
+    if isinstance(spec, dict):
+        return FLOORPLANS.get(spec["name"])(**spec.get("params", {}))
+    return spec
 
 
 def _require_platform(name, platform):

@@ -167,7 +167,6 @@ class _Member:
     """One batch item as :class:`_DedupPlan` classified it."""
 
     index: int
-    data: dict  # the scenario dict, runner overrides applied
     kind: str  # "hit", "leader", "follower" or "error"
     scenario: Scenario | None = None
     digest: str | None = None
@@ -202,16 +201,17 @@ class _DedupPlan:
         self.members = []
         claimed = set()
         for index, item in enumerate(scenarios):
-            data = runner._scenario_dict(item, index)
-            member = _Member(index, data, "leader")
+            name = (item.name if isinstance(item, Scenario)
+                    else item.get("name", f"scenario{index}"))
+            member = _Member(index, "leader")
             self.members.append(member)
             try:
-                member.scenario = Scenario.from_dict(data)
+                member.scenario = runner._scenario_of(item, name)
                 if store is not None:
                     member.digest = scenario_trace_digest(member.scenario)
             except Exception as exc:  # the batch survives one bad scenario
                 member.kind = "error"
-                member.error = _failure(index, data["name"], exc)
+                member.error = _failure(index, name, exc)
                 continue
             if store is None:
                 continue
@@ -288,18 +288,24 @@ class Runner:
         self.start_method = start_method
 
     # -- scenario normalization ------------------------------------------------
-    def _scenario_dict(self, item, index):
-        """One scenario as its dict form, with runner overrides applied."""
+    def _scenario_of(self, item, name):
+        """One batch item as a :class:`Scenario`, runner overrides applied.
+
+        A ``Scenario`` that no override touches is used as given (and
+        never mutated); anything else is parsed once, here.
+        """
         if isinstance(item, Scenario):
+            if self.trace_stride is None:
+                return item
             data = item.to_dict()
         else:
             data = dict(item)
-            data.setdefault("name", f"scenario{index}")
+            data["name"] = name
         if self.trace_stride is not None:
             config = dict(data.get("config") or {})
             config["trace_stride"] = self.trace_stride
             data["config"] = config
-        return data
+        return Scenario.from_dict(data)
 
     def _replay_result(self, member, source):
         """Replay one member's recording in-process; mirrors ``_execute``."""
@@ -396,7 +402,8 @@ class Runner:
                         member, plan.source
                     )
             raw = self._run_payloads([
-                (m.index, m.data, self.capture_trace, m.records) for m in live
+                (m.index, m.scenario.to_dict(), self.capture_trace, m.records)
+                for m in live
             ])
             for row in raw:
                 results[row[0]] = self._result_of(row)
@@ -460,12 +467,16 @@ class Runner:
         return results
 
     def _run_batched(self, scenarios, library=None):
+        start = time.perf_counter()
         plan = _DedupPlan(self, scenarios)
+        plan_s = time.perf_counter() - start
         results = [member.error for member in plan.members]
+        setup_s, builds, replays = 0.0, 0, 0
         # Hits co-step with the leaders, followers only after every
         # leader recorded: the shared solve linearizes at the group
         # mean, so group composition is part of the numbers.
         for members in (plan.first_pass, plan.second_pass):
+            start = time.perf_counter()
             groups = defaultdict(list)
             captures = {}
             for member in members():
@@ -473,10 +484,12 @@ class Runner:
                     if member.archive is not None:
                         from repro.trace.replay import replay_for_scenario
 
+                        replays += 1
                         runnable = replay_for_scenario(
                             member.archive, member.scenario, source=plan.source
                         )
                     else:
+                        builds += 1
                         runnable = member.scenario.build(library=library)
                         if member.records:
                             from repro.trace.capture import PowerTraceCapture
@@ -491,7 +504,17 @@ class Runner:
                     results[member.index] = _failure(
                         member.index, member.scenario.name, exc
                     )
+            setup_s += time.perf_counter() - start
             self._run_groups(groups, results, captures, plan)
+        tracer = obs_tracing.ACTIVE
+        if tracer is not None:
+            # One event each per batch, so tracing costs nothing per member.
+            tracer.emit(
+                "runner.plan", plan_s, scenarios=len(plan.members),
+                digests=sum(m.digest is not None for m in plan.members),
+            )
+            tracer.emit("runner.setup", setup_s, builds=builds,
+                        replays=replays)
         return results
 
     def _run_groups(self, groups, results, captures, plan):

@@ -12,12 +12,12 @@ solvers and ``sweep(base, {"config.emulation_backend": [...]})``
 races the exact engines against the fast windowed model.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.mpsoc.platform import MPSoCConfig, build_platform
-from repro.scenario.registry import FLOORPLANS, POLICIES, WORKLOADS
+from repro.scenario.registry import POLICIES, WORKLOADS, resolve_floorplan
+from repro.util.jsondata import json_copy
 
 
 @dataclass
@@ -28,13 +28,13 @@ class WorkloadSpec:
     params: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"name": self.name, "params": copy.deepcopy(self.params)}
+        return {"name": self.name, "params": json_copy(self.params)}
 
     @classmethod
     def from_dict(cls, data):
         if isinstance(data, str):
             return cls(name=data)
-        return cls(name=data["name"], params=copy.deepcopy(data.get("params", {})))
+        return cls(name=data["name"], params=json_copy(data.get("params", {})))
 
 
 @dataclass
@@ -45,7 +45,7 @@ class PolicySpec:
     params: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"name": self.name, "params": copy.deepcopy(self.params)}
+        return {"name": self.name, "params": json_copy(self.params)}
 
     @classmethod
     def from_dict(cls, data):
@@ -53,7 +53,7 @@ class PolicySpec:
             return cls()
         if isinstance(data, str):
             return cls(name=data)
-        return cls(name=data["name"], params=copy.deepcopy(data.get("params", {})))
+        return cls(name=data["name"], params=json_copy(data.get("params", {})))
 
 
 @dataclass
@@ -109,7 +109,7 @@ class Scenario:
             "name": self.name,
             "description": self.description,
             "platform": self.platform.to_dict() if self.platform else None,
-            "floorplan": copy.deepcopy(self.floorplan),
+            "floorplan": json_copy(self.floorplan),
             "workload": self.workload.to_dict(),
             "policy": self.policy.to_dict(),
             "config": self.config.to_dict(),
@@ -133,18 +133,13 @@ class Scenario:
         for required in ("name", "workload"):
             if required not in data:
                 raise ValueError(f"a scenario needs a {required!r} entry")
-        return cls(**copy.deepcopy(dict(data)))
+        return cls(**json_copy(dict(data)))
 
     # -- construction ------------------------------------------------------------
     def build(self, library=None):
         """Wire the scenario into a ready-to-run :class:`EmulationFramework`."""
         platform = build_platform(self.platform) if self.platform is not None else None
-        if isinstance(self.floorplan, dict):
-            floorplan = FLOORPLANS.get(self.floorplan["name"])(
-                **self.floorplan.get("params", {})
-            )
-        else:
-            floorplan = FLOORPLANS.get(self.floorplan)()
+        floorplan = resolve_floorplan(self.floorplan)
         policy = POLICIES.get(self.policy.name)(**self.policy.params)
         generator = WORKLOADS.get(self.workload.name)
         workload = generator(platform, floorplan, **self.workload.params)

@@ -19,6 +19,7 @@ drive its power: ``("core", i)``, ``("icache", i)``, ``("dcache", i)``,
 ``("noc_switch", switch_name)`` or ``None`` for passive silicon.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from repro.util.units import MM2
@@ -107,12 +108,25 @@ class Floorplan:
         return [c for c in self.components if not c.is_filler]
 
     def validate(self):
-        """Check bounds, pairwise disjointness and exact coverage."""
+        """Check bounds, pairwise disjointness and exact coverage.
+
+        Disjointness is a sweep in y: components are visited in order of
+        their lower edge, and each is compared only with the earlier
+        ones whose y-span it still meets.  A pair whose y-spans (or
+        x-spans) at most touch, ``a.y1 <= b.y``, has a non-positive
+        overlap height (or width), so skipping it never hides an
+        overlap.  When several pairs overlap, the error names the first
+        pair in component order.  Non-finite geometry is rejected first:
+        NaN has no place in the y order.
+        """
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ValueError(f"{self.name}: duplicate component names")
         total = 0.0
         for comp in self.components:
+            if not all(map(math.isfinite,
+                           (comp.x, comp.y, comp.width, comp.height))):
+                raise ValueError(f"{self.name}/{comp.name}: non-finite geometry")
             if comp.width <= 0 or comp.height <= 0:
                 raise ValueError(f"{self.name}/{comp.name}: non-positive size")
             if (
@@ -123,12 +137,27 @@ class Floorplan:
             ):
                 raise ValueError(f"{self.name}/{comp.name}: outside the die")
             total += comp.area
-        for i, a in enumerate(self.components):
-            for b in self.components[i + 1 :]:
-                if a.overlap_area(b.x, b.y, b.x1, b.y1) > _AREA_TOLERANCE:
-                    raise ValueError(
-                        f"{self.name}: components {a.name} and {b.name} overlap"
-                    )
+        comps = self.components
+        boxes = [(c.x, c.y, c.x1, c.y1) for c in comps]
+        overlapping = []
+        open_spans = []  # indices of earlier components still spanning y
+        for j in sorted(range(len(comps)), key=lambda k: boxes[k][1]):
+            x0, y0, x1, _ = boxes[j]
+            open_spans = [i for i in open_spans if boxes[i][3] > y0]
+            for i in open_spans:
+                if boxes[i][2] <= x0 or x1 <= boxes[i][0]:
+                    continue  # x-spans at most touch: no overlap width
+                # The lower index measures, as a pairwise scan would.
+                a, c = (i, j) if i < j else (j, i)
+                if comps[a].overlap_area(*boxes[c]) > _AREA_TOLERANCE:
+                    overlapping.append((a, c))
+            open_spans.append(j)
+        if overlapping:
+            i, j = min(overlapping)
+            raise ValueError(
+                f"{self.name}: components {comps[i].name} and "
+                f"{comps[j].name} overlap"
+            )
         if abs(total - self.area) > 1e-6 * self.area:
             raise ValueError(
                 f"{self.name}: tiling covers {total:.3e} m^2 of {self.area:.3e} m^2"

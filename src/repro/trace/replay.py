@@ -43,8 +43,8 @@ from repro.trace.store import THERMAL_SIDE_KEYS
 
 
 def _resolve_floorplan(spec, archive):
-    """A floorplan object from an override (name or object) or the
-    recording's own scenario."""
+    """A floorplan object from an override (name, params dict or object)
+    or the recording's own scenario."""
     if spec is None:
         scenario = archive.scenario or {}
         spec = scenario.get("floorplan") or archive.metadata.get("floorplan")
@@ -52,16 +52,9 @@ def _resolve_floorplan(spec, archive):
             raise ValueError(
                 "archive records no floorplan; pass floorplan=... explicitly"
             )
-    if isinstance(spec, str):
-        from repro.scenario.registry import FLOORPLANS
+    from repro.scenario.registry import resolve_floorplan
 
-        return FLOORPLANS.get(spec)()
-    if isinstance(spec, dict):
-        # The scenario layer's parameterized form ({"name", "params"}).
-        from repro.scenario.registry import FLOORPLANS
-
-        return FLOORPLANS.get(spec["name"])(**spec.get("params", {}))
-    return spec
+    return resolve_floorplan(spec)
 
 
 def replay_config(archive, config=None):
@@ -77,6 +70,8 @@ def replay_config(archive, config=None):
     if config is None:
         merged = recorded
     elif isinstance(config, FrameworkConfig):
+        if config.sampling_period_s == archive.sampling_period_s:
+            return config  # already what the replay runs under
         merged = config.to_dict()
     elif isinstance(config, dict):
         merged = dict(recorded)
@@ -109,7 +104,8 @@ class ReplaySource(ThermalSide):
         self.properties = properties
         self.source = source  # provenance label ("memory", a store path…)
         super().__init__(self.floorplan, self.config, properties=properties)
-        recorded = set(archive.components)
+        components = archive.components
+        recorded = set(components)
         present = set(self.network.component_names)
         if recorded != present:
             missing = sorted(recorded - present)
@@ -123,8 +119,7 @@ class ReplaySource(ThermalSide):
         # Recorded column -> network component index (orders may differ
         # after a floorplan override; injection must follow the network).
         self._column_of = np.array(
-            [archive.components.index(name)
-             for name in self.network.component_names]
+            [components.index(name) for name in self.network.component_names]
         )
         self._time = 0.0
 
@@ -190,15 +185,9 @@ class ReplaySource(ThermalSide):
             for key in THERMAL_SIDE_KEYS
             if key in current and current.get(key) != recorded.get(key)
         }
-        scenario = self.archive.scenario or {}
-        recorded_plan = scenario.get("floorplan") or self.archive.metadata.get(
-            "floorplan"
-        )
-        if isinstance(recorded_plan, dict):
-            # Parameterized floorplans compare by built name: the
-            # capture side records ``framework.floorplan.name``, which
-            # the factory derives deterministically from its params.
-            recorded_plan = _resolve_floorplan(recorded_plan, self.archive).name
+        # Floorplans compare by built name, which the capture side
+        # records as ``framework.floorplan.name``.
+        recorded_plan = self.archive.metadata.get("floorplan")
         if recorded_plan is not None and self.floorplan.name != recorded_plan:
             changed["floorplan"] = self.floorplan.name
         if self.properties is not None:

@@ -46,6 +46,7 @@ import pathlib
 
 from repro.obs import catalog as obs_catalog
 from repro.trace.format import load_archive, sidecar_path
+from repro.util.jsondata import json_canonical
 from repro.util.locking import FileLock, atomic_write_json
 
 #: Default on-disk location used by the ``python -m repro trace`` CLI.
@@ -119,8 +120,9 @@ def is_open_loop(scenario):
 
 
 def emulation_projection(scenario):
-    """The sub-dict of a scenario that determines its boundary stream."""
-    data = json.loads(json.dumps(_scenario_dict(scenario)))  # deep copy
+    """The sub-dict of a scenario that determines its boundary stream,
+    in canonical JSON form."""
+    data = json_canonical(_scenario_dict(scenario))
     data.pop("name", None)
     data.pop("description", None)
     if _policy_name(data) in _OPEN_LOOP_POLICIES and isinstance(

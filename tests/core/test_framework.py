@@ -119,7 +119,7 @@ def test_ethernet_congestion_freezes_vpcm():
         name = "fake"
         fpga_overhead_percent = 0.3
 
-        def window_payload_bytes(self):
+        def record_bytes(self, record):
             return 5000
 
         def collect(self):

@@ -13,6 +13,7 @@ from repro.core.sniffers import (
     EventLoggingSniffer,
     SnifferBank,
 )
+from repro.core.stats import flatten_numeric
 from repro.mpsoc.cache import Cache, CacheConfig
 from repro.mpsoc.events import Observable
 
@@ -66,6 +67,31 @@ def test_count_sniffer_payload_sizing():
     sniffer = CountLoggingSniffer("d.cnt", cache)
     payload = sniffer.window_payload_bytes()
     assert payload == 8 + 8 * len(sniffer.counter_names())
+    record = sniffer.collect()
+    assert sniffer.record_bytes(record) == payload
+
+
+class _Growing:
+    """A component whose nested stats gain a counter mid-run."""
+
+    def __init__(self):
+        self.counts = {"alu": 3}
+
+    def stats(self):
+        return {"instructions": sum(self.counts.values()),
+                "class_counts": dict(self.counts), "label": "core"}
+
+
+def test_count_sniffer_records_are_flat_and_grow():
+    component = _Growing()
+    sniffer = CountLoggingSniffer("c.cnt", component)
+    assert sniffer.collect() == {"instructions": 3, "class_counts.alu": 3}
+    component.counts["alu"] += 1
+    component.counts["mul"] = 2  # a counter new since the last window
+    record = sniffer.collect()
+    assert record == {"instructions": 3, "class_counts.alu": 1,
+                      "class_counts.mul": 2}
+    assert sniffer.record_bytes(record) == 8 + 8 * 3
 
 
 class _Emitter(Observable):
@@ -139,5 +165,23 @@ def test_bank_mmio_mapping(platform2):
 
 def test_bank_collect_window(platform2):
     bank = SnifferBank.from_platform(platform2)
-    records = bank.collect_window()
+    pending = bank.window_payload_bytes()
+    records, payload = bank.collect_window()
     assert set(records) == {s.name for s in bank.sniffers}
+    assert payload == pending == sum(
+        8 + 8 * len(flatten_numeric(s.component.stats()))
+        for s in bank.sniffers
+    )
+    for record in records.values():
+        assert all(not isinstance(v, dict) for v in record.values())
+
+
+def test_bank_payload_skips_disabled_sniffers(platform2):
+    bank = SnifferBank.from_platform(platform2)
+    bank.sniffers[0].enabled = False
+    records, payload = bank.collect_window()
+    assert records[bank.sniffers[0].name] == {}
+    assert payload == sum(
+        8 + 8 * len(flatten_numeric(s.component.stats()))
+        for s in bank.sniffers[1:]
+    )

@@ -47,7 +47,9 @@ EXPECTED_SPANS = [
     "farm.job",
     "run",
     "runner.batch",
+    "runner.plan",
     "runner.scenario",
+    "runner.setup",
     "window.dispatch",
     "window.emulate",
     "window.other",

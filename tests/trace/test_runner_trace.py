@@ -236,7 +236,22 @@ def test_scenario_digest_unchanged_by_runner_stride_override():
     """The runner's stride override must not split open-loop digests."""
     scenario = short_scenario()
     runner = Runner(trace_stride=5, trace_store=TraceStore())
-    strided_dict = runner._scenario_dict(scenario, 0)
-    assert scenario_trace_digest(strided_dict) == scenario_trace_digest(
+    strided = runner._scenario_of(scenario, scenario.name)
+    assert strided.config.trace_stride == 5
+    assert scenario.config.trace_stride == 1  # the given scenario is intact
+    assert scenario_trace_digest(strided) == scenario_trace_digest(scenario)
+    assert scenario_trace_digest(strided.to_dict()) == scenario_trace_digest(
         scenario
     )
+
+
+def test_run_batched_runs_given_scenarios_without_mutating_them():
+    """Scenarios no override touches run as given and come back unchanged."""
+    variants = thermal_sweep(3)
+    before = [s.to_dict() for s in variants]
+    results = Runner(trace_store=TraceStore(), capture_trace=True).run_batched(
+        variants
+    )
+    assert all(r.ok for r in results)
+    assert [r.replayed for r in results] == [False, True, True]
+    assert [s.to_dict() for s in variants] == before
