@@ -48,7 +48,6 @@ from repro.core import (
     ActivityProfile,
     DirectWorkload,
     DualThresholdDfsPolicy,
-    EmulationFlow,
     EmulationFramework,
     FrameworkConfig,
     NoManagementPolicy,
@@ -56,7 +55,6 @@ from repro.core import (
     ProfiledWorkload,
     SnifferBank,
     StopGoPolicy,
-    SynthesisModel,
     ThermalTrace,
     Vpcm,
     profile_platform_run,
@@ -136,7 +134,6 @@ __all__ = [
     "DirectWorkload",
     "DualThresholdDfsPolicy",
     "DvfsLadderPolicy",
-    "EmulationFlow",
     "EmulationFramework",
     "ExperimentSuite",
     "Floorplan",
@@ -166,7 +163,6 @@ __all__ = [
     "SensorBank",
     "SnifferBank",
     "StopGoPolicy",
-    "SynthesisModel",
     "ThermalPolicy",
     "ThermalProperties",
     "ThermalSolver",

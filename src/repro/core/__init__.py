@@ -9,7 +9,6 @@ management policies act on the virtual clocks.
 """
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
-from repro.core.flow import EmulationFlow, SynthesisModel
 from repro.core.sniffers import (
     CountLoggingSniffer,
     EventLoggingSniffer,
@@ -39,7 +38,6 @@ __all__ = [
     "CountLoggingSniffer",
     "DirectWorkload",
     "DualThresholdDfsPolicy",
-    "EmulationFlow",
     "EmulationFramework",
     "EthernetDispatcher",
     "EventLoggingSniffer",
@@ -51,7 +49,6 @@ __all__ = [
     "SnifferBank",
     "StatisticsFrame",
     "StopGoPolicy",
-    "SynthesisModel",
     "ThermalPolicy",
     "ThermalTrace",
     "TraceSample",

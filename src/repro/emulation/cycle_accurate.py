@@ -7,7 +7,7 @@ the bus arbiter, the memory ports, the NoC's flit buffers.  That is
 exactly the "signal management overhead" the paper blames for MPARM's
 10-100 kHz simulation speeds, and measuring this engine against the
 event-driven one reproduces Table 3's *shape* with real numbers
-(``benchmarks/bench_table3_timing.py``).
+(``tests/emulation/test_cycle_accurate.py``).
 
 The engine reuses the platform's *functional* components (register
 semantics, cache tag arrays, byte-accurate memories), so both engines

@@ -4,9 +4,9 @@
 deployment: one queue directory, one shared sharded
 :class:`~repro.trace.store.TraceStore`, and N worker *processes*
 spawned from :func:`~repro.farm.worker.worker_main`.  It is what the
-``farm_demo`` example, ``benchmarks/bench_farm.py`` and the acceptance
-tests drive — and the template for a real multi-host deployment, where
-the same queue/store directories live on a shared filesystem (or
+``farm_demo`` example and the acceptance tests drive — and the
+template for a real multi-host deployment, where the same queue/store
+directories live on a shared filesystem (or
 behind a :class:`~repro.farm.service.FarmService`) and each host runs
 ``python -m repro farm work``.
 """

@@ -16,7 +16,6 @@ from repro.mpsoc.processor import CoreSpec, Processor, CORE_SPECS
 from repro.mpsoc.bus import Bus, BusConfig
 from repro.mpsoc.noc import Noc, NocConfig, generate_mesh, generate_custom
 from repro.mpsoc.platform import MPSoCConfig, Platform, build_platform
-from repro.mpsoc.trace import TraceCore, TraceOp, strided_trace
 
 __all__ = [
     "AddressRange",
@@ -37,13 +36,10 @@ __all__ = [
     "Platform",
     "Processor",
     "Program",
-    "TraceCore",
-    "TraceOp",
     "assemble",
     "assemble_word",
     "build_platform",
     "decode",
     "generate_custom",
     "generate_mesh",
-    "strided_trace",
 ]

@@ -25,7 +25,7 @@ Recording is cheap (a dict lookup and a float add) and always on for
 the cold paths that use it; the *hot* per-window paths are instrumented
 through :mod:`repro.obs.tracing` instead, which is a no-op until a
 tracer is installed — see ``docs/observability.md`` for the overhead
-budget and ``benchmarks/bench_obs_overhead.py`` for the gate.
+budget and ``tests/obs/test_hot_path_overhead.py`` for the gate.
 """
 
 import json

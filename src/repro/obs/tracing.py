@@ -9,7 +9,7 @@ events back into a per-phase summary.
 Tracing is **off by default**: the hot paths check the module-level
 :data:`ACTIVE` tracer and skip all work when it is ``None``, so a run
 without tracing pays only a global read and an ``is None`` branch per
-window (gated to <1% by ``benchmarks/bench_obs_overhead.py``).  Install
+window (gated to <1% by ``tests/obs/test_hot_path_overhead.py``).  Install
 a tracer for a region with :func:`activate`, or :func:`trace_to` to
 also stream the JSONL log to a path.
 
@@ -111,31 +111,37 @@ class SpanTracer:
             wall_s = time.perf_counter() - span._wall0
             cpu_s = time.process_time() - span._cpu0
             self._stack.pop()
-            self._record(span, wall_s, cpu_s)
+            self._record(
+                span.name, span.span_id, span.parent_id, span.start_s,
+                wall_s, cpu_s, span.attrs,
+            )
 
     def emit(self, name, wall_s, cpu_s=0.0, **attrs):
-        """Record a pre-measured leaf event (no nesting of its own)."""
+        """Record a pre-measured leaf event (no nesting of its own).
+
+        The window driver emits five of these per window, so this path
+        builds the event directly: no :class:`Span`, no CPU-clock read.
+        """
         if self._foreign:
             return
-        span = Span(
-            name, self._next_id,
-            self._stack[-1].span_id if self._stack else None, attrs,
-        )
+        span_id = self._next_id
         self._next_id += 1
-        span.start_s -= wall_s
-        self._record(span, wall_s, cpu_s)
+        self._record(
+            name, span_id, self._stack[-1].span_id if self._stack else None,
+            time.perf_counter() - _EPOCH - wall_s, wall_s, cpu_s, attrs,
+        )
 
-    def _record(self, span, wall_s, cpu_s):
+    def _record(self, name, span_id, parent_id, start_s, wall_s, cpu_s, attrs):
         event = {
-            "name": span.name,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "start_s": round(span.start_s, 9),
-            "wall_s": round(wall_s, 9),
-            "cpu_s": round(cpu_s, 9),
+            "name": name,
+            "span_id": span_id,
+            "parent_id": parent_id,
+            "start_s": start_s,
+            "wall_s": wall_s,
+            "cpu_s": cpu_s,
         }
-        if span.attrs:
-            event["attrs"] = span.attrs
+        if attrs:
+            event["attrs"] = attrs
         self.events.append(event)
         if self._sink is not None:
             self._sink.write(json.dumps(event, sort_keys=True) + "\n")

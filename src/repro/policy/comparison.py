@@ -14,8 +14,8 @@ loss against the batch's unmanaged baseline.
 
 The ``policy_comparison`` report artifact
 (:mod:`repro.report.artifacts`) renders these rows into
-``REPRODUCTION.md``; ``benchmarks/bench_policy_comparison.py`` times the
-same pipeline.
+``REPRODUCTION.md``; the ``dse_sweep`` workload of ``perfbench/`` times
+the co-stepped path it runs on.
 """
 
 from dataclasses import dataclass, field

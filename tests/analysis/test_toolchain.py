@@ -19,7 +19,7 @@ def run(cmd):
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
 def test_ruff_clean():
-    result = run(["ruff", "check", "src", "tests", "benchmarks", "tools"])
+    result = run(["ruff", "check", "src", "tests", "tools"])
     assert result.returncode == 0, result.stdout + result.stderr
 
 

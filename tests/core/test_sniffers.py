@@ -1,4 +1,7 @@
-"""Sniffer tests: counting, event capture, MMIO control, bank building."""
+"""Sniffer tests: counting, event capture, MMIO control, bank building,
+and emulation speed that stays flat as sniffers are added."""
+
+import time
 
 import pytest
 
@@ -14,8 +17,14 @@ from repro.core.sniffers import (
     SnifferBank,
 )
 from repro.core.stats import flatten_numeric
+from repro.emulation.engine import EventDrivenEngine
+from repro.emulation.perfmodel import DEFAULT_MPARM_MODEL
+from repro.mpsoc import MPSoCConfig, build_platform
 from repro.mpsoc.cache import Cache, CacheConfig
 from repro.mpsoc.events import Observable
+from repro.mpsoc.platform import CoreConfig
+from repro.util.units import KB
+from repro.workloads.matrix import matrix_programs
 
 
 def make_cache():
@@ -184,4 +193,44 @@ def test_bank_payload_skips_disabled_sniffers(platform2):
     assert payload == sum(
         8 + 8 * len(flatten_numeric(s.component.stats()))
         for s in bank.sniffers[1:]
+    )
+
+
+def sniffed_matrix_rate(extra_sniffers, repeats=3):
+    """Best-of-``repeats`` emulated cycles per host second of a 4-core
+    MATRIX run with ``extra_sniffers`` count-logging sniffers piled onto
+    the shared memory."""
+    best = float("inf")
+    for _ in range(repeats):
+        platform = build_platform(
+            MPSoCConfig(
+                name="sniff",
+                cores=[CoreConfig(f"cpu{i}") for i in range(4)],
+                icache=CacheConfig(name="i", size=4 * KB, line_size=16),
+                dcache=CacheConfig(name="d", size=4 * KB, line_size=16),
+            )
+        )
+        bank = SnifferBank.from_platform(platform)
+        for index in range(extra_sniffers):
+            bank.add(
+                CountLoggingSniffer(f"extra{index}.cnt", platform.shared_mem),
+                platform.mmio,
+            )
+        platform.load_program_all(matrix_programs(4, n=8))
+        start = time.perf_counter()
+        _, cycles = EventDrivenEngine(platform).run_to_completion()
+        best = min(best, time.perf_counter() - start)
+    return cycles / best
+
+
+def test_emulation_speed_is_flat_in_sniffer_count():
+    """Section 4.1: count-logging sniffers read counters the components
+    keep anyway, so adding them does not slow the emulated platform —
+    while every monitored component slows a SW cycle-accurate simulator."""
+    sniffed_matrix_rate(0, repeats=1)  # warm the interpreter caches
+    rates = {extra: sniffed_matrix_rate(extra) for extra in (0, 16, 64, 128)}
+    assert min(rates.values()) > 0.55 * max(rates.values())
+    assert rates[128] > 0.7 * rates[0]
+    assert DEFAULT_MPARM_MODEL.rate_hz(4, components=150) < (
+        DEFAULT_MPARM_MODEL.rate_hz(4, components=22) / 4
     )

@@ -7,6 +7,10 @@ completion semantics, instruction totals, and per-window total power
 within the tolerance the backend itself declares
 (``power_tolerance_pct``).  A backend registered without meeting its own
 declaration fails here, not in production sweeps.
+
+At the default preset's own window size the ``windowed`` fast path is
+held to a tighter band and must advance the emulate phase at least 10x
+faster than ``event_driven``.
 """
 
 import json
@@ -27,10 +31,10 @@ from repro.emulation.windowed import (
     calibration_cache_size,
     clear_calibration_cache,
 )
-from repro.scenario.presets import PRESETS
 from repro.scenario.spec import Scenario
 from repro.trace.capture import PowerTraceCapture
 from repro.trace.store import scenario_trace_digest
+from tests.conftest import PRESET_SIZES, quickstart_scenario
 
 # ~50 windows: 5 MATRIX iterations is ~105k cycles; 20 us windows are
 # 2000 cycles at the preset's 100 MHz virtual clock.
@@ -38,17 +42,14 @@ EQUIVALENCE_ITERATIONS = 5
 EQUIVALENCE_SAMPLING_S = 2e-5
 
 
-def equivalence_scenario(backend):
-    scenario = PRESETS.get("matrix_quickstart")()
-    scenario.workload.params["iterations"] = EQUIVALENCE_ITERATIONS
-    scenario.config.sampling_period_s = EQUIVALENCE_SAMPLING_S
-    scenario.config.emulation_backend = backend
-    return scenario
+def equivalence_scenario(backend, iterations=EQUIVALENCE_ITERATIONS,
+                         sampling_period_s=EQUIVALENCE_SAMPLING_S):
+    return quickstart_scenario(backend, iterations, sampling_period_s)
 
 
-def run_equivalence(backend):
+def run_equivalence(backend, **sizes):
     """Run the shared scenario on ``backend``; returns (report, archive)."""
-    scenario = equivalence_scenario(backend)
+    scenario = equivalence_scenario(backend, **sizes)
     framework = scenario.build()
     capture = framework.attach_capture(PowerTraceCapture())
     report = framework.run()
@@ -257,3 +258,45 @@ def test_cli_rejects_unknown_emulation_backend(capsys):
 
     assert main(["matrix_quickstart", "--emulation-backend", "bogus"]) == 2
     assert "unknown emulation backend" in capsys.readouterr().err
+
+
+# -- the default preset at 1 ms windows: equivalence + speedup gate --------
+
+#: On the preset's window size the fast path must stay within a few
+#: percent: tighter than the backend's universal declaration, which also
+#: covers boundary windows at much finer sampling.
+PRESET_POWER_TOLERANCE_PCT = 3.0
+WINDOWED_SPEEDUP_BAR = 10.0
+
+
+def test_windowed_matches_and_outpaces_event_driven_on_the_preset():
+    clear_calibration_cache()
+    reference, ref_archive = run_equivalence("event_driven", **PRESET_SIZES)
+    run_equivalence("windowed", **PRESET_SIZES)  # pays the calibration
+    assert calibration_cache_size() == 1, "calibration was not cached"
+    report, archive = run_equivalence("windowed", **PRESET_SIZES)
+    assert calibration_cache_size() == 1
+
+    assert report.windows == reference.windows
+    assert report.workload_done == reference.workload_done
+    assert report.instructions == pytest.approx(
+        reference.instructions, rel=5e-3
+    )
+    tolerance = min(
+        EMULATION_BACKENDS.get("windowed").power_tolerance_pct,
+        PRESET_POWER_TOLERANCE_PCT,
+    )
+    ref_power = ref_archive.power_w.sum(axis=1)
+    power = archive.power_w.sum(axis=1)
+    deviation = np.abs(power - ref_power) / np.maximum(ref_power, 1e-12)
+    worst_pct = float(np.max(deviation)) * 100.0
+    assert worst_pct <= tolerance, (
+        f"per-window power off by {worst_pct:.2f}% (tolerance {tolerance:g}%)"
+    )
+    speedup = reference.extras["timing"]["emulate"] / max(
+        report.extras["timing"]["emulate"], 1e-12
+    )
+    assert speedup >= WINDOWED_SPEEDUP_BAR, (
+        f"windowed must advance windows >= {WINDOWED_SPEEDUP_BAR:.0f}x "
+        f"faster than event_driven, measured {speedup:.1f}x"
+    )

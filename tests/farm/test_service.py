@@ -163,3 +163,31 @@ def test_bad_state_filter_rejected(client):
     with pytest.raises(FarmClientError) as excinfo:
         client.jobs(state="limbo")
     assert excinfo.value.status == 400
+
+
+def test_http_sweep_drained_by_two_workers_emulates_once_per_digest(
+    client, queue
+):
+    """The deployment shape end to end: a 4-variant die-resolution sweep
+    submitted over HTTP and drained by two client-attached workers; the
+    shared store dedups the open-loop boundary stream."""
+    from repro.scenario.sweep import Variant, sweep
+
+    members = sweep(quick_scenario("farm_smoke"), {
+        "config.die_resolution": [
+            Variant(f"{n}x{n}", [n, n]) for n in (4, 6, 8, 10)
+        ],
+    })
+    jobs = client.submit(members)
+    assert len(jobs) == 4
+    for i in range(2):
+        FarmWorker(
+            client, store=queue.store, worker_id=f"smoke-{i}",
+            stop_when_idle=True, poll_s=0.01,
+        ).run_forever()
+    finished = client.wait([job.job_id for job in jobs], timeout=60.0)
+    records = [finished[job.job_id] for job in jobs]
+    assert [record.state for record in records] == [DONE] * 4
+    emulated = sum(r.provenance["mode"] == "emulated" for r in records)
+    digests = {record.trace_digest for record in records}
+    assert emulated == len(digests) == len(queue.store)

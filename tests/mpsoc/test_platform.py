@@ -2,16 +2,22 @@
 
 import pytest
 
-from repro.mpsoc import MPSoCConfig, build_platform, generate_mesh
+from repro.core.sniffers import CountLoggingSniffer, EventLoggingSniffer
+from repro.mpsoc import MPSoCConfig, build_platform, generate_custom, generate_mesh
 from repro.mpsoc.asm import assemble
+from repro.mpsoc.cache import CacheConfig
 from repro.mpsoc.memctrl import AccessFault
 from repro.mpsoc.platform import (
     MMIO_BASE,
     PRIVATE_BASE,
     SHARED_BASE,
+    SLICE_COSTS,
     V2VP30_SLICES,
     CoreConfig,
+    switch_slices,
 )
+from repro.mpsoc.processor import CORE_SPECS
+from repro.util.units import KB, MB
 from tests.conftest import small_config
 
 
@@ -131,6 +137,59 @@ def test_resource_report_noc_larger_than_bus():
     bus = bus_platform.resource_report()
     noc = noc_platform.resource_report()
     assert noc["interconnect"] > bus["interconnect"]
+
+
+def test_building_block_slices_match_the_paper():
+    """Section 3/4's V2VP30 figures: a complete Microblaze is 574 slices
+    (4%), a memory controller 2%, the sniffers 0.2% / 0.3%."""
+    assert CORE_SPECS["microblaze"].fpga_slices == 574
+    assert SLICE_COSTS["memctrl"] == pytest.approx(0.02 * V2VP30_SLICES, rel=0.01)
+    assert EventLoggingSniffer.fpga_overhead_percent == 0.2
+    assert CountLoggingSniffer.fpga_overhead_percent == 0.3
+
+
+def paper_config(name, cores, **overrides):
+    """The Section 7 four-processor memory hierarchy."""
+    return MPSoCConfig(
+        name=name,
+        cores=cores,
+        icache=CacheConfig(name="i", size=4 * KB, line_size=16),
+        dcache=CacheConfig(name="d", size=4 * KB, line_size=16),
+        private_mem_size=16 * KB,
+        shared_mem_size=1 * MB,
+        **overrides,
+    )
+
+
+def sniffed_report(platform):
+    """Utilization with a count-logging sniffer on every component."""
+    return platform.resource_report(
+        num_count_sniffers=sum(1 for _ in platform.components())
+    )
+
+
+def test_full_platform_utilization_matches_the_paper():
+    """The linear slice model lands within the paper's quoted figures:
+    the sniffed 4-processor bus MPSoC at 66%, the dithering NoC MPSoC
+    (2 switches) at 80%, the 6-switch 4x4 NoC system at ~70%."""
+    # The 66% platform mixes one PowerPC hard core with three Microblazes.
+    bus = sniffed_report(build_platform(paper_config(
+        "p66",
+        [CoreConfig("ppc0", spec="ppc405")]
+        + [CoreConfig(f"mb{i}") for i in range(3)],
+    )))
+    noc2 = sniffed_report(build_platform(paper_config(
+        "paper",
+        [CoreConfig(f"cpu{i}") for i in range(4)],
+        interconnect="noc",
+        noc=generate_custom("noc2", 2, ring=False, buffer_flits=3),
+    )))
+    noc6 = generate_custom("noc6", 6, buffer_flits=3)
+    switches = sum(switch_slices(4, 4, 3) for _ in noc6.switches)
+    assert bus["percent"] == pytest.approx(66, abs=12)
+    assert noc2["percent"] == pytest.approx(80, abs=15)
+    assert 100 * switches / V2VP30_SLICES == pytest.approx(70, abs=15)
+    assert noc2["total"] > bus["total"]
 
 
 def test_mmio_hub_dispatch(platform1):

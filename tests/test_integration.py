@@ -6,7 +6,6 @@ from repro import (
     CacheConfig,
     CoreConfig,
     DualThresholdDfsPolicy,
-    EmulationFlow,
     EmulationFramework,
     FrameworkConfig,
     MPSoCConfig,
@@ -75,38 +74,52 @@ def test_figure6_shape_mini():
     trace = managed_fw.trace
     late = [s.max_temp_k for s in trace.samples[len(trace.samples) // 2 :]]
     assert min(late) > 335.0
+    # The first sensor crossing is the over-upper one the policy reacts
+    # to, and each sensor's crossings alternate (hysteresis).
+    crossings = managed_fw.sensors.crossings()
+    assert crossings[0][2] == "over-upper"
+    per_component = {}
+    for _, component, kind, _ in crossings:
+        per_component.setdefault(component, []).append(kind)
+    for component, kinds in per_component.items():
+        assert all(a != b for a, b in zip(kinds, kinds[1:])), component
 
 
-def test_flow_end_to_end_with_dithering():
-    """Figure 5's three phases with the DITHERING driver on a NoC."""
+def test_dithering_noc_end_to_end():
+    """The DITHERING driver on the paper's NoC platform: the design fits
+    the V2VP30 and the emulated run produces the bit-exact image."""
     width = height = 16
     # The paper's dithering NoC: two switches (a 2x2 mesh of four does
     # not fit the V2VP30 once every component carries a sniffer).
     from repro import generate_custom
 
     noc = generate_custom("noc", 2, ring=False, buffer_flits=3)
-    config = MPSoCConfig(
-        name="dith",
-        cores=[CoreConfig(f"cpu{i}") for i in range(4)],
-        icache=CacheConfig(name="i", size=4 * KB, line_size=16),
-        dcache=CacheConfig(name="d", size=4 * KB, line_size=16),
-        interconnect="noc",
-        noc=noc,
+    platform = build_platform(
+        MPSoCConfig(
+            name="dith",
+            cores=[CoreConfig(f"cpu{i}") for i in range(4)],
+            icache=CacheConfig(name="i", size=4 * KB, line_size=16),
+            dcache=CacheConfig(name="d", size=4 * KB, line_size=16),
+            interconnect="noc",
+            noc=noc,
+        )
     )
-    flow = EmulationFlow()
-    flow.define_hw(config, programs=dithering_programs(4, width, height, 1))
-    inputs = load_images(flow.platform, width, height, num_images=1)
-    flow.define_floorplan(
-        floorplan_4xarm7(),
-        FrameworkConfig(virtual_hz=100 * MHZ, sampling_period_s=1 * MS,
-                        spreader_resolution=(2, 2)),
+    platform.load_program_all(dithering_programs(4, width, height, 1))
+    inputs = load_images(platform, width, height, num_images=1)
+    resources = platform.resource_report(
+        num_count_sniffers=sum(1 for _ in platform.components())
     )
-    resources = flow.upload()
     assert resources["percent"] < 100
-    framework = flow.launch(policy=NoManagementPolicy())
+    framework = EmulationFramework(
+        platform=platform,
+        floorplan=floorplan_4xarm7(),
+        policy=NoManagementPolicy(),
+        config=FrameworkConfig(virtual_hz=100 * MHZ, sampling_period_s=1 * MS,
+                               spreader_resolution=(2, 2)),
+    )
     report = framework.run(max_windows=500)
     assert report.workload_done
-    got = read_image(flow.platform, 0, width, height)
+    got = read_image(platform, 0, width, height)
     assert np.array_equal(got, golden_dither(inputs[0], num_segments=4))
     # The run produced statistics traffic and a thermal trace.
     assert framework.dispatcher.stats()["bytes_sent"] > 0

@@ -1,5 +1,6 @@
 """Solver-backend tests: registry, equivalence, refactorization policy,
-multi-RHS batching, energy balance, structure sharing."""
+multi-RHS batching, energy balance, structure sharing, and agreement with
+the ``sparse_be`` reference on grids up to the paper's 660-cell class."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.thermal.backends import (
     make_backend,
 )
 from repro.thermal.calibration import uniform_floorplan
-from repro.thermal.floorplan import floorplan_4xarm11
+from repro.thermal.floorplan import floorplan_4xarm11, floorplan_4xarm7
 from repro.thermal.grid import build_grid
 from repro.thermal.properties import Material, ThermalProperties
 from repro.thermal.rc_network import (
@@ -267,3 +268,90 @@ def test_vectorized_readout_matches_manual_mean():
         assert network.component_temperature(name, temps) == pytest.approx(manual)
     with pytest.raises(KeyError):
         network.component_temperature("bogus", temps)
+
+
+# -- agreement with the reference on the paper's grid sizes -----------------
+
+AGREEMENT_WINDOWS = 200
+AGREEMENT_TOLERANCE_K = 0.25  # max |T - reference| over a full run
+# Batched columns share one linearization (the batch mean); their error
+# is bounded by the column's thermal distance from that mean, so the
+# multi-RHS check gets a wider (still sub-kelvin) band.
+BATCHED_TOLERANCE_K = 0.5
+
+# From the default preset's coarse co-emulation grid up past the paper's
+# 660-cell fine-grid claim.
+AGREEMENT_GRIDS = {
+    "4xarm7 component (default preset)": lambda: network_for(
+        floorplan_4xarm7(), spreader_resolution=(3, 3)
+    ),
+    "4xarm11 refined x2": lambda: network_for(
+        floorplan_4xarm11(), refine_critical=2, spreader_resolution=(4, 4)
+    ),
+    "uniform 8x8": lambda: network_for(
+        floorplan_4xarm11(),
+        mode="uniform",
+        die_resolution=(8, 8),
+        spreader_resolution=(8, 8),
+    ),
+    "uniform 18x18 (paper's 660-cell claim)": lambda: network_for(
+        floorplan_4xarm11(),
+        mode="uniform",
+        die_resolution=(18, 18),
+        spreader_resolution=(18, 18),
+    ),
+}
+
+
+def power_schedule(network, windows):
+    """A deterministic per-window ``{component: watts}`` schedule.
+
+    Loads shift between component halves every 25 windows and breathe
+    sinusoidally, so backends see power changes every single window and
+    enough temperature drift to exercise the refactorization policy.
+    """
+    names = list(network.component_names)
+    schedule = []
+    for w in range(windows):
+        phase = (w // 25) % 2
+        breathe = 1.0 + 0.3 * np.sin(2.0 * np.pi * w / 40.0)
+        schedule.append({
+            name: 0.15 * breathe if (k % 2) == phase else 0.03
+            for k, name in enumerate(names)
+        })
+    return schedule
+
+
+@pytest.mark.parametrize("label", list(AGREEMENT_GRIDS))
+def test_every_backend_agrees_with_reference(label):
+    network = AGREEMENT_GRIDS[label]()
+    schedule = power_schedule(network, AGREEMENT_WINDOWS)
+    reference = trajectories(network, "sparse_be", schedule)[0][-1]
+    for name in SOLVER_BACKENDS.names():
+        if name == "sparse_be":
+            continue
+        temps = trajectories(network, name, schedule)[0][-1]
+        worst = float(np.max(np.abs(temps - reference)))
+        assert worst <= AGREEMENT_TOLERANCE_K, (
+            f"{name} diverged from sparse_be on {label}: {worst:.4f} K"
+        )
+
+    # Four power-scaled runs through one shared multi-RHS factorization
+    # must match their per-column references too.
+    columns = 4
+    nets = [network.clone() for _ in range(columns)]
+    backend = CachedLU().bind(nets[0])
+    temps = np.full((network.num_cells, columns), network.properties.ambient)
+    scales = np.linspace(0.8, 1.2, columns)
+    for powers in schedule:
+        for net, scale in zip(nets, scales):
+            net.set_power({k: v * scale for k, v in powers.items()})
+        rhs = np.stack([net.rhs() for net in nets], axis=1)
+        temps = backend.step_batch(temps, DT, rhs)
+    for col, scale in enumerate(scales):
+        scaled = [{k: v * scale for k, v in p.items()} for p in schedule]
+        reference = trajectories(network, "sparse_be", scaled)[0][-1]
+        worst = float(np.max(np.abs(temps[:, col] - reference)))
+        assert worst <= BATCHED_TOLERANCE_K, (
+            f"batched column {col} diverged on {label}: {worst:.4f} K"
+        )

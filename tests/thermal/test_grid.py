@@ -8,6 +8,7 @@ from repro.thermal.floorplan import (
     Floorplan,
     FloorplanComponent,
     floorplan_4xarm7,
+    floorplan_4xarm11,
 )
 from repro.thermal.grid import LAYER_DIE, LAYER_SPREADER, build_grid
 
@@ -53,6 +54,20 @@ def test_uniform_grid_adjacency_counts():
     assert len(grid.lateral_edges) == 2 * per_layer
     # Aligned grids: one vertical edge per column pair.
     assert len(grid.vertical_edges) == nx * ny
+
+
+def test_fine_grid_cells_carry_about_five_resistances():
+    """Figure 3: an interior cell has four lateral resistances and one
+    vertical; boundary cells have fewer, so on the fine 18x18 grid the
+    mean sits just below five."""
+    grid = build_grid(
+        floorplan_4xarm11(),
+        mode="uniform",
+        die_resolution=(18, 18),
+        spreader_resolution=(18, 18),
+    )
+    per_cell = 2 * (len(grid.lateral_edges) + len(grid.vertical_edges))
+    assert 3.5 < per_cell / grid.num_cells < 5.5
 
 
 def test_hanging_nodes_multiple_neighbours():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scenario import Runner, Scenario
+from repro.scenario.presets import PRESETS
 from repro.scenario.sweep import Variant, sweep
 from repro.trace import TraceStore, record, scenario_trace_digest
 from tests.trace.conftest import short_scenario
@@ -31,6 +32,31 @@ def test_run_records_leader_and_replays_followers():
     # Each variant still solved its own grid.
     cells = [r.report.extras["thermal_cells"] for r in results]
     assert len(set(cells)) == 4
+
+
+def test_sixteen_variant_thermal_sweep_replays_fifteen():
+    """Die resolution x spreader x solver backend over one cycle-accurate
+    4-core MATRIX run: one recording, fifteen thermal-only replays."""
+    base = PRESETS.get("matrix_quickstart")()
+    base.name = "trace_replay_sweep"
+    base.workload.params.update(n=8, iterations=2)
+    members = sweep(
+        base,
+        {
+            "config.grid_mode": ["uniform"],
+            "config.die_resolution": [
+                Variant(f"{n}x{n}", [n, n]) for n in (4, 6, 8, 10)
+            ],
+            "config.spreader_resolution": [
+                Variant(f"sp{n}x{n}", [n, n]) for n in (2, 3)
+            ],
+            "config.solver_backend": ["sparse_be", "cached_lu"],
+        },
+    )
+    assert len(members) == 16
+    results = Runner(trace_store=TraceStore()).run(members)
+    assert all(r.ok for r in results), [r.error for r in results if not r.ok]
+    assert sum(r.replayed for r in results) == 15
 
 
 def test_run_replays_from_a_prepopulated_store(tmp_path, stress_scenario):
