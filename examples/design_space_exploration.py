@@ -14,19 +14,13 @@ Run:  python examples/design_space_exploration.py [--size 32] [--workers 2]
 
 import argparse
 
-from repro import (
-    BusConfig,
-    CacheConfig,
-    CoreConfig,
-    MPSoCConfig,
-    Runner,
-    Scenario,
-    Variant,
-    WorkloadSpec,
-    generate_custom,
-    generate_mesh,
-    sweep,
-)
+from repro.mpsoc.bus import BusConfig
+from repro.mpsoc.cache import CacheConfig
+from repro.mpsoc.noc import generate_custom, generate_mesh
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig
+from repro.scenario.runner import Runner
+from repro.scenario.spec import Scenario, WorkloadSpec
+from repro.scenario.sweep import Variant, sweep
 from repro.util.records import Table
 from repro.util.units import KB
 

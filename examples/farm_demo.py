@@ -25,7 +25,8 @@ import tempfile
 import time
 import urllib.request
 
-from repro.farm import FarmService, LocalFarm
+from repro.farm.local import LocalFarm
+from repro.farm.service import FarmService
 from repro.scenario.presets import PRESETS
 from repro.scenario.sweep import Variant, sweep
 from repro.util.records import Table

@@ -11,7 +11,8 @@ and why a 250 MHz low point silently fails.
 Run:  python examples/operating_points.py
 """
 
-from repro.thermal import OperatingPointAnalyzer, floorplan_4xarm7, floorplan_4xarm11
+from repro.thermal.analysis import OperatingPointAnalyzer
+from repro.thermal.floorplan import floorplan_4xarm7, floorplan_4xarm11
 from repro.util.records import Table
 from repro.util.units import MHZ
 

@@ -10,19 +10,14 @@ and the SW thermal model closing the loop every 10 ms of emulated time.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    CacheConfig,
-    CoreConfig,
-    EmulationFramework,
-    FrameworkConfig,
-    MPSoCConfig,
-    NoManagementPolicy,
-    build_platform,
-    floorplan_4xarm7,
-    matrix_programs,
-)
+from repro.core.framework import EmulationFramework, FrameworkConfig
+from repro.mpsoc.cache import CacheConfig
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, build_platform
+from repro.policy.builtin import NoManagementPolicy
+from repro.thermal.floorplan import floorplan_4xarm7
 from repro.util.records import Table
 from repro.util.units import KB, MHZ
+from repro.workloads.matrix import matrix_programs
 
 
 def main():

@@ -11,20 +11,14 @@ the platform's virtual clocks.
 Run:  python examples/statistics_extraction.py
 """
 
-from repro import (
-    CacheConfig,
-    CoreConfig,
-    MPSoCConfig,
-    SnifferBank,
-    build_platform,
-    matrix_programs,
-)
 from repro.core.dispatcher import BramBuffer, EthernetDispatcher
-from repro.core.sniffers import REG_ENABLE
+from repro.core.sniffers import REG_ENABLE, SnifferBank
 from repro.emulation.engine import EventDrivenEngine
 from repro.emulation.ethernet import EthernetLink
-from repro.mpsoc.platform import MMIO_BASE
+from repro.mpsoc.cache import CacheConfig
+from repro.mpsoc.platform import MMIO_BASE, CoreConfig, MPSoCConfig, build_platform
 from repro.util.units import KB
+from repro.workloads.matrix import matrix_programs
 
 
 def main():

@@ -14,24 +14,17 @@ Run:  python examples/thermal_management.py [--seconds 30]
 
 import argparse
 
-from repro import (
-    CacheConfig,
-    CoreConfig,
-    FrameworkConfig,
-    MPSoCConfig,
-    PolicySpec,
-    PowerModel,
-    Runner,
-    Scenario,
-    Variant,
-    WorkloadSpec,
-    build_platform,
-    floorplan_4xarm11,
-    matrix_programs,
-    profile_platform_run,
-    sweep,
-)
+from repro.core.framework import FrameworkConfig
+from repro.core.workload_model import profile_platform_run
+from repro.mpsoc.cache import CacheConfig
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, build_platform
+from repro.power.models import PowerModel
+from repro.scenario.runner import Runner
+from repro.scenario.spec import Scenario, WorkloadSpec
+from repro.scenario.sweep import Variant, sweep
+from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import KB, MHZ
+from repro.workloads.matrix import matrix_programs
 
 
 def build_arm11_platform():

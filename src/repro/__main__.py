@@ -29,8 +29,10 @@ import json
 import pathlib
 import sys
 
-from repro.scenario import ExperimentSuite, Runner, Scenario
 from repro.scenario.presets import PRESETS
+from repro.scenario.runner import Runner
+from repro.scenario.spec import Scenario
+from repro.scenario.sweep import ExperimentSuite
 
 
 def _load_scenarios(spec):
@@ -68,7 +70,7 @@ def _policies_main(argv):
     )
     args = parser.parse_args(argv)
 
-    from repro.policy import EXAMPLE_PARAMS, describe_policies
+    from repro.policy.builtin import EXAMPLE_PARAMS, describe_policies
     from repro.scenario.registry import POLICIES
 
     rows = describe_policies(POLICIES)
@@ -186,14 +188,14 @@ def main(argv=None):
             print(f"{name:24s} {scenario.description}")
         return 0
     if args.list_backends:
-        from repro.scenario.registry import SOLVER_BACKENDS
+        from repro.thermal.backends import SOLVER_BACKENDS
 
         for name in SOLVER_BACKENDS.names():
             doc = (SOLVER_BACKENDS.get(name).__doc__ or "").strip().splitlines()
             print(f"{name:24s} {doc[0] if doc else ''}")
         return 0
     if args.list_emulation_backends:
-        from repro.scenario.registry import EMULATION_BACKENDS
+        from repro.emulation.backends import EMULATION_BACKENDS
 
         for name in EMULATION_BACKENDS.names():
             doc = (EMULATION_BACKENDS.get(name).__doc__ or "").strip().splitlines()

@@ -16,40 +16,3 @@ rule, and findings are structured records diffed against a committed
 baseline.  Entry point: ``python -m repro lint``; catalog and
 suppression syntax: ``docs/static-analysis.md``.
 """
-
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    BaselineSplit,
-    load_baseline,
-    save_baseline,
-    split_findings,
-)
-from repro.analysis.findings import (
-    SEVERITIES,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-)
-from repro.analysis.project import Project, SourceModule, Suppression
-from repro.analysis.rules import ANALYSIS_RULES, Rule
-from repro.analysis.walker import analyze, make_rules, run_rules
-
-__all__ = [
-    "ANALYSIS_RULES",
-    "BaselineSplit",
-    "DEFAULT_BASELINE",
-    "Finding",
-    "Project",
-    "Rule",
-    "SEVERITIES",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "SourceModule",
-    "Suppression",
-    "analyze",
-    "load_baseline",
-    "make_rules",
-    "run_rules",
-    "save_baseline",
-    "split_findings",
-]

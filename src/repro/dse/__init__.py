@@ -13,23 +13,3 @@ is the command-line entry; the ``pareto_front`` report artifact
 (:mod:`repro.report.artifacts`) runs a reduced space inside the
 reproduction report.
 """
-
-from repro.dse.driver import run_dse
-from repro.dse.pareto import OBJECTIVES, dominates, pareto_front
-from repro.dse.space import (
-    DesignPoint,
-    default_points,
-    generate_points,
-    point_scenario,
-)
-
-__all__ = [
-    "OBJECTIVES",
-    "DesignPoint",
-    "default_points",
-    "dominates",
-    "generate_points",
-    "pareto_front",
-    "point_scenario",
-    "run_dse",
-]

@@ -14,29 +14,3 @@
   FPGA emulator and an MPARM-class simulator.
 * :mod:`repro.emulation.ethernet` — the FPGA-to-host statistics link.
 """
-
-from repro.emulation.backends import (
-    EMULATION_BACKENDS,
-    EmulationBackend,
-    make_emulation_backend,
-)
-from repro.emulation.engine import EventDrivenEngine
-from repro.emulation.ethernet import EthernetLink
-from repro.emulation.perfmodel import (
-    EmulatorPerformanceModel,
-    MparmPerformanceModel,
-    TABLE3_ROWS,
-)
-from repro.emulation.windowed import WindowedWorkload
-
-__all__ = [
-    "EMULATION_BACKENDS",
-    "EmulationBackend",
-    "EmulatorPerformanceModel",
-    "EthernetLink",
-    "EventDrivenEngine",
-    "MparmPerformanceModel",
-    "TABLE3_ROWS",
-    "WindowedWorkload",
-    "make_emulation_backend",
-]

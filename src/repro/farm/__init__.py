@@ -24,37 +24,3 @@ service built from four pieces:
 front-end; see ``docs/farm.md`` for the architecture and deployment
 recipes.
 """
-
-from repro.farm.client import FarmClient, FarmClientError
-from repro.farm.jobs import (
-    DONE,
-    FAILED,
-    RUNNING,
-    SUBMITTED,
-    Job,
-    job_id_for,
-    normalize_scenario,
-)
-from repro.farm.local import LocalFarm
-from repro.farm.queue import DEFAULT_QUEUE_DIR, JobQueue
-from repro.farm.service import FarmService
-from repro.farm.worker import DEFAULT_CAPABILITIES, FarmWorker, worker_main
-
-__all__ = [
-    "DEFAULT_CAPABILITIES",
-    "DEFAULT_QUEUE_DIR",
-    "DONE",
-    "FAILED",
-    "FarmClient",
-    "FarmClientError",
-    "FarmService",
-    "FarmWorker",
-    "Job",
-    "JobQueue",
-    "LocalFarm",
-    "RUNNING",
-    "SUBMITTED",
-    "job_id_for",
-    "normalize_scenario",
-    "worker_main",
-]

@@ -34,7 +34,10 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.farm.jobs import Job
+
+#: How often ``serve_forever`` checks for :meth:`FarmService.stop`; the
+#: socketserver default (0.5 s) is the worst-case wait on every stop.
+_SHUTDOWN_POLL_S = 0.02
 
 _JOB_ROUTE = re.compile(r"^/api/jobs/(?P<job_id>[0-9a-f]{8,64})"
                         r"(?:/(?P<action>heartbeat|complete|fail))?$")
@@ -255,14 +258,12 @@ class FarmService:
 
     def start(self):
         """Serve on a daemon thread; returns the service URL."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self.url
 
     def serve_forever(self):
-        self._server.serve_forever()
+        self._server.serve_forever(poll_interval=_SHUTDOWN_POLL_S)
 
     def stop(self):
         self._server.shutdown()
@@ -277,8 +278,3 @@ class FarmService:
 
     def __exit__(self, *exc_info):
         self.stop()
-
-
-# Re-exported so ``from repro.farm.service import Job`` keeps working in
-# handler-side type checks.
-__all__ = ["FarmAPIError", "FarmService", "Job"]

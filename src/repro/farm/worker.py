@@ -161,9 +161,7 @@ class FarmWorker:
             ))
             return result
         result.report.extras["farm"] = self._provenance(job, result)
-        result.report.extras["farm"]["spans"] = RunTimeline.from_events(
-            tracer.events
-        ).summary()
+        result.report.extras["farm"]["spans"] = RunTimeline(tracer.events).summary()
         self._report(job.job_id, lambda: self.queue.complete(
             job.job_id, result.to_dict(), worker=self.worker_id
         ))

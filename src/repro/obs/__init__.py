@@ -19,35 +19,3 @@ span names; the ``registry-coverage`` lint rule holds every cataloged
 name to the same tested-and-documented bar as workloads and solver
 backends.  See ``docs/observability.md``.
 """
-
-from repro.obs.catalog import OBS_METRICS, OBS_SPANS, metric_names, span_names
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    REGISTRY,
-    default_registry,
-)
-from repro.obs.timeline import RunTimeline
-from repro.obs.tracing import SpanTracer, activate, current, trace_to
-
-__all__ = [
-    "OBS_METRICS",
-    "OBS_SPANS",
-    "metric_names",
-    "span_names",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "REGISTRY",
-    "default_registry",
-    "RunTimeline",
-    "SpanTracer",
-    "activate",
-    "current",
-    "trace_to",
-]

@@ -2,9 +2,9 @@
 
 :class:`RunTimeline` is the bridge between the raw JSONL span log and
 everything that consumes per-phase timing: ``RunReport.extras["timing"]``
-(back-filled via :meth:`RunTimeline.to_timing`), the ``python -m repro
-obs timeline`` CLI (:meth:`render`), and the ``obs_overview`` report
-artifact (:meth:`phase_shares`).
+(:meth:`RunTimeline.phases`), the ``python -m repro obs timeline`` CLI
+(:meth:`render`), and the ``obs_overview`` report artifact
+(:meth:`phase_shares`).
 
 The :meth:`digest` covers only the *structure* of the run — sorted
 ``(name, count)`` pairs — never the timings, so two runs of the same
@@ -43,30 +43,9 @@ class RunTimeline:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_events(cls, events):
-        return cls(events)
-
-    @classmethod
     def from_jsonl(cls, source):
         """Build from a JSONL span log (path, file-like, or text)."""
         return cls(tracing.read_jsonl(source))
-
-    @classmethod
-    def from_timing(cls, timing, windows=0):
-        """Back-fill a timeline from a legacy ``extras["timing"]`` dict."""
-        events = []
-        for phase in PHASE_ORDER:
-            if phase in timing:
-                events.append({
-                    "name": PHASE_PREFIX + phase,
-                    "span_id": len(events) + 1,
-                    "parent_id": None,
-                    "start_s": 0.0,
-                    "wall_s": float(timing[phase]),
-                    "cpu_s": 0.0,
-                    "attrs": {"windows": windows},
-                })
-        return cls(events)
 
     # -- views -------------------------------------------------------------
     def phases(self):
@@ -81,10 +60,6 @@ class RunTimeline:
             if name.startswith(PHASE_PREFIX) and phase not in out:
                 out[phase] = stats["wall_s"]
         return out
-
-    def to_timing(self):
-        """The timeline as an ``extras["timing"]``-shaped dict."""
-        return self.phases()
 
     def total_wall_s(self):
         """Total wall time across phases (falls back to the ``run``

@@ -9,133 +9,11 @@ side of that claim.  It holds the policy protocol
 (:mod:`repro.policy.exploration`) and the comparison pipeline that races
 them over one shared RC structure (:mod:`repro.policy.comparison`).
 
-:data:`BUILTIN_POLICIES` maps registry names to factories;
-``repro.scenario.registry`` seeds its ``POLICIES`` registry from it (the
-same pattern ``BUILTIN_FLOORPLANS`` uses), so every policy here is
-addressable from a JSON ``PolicySpec`` and sweepable.  This package
+:data:`~repro.policy.builtin.BUILTIN_POLICIES` maps registry names to
+factories; ``repro.scenario.registry`` seeds its ``POLICIES`` registry
+from it (the same pattern ``BUILTIN_FLOORPLANS`` uses), so every policy
+here is addressable from a JSON ``PolicySpec`` and sweepable.  This package
 deliberately imports nothing from ``repro.core`` or ``repro.scenario``
 — policies are plain objects the framework calls, keeping the
 dependency direction clean.
 """
-
-import copy
-import inspect
-
-from repro.policy.base import ThermalPolicy, require_sensors
-from repro.policy.builtin import (
-    DualThresholdDfsPolicy,
-    NoManagementPolicy,
-    PerCoreDfsPolicy,
-    StopGoPolicy,
-)
-from repro.policy.exploration import (
-    DvfsLadderPolicy,
-    PerDomainPolicy,
-    PidFrequencyPolicy,
-    PredictiveThrottlePolicy,
-)
-from repro.util.units import MHZ
-
-__all__ = [
-    "BUILTIN_POLICIES",
-    "DualThresholdDfsPolicy",
-    "DvfsLadderPolicy",
-    "NoManagementPolicy",
-    "PerCoreDfsPolicy",
-    "PerDomainPolicy",
-    "PidFrequencyPolicy",
-    "PredictiveThrottlePolicy",
-    "StopGoPolicy",
-    "ThermalPolicy",
-    "describe_policies",
-    "example_params",
-    "require_sensors",
-]
-
-
-def _per_core_policy(core_components, high_hz=500 * MHZ, low_hz=100 * MHZ):
-    """Per-core DFS: only cores whose own sensor latched hot slow down."""
-    return PerCoreDfsPolicy(dict(core_components), high_hz=high_hz, low_hz=low_hz)
-
-
-#: Registry name -> policy factory taking the ``PolicySpec`` params.
-#: ``repro.scenario.registry`` seeds ``POLICIES`` from this map.
-BUILTIN_POLICIES = {
-    "none": NoManagementPolicy,
-    "dual_threshold": DualThresholdDfsPolicy,
-    "stop_go": StopGoPolicy,
-    "per_core": _per_core_policy,
-    "dvfs_ladder": DvfsLadderPolicy,
-    "pid": PidFrequencyPolicy,
-    "predictive": PredictiveThrottlePolicy,
-    "per_domain": PerDomainPolicy,
-}
-
-#: Ready-to-run example params per built-in, valid on the ``4xarm11``
-#: floorplan (the Figure 4b experiment plan).  The round-trip property
-#: test, the ``python -m repro policies`` listing and the comparison
-#: bench all draw on these instead of re-inventing parameter sets.
-EXAMPLE_PARAMS = {
-    "none": {},
-    "dual_threshold": {"high_hz": 500 * MHZ, "low_hz": 100 * MHZ},
-    "stop_go": {"run_hz": 500 * MHZ},
-    "per_core": {
-        "core_components": {f"arm11_{i}": i for i in range(4)},
-        "high_hz": 500 * MHZ,
-        "low_hz": 100 * MHZ,
-    },
-    "dvfs_ladder": {
-        "levels_hz": [500 * MHZ, 350 * MHZ, 200 * MHZ, 100 * MHZ],
-        "step_down_kelvin": 348.0,
-        "step_up_kelvin": 342.0,
-    },
-    "pid": {"target_kelvin": 345.0, "kp": 60 * MHZ, "ki": 20 * MHZ},
-    "predictive": {
-        "threshold_kelvin": 350.0,
-        "release_kelvin": 342.0,
-        "history": 5,
-        "lookahead_s": 0.05,
-    },
-    "per_domain": {
-        "core_high_hz": 500 * MHZ,
-        "core_low_hz": 100 * MHZ,
-        "fabric_high_hz": 500 * MHZ,
-        "fabric_low_hz": 100 * MHZ,
-    },
-}
-
-
-def example_params(name):
-    """A copy of the example ``PolicySpec`` params for a built-in name."""
-    if name not in EXAMPLE_PARAMS:
-        raise ValueError(
-            f"no example params for policy {name!r} "
-            f"(known: {', '.join(sorted(EXAMPLE_PARAMS))})"
-        )
-    return copy.deepcopy(EXAMPLE_PARAMS[name])
-
-
-def describe_policies(registry):
-    """Rows of ``(name, parameters, summary)`` for a policy registry.
-
-    ``parameters`` renders the factory signature (defaults included) and
-    ``summary`` is the first docstring line — the data behind
-    ``python -m repro policies``.
-    """
-    rows = []
-    for name in registry.names():
-        factory = registry.get(name)
-        doc = (inspect.getdoc(factory) or "").strip().splitlines()
-        summary = doc[0] if doc else ""
-        try:
-            parameters = [
-                str(p)
-                for p in inspect.signature(factory).parameters.values()
-                if p.kind
-                not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-                and p.name != "self"
-            ]
-        except (TypeError, ValueError):
-            parameters = []
-        rows.append((name, ", ".join(parameters), summary))
-    return rows

@@ -6,23 +6,3 @@ bulk CMOS and ignores leakage ("in this technology the impact of
 leakage is very limited, particularly for low-power system design");
 run-time power is switching-activity-scaled from the sniffer statistics.
 """
-
-from repro.power.library import DEFAULT_LIBRARY, PowerClass, PowerLibrary
-from repro.power.models import (
-    ACTIVE_WEIGHT,
-    IDLE_WEIGHT,
-    STALL_WEIGHT,
-    ActivityVector,
-    PowerModel,
-)
-
-__all__ = [
-    "ACTIVE_WEIGHT",
-    "ActivityVector",
-    "DEFAULT_LIBRARY",
-    "IDLE_WEIGHT",
-    "PowerClass",
-    "PowerLibrary",
-    "PowerModel",
-    "STALL_WEIGHT",
-]

@@ -11,33 +11,3 @@ published numbers.  ``python -m repro report`` runs them through
 self-contained ``REPRODUCTION.md`` with a machine-readable
 ``reproduction.json`` alongside; ``--check`` is the CI regression gate.
 """
-
-from repro.report.artifacts import (
-    ARTIFACTS,
-    Artifact,
-    ArtifactResult,
-    Check,
-    CheckResult,
-)
-from repro.report.pipeline import (
-    default_artifact_names,
-    render_markdown,
-    render_verdicts,
-    run_artifacts,
-    to_json,
-    write_report,
-)
-
-__all__ = [
-    "ARTIFACTS",
-    "Artifact",
-    "ArtifactResult",
-    "Check",
-    "CheckResult",
-    "default_artifact_names",
-    "render_markdown",
-    "render_verdicts",
-    "run_artifacts",
-    "to_json",
-    "write_report",
-]

@@ -30,7 +30,7 @@ from repro.mpsoc.bus import BusConfig
 from repro.mpsoc.cache import CacheConfig
 from repro.mpsoc.noc import generate_custom
 from repro.mpsoc.platform import CoreConfig, MPSoCConfig
-from repro.policy import example_params
+from repro.policy.builtin import example_params
 from repro.policy.comparison import comparison_scenarios, outcomes_from_results
 from repro.power.library import DEFAULT_LIBRARY
 from repro.power.models import PowerModel
@@ -40,7 +40,7 @@ from repro.scenario.runner import Runner
 from repro.scenario.spec import Scenario, WorkloadSpec
 from repro.scenario.sweep import Variant, sweep
 from repro.thermal.calibration import uniform_floorplan
-from repro.thermal.floorplan import floorplan_4xarm11, floorplan_4xarm7
+from repro.thermal.floorplan import floorplan_4xarm7, floorplan_4xarm11
 from repro.thermal.properties import ThermalProperties, silicon_conductivity
 from repro.thermal.rc_network import network_for
 from repro.util.records import Table, format_duration
@@ -396,7 +396,8 @@ def _table2_replay_validation(values):
     """
     from repro.scenario.presets import PRESETS
     from repro.thermal.properties import SILICON_VOLUMETRIC_HEAT, Material
-    from repro.trace import record, replay
+    from repro.trace.capture import record
+    from repro.trace.replay import replay
 
     scenario = PRESETS.get("matrix_tm_unmanaged")()
     scenario.name = "table2_replay_probe"
@@ -1102,7 +1103,7 @@ def _obs_overview_extract(results):
         raise RuntimeError(
             f"scenario {failed[0].name!r} failed: {failed[0].error}"
         )
-    timeline = RunTimeline.from_events(tracer.events)
+    timeline = RunTimeline(tracer.events)
     shares = timeline.phase_shares()
     replayed = sum(1 for r in results if r.replayed)
     values = {

@@ -4,43 +4,16 @@ The imperative layer (``build_platform`` + floorplan + policy +
 ``EmulationFramework``) stays the engine room; this package makes whole
 experiments *data*:
 
-* :class:`Scenario` — one co-emulation run as a JSON-round-trippable
-  spec (platform, workload, floorplan name, policy spec, framework
-  config, run bounds).
+* :mod:`~repro.scenario.spec` — ``Scenario``, one co-emulation run as
+  a JSON-round-trippable spec (platform, workload, floorplan name,
+  policy spec, framework config, run bounds).
 * :mod:`~repro.scenario.registry` — string-keyed registries so specs
   reference floorplans, policies and workload generators by name.
-* :func:`sweep` / :class:`ExperimentSuite` — parameter-grid expansion
-  into scenario variants.
-* :class:`Runner` — batch execution, optionally across worker
-  processes, returning uniform :class:`ScenarioResult` objects.
-* :data:`PRESETS` — named ready-to-run scenarios (``python -m repro``).
+* :mod:`~repro.scenario.sweep` — ``sweep`` / ``ExperimentSuite``,
+  parameter-grid expansion into scenario variants.
+* :mod:`~repro.scenario.runner` — ``Runner``, batch execution,
+  optionally across worker processes, returning uniform
+  ``ScenarioResult`` objects.
+* :mod:`~repro.scenario.presets` — ``PRESETS``, named ready-to-run
+  scenarios (``python -m repro``).
 """
-
-from repro.scenario.registry import (
-    FLOORPLANS,
-    POLICIES,
-    SOLVER_BACKENDS,
-    WORKLOADS,
-    Registry,
-)
-from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
-from repro.scenario.sweep import ExperimentSuite, Variant, sweep
-from repro.scenario.runner import Runner, ScenarioResult
-from repro.scenario.presets import PRESETS
-
-__all__ = [
-    "ExperimentSuite",
-    "FLOORPLANS",
-    "POLICIES",
-    "PRESETS",
-    "PolicySpec",
-    "Registry",
-    "Runner",
-    "SOLVER_BACKENDS",
-    "Scenario",
-    "ScenarioResult",
-    "Variant",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "sweep",
-]

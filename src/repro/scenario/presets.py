@@ -11,8 +11,8 @@ from repro.core.workload_model import ActivityProfile
 from repro.mpsoc.cache import CacheConfig
 from repro.mpsoc.noc import generate_custom
 from repro.mpsoc.platform import CoreConfig, MPSoCConfig
-from repro.scenario.registry import Registry
 from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
+from repro.util.registry import Registry
 from repro.util.units import KB, MHZ
 
 PRESETS = Registry("preset scenario")
@@ -115,8 +115,7 @@ def hetero_biglittle():
     """A heterogeneous big.LITTLE-style platform on the 65 nm node: two
     PowerPC405-class big cores at 400 MHz beside two Microblaze-class
     littles at 100 MHz, on the parameterized ``hetero`` floorplan."""
-    from repro.dse.space import point_scenario
-    from repro.dse.space import DesignPoint
+    from repro.dse.space import DesignPoint, point_scenario
 
     scenario = point_scenario(
         DesignPoint(big=2, little=2, tech_node="65nm", big_hz=400 * MHZ),

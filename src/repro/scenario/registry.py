@@ -11,12 +11,10 @@ platform descriptions.  Three registries resolve those names:
   workload object for the framework or ``None`` (meaning "programs are
   loaded; let the framework run the platform cycle-accurately").
 
-:data:`SOLVER_BACKENDS` (re-exported from
-:mod:`repro.thermal.backends`) resolves the ``solver_backend`` field of
-:class:`repro.core.framework.FrameworkConfig` the same way, and
-:data:`EMULATION_BACKENDS` (re-exported from
-:mod:`repro.emulation.backends`) resolves its ``emulation_backend``
-field — the HW/SW-side counterpart to the thermal solver choice.
+The thermal solver and emulation backend choices of
+:class:`repro.core.framework.FrameworkConfig` resolve the same way,
+through :data:`repro.thermal.backends.SOLVER_BACKENDS` and
+:data:`repro.emulation.backends.EMULATION_BACKENDS`.
 
 All registries are open: experiments register their own entries with
 ``REGISTRY.register(name, obj)`` or as a decorator.  Custom entries are
@@ -26,29 +24,12 @@ custom generators belong in an importable module.
 """
 
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.emulation.backends import EMULATION_BACKENDS
-from repro.policy import BUILTIN_POLICIES
-from repro.thermal.backends import SOLVER_BACKENDS
+from repro.policy.builtin import BUILTIN_POLICIES
 from repro.thermal.floorplan import BUILTIN_FLOORPLANS
 from repro.util.registry import Registry
-from repro.workloads import (
-    compute_burst_program,
-    dithering_programs,
-    load_images,
-    matrix_programs,
-    shared_traffic_program,
-)
-
-__all__ = [
-    "EMULATION_BACKENDS",
-    "FLOORPLANS",
-    "POLICIES",
-    "Registry",
-    "SOLVER_BACKENDS",
-    "WORKLOADS",
-    "resolve_floorplan",
-]
-
+from repro.workloads.dithering import dithering_programs, load_images
+from repro.workloads.generator import compute_burst_program, shared_traffic_program
+from repro.workloads.matrix import matrix_programs
 
 FLOORPLANS = Registry("floorplan")
 POLICIES = Registry("policy")

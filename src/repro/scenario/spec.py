@@ -67,7 +67,7 @@ class Scenario:
     workload name resolve through the registries
     in :mod:`repro.scenario.registry`; the thermal solver backend rides
     inside ``config.solver_backend`` (a
-    :data:`~repro.scenario.registry.SOLVER_BACKENDS` name or
+    :data:`~repro.thermal.backends.SOLVER_BACKENDS` name or
     ``{"name": ..., "params": ...}`` dict) and round-trips through JSON
     like every other knob — so a sweep can explore backends with
     ``{"config.solver_backend": ["sparse_be", "cached_lu"]}``.

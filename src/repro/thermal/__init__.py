@@ -7,63 +7,3 @@ thermal capacitance, silicon conductivity is non-linear in temperature,
 heat enters as current sources on the bottom cells and leaves through a
 package-to-air convection resistance above the spreader.
 """
-
-from repro.thermal.properties import (
-    AMBIENT_KELVIN,
-    COPPER,
-    PACKAGE_TO_AIR_RESISTANCE,
-    SILICON,
-    Material,
-    ThermalProperties,
-    silicon_conductivity,
-)
-from repro.thermal.floorplan import (
-    Floorplan,
-    FloorplanComponent,
-    floorplan_4xarm7,
-    floorplan_4xarm11,
-)
-from repro.thermal.grid import Cell, Grid, build_grid
-from repro.thermal.rc_network import RCNetwork, clear_assembly_cache, network_for
-from repro.thermal.backends import (
-    SOLVER_BACKENDS,
-    BatchedLU,
-    CachedLU,
-    SolverBackend,
-    SparseBE,
-    make_backend,
-)
-from repro.thermal.solver import ThermalSolver
-from repro.thermal.sensors import TemperatureSensor, SensorBank
-from repro.thermal.analysis import OperatingPoint, OperatingPointAnalyzer
-
-__all__ = [
-    "AMBIENT_KELVIN",
-    "BatchedLU",
-    "CachedLU",
-    "OperatingPoint",
-    "OperatingPointAnalyzer",
-    "COPPER",
-    "Cell",
-    "Floorplan",
-    "FloorplanComponent",
-    "Grid",
-    "Material",
-    "PACKAGE_TO_AIR_RESISTANCE",
-    "RCNetwork",
-    "SILICON",
-    "SOLVER_BACKENDS",
-    "SensorBank",
-    "SolverBackend",
-    "SparseBE",
-    "TemperatureSensor",
-    "ThermalProperties",
-    "ThermalSolver",
-    "build_grid",
-    "clear_assembly_cache",
-    "floorplan_4xarm7",
-    "floorplan_4xarm11",
-    "make_backend",
-    "network_for",
-    "silicon_conductivity",
-]

@@ -34,24 +34,7 @@ closed-form solutions.
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from repro.thermal.backends import (
-    SOLVER_BACKENDS,
-    BatchedLU,
-    CachedLU,
-    SolverBackend,
-    SparseBE,
-    make_backend,
-)
-
-__all__ = [
-    "SOLVER_BACKENDS",
-    "BatchedLU",
-    "CachedLU",
-    "SolverBackend",
-    "SparseBE",
-    "ThermalSolver",
-    "make_backend",
-]
+from repro.thermal.backends import make_backend
 
 
 class ThermalSolver:

@@ -17,34 +17,3 @@ boundary stream a first-class artifact:
 
 ``python -m repro trace record|replay|info|list`` is the CLI front-end.
 """
-
-from repro.trace.capture import PowerTraceCapture, record
-from repro.trace.format import (
-    TRACE_FORMAT_VERSION,
-    TraceArchive,
-    TraceFormatError,
-    load_archive,
-)
-from repro.trace.replay import ReplaySource, replay, replay_for_scenario
-from repro.trace.store import (
-    DEFAULT_STORE_DIR,
-    TraceStore,
-    is_open_loop,
-    scenario_trace_digest,
-)
-
-__all__ = [
-    "DEFAULT_STORE_DIR",
-    "PowerTraceCapture",
-    "ReplaySource",
-    "TRACE_FORMAT_VERSION",
-    "TraceArchive",
-    "TraceFormatError",
-    "TraceStore",
-    "is_open_loop",
-    "load_archive",
-    "record",
-    "replay",
-    "replay_for_scenario",
-    "scenario_trace_digest",
-]

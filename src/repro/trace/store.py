@@ -130,6 +130,10 @@ def emulation_projection(scenario):
     ):
         for key in THERMAL_SIDE_KEYS:
             data["config"].pop(key, None)
+    if data.get("platform") is None and isinstance(data.get("config"), dict):
+        # A platform-less (profiled) run never builds an emulation
+        # backend, so every spelling of the knob is the same stream.
+        data["config"]["emulation_backend"] = "event_driven"
     return data
 
 

@@ -1,41 +1,1 @@
 """Shared helpers: units, small record/report utilities."""
-
-from repro.util.units import (
-    GHZ,
-    HZ,
-    KB,
-    KHZ,
-    MB,
-    MHZ,
-    MM2,
-    MS,
-    MW,
-    S,
-    UM,
-    US,
-    W,
-    celsius_to_kelvin,
-    kelvin_to_celsius,
-)
-from repro.util.records import Table, format_duration, format_si
-
-__all__ = [
-    "GHZ",
-    "HZ",
-    "KB",
-    "KHZ",
-    "MB",
-    "MHZ",
-    "MM2",
-    "MS",
-    "MW",
-    "S",
-    "UM",
-    "US",
-    "W",
-    "celsius_to_kelvin",
-    "kelvin_to_celsius",
-    "Table",
-    "format_duration",
-    "format_si",
-]

@@ -15,7 +15,9 @@ import pathlib
 
 import pytest
 
-from repro.analysis import ANALYSIS_RULES, Project, make_rules, run_rules
+from repro.analysis.project import Project
+from repro.analysis.rules import ANALYSIS_RULES
+from repro.analysis.walker import make_rules, run_rules
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]

@@ -11,17 +11,11 @@ serialization-roundtrip, suppression-hygiene.
 
 import pytest
 
-from repro.analysis import (
-    ANALYSIS_RULES,
-    Finding,
-    Project,
-    load_baseline,
-    make_rules,
-    run_rules,
-    save_baseline,
-    split_findings,
-)
-from repro.analysis.project import SourceModule
+from repro.analysis.baseline import load_baseline, save_baseline, split_findings
+from repro.analysis.findings import Finding
+from repro.analysis.project import Project, SourceModule
+from repro.analysis.rules import ANALYSIS_RULES
+from repro.analysis.walker import make_rules, run_rules
 
 RULE_IDS = [
     "determinism",

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.mpsoc import MPSoCConfig, build_platform
 from repro.mpsoc.cache import CacheConfig
-from repro.mpsoc.platform import CoreConfig
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, build_platform
 from repro.scenario.presets import PRESETS
 from repro.util.units import KB
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.policy import (
+from repro.policy.builtin import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     StopGoPolicy,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.policy import DualThresholdDfsPolicy, NoManagementPolicy
+from repro.policy.builtin import DualThresholdDfsPolicy, NoManagementPolicy
 from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import MHZ
 

@@ -19,10 +19,9 @@ from repro.core.sniffers import (
 from repro.core.stats import flatten_numeric
 from repro.emulation.engine import EventDrivenEngine
 from repro.emulation.perfmodel import DEFAULT_MPARM_MODEL
-from repro.mpsoc import MPSoCConfig, build_platform
 from repro.mpsoc.cache import Cache, CacheConfig
 from repro.mpsoc.events import Observable
-from repro.mpsoc.platform import CoreConfig
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, build_platform
 from repro.util.units import KB
 from repro.workloads.matrix import matrix_programs
 

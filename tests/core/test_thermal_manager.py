@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.vpcm import Vpcm
-from repro.policy import (
+from repro.policy.builtin import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     PerCoreDfsPolicy,

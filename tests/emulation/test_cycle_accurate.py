@@ -13,8 +13,8 @@ import pytest
 
 from repro.emulation.cycle_accurate import CycleAccurateEngine
 from repro.emulation.engine import EventDrivenEngine
-from repro.mpsoc import MPSoCConfig, build_platform, generate_custom
-from repro.mpsoc.platform import CoreConfig
+from repro.mpsoc.noc import generate_custom
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, build_platform
 from repro.workloads.generator import shared_traffic_program
 from repro.workloads.matrix import expected_checksum, matrix_programs
 from tests.conftest import small_config

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.emulation.cycle_accurate import CycleAccurateEngine
-from repro.mpsoc import build_platform
 from repro.mpsoc.asm import assemble
-from repro.mpsoc.platform import MMIO_BASE, SHARED_BASE
+from repro.mpsoc.platform import MMIO_BASE, SHARED_BASE, build_platform
 from tests.conftest import small_config
 
 
@@ -72,7 +71,7 @@ def test_tdma_bus_under_ca_engine():
 
 
 def test_write_back_caches_under_ca_engine():
-    from repro.mpsoc.cache import CacheConfig, WRITE_BACK
+    from repro.mpsoc.cache import WRITE_BACK, CacheConfig
 
     source = """
         main:   li   r1, 0

@@ -19,9 +19,8 @@ from repro.core.framework import FrameworkConfig
 from repro.core.sniffers import REG_SELECT, REG_VALUE, SnifferBank
 from repro.emulation.engine import EventDrivenEngine
 from repro.emulation.windowed import WindowedCalibration
-from repro.mpsoc import build_platform
 from repro.mpsoc.asm import assemble
-from repro.mpsoc.platform import MMIO_BASE, SHARED_BASE
+from repro.mpsoc.platform import MMIO_BASE, SHARED_BASE, build_platform
 from repro.scenario.presets import PRESETS
 from tests.conftest import small_config
 

@@ -21,8 +21,9 @@ import pytest
 from repro.core.framework import FrameworkConfig
 from repro.emulation.backends import EMULATION_BACKENDS, make_emulation_backend
 from repro.mpsoc.platform import CoreConfig, MPSoCConfig
-from repro.scenario.registry import SOLVER_BACKENDS, WORKLOADS
+from repro.scenario.registry import WORKLOADS
 from repro.scenario.spec import Scenario, WorkloadSpec
+from repro.thermal.backends import SOLVER_BACKENDS
 from repro.trace.capture import PowerTraceCapture
 from repro.util.units import KB, MHZ
 

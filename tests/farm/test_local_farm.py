@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from repro.farm import LocalFarm
 from repro.farm.jobs import DONE, RUNNING
+from repro.farm.local import LocalFarm
 from repro.scenario.sweep import Variant, sweep
 from tests.farm.conftest import quick_scenario, slow_scenario
 

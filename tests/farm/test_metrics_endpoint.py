@@ -4,9 +4,11 @@ import urllib.request
 
 import pytest
 
-from repro.farm import FarmClient, FarmService, FarmWorker
 from repro.farm.cli import main as farm_main
+from repro.farm.client import FarmClient
 from repro.farm.metrics import refresh_queue_metrics, stale_running
+from repro.farm.service import FarmService
+from repro.farm.worker import FarmWorker
 from repro.obs.metrics import MetricsRegistry
 from tests.farm.conftest import quick_scenario
 

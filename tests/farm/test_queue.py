@@ -236,7 +236,7 @@ def test_digest_lease_defers_followers_until_recording_lands(queue):
 
 
 def test_recorded_digest_bypasses_lease(queue):
-    from repro.trace import record
+    from repro.trace.capture import record
 
     _, _, archive = record(quick_scenario("rec_base"))
     queue.store.put(archive)

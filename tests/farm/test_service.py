@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.farm import FarmClient, FarmClientError, FarmService, FarmWorker
+from repro.farm.client import FarmClient, FarmClientError
 from repro.farm.jobs import DONE
+from repro.farm.service import FarmService
+from repro.farm.worker import FarmWorker
 from tests.farm.conftest import quick_scenario
 
 

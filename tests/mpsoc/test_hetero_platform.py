@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
-from repro.mpsoc.platform import CORE_SPECS, CoreConfig, MPSoCConfig, Platform
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, Platform
+from repro.mpsoc.processor import CORE_SPECS
 from repro.thermal.floorplan import floorplan_hetero
 from repro.util.units import KB, MHZ
 

@@ -19,7 +19,8 @@ import pytest
 
 from repro.mpsoc.asm import assemble
 from repro.mpsoc.isa import CLASS_LOAD, CLASS_STORE, decode
-from repro.mpsoc.platform import CORE_SPECS, CoreConfig, MPSoCConfig, Platform
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, Platform
+from repro.mpsoc.processor import CORE_SPECS
 from repro.util.units import KB
 
 #: Generator opcode pools.  Divisors read only the preloaded, never

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.sniffers import CountLoggingSniffer, EventLoggingSniffer
-from repro.mpsoc import MPSoCConfig, build_platform, generate_custom, generate_mesh
 from repro.mpsoc.asm import assemble
 from repro.mpsoc.cache import CacheConfig
 from repro.mpsoc.memctrl import AccessFault
+from repro.mpsoc.noc import generate_custom, generate_mesh
 from repro.mpsoc.platform import (
     MMIO_BASE,
     PRIVATE_BASE,
@@ -14,6 +14,8 @@ from repro.mpsoc.platform import (
     SLICE_COSTS,
     V2VP30_SLICES,
     CoreConfig,
+    MPSoCConfig,
+    build_platform,
     switch_slices,
 )
 from repro.mpsoc.processor import CORE_SPECS

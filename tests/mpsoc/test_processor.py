@@ -9,8 +9,8 @@ hypothesis.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpsoc import build_platform
 from repro.mpsoc.asm import assemble
+from repro.mpsoc.platform import build_platform
 from repro.mpsoc.processor import CORE_SPECS, ExecutionError
 from tests.conftest import small_config
 

@@ -7,9 +7,10 @@ from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.obs.timeline import PHASE_ORDER, RunTimeline
 from repro.obs.tracing import SpanTracer
-from repro.scenario import Runner
 from repro.scenario.presets import PRESETS
-from repro.trace import record, replay
+from repro.scenario.runner import Runner
+from repro.trace.capture import record
+from repro.trace.replay import replay
 from repro.trace.store import TraceStore
 
 
@@ -65,7 +66,7 @@ def test_run_emits_run_and_window_spans(path):
     tracer = SpanTracer()
     with obs_tracing.activate(tracer):
         reports = run()
-    timeline = RunTimeline.from_events(tracer.events)
+    timeline = RunTimeline(tracer.events)
     windows = sum(report.windows for report in reports)
     assert windows > 0
     for phase in PHASE_ORDER:
@@ -77,7 +78,7 @@ def test_run_emits_run_and_window_spans(path):
         assert run_event["attrs"]["windows"] == report.windows
         assert run_event["attrs"]["backend"] == "event_driven"
     # The span log reconstructs the reports' summed timing breakdown.
-    for phase, wall in timeline.to_timing().items():
+    for phase, wall in timeline.phases().items():
         timing = sum(report.extras["timing"][phase] for report in reports)
         assert wall == pytest.approx(timing, abs=1e-6)
 

@@ -26,20 +26,20 @@ WALLS = {
 
 def test_phases_in_canonical_order():
     tracer = _trace_run(WALLS)
-    timeline = RunTimeline.from_events(tracer.events)
+    timeline = RunTimeline(tracer.events)
     assert list(timeline.phases()) == list(PHASE_ORDER)
     assert timeline.phases()["solve"] == pytest.approx(3 * 0.008)
 
 
-def test_to_timing_and_total():
-    timeline = RunTimeline.from_events(_trace_run(WALLS).events)
-    timing = timeline.to_timing()
+def test_phases_and_total():
+    timeline = RunTimeline(_trace_run(WALLS).events)
+    timing = timeline.phases()
     assert set(timing) == set(PHASE_ORDER)
     assert timeline.total_wall_s() == pytest.approx(sum(timing.values()))
 
 
 def test_phase_shares_sum_to_one():
-    timeline = RunTimeline.from_events(_trace_run(WALLS).events)
+    timeline = RunTimeline(_trace_run(WALLS).events)
     shares = timeline.phase_shares()
     assert sum(shares.values()) == pytest.approx(1.0)
     assert shares["solve"] > shares["power"]
@@ -52,7 +52,7 @@ def test_phase_shares_empty_without_phases():
 def test_total_falls_back_to_run_span():
     tracer = SpanTracer()
     tracer.emit("run", 1.5)
-    assert RunTimeline.from_events(tracer.events).total_wall_s() == 1.5
+    assert RunTimeline(tracer.events).total_wall_s() == 1.5
 
 
 def test_jsonl_round_trip_summary_is_digest_stable(tmp_path):
@@ -64,38 +64,28 @@ def test_jsonl_round_trip_summary_is_digest_stable(tmp_path):
                 tracer.emit("window." + phase, 0.001)
     tracer.close()
 
-    direct = RunTimeline.from_events(tracer.events)
+    direct = RunTimeline(tracer.events)
     parsed = RunTimeline.from_jsonl(str(log))
     assert parsed.summary() == direct.summary()
     # Same structure with different wall clocks → same digest.
     slower = _trace_run(
         {phase: 0.5 for phase in PHASE_ORDER}, windows=2
     )
-    assert RunTimeline.from_events(slower.events).digest() == parsed.digest()
+    assert RunTimeline(slower.events).digest() == parsed.digest()
     # Different structure (one more window) → different digest.
     other = _trace_run({phase: 0.001 for phase in PHASE_ORDER}, windows=3)
-    assert RunTimeline.from_events(other.events).digest() != parsed.digest()
+    assert RunTimeline(other.events).digest() != parsed.digest()
 
 
 def test_summary_is_json_safe():
-    summary = RunTimeline.from_events(_trace_run(WALLS).events).summary()
+    summary = RunTimeline(_trace_run(WALLS).events).summary()
     reloaded = json.loads(json.dumps(summary))
     assert reloaded == summary
     assert reloaded["events"] == 1 + 3 * len(WALLS)
 
 
-def test_from_timing_backfills_legacy_dict():
-    timing = {
-        "emulate": 1.0, "power": 0.5, "dispatch": 0.25,
-        "solve": 2.0, "other": 0.25,
-    }
-    timeline = RunTimeline.from_timing(timing, windows=10)
-    assert timeline.to_timing() == pytest.approx(timing)
-    assert timeline.phase_shares()["solve"] == pytest.approx(0.5)
-
-
 def test_render_shows_all_phases_and_total():
-    text = RunTimeline.from_events(_trace_run(WALLS).events).render()
+    text = RunTimeline(_trace_run(WALLS).events).render()
     for phase in PHASE_ORDER:
         assert phase in text
     assert "total" in text

@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.policy import (
+from repro.policy.base import ThermalPolicy
+from repro.policy.builtin import (
     BUILTIN_POLICIES,
     EXAMPLE_PARAMS,
-    ThermalPolicy,
     describe_policies,
     example_params,
 )

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.policy import (
+from repro.policy.builtin import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     PerCoreDfsPolicy,
-    PerDomainPolicy,
     StopGoPolicy,
 )
-from repro.scenario import FLOORPLANS, POLICIES, WORKLOADS, Registry
+from repro.policy.exploration import PerDomainPolicy
+from repro.scenario.registry import FLOORPLANS, POLICIES, WORKLOADS
+from repro.util.registry import Registry
 
 
 def test_builtin_floorplans():

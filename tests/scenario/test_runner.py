@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.framework import FrameworkConfig
 from repro.core.stats import ThermalTrace
-from repro.scenario import PolicySpec, Runner, Scenario, WorkloadSpec, sweep
+from repro.scenario.runner import Runner
+from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
+from repro.scenario.sweep import sweep
 from repro.util.units import MHZ
 
 
@@ -190,7 +192,7 @@ def test_batched_members_report_their_share_of_solve_and_residual():
 def test_batched_failure_keeps_finished_members_reports():
     """A mid-co-step crash fails only the unfinished group members; runs
     that had already reached their bounds keep their reports."""
-    from repro.policy import NoManagementPolicy
+    from repro.policy.builtin import NoManagementPolicy
     from repro.scenario.registry import POLICIES
 
     class ExplodeAfter(NoManagementPolicy):
@@ -219,7 +221,7 @@ def test_batched_member_failing_in_its_final_window_is_failed():
     """A scenario whose workload completes during the very window that
     raises must come back FAILED (matching serial semantics), not as a
     bogus zero-window success."""
-    from repro.policy import NoManagementPolicy
+    from repro.policy.builtin import NoManagementPolicy
     from repro.scenario.registry import POLICIES
 
     class AlwaysExplode(NoManagementPolicy):

@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.framework import FrameworkConfig, RunReport
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.mpsoc import MPSoCConfig, generate_mesh
 from repro.mpsoc.bus import BusConfig
 from repro.mpsoc.cache import CacheConfig
-from repro.mpsoc.platform import CoreConfig
-from repro.policy import DualThresholdDfsPolicy
-from repro.scenario import PolicySpec, Scenario, WorkloadSpec
+from repro.mpsoc.noc import generate_mesh
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig
+from repro.policy.builtin import DualThresholdDfsPolicy
+from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
 from repro.util.units import KB, MHZ
 
 

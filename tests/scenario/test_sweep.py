@@ -5,14 +5,8 @@ import json
 import pytest
 
 from repro.core.framework import FrameworkConfig
-from repro.scenario import (
-    ExperimentSuite,
-    PolicySpec,
-    Scenario,
-    Variant,
-    WorkloadSpec,
-    sweep,
-)
+from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
+from repro.scenario.sweep import ExperimentSuite, Variant, sweep
 from repro.util.units import MHZ
 
 

@@ -1,20 +1,15 @@
 """Design-space ablations around the paper's experiments, declared as
 scenario variants and executed through the :class:`Runner`."""
 
-from repro.core import FrameworkConfig
+from repro.core.framework import FrameworkConfig
 from repro.core.workload_model import ActivityProfile
-from repro.mpsoc import BusConfig, MPSoCConfig, generate_custom, generate_mesh
-from repro.mpsoc.bus import ARB_FIXED_PRIORITY, ARB_ROUND_ROBIN, ARB_TDMA
+from repro.mpsoc.bus import ARB_FIXED_PRIORITY, ARB_ROUND_ROBIN, ARB_TDMA, BusConfig
 from repro.mpsoc.cache import CacheConfig
-from repro.mpsoc.platform import CoreConfig
-from repro.scenario import (
-    PolicySpec,
-    Runner,
-    Scenario,
-    Variant,
-    WorkloadSpec,
-    sweep,
-)
+from repro.mpsoc.noc import generate_custom, generate_mesh
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig
+from repro.scenario.runner import Runner
+from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
+from repro.scenario.sweep import Variant, sweep
 from repro.util.units import KB, MHZ
 
 

@@ -2,27 +2,21 @@
 
 import numpy as np
 
-from repro import (
-    CacheConfig,
-    CoreConfig,
-    DualThresholdDfsPolicy,
-    EmulationFramework,
-    FrameworkConfig,
-    MPSoCConfig,
-    NoManagementPolicy,
-    ProfiledWorkload,
-    build_platform,
+from repro.core.framework import EmulationFramework, FrameworkConfig
+from repro.core.workload_model import ProfiledWorkload, profile_platform_run
+from repro.mpsoc.cache import CacheConfig
+from repro.mpsoc.platform import CoreConfig, MPSoCConfig, build_platform
+from repro.policy.builtin import DualThresholdDfsPolicy, NoManagementPolicy
+from repro.power.models import PowerModel
+from repro.thermal.floorplan import floorplan_4xarm7, floorplan_4xarm11
+from repro.util.units import KB, MHZ, MS
+from repro.workloads.dithering import (
     dithering_programs,
-    floorplan_4xarm11,
-    floorplan_4xarm7,
     golden_dither,
     load_images,
-    matrix_programs,
-    profile_platform_run,
     read_image,
 )
-from repro.power.models import PowerModel
-from repro.util.units import KB, MHZ, MS
+from repro.workloads.matrix import matrix_programs
 
 
 def arm11_platform(num_cores=4):
@@ -91,7 +85,7 @@ def test_dithering_noc_end_to_end():
     width = height = 16
     # The paper's dithering NoC: two switches (a 2x2 mesh of four does
     # not fit the V2VP30 once every component carries a sniffer).
-    from repro import generate_custom
+    from repro.mpsoc.noc import generate_custom
 
     noc = generate_custom("noc", 2, ring=False, buffer_flits=3)
     platform = build_platform(

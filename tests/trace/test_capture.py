@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.trace import PowerTraceCapture, record, scenario_trace_digest
+from repro.trace.capture import PowerTraceCapture, record
+from repro.trace.store import scenario_trace_digest
 from tests.trace.conftest import short_scenario
 
 

@@ -10,7 +10,8 @@ from repro.thermal.properties import (
     Material,
     ThermalProperties,
 )
-from repro.trace import ReplaySource, record, replay
+from repro.trace.capture import record
+from repro.trace.replay import ReplaySource, replay
 from tests.trace.conftest import short_scenario
 
 #: (preset, solver backend) grid of the fidelity property test: the
@@ -172,7 +173,7 @@ def test_replay_config_object_roundtrip(stress_scenario):
 def test_replay_power_injection_is_bitwise(stress_scenario):
     """The replayed per-cell injection vector equals the live one."""
     live = stress_scenario.build()
-    from repro.trace import PowerTraceCapture
+    from repro.trace.capture import PowerTraceCapture
 
     capture = live.attach_capture(PowerTraceCapture())
     live.step_window()

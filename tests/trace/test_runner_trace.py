@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.scenario import Runner, Scenario
 from repro.scenario.presets import PRESETS
+from repro.scenario.runner import Runner
+from repro.scenario.spec import Scenario
 from repro.scenario.sweep import Variant, sweep
-from repro.trace import TraceStore, record, scenario_trace_digest
+from repro.trace.capture import record
+from repro.trace.store import TraceStore, scenario_trace_digest
 from tests.trace.conftest import short_scenario
 
 

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.trace import (
+from repro.scenario.presets import PRESETS
+from repro.trace.capture import record
+from repro.trace.store import (
     TraceStore,
+    content_digest,
+    emulation_projection,
     is_open_loop,
-    record,
     scenario_trace_digest,
 )
-from repro.trace.store import content_digest, emulation_projection
 from tests.trace.conftest import short_scenario
 
 
@@ -64,6 +66,20 @@ def test_projection_drops_thermal_keys_only_for_open_loop():
     assert "die_resolution" not in open_loop["config"]
     reactive = emulation_projection(short_scenario("matrix_tm_dfs"))
     assert "die_resolution" in reactive["config"]
+
+
+def test_platformless_digest_ignores_the_unused_emulation_backend():
+    """A profiled scenario has no platform, so no emulation backend ever
+    runs; both spellings must share one store entry (the pinned one)."""
+    digests = set()
+    for backend in ("event_driven", "windowed"):
+        scenario = PRESETS.get("matrix_tm_cached")()
+        assert scenario.platform is None
+        scenario.config.emulation_backend = backend
+        digests.add(scenario_trace_digest(scenario))
+    assert digests == {
+        "c22abed0398274fe2d470d41e7f6680ca653b6bd1a6e12bbc2444d483cb27af0"
+    }
 
 
 def test_digest_accepts_dicts_and_scenarios():

@@ -13,7 +13,9 @@ import multiprocessing
 
 import pytest
 
-from repro.trace import TraceStore, load_archive, record
+from repro.trace.capture import record
+from repro.trace.format import load_archive
+from repro.trace.store import TraceStore
 from repro.util.locking import FileLock, atomic_write_json, unique_tmp_path
 
 

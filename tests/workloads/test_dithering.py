@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.emulation.engine import EventDrivenEngine
-from repro.mpsoc import build_platform
+from repro.mpsoc.platform import build_platform
 from repro.workloads.dithering import (
     dithering_programs,
     golden_dither,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.emulation.engine import EventDrivenEngine
-from repro.mpsoc import build_platform
+from repro.mpsoc.platform import build_platform
 from repro.workloads.generator import compute_burst_program, shared_traffic_program
 from tests.conftest import small_config
 
