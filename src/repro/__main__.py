@@ -26,31 +26,11 @@ policies (:mod:`repro.policy`) with their parameters.
 
 import argparse
 import json
-import pathlib
 import sys
+from dataclasses import replace
 
-from repro.scenario.presets import PRESETS
+from repro.scenario.presets import PRESETS, load_scenarios
 from repro.scenario.runner import Runner
-from repro.scenario.spec import Scenario
-from repro.scenario.sweep import ExperimentSuite
-
-
-def _load_scenarios(spec):
-    """Resolve a CLI spec (file path or preset name) to scenarios."""
-    path = pathlib.Path(spec)
-    if path.is_file():
-        data = json.loads(path.read_text())
-        if isinstance(data, dict) and "scenarios" in data:
-            return ExperimentSuite.from_dict(data).scenarios
-        if isinstance(data, list):
-            return [Scenario.from_dict(d) for d in data]
-        return [Scenario.from_dict(data)]
-    if spec in PRESETS:
-        return [PRESETS.get(spec)()]
-    raise ValueError(
-        f"{spec!r} is neither a readable JSON file nor a preset "
-        f"(presets: {', '.join(PRESETS.names())})"
-    )
 
 
 def _policies_main(argv):
@@ -70,8 +50,8 @@ def _policies_main(argv):
     )
     args = parser.parse_args(argv)
 
+    from repro.policy.base import POLICIES
     from repro.policy.builtin import EXAMPLE_PARAMS, describe_policies
-    from repro.scenario.registry import POLICIES
 
     rows = describe_policies(POLICIES)
     if args.as_json:
@@ -206,15 +186,18 @@ def main(argv=None):
         return 2
 
     try:
-        scenarios = _load_scenarios(args.spec)
-        if args.backend:
+        scenarios = load_scenarios(args.spec)
+        overrides = {
+            knob: value
+            for knob, value in (
+                ("solver_backend", args.backend),
+                ("emulation_backend", args.emulation_backend),
+            )
+            if value
+        }
+        if overrides:  # rebuilding the config validates the override
             for scenario in scenarios:
-                scenario.config.solver_backend = args.backend
-                scenario.config._validate_solver_backend()
-        if args.emulation_backend:
-            for scenario in scenarios:
-                scenario.config.emulation_backend = args.emulation_backend
-                scenario.config._validate_emulation_backend()
+                scenario.config = replace(scenario.config, **overrides)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

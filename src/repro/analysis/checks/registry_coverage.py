@@ -1,17 +1,16 @@
 """Rule: every registry entry is tested and documented.
 
-The scenario layer resolves floorplans, policies, workloads and both
-backend families by registry name; an entry nobody tests silently rots
-(the registry cross-product property test of PR 8 exists precisely
-because backends drifted), and an entry the docs never mention is
-unusable from the JSON scenario surface.
+The scenario layer resolves floorplans, policies, workloads, both
+backend families, tech nodes and presets by registry name; an entry
+nobody tests silently rots (the registry cross-product property test
+exists precisely because backends drifted), and an entry the docs never
+mention is unusable from the JSON scenario surface.
 
-The rule statically collects every name registered in the watched
-registries — ``@X.register("name")`` decorators, direct
-``X.register("name", obj)`` calls, and the ``BUILTIN_FLOORPLANS`` /
-``BUILTIN_POLICIES`` dict literals those registries are seeded from —
-then requires each name to appear (as a whole word) in at least one
-test module under ``tests/`` and once in the docs corpus
+Every entry registers where it is defined, so the rule statically
+collects every name registered in the watched registries —
+``@X.register("name")`` decorators and direct ``X.register("name",
+obj)`` calls — then requires each name to appear (as a whole word) in
+at least one test module under ``tests/`` and once in the docs corpus
 (``docs/*.md`` or ``README.md``).  The analysis rules' own registry is
 watched too, which is what forces every rule to ship fixtures and a
 docs-catalog entry — and so is the observability catalog
@@ -35,17 +34,12 @@ WATCHED_REGISTRIES = (
     "FLOORPLANS",
     "SOLVER_BACKENDS",
     "EMULATION_BACKENDS",
+    "TECH_NODES",
+    "PRESETS",
     "ANALYSIS_RULES",
     "OBS_METRICS",
     "OBS_SPANS",
 )
-
-#: Seed dict literals feeding a watched registry (``registry.py`` loops
-#: over them, which static decorator-scanning cannot see).
-SEED_DICTS = {
-    "BUILTIN_FLOORPLANS": "FLOORPLANS",
-    "BUILTIN_POLICIES": "POLICIES",
-}
 
 
 def _registration_sites(
@@ -53,34 +47,17 @@ def _registration_sites(
 ) -> Iterator[tuple[str, str, int]]:
     """Yield ``(registry, name, lineno)`` registrations in a module."""
     for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "register"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in WATCHED_REGISTRIES
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                yield func.value.id, node.args[0].value, node.lineno
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in SEED_DICTS
-                    and isinstance(node.value, ast.Dict)
-                ):
-                    for key in node.value.keys:
-                        if isinstance(key, ast.Constant) and isinstance(
-                            key.value, str
-                        ):
-                            yield (
-                                SEED_DICTS[target.id],
-                                key.value,
-                                key.lineno,
-                            )
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "register"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in WATCHED_REGISTRIES
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            yield node.func.value.id, node.args[0].value, node.lineno
 
 
 def _word_in_corpus(name: str, corpus: dict[str, str]) -> bool:
@@ -97,8 +74,8 @@ class RegistryCoverageRule(Rule):
     rule_id = "registry-coverage"
     summary = (
         "every WORKLOADS/POLICIES/FLOORPLANS/SOLVER_BACKENDS/"
-        "EMULATION_BACKENDS/ANALYSIS_RULES/OBS_METRICS/OBS_SPANS entry "
-        "is exercised by a test and mentioned in docs"
+        "EMULATION_BACKENDS/TECH_NODES/PRESETS/ANALYSIS_RULES/OBS_METRICS/"
+        "OBS_SPANS entry is exercised by a test and mentioned in docs"
     )
 
     def finish(self, project: Project) -> Iterable[Finding]:

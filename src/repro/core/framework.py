@@ -30,6 +30,7 @@ from repro.thermal.rc_network import network_for
 from repro.thermal.sensors import SensorBank
 from repro.thermal.solver import ThermalSolver
 from repro.util.jsondata import json_copy
+from repro.util.registry import canonical_spec
 from repro.util.units import MHZ, MS
 
 
@@ -40,6 +41,18 @@ def check_trace_stride(stride):
             f"trace_stride must be a positive integer (1 keeps every "
             f"sample), got {stride!r}"
         )
+
+
+#: Knobs written in the registry spec grammar, with their make functions.
+#: ``FrameworkConfig`` builds (and discards) one of each, so a bad spec
+#: fails at config time and not in a worker.  Live objects are refused:
+#: the config must stay JSON data that gives each framework its own
+#: backend.  ``tech_node`` also takes ``None`` or a ``TechNode.to_dict()``.
+_SPEC_KNOBS = (
+    ("solver_backend", make_backend),
+    ("emulation_backend", make_emulation_backend),
+    ("tech_node", make_tech_node),
+)
 
 
 @dataclass
@@ -80,9 +93,18 @@ class FrameworkConfig:
                 f"initial temperature must be positive kelvin, "
                 f"got {self.initial_temperature_kelvin}"
             )
-        self._validate_solver_backend()
-        self._validate_emulation_backend()
-        self._validate_tech_node()
+        for knob, make in _SPEC_KNOBS:
+            spec = getattr(self, knob)
+            if not isinstance(spec, (str, dict)) and not (
+                knob == "tech_node" and spec is None
+            ):
+                raise ValueError(
+                    f"{knob} must be plain data, a registered name or "
+                    f"{{'name': ..., 'params': ...}} dict, "
+                    f"got {type(spec).__name__}"
+                )
+            make(spec)
+            setattr(self, knob, canonical_spec(spec))
         check_trace_stride(self.trace_stride)
         if self.sensor_upper_kelvin <= self.sensor_lower_kelvin:
             raise ValueError(
@@ -111,54 +133,6 @@ class FrameworkConfig:
                 raise ValueError(
                     f"{label} must be two positive cell counts, got {resolution}"
                 )
-
-    def _validate_solver_backend(self):
-        """Reject bad backend specs (unknown names, malformed dicts, bad
-        params) at config time rather than when the framework is wired.
-
-        Only plain data is accepted — the config must stay JSON-round-
-        trippable and each framework built from it must get its *own*
-        backend.  Pass a live backend to
-        :class:`repro.thermal.solver.ThermalSolver` directly instead.
-        Validation delegates to :func:`repro.thermal.backends.make_backend`
-        by constructing (and discarding) an instance — construction is
-        cheap, and it exercises the exact code path ``build`` will use.
-        """
-        spec = self.solver_backend
-        if not isinstance(spec, (str, dict)):
-            raise ValueError(
-                f"solver_backend must be a registered name or "
-                f"{{'name': ..., 'params': ...}} dict, "
-                f"got {type(spec).__name__}"
-            )
-        make_backend(spec)
-
-    def _validate_emulation_backend(self):
-        """Reject bad emulation-backend specs at config time; same
-        contract as :meth:`_validate_solver_backend` (plain data only so
-        the config stays JSON-round-trippable; pass a live workload to
-        :class:`EmulationFramework` directly instead)."""
-        spec = self.emulation_backend
-        if not isinstance(spec, (str, dict)):
-            raise ValueError(
-                f"emulation_backend must be a registered name or "
-                f"{{'name': ..., 'params': ...}} dict, "
-                f"got {type(spec).__name__}"
-            )
-        make_emulation_backend(spec)
-
-    def _validate_tech_node(self):
-        """Reject bad tech-node specs at config time; plain data only
-        (``None``, a :data:`repro.power.models.TECH_NODES` name, or a
-        full ``TechNode.to_dict()``) so the config stays
-        JSON-round-trippable."""
-        spec = self.tech_node
-        if spec is not None and not isinstance(spec, (str, dict)):
-            raise ValueError(
-                f"tech_node must be None, a registered name or a "
-                f"TechNode.to_dict() dict, got {type(spec).__name__}"
-            )
-        make_tech_node(spec)
 
     def to_dict(self):
         """JSON-compatible dict; ``from_dict`` round-trips it losslessly."""

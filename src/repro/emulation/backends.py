@@ -157,28 +157,14 @@ class WindowedBackend(EmulationBackend):
 def make_emulation_backend(spec=None):
     """Resolve a backend spec to an :class:`EmulationBackend` instance.
 
-    ``spec`` may be ``None`` (the exact ``event_driven`` reference), a
-    registered name, a ``{"name": ..., "params": {...}}`` dict (the JSON
-    form that rides inside
-    :class:`repro.core.framework.FrameworkConfig`), or an already
-    constructed :class:`EmulationBackend`.
+    ``spec`` may be ``None`` (the exact ``event_driven`` reference), an
+    already constructed :class:`EmulationBackend`, or any
+    :meth:`~repro.util.registry.Registry.resolve` spec: a registered
+    name or a ``{"name": ..., "params": {...}}`` dict (the JSON form
+    that rides inside :class:`repro.core.framework.FrameworkConfig`).
     """
     if spec is None:
         spec = "event_driven"
     if isinstance(spec, EmulationBackend):
         return spec
-    if isinstance(spec, str):
-        return EMULATION_BACKENDS.get(spec)()
-    if isinstance(spec, dict):
-        if "name" not in spec:
-            raise ValueError("an emulation-backend dict needs a 'name' entry")
-        unknown = set(spec) - {"name", "params"}
-        if unknown:
-            raise ValueError(
-                f"unknown emulation-backend keys: {', '.join(sorted(unknown))}"
-            )
-        return EMULATION_BACKENDS.get(spec["name"])(**spec.get("params", {}))
-    raise TypeError(
-        f"emulation backend must be a name, dict or EmulationBackend, "
-        f"got {type(spec).__name__}"
-    )
+    return EMULATION_BACKENDS.resolve(spec)

@@ -67,15 +67,6 @@ def _target(args):
     )
 
 
-def _load_scenarios(specs):
-    from repro.__main__ import _load_scenarios as load_one
-
-    scenarios = []
-    for spec in specs:
-        scenarios.extend(load_one(spec))
-    return scenarios
-
-
 # -- subcommands -----------------------------------------------------------
 def _serve(args):
     from repro.farm.queue import JobQueue
@@ -130,9 +121,11 @@ def _serve(args):
 
 
 def _submit(args):
+    from repro.scenario.presets import load_scenarios
+
     target = _target(args)
     try:
-        scenarios = _load_scenarios(args.specs)
+        scenarios = [s for spec in args.specs for s in load_scenarios(spec)]
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,9 @@ side of that claim.  It holds the policy protocol
 (:mod:`repro.policy.exploration`) and the comparison pipeline that races
 them over one shared RC structure (:mod:`repro.policy.comparison`).
 
-:data:`~repro.policy.builtin.BUILTIN_POLICIES` maps registry names to
-factories; ``repro.scenario.registry`` seeds its ``POLICIES`` registry
-from it (the same pattern ``BUILTIN_FLOORPLANS`` uses), so every policy
-here is addressable from a JSON ``PolicySpec`` and sweepable.  This package
+:data:`~repro.policy.base.POLICIES` maps registry names to factories,
+each registered beside its class, so every policy here is addressable
+from a JSON ``PolicySpec`` and sweepable.  This package
 deliberately imports nothing from ``repro.core`` or ``repro.scenario``
 — policies are plain objects the framework calls, keeping the
 dependency direction clean.

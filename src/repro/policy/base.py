@@ -19,13 +19,19 @@ lifecycle hooks structure that contract:
   ``RunReport.extras["policy"]`` at the end of a run, so policy sweeps
   can be compared from serialized results alone.
 
-Policies are plain objects — no framework import, no registration
-side effects — so the module stays importable from the lowest layer
-(:mod:`repro.core.framework` only needs :class:`NoManagementPolicy`'s
-base).  Registration in :data:`repro.scenario.registry.POLICIES` (and
-therefore JSON round-tripping through ``PolicySpec``) happens in
-:mod:`repro.policy`'s package init.
+Policies are plain objects — no framework import — so the module stays
+importable from the lowest layer (:mod:`repro.core.framework` only
+needs :class:`NoManagementPolicy`'s base).  Each policy registers in
+:data:`POLICIES` where it is defined, which is what makes it
+addressable from a JSON ``PolicySpec`` and sweepable; importing
+:mod:`repro.policy.builtin` registers every built-in, the exploration
+family included.
 """
+
+from repro.util.registry import Registry
+
+#: Registry name -> policy factory taking the ``PolicySpec`` params.
+POLICIES = Registry("policy")
 
 
 class ThermalPolicy:

@@ -9,23 +9,21 @@ choosing 500 or 100 MHz accordingly.  That policy is
 the paper motivates ("the potential benefits of HW/SW emulation to
 explore the design space of complex thermal management policies"):
 stop-go clock gating and per-core DFS.  The wider exploration family
-lives in :mod:`repro.policy.exploration`; :data:`BUILTIN_POLICIES` names
-both families for the scenario ``POLICIES`` registry.
+lives in :mod:`repro.policy.exploration`.  Both modules register their
+policies in :data:`repro.policy.base.POLICIES` where they are defined;
+importing this module (which imports the exploration family) fills it.
 """
 
 import copy
 import inspect
 
-from repro.policy.base import ThermalPolicy, require_sensors
-from repro.policy.exploration import (
-    DvfsLadderPolicy,
-    PerDomainPolicy,
-    PidFrequencyPolicy,
-    PredictiveThrottlePolicy,
-)
+# Registers the exploration family in POLICIES beside the policies below.
+import repro.policy.exploration  # noqa: F401
+from repro.policy.base import POLICIES, ThermalPolicy, require_sensors
 from repro.util.units import MHZ
 
 
+@POLICIES.register("none")
 class NoManagementPolicy(ThermalPolicy):
     """The un-managed baseline of Figure 6: clocks never change."""
 
@@ -35,6 +33,7 @@ class NoManagementPolicy(ThermalPolicy):
         return vpcm.virtual_hz
 
 
+@POLICIES.register("dual_threshold")
 class DualThresholdDfsPolicy(ThermalPolicy):
     """The paper's policy: any component hot -> low clock; all cool -> high.
 
@@ -63,6 +62,7 @@ class DualThresholdDfsPolicy(ThermalPolicy):
         return {"name": self.name, "switches": self.switches}
 
 
+@POLICIES.register("stop_go")
 class StopGoPolicy(ThermalPolicy):
     """Clock gating instead of scaling: hot -> clocks stopped entirely.
 
@@ -87,6 +87,7 @@ class StopGoPolicy(ThermalPolicy):
         return {"name": self.name, "switches": self.switches}
 
 
+@POLICIES.register("per_core")
 class PerCoreDfsPolicy(ThermalPolicy):
     """Per-core DFS: only the cores whose own sensor latched hot slow down.
 
@@ -142,19 +143,6 @@ class PerCoreDfsPolicy(ThermalPolicy):
             "cores_throttled_at_end": throttled,
         }
 
-
-#: Registry name -> policy factory taking the ``PolicySpec`` params.
-#: ``repro.scenario.registry`` seeds ``POLICIES`` from this map.
-BUILTIN_POLICIES = {
-    "none": NoManagementPolicy,
-    "dual_threshold": DualThresholdDfsPolicy,
-    "stop_go": StopGoPolicy,
-    "per_core": PerCoreDfsPolicy,
-    "dvfs_ladder": DvfsLadderPolicy,
-    "pid": PidFrequencyPolicy,
-    "predictive": PredictiveThrottlePolicy,
-    "per_domain": PerDomainPolicy,
-}
 
 #: Ready-to-run example params per built-in, valid on the ``4xarm11``
 #: floorplan (the Figure 4b experiment plan).  The round-trip property

@@ -95,18 +95,10 @@ def _policy_variants(policies):
     """Normalize the policies argument into labelled sweep variants."""
     variants = []
     for item in policies:
-        if isinstance(item, Variant):
-            label, spec = item.label, item.value
-        else:
-            spec = item
-            if isinstance(spec, str):
-                spec = PolicySpec(spec)
-            elif isinstance(spec, dict):
-                spec = PolicySpec.from_dict(spec)
-            label = spec.name
-        if isinstance(spec, PolicySpec):
-            spec = spec.to_dict()
-        variants.append(Variant(label, spec))
+        value = item.value if isinstance(item, Variant) else item
+        spec = value if isinstance(value, PolicySpec) else PolicySpec.from_dict(value)
+        label = item.label if isinstance(item, Variant) else spec.name
+        variants.append(Variant(label, spec.to_dict()))
     labels = [v.label for v in variants]
     if len(set(labels)) != len(labels):
         raise ValueError(

@@ -22,7 +22,7 @@ policy-comparison pipeline (:mod:`repro.policy.comparison`).
 
 from collections import deque
 
-from repro.policy.base import ThermalPolicy, require_sensors
+from repro.policy.base import POLICIES, ThermalPolicy, require_sensors
 from repro.util.units import MHZ
 
 
@@ -39,6 +39,7 @@ def _per_level(value, levels, label):
     return values
 
 
+@POLICIES.register("dvfs_ladder")
 class DvfsLadderPolicy(ThermalPolicy):
     """A multi-level DVFS ladder: N operating points, one step per window.
 
@@ -112,6 +113,7 @@ class DvfsLadderPolicy(ThermalPolicy):
         }
 
 
+@POLICIES.register("pid")
 class PidFrequencyPolicy(ThermalPolicy):
     """PID control of the system clock toward a target temperature.
 
@@ -211,6 +213,7 @@ class PidFrequencyPolicy(ThermalPolicy):
         }
 
 
+@POLICIES.register("predictive")
 class PredictiveThrottlePolicy(ThermalPolicy):
     """Moving-average predictive throttling: act before the crossing.
 
@@ -283,6 +286,7 @@ class PredictiveThrottlePolicy(ThermalPolicy):
         }
 
 
+@POLICIES.register("per_domain")
 class PerDomainPolicy(ThermalPolicy):
     """Independent thermal gates for the core domain and the fabric.
 

@@ -185,33 +185,17 @@ def _tech_65nm():
 def make_tech_node(spec=None):
     """Resolve a tech-node spec to a :class:`TechNode` (or ``None``).
 
-    ``spec`` may be ``None`` (fixed-voltage legacy model), a registered
-    :data:`TECH_NODES` name, a full ``TechNode.to_dict()`` dict (the
-    JSON form that rides inside
-    :class:`repro.core.framework.FrameworkConfig`), or an already
-    constructed :class:`TechNode`.
+    ``spec`` may be ``None`` (fixed-voltage legacy model), an already
+    constructed :class:`TechNode`, a full ``TechNode.to_dict()`` dict,
+    or any :meth:`~repro.util.registry.Registry.resolve` spec naming a
+    :data:`TECH_NODES` entry (the JSON forms that ride inside
+    :class:`repro.core.framework.FrameworkConfig`).
     """
-    if spec is None:
-        return None
-    if isinstance(spec, TechNode):
+    if spec is None or isinstance(spec, TechNode):
         return spec
-    if isinstance(spec, str):
-        return TECH_NODES.get(spec)()
-    if isinstance(spec, dict):
-        if "name" not in spec:
-            raise ValueError("a tech-node dict needs a 'name' entry")
-        if "points" in spec:
-            return TechNode.from_dict(spec)
-        unknown = set(spec) - {"name"}
-        if unknown:
-            raise ValueError(
-                f"unknown tech-node keys: {', '.join(sorted(unknown))} "
-                f"(pass a registered name or a full TechNode.to_dict())"
-            )
-        return TECH_NODES.get(spec["name"])()
-    raise TypeError(
-        f"tech node must be a name, dict or TechNode, got {type(spec).__name__}"
-    )
+    if isinstance(spec, dict) and "points" in spec:
+        return TechNode.from_dict(spec)
+    return TECH_NODES.resolve(spec)
 
 
 @dataclass

@@ -7,13 +7,15 @@ experiments *data*:
 * :mod:`~repro.scenario.spec` — ``Scenario``, one co-emulation run as
   a JSON-round-trippable spec (platform, workload, floorplan name,
   policy spec, framework config, run bounds).
-* :mod:`~repro.scenario.registry` — string-keyed registries so specs
-  reference floorplans, policies and workload generators by name.
+* :mod:`~repro.scenario.registry` — ``WORKLOADS``, the workload
+  generators specs name (floorplans, policies and backends live in
+  registries beside their entries).
 * :mod:`~repro.scenario.sweep` — ``sweep`` / ``ExperimentSuite``,
   parameter-grid expansion into scenario variants.
 * :mod:`~repro.scenario.runner` — ``Runner``, batch execution,
   optionally across worker processes, returning uniform
   ``ScenarioResult`` objects.
 * :mod:`~repro.scenario.presets` — ``PRESETS``, named ready-to-run
-  scenarios (``python -m repro``).
+  scenarios, and ``load_scenarios``, the one CLI spec loader
+  (``python -m repro``).
 """

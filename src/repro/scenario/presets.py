@@ -4,7 +4,14 @@ Each preset is a zero-argument factory returning a :class:`Scenario`;
 ``PRESETS.get(name)()`` (or the CLI) materializes it.  Presets are sized
 to finish in seconds on a laptop — they are demonstrations and smoke
 tests, not the paper's full 100 K-iteration stress runs.
+
+:func:`load_scenarios` is the one place a command line turns a spec
+argument (a JSON scenario, list or suite file, or a preset name) into
+scenarios.
 """
+
+import json
+import pathlib
 
 from repro.core.framework import FrameworkConfig
 from repro.core.workload_model import ActivityProfile
@@ -12,6 +19,7 @@ from repro.mpsoc.cache import CacheConfig
 from repro.mpsoc.noc import generate_custom
 from repro.mpsoc.platform import CoreConfig, MPSoCConfig
 from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
+from repro.scenario.sweep import ExperimentSuite
 from repro.util.registry import Registry
 from repro.util.units import KB, MHZ
 
@@ -142,3 +150,32 @@ def matrix_tm_cached():
     )
     scenario.config.solver_backend = "cached_lu"
     return scenario
+
+
+def load_scenarios(spec, single=False):
+    """The scenarios a CLI spec names: a JSON file holding one scenario,
+    a list of them or a suite (``{"name": ..., "scenarios": [...]}``),
+    or a preset name.  With ``single``, a list or suite file is an
+    error, whatever its length."""
+    path = pathlib.Path(spec)
+    if path.is_file():
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and "scenarios" in data:
+            scenarios = ExperimentSuite.from_dict(data).scenarios
+        elif isinstance(data, list):
+            scenarios = [Scenario.from_dict(d) for d in data]
+        else:
+            return [Scenario.from_dict(data)]
+        if single:
+            raise ValueError(
+                f"{spec!r} holds a suite; this command takes one scenario, "
+                f"not a suite (run each member on its own, or the suite "
+                f"through a Runner with trace_store=...)"
+            )
+        return scenarios
+    if spec in PRESETS:
+        return [PRESETS.get(spec)()]
+    raise ValueError(
+        f"{spec!r} is neither a readable JSON file nor a preset "
+        f"(presets: {', '.join(PRESETS.names())})"
+    )

@@ -1,59 +1,34 @@
-"""String-keyed registries behind the declarative scenario layer.
+"""The workload-generator registry behind the declarative scenario layer.
 
-A :class:`Scenario` references floorplans, thermal policies and workload
-generators by name, the way FireSim's config files name workloads and
-platform descriptions.  Three registries resolve those names:
+A :class:`~repro.scenario.spec.Scenario` names its workload generator
+in :data:`WORKLOADS`, the way FireSim's config files name workloads.
+A generator is called as ``generator(platform, floorplan, **params)``
+and returns either a workload object for the framework or ``None``
+(meaning "programs are loaded; let the framework run the platform
+cycle-accurately").
 
-* :data:`FLOORPLANS` — name -> zero-argument floorplan factory.
-* :data:`POLICIES` — name -> policy factory taking the spec's params.
-* :data:`WORKLOADS` — name -> workload generator; called as
-  ``generator(platform, floorplan, **params)`` and returns either a
-  workload object for the framework or ``None`` (meaning "programs are
-  loaded; let the framework run the platform cycle-accurately").
-
-The thermal solver and emulation backend choices of
-:class:`repro.core.framework.FrameworkConfig` resolve the same way,
-through :data:`repro.thermal.backends.SOLVER_BACKENDS` and
-:data:`repro.emulation.backends.EMULATION_BACKENDS`.
+Every other registry a scenario names lives beside its entries:
+:data:`repro.thermal.floorplan.FLOORPLANS`,
+:data:`repro.policy.base.POLICIES`,
+:data:`repro.thermal.backends.SOLVER_BACKENDS`,
+:data:`repro.emulation.backends.EMULATION_BACKENDS` and
+:data:`repro.power.models.TECH_NODES`.  All of them read the one spec
+grammar of :meth:`repro.util.registry.Registry.parse`.
 
 All registries are open: experiments register their own entries with
 ``REGISTRY.register(name, obj)`` or as a decorator.  Custom entries are
 visible to a forked :class:`repro.scenario.runner.Runner` worker; under
-a spawn start method only the built-ins below survive, so long-lived
-custom generators belong in an importable module.
+a spawn start method only the built-ins survive, so long-lived custom
+generators belong in an importable module.
 """
 
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.policy.builtin import BUILTIN_POLICIES
-from repro.thermal.floorplan import BUILTIN_FLOORPLANS
 from repro.util.registry import Registry
 from repro.workloads.dithering import dithering_programs, load_images
 from repro.workloads.generator import compute_burst_program, shared_traffic_program
 from repro.workloads.matrix import matrix_programs
 
-FLOORPLANS = Registry("floorplan")
-POLICIES = Registry("policy")
 WORKLOADS = Registry("workload generator")
-
-for _name, _factory in BUILTIN_FLOORPLANS.items():
-    FLOORPLANS.register(_name, _factory)
-
-for _name, _factory in BUILTIN_POLICIES.items():
-    POLICIES.register(_name, _factory)
-
-
-def resolve_floorplan(spec):
-    """A fresh floorplan from a scenario's ``floorplan`` field.
-
-    ``spec`` is a registered name, a ``{"name": ..., "params": {...}}``
-    dict for parameterized factories like ``"hetero"``, or a ready
-    floorplan object, which is returned as is.
-    """
-    if isinstance(spec, str):
-        return FLOORPLANS.get(spec)()
-    if isinstance(spec, dict):
-        return FLOORPLANS.get(spec["name"])(**spec.get("params", {}))
-    return spec
 
 
 def _require_platform(name, platform):

@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.mpsoc.platform import MPSoCConfig, build_platform
-from repro.scenario.registry import POLICIES, WORKLOADS, resolve_floorplan
+from repro.policy.base import POLICIES
+from repro.scenario.registry import WORKLOADS
+from repro.thermal.floorplan import FLOORPLANS
 from repro.util.jsondata import json_copy
+from repro.util.registry import canonical_spec
 
 
 @dataclass
@@ -32,9 +35,8 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data):
-        if isinstance(data, str):
-            return cls(name=data)
-        return cls(name=data["name"], params=json_copy(data.get("params", {})))
+        name, params = WORKLOADS.parse(data)
+        return cls(name=name, params=json_copy(params))
 
 
 @dataclass
@@ -51,9 +53,8 @@ class PolicySpec:
     def from_dict(cls, data):
         if data is None:
             return cls()
-        if isinstance(data, str):
-            return cls(name=data)
-        return cls(name=data["name"], params=json_copy(data.get("params", {})))
+        name, params = POLICIES.parse(data)
+        return cls(name=name, params=json_copy(params))
 
 
 @dataclass
@@ -61,16 +62,18 @@ class Scenario:
     """One fully described co-emulation run.
 
     ``platform`` may be ``None`` for platform-less (profiled) runs; the
-    workload spec must then produce the workload itself.  ``floorplan``
-    (a registered name, or a ``{"name": ..., "params": {...}}`` dict for
-    parameterized factories like ``"hetero"``), the policy name and the
-    workload name resolve through the registries
-    in :mod:`repro.scenario.registry`; the thermal solver backend rides
-    inside ``config.solver_backend`` (a
-    :data:`~repro.thermal.backends.SOLVER_BACKENDS` name or
-    ``{"name": ..., "params": ...}`` dict) and round-trips through JSON
-    like every other knob — so a sweep can explore backends with
-    ``{"config.solver_backend": ["sparse_be", "cached_lu"]}``.
+    workload spec must then produce the workload itself.  ``floorplan``,
+    the policy and the workload are specs in the one grammar of
+    :meth:`repro.util.registry.Registry.parse` (a registered name, or a
+    ``{"name": ..., "params": {...}}`` dict), resolved through
+    :data:`~repro.thermal.floorplan.FLOORPLANS`,
+    :data:`~repro.policy.base.POLICIES` and
+    :data:`~repro.scenario.registry.WORKLOADS`.  A floorplan spec
+    without params is stored as its bare name, so every spelling of it
+    digests the same.  The thermal solver backend rides inside
+    ``config.solver_backend`` in the same grammar and round-trips
+    through JSON like every other knob — so a sweep can explore
+    backends with ``{"config.solver_backend": ["sparse_be", "cached_lu"]}``.
     """
 
     name: str
@@ -93,14 +96,8 @@ class Scenario:
             self.platform = MPSoCConfig.from_dict(self.platform)
         if isinstance(self.config, dict):
             self.config = FrameworkConfig.from_dict(self.config)
-        if isinstance(self.floorplan, dict):
-            if "name" not in self.floorplan:
-                raise ValueError("a floorplan dict needs a 'name' entry")
-            unknown = set(self.floorplan) - {"name", "params"}
-            if unknown:
-                raise ValueError(
-                    f"unknown floorplan keys: {', '.join(sorted(unknown))}"
-                )
+        FLOORPLANS.parse(self.floorplan)
+        self.floorplan = canonical_spec(self.floorplan)
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self):
@@ -139,10 +136,10 @@ class Scenario:
     def build(self, library=None):
         """Wire the scenario into a ready-to-run :class:`EmulationFramework`."""
         platform = build_platform(self.platform) if self.platform is not None else None
-        floorplan = resolve_floorplan(self.floorplan)
-        policy = POLICIES.get(self.policy.name)(**self.policy.params)
-        generator = WORKLOADS.get(self.workload.name)
-        workload = generator(platform, floorplan, **self.workload.params)
+        floorplan = FLOORPLANS.resolve(self.floorplan)
+        # A spec dataclass's fields are exactly the spec grammar's keys.
+        policy = POLICIES.resolve(vars(self.policy))
+        workload = WORKLOADS.resolve(vars(self.workload), platform, floorplan)
         return EmulationFramework(
             platform,
             floorplan,

@@ -221,27 +221,14 @@ SOLVER_BACKENDS.register("batched_lu", CachedLU)
 def make_backend(spec=None):
     """Resolve a backend spec to a fresh (unbound) backend instance.
 
-    ``spec`` may be ``None`` (the reference ``sparse_be``), a registered
-    name, a ``{"name": ..., "params": {...}}`` dict (the JSON form that
-    rides inside :class:`repro.core.framework.FrameworkConfig`), or an
-    already constructed :class:`SolverBackend`.
+    ``spec`` may be ``None`` (the reference ``sparse_be``), an already
+    constructed :class:`SolverBackend`, or any
+    :meth:`~repro.util.registry.Registry.resolve` spec: a registered
+    name or a ``{"name": ..., "params": {...}}`` dict (the JSON form
+    that rides inside :class:`repro.core.framework.FrameworkConfig`).
     """
     if spec is None:
         spec = "sparse_be"
     if isinstance(spec, SolverBackend):
         return spec
-    if isinstance(spec, str):
-        return SOLVER_BACKENDS.get(spec)()
-    if isinstance(spec, dict):
-        if "name" not in spec:
-            raise ValueError("a solver-backend dict needs a 'name' entry")
-        unknown = set(spec) - {"name", "params"}
-        if unknown:
-            raise ValueError(
-                f"unknown solver-backend keys: {', '.join(sorted(unknown))}"
-            )
-        return SOLVER_BACKENDS.get(spec["name"])(**spec.get("params", {}))
-    raise TypeError(
-        f"solver backend must be a name, dict or SolverBackend, "
-        f"got {type(spec).__name__}"
-    )
+    return SOLVER_BACKENDS.resolve(spec)

@@ -17,12 +17,19 @@ are derived from Table 1 (area = max power / power density).
 drive its power: ``("core", i)``, ``("icache", i)``, ``("dcache", i)``,
 ``("private_mem", i)``, ``("shared_mem", None)``,
 ``("noc_switch", switch_name)`` or ``None`` for passive silicon.
+
+:data:`FLOORPLANS` names the factories, so a scenario spec can say
+``"floorplan": "4xarm11"`` or, for a parameterized entry like
+``"hetero"``, ``{"name": "hetero", "params": {"big": 2, "little": 2}}``.
 """
 
 import math
 from dataclasses import dataclass, field
 
+from repro.util.registry import Registry
 from repro.util.units import MM2
+
+FLOORPLANS = Registry("floorplan")
 
 _AREA_TOLERANCE = 1e-9
 
@@ -277,6 +284,7 @@ def _corner_floorplan(name, core_class, core_area, die_width, core_row_h, cache_
     return b.build()
 
 
+@FLOORPLANS.register("4xarm7")
 def floorplan_4xarm7():
     """Figure 4(a): 4 ARM7 cores at 100 MHz, 130 nm."""
     from repro.power.library import DEFAULT_LIBRARY
@@ -292,6 +300,7 @@ def floorplan_4xarm7():
     )
 
 
+@FLOORPLANS.register("4xarm11")
 def floorplan_4xarm11():
     """Figure 4(b): 4 ARM11 cores at 500 MHz, 130 nm."""
     from repro.power.library import DEFAULT_LIBRARY
@@ -307,6 +316,7 @@ def floorplan_4xarm11():
     )
 
 
+@FLOORPLANS.register("hetero")
 def floorplan_hetero(big=2, little=2, big_class="arm11", little_class="arm7"):
     """A parameterized big.LITTLE-style floorplan for heterogeneous DSE.
 
@@ -380,13 +390,3 @@ def floorplan_hetero(big=2, little=2, big_class="arm11", little_class="arm7"):
         ])
     return b.build()
 
-
-# Named floorplan factories; ``repro.scenario`` seeds its floorplan
-# registry from this map so scenario specs can say "floorplan": "4xarm11"
-# (or, for parameterized entries like "hetero", a
-# ``{"name": ..., "params": {...}}`` dict).
-BUILTIN_FLOORPLANS = {
-    "4xarm7": floorplan_4xarm7,
-    "4xarm11": floorplan_4xarm11,
-    "hetero": floorplan_hetero,
-}

@@ -29,29 +29,6 @@ from repro.trace.format import load_archive
 from repro.trace.store import DEFAULT_STORE_DIR, TraceStore
 
 
-def _load_scenario(spec):
-    """One scenario from a JSON file or preset name (record takes one)."""
-    from repro.scenario.presets import PRESETS
-    from repro.scenario.spec import Scenario
-
-    path = pathlib.Path(spec)
-    if path.is_file():
-        data = json.loads(path.read_text())
-        if isinstance(data, dict) and "scenarios" in data:
-            raise ValueError(
-                "trace record takes one scenario, not a suite; record "
-                "each member (or run the suite through a Runner with "
-                "trace_store=...)"
-            )
-        return Scenario.from_dict(data)
-    if spec in PRESETS:
-        return PRESETS.get(spec)()
-    raise ValueError(
-        f"{spec!r} is neither a readable JSON file nor a preset "
-        f"(presets: {', '.join(PRESETS.names())})"
-    )
-
-
 def _open_archive(ref, store_dir):
     """Resolve an archive reference: a path to an ``.npz``, or a digest
     (full or unambiguous prefix) inside the store."""
@@ -83,9 +60,10 @@ def _resolution(text):
 
 
 def _record_main(args):
+    from repro.scenario.presets import load_scenarios
     from repro.trace.capture import record
 
-    scenario = _load_scenario(args.spec)
+    (scenario,) = load_scenarios(args.spec, single=True)
     _, report, archive = record(scenario)
     placed = []
     if args.output:

@@ -39,12 +39,14 @@ from repro.core.framework import (
     run_windows,
     step_windows,
 )
+from repro.thermal.floorplan import FLOORPLANS
 from repro.trace.store import THERMAL_SIDE_KEYS
 
 
-def _resolve_floorplan(spec, archive):
-    """A floorplan object from an override (name, params dict or object)
-    or the recording's own scenario."""
+def _replay_floorplan(spec, archive):
+    """A floorplan object from an override (a ready floorplan, or a
+    :data:`~repro.thermal.floorplan.FLOORPLANS` spec) or the
+    recording's own scenario."""
     if spec is None:
         scenario = archive.scenario or {}
         spec = scenario.get("floorplan") or archive.metadata.get("floorplan")
@@ -52,9 +54,9 @@ def _resolve_floorplan(spec, archive):
             raise ValueError(
                 "archive records no floorplan; pass floorplan=... explicitly"
             )
-    from repro.scenario.registry import resolve_floorplan
-
-    return resolve_floorplan(spec)
+    if isinstance(spec, (str, dict)):
+        return FLOORPLANS.resolve(spec)
+    return spec
 
 
 def replay_config(archive, config=None):
@@ -100,7 +102,7 @@ class ReplaySource(ThermalSide):
         archive.validate()
         self.archive = archive
         self.config = replay_config(archive, config)
-        self.floorplan = _resolve_floorplan(floorplan, archive)
+        self.floorplan = _replay_floorplan(floorplan, archive)
         self.properties = properties
         self.source = source  # provenance label ("memory", a store path…)
         super().__init__(self.floorplan, self.config, properties=properties)

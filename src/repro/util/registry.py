@@ -1,17 +1,27 @@
-"""A generic named string-keyed registry.
+"""A generic named string-keyed registry and the one spec grammar.
 
-Used across layers: the scenario package resolves floorplans, policies
-and workload generators by name, the thermal package resolves solver
-backends the same way, and the static analysis resolves rules.  Living
-in ``repro.util`` keeps the dependency direction clean (thermal must
-not import scenario).
+Used across layers: the scenario package resolves workload generators
+by name, the thermal package resolves floorplans and solver backends,
+the policy package resolves thermal policies, and the static analysis
+resolves rules.  Living in ``repro.util`` keeps the dependency
+direction clean (thermal must not import scenario).
+
+Every configurable choice a scenario names is written in one grammar:
+a registered name, or a ``{"name": ..., "params": {...}}`` dict whose
+``params`` is optional and whose other keys are errors.
+:meth:`Registry.parse` is the only parser of that grammar and
+:meth:`Registry.resolve` builds the entry from it, so a misspelled key
+(``"parms"``) fails loudly instead of silently running the defaults.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, TypeVar, overload
+from typing import Any, Callable, Generic, TypeVar, cast, overload
 
 T = TypeVar("T")
+
+#: The keys a spec dict may carry.
+SPEC_KEYS = frozenset({"name", "params"})
 
 
 class Registry(Generic[T]):
@@ -66,3 +76,64 @@ class Registry(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def parse(self, spec: object) -> tuple[str, dict[str, Any]]:
+        """Split a spec into ``(name, params)``, checking only its shape.
+
+        Whether the name is registered is left to :meth:`get`, so a
+        spec can be parsed before its entry is registered.  ``params``
+        is returned as is, not copied.  A malformed dict raises
+        ``ValueError`` and anything but a str or dict ``TypeError``.
+        """
+        if isinstance(spec, str):
+            return spec, {}
+        if not isinstance(spec, dict):
+            raise TypeError(
+                f"a {self.kind} spec must be a name or a "
+                f"{{'name': ..., 'params': {{...}}}} dict, "
+                f"got {type(spec).__name__}"
+            )
+        if "name" not in spec:
+            raise ValueError(f"a {self.kind} dict needs a 'name' entry")
+        unknown = spec.keys() - SPEC_KEYS
+        if unknown:
+            raise ValueError(
+                f"unknown {self.kind} keys: {', '.join(sorted(unknown))} "
+                f"(a spec takes 'name' and 'params')"
+            )
+        name, params = spec["name"], spec.get("params", {})
+        if not isinstance(name, str):
+            raise ValueError(
+                f"a {self.kind} name must be a string, "
+                f"got {type(name).__name__}"
+            )
+        if not isinstance(params, dict):
+            raise ValueError(
+                f"{self.kind} params must be a dict, "
+                f"got {type(params).__name__}"
+            )
+        return name, params
+
+    def resolve(self, spec: object, *args: Any) -> Any:
+        """Build the entry a spec names: ``get(name)(*args, **params)``."""
+        name, params = self.parse(spec)
+        factory = cast(Callable[..., Any], self.get(name))
+        return factory(*args, **params)
+
+
+def canonical_spec(spec: T) -> T | str:
+    """The one spelling of a spec: ``{"name": X}`` and
+    ``{"name": X, "params": {}}`` become the bare name ``X``.
+
+    Any other value, a spec with params included, is returned as is, so
+    all spellings of one choice serialize, and digest, the same.
+    """
+    if (
+        isinstance(spec, dict)
+        and "name" in spec
+        and spec.keys() <= SPEC_KEYS
+        and spec.get("params", {}) == {}
+    ):
+        name: str = spec["name"]
+        return name
+    return spec

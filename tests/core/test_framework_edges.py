@@ -134,7 +134,7 @@ def test_config_rejects_unknown_solver_backend():
         FrameworkConfig(solver_backend=CachedLU())
     # Malformed dict shapes and bad params fail at config time too, not
     # when the framework is wired (possibly in a worker process).
-    with pytest.raises(ValueError, match="unknown solver-backend keys"):
+    with pytest.raises(ValueError, match="unknown solver backend keys"):
         FrameworkConfig(solver_backend={"name": "cached_lu", "junk": 1})
     with pytest.raises(TypeError):
         FrameworkConfig(

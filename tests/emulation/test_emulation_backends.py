@@ -147,7 +147,7 @@ def test_make_emulation_backend_resolution():
 def test_make_emulation_backend_rejects_bad_specs():
     with pytest.raises(ValueError, match="needs a 'name' entry"):
         make_emulation_backend({"params": {}})
-    with pytest.raises(ValueError, match="unknown emulation-backend keys"):
+    with pytest.raises(ValueError, match="unknown emulation backend keys"):
         make_emulation_backend({"name": "windowed", "extra": 1})
     with pytest.raises(ValueError, match="unknown emulation backend"):
         make_emulation_backend("not_a_backend")

@@ -4,14 +4,12 @@ import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
-from repro.policy.base import ThermalPolicy
+from repro.policy.base import POLICIES, ThermalPolicy
 from repro.policy.builtin import (
-    BUILTIN_POLICIES,
     EXAMPLE_PARAMS,
     describe_policies,
     example_params,
 )
-from repro.scenario.registry import POLICIES
 from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import MHZ
 
@@ -44,7 +42,8 @@ def test_base_protocol_defaults():
 
 
 def test_every_builtin_is_registered():
-    for name in BUILTIN_POLICIES:
+    for name in ("none", "dual_threshold", "stop_go", "per_core",
+                 "dvfs_ladder", "pid", "predictive", "per_domain"):
         assert name in POLICIES
 
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.workload_model import ActivityProfile
+from repro.policy.base import POLICIES
 from repro.policy.builtin import example_params
-from repro.scenario.registry import POLICIES
 from repro.scenario.spec import PolicySpec, Scenario
 from repro.util.units import MHZ
 

@@ -192,8 +192,8 @@ def test_batched_members_report_their_share_of_solve_and_residual():
 def test_batched_failure_keeps_finished_members_reports():
     """A mid-co-step crash fails only the unfinished group members; runs
     that had already reached their bounds keep their reports."""
+    from repro.policy.base import POLICIES
     from repro.policy.builtin import NoManagementPolicy
-    from repro.scenario.registry import POLICIES
 
     class ExplodeAfter(NoManagementPolicy):
         def react(self, sensors, vpcm, now):
@@ -221,8 +221,8 @@ def test_batched_member_failing_in_its_final_window_is_failed():
     """A scenario whose workload completes during the very window that
     raises must come back FAILED (matching serial semantics), not as a
     bogus zero-window success."""
+    from repro.policy.base import POLICIES
     from repro.policy.builtin import NoManagementPolicy
-    from repro.scenario.registry import POLICIES
 
     class AlwaysExplode(NoManagementPolicy):
         def react(self, sensors, vpcm, now):

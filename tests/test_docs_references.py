@@ -62,7 +62,7 @@ def test_docs_references_resolve():
 
 def test_resolver_rejects_package_level_and_missing_paths():
     assert resolves("repro.trace.store.TraceStore")
-    assert resolves("repro.scenario.registry.FLOORPLANS")
+    assert resolves("repro.thermal.floorplan.FLOORPLANS")
     assert not resolves("repro.trace.TraceStore")
-    assert not resolves("repro.scenario.FLOORPLANS")
+    assert not resolves("repro.thermal.FLOORPLANS")
     assert not resolves("repro.mpsoc.trace")

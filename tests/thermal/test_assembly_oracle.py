@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.scenario.registry import FLOORPLANS
+from repro.thermal.floorplan import FLOORPLANS
 from repro.thermal.rc_network import network_for
 
 

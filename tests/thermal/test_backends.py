@@ -96,7 +96,7 @@ def test_make_backend_rejects_bad_specs():
         make_backend("nope")
     with pytest.raises(ValueError, match="'name' entry"):
         make_backend({"params": {}})
-    with pytest.raises(ValueError, match="unknown solver-backend keys"):
+    with pytest.raises(ValueError, match="unknown solver backend keys"):
         make_backend({"name": "cached_lu", "speed": 11})
     with pytest.raises(TypeError):
         make_backend(42)

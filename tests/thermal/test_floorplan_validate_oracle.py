@@ -15,9 +15,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.scenario.registry import FLOORPLANS
 from repro.thermal import floorplan as floorplan_module
-from repro.thermal.floorplan import Floorplan, FloorplanComponent
+from repro.thermal.floorplan import FLOORPLANS, Floorplan, FloorplanComponent
 
 TOLERANCE = floorplan_module._AREA_TOLERANCE
 

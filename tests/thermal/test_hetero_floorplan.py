@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.thermal.floorplan import BUILTIN_FLOORPLANS, floorplan_hetero
+from repro.thermal.floorplan import FLOORPLANS, floorplan_hetero
 
 
 def test_builds_and_validates():
@@ -55,4 +55,4 @@ def test_name_is_deterministic_and_fingerprint_stable():
 
 
 def test_registered_as_builtin():
-    assert BUILTIN_FLOORPLANS["hetero"] is floorplan_hetero
+    assert FLOORPLANS.get("hetero") is floorplan_hetero

@@ -82,6 +82,22 @@ def test_platformless_digest_ignores_the_unused_emulation_backend():
     }
 
 
+@pytest.mark.parametrize("section,knob,name", [
+    ("config", "emulation_backend", "windowed"),
+    ("config", "tech_node", "65nm"),
+    (None, "floorplan", "4xarm7"),
+])
+def test_every_spelling_of_a_spec_digests_the_same(section, knob, name):
+    """A spec without params names the same run however it is spelled,
+    so every spelling must file under one store digest."""
+    digests = set()
+    for spelling in (name, {"name": name}, {"name": name, "params": {}}):
+        data = PRESETS.get("dithering_noc")().to_dict()
+        (data[section] if section else data)[knob] = spelling
+        digests.add(scenario_trace_digest(data))
+    assert len(digests) == 1
+
+
 def test_digest_accepts_dicts_and_scenarios():
     scenario = short_scenario()
     assert scenario_trace_digest(scenario) == scenario_trace_digest(
