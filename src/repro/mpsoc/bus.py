@@ -180,39 +180,50 @@ class Bus(Observable):
         beats = -(-nwords // cfg.words_per_beat())  # ceil division
         return cfg.arb_cycles + cfg.address_cycles + beats * cfg.data_cycles_per_word
 
+    def port(self, master_id, slave):
+        """:meth:`transfer` bound to one master/slave pair,
+        ``port(addr, is_write, t, nwords=1) -> latency``.  A memory
+        controller holds one per shared range."""
+        if not 0 <= master_id < len(self.masters):
+            raise ValueError(f"{self.name}: unknown master id {master_id}")
+        tdma = self.config.arbitration == ARB_TDMA
+        occupancy_cycles = self.occupancy_cycles
+        counts, per_master_wait = self.counters.counts, self.per_master_wait
+
+        def transfer(addr, is_write, t, nwords=1):
+            if nwords < 1:
+                raise ValueError(f"{self.name}: empty transfer")
+            grant_t = max(t, self._busy_until, getattr(slave, "port_busy_until", 0))
+            if tdma:
+                grant_t += self._arbiter.slot_wait(master_id, grant_t)
+            wait = grant_t - t
+            total_busy = occupancy_cycles(nwords) + slave.access_latency(nwords)
+            self._busy_until = grant_t + total_busy
+            slave.port_busy_until = self._busy_until
+            slave.record_access(grant_t, is_write, nwords)
+            counts[ev.BUS_TXN] = counts.get(ev.BUS_TXN, 0) + 1
+            counts["words"] = counts.get("words", 0) + nwords
+            counts["busy_cycles"] = counts.get("busy_cycles", 0) + total_busy
+            if wait:
+                counts[ev.BUS_WAIT] = counts.get(ev.BUS_WAIT, 0) + wait
+                per_master_wait[master_id] += wait
+            if self._event_hooks:
+                self.emit(
+                    grant_t, self.name, ev.BUS_TXN, (master_id, addr, is_write, nwords)
+                )
+            return wait + total_busy
+
+        return transfer
+
     def transfer(self, master_id, slave, addr, is_write, nwords, t):
         """Execute one burst; returns total latency in virtual cycles.
 
         Latency = wait for bus grant (+ TDMA slot) + bus occupancy +
         slave access latency.  The bus is held for the whole transaction
-        (OPB-style non-split transfers, as in the paper's platform).
+        (OPB-style non-split transfers, as in the paper's platform).  A
+        one-off call: repeated transfers go through a :meth:`port`.
         """
-        if not 0 <= master_id < len(self.masters):
-            raise ValueError(f"{self.name}: unknown master id {master_id}")
-        if nwords < 1:
-            raise ValueError(f"{self.name}: empty transfer")
-        grant_t = max(t, self._busy_until, getattr(slave, "port_busy_until", 0))
-        if self.config.arbitration == ARB_TDMA:
-            grant_t += self._arbiter.slot_wait(master_id, grant_t)
-        wait = grant_t - t
-        occupancy = self.occupancy_cycles(nwords)
-        slave_latency = slave.access_latency(nwords)
-        total_busy = occupancy + slave_latency
-        self._busy_until = grant_t + total_busy
-        slave.port_busy_until = self._busy_until
-        slave.record_access(grant_t, is_write, nwords)
-        # Statistics.
-        self.counters.add(ev.BUS_TXN)
-        self.counters.add("words", nwords)
-        self.counters.add("busy_cycles", total_busy)
-        if wait:
-            self.counters.add(ev.BUS_WAIT, wait)
-            self.per_master_wait[master_id] += wait
-        if self._event_hooks:
-            self.emit(
-                grant_t, self.name, ev.BUS_TXN, (master_id, addr, is_write, nwords)
-            )
-        return wait + total_busy
+        return self.port(master_id, slave)(addr, is_write, t, nwords)
 
     # -- statistics ------------------------------------------------------------
     def stats(self):

@@ -13,7 +13,9 @@ whenever a physical backing device cannot respond within the configured
 latency (Sections 3.2 and 4.2).
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import partial
 
 from repro.mpsoc.events import CounterBlock, Observable
 
@@ -60,7 +62,8 @@ class MemoryController(Observable):
         self.icache = icache
         self.dcache = dcache
         self.ranges = []
-        self._bounds = ()  # (lo, hi, range) per range, for decode
+        self._bounds = ()  # (lo, hi, range, data port) per range, for decode
+        self._backing = {}  # range name -> backing port
         self.counters = CounterBlock(name)
         # Set by the VPCM when the framework wires the platform; receives
         # the number of *physical* cycles to inhibit the virtual clock.
@@ -77,14 +80,27 @@ class MemoryController(Observable):
                     f"{self.name}: range {address_range.name} overlaps {existing.name}"
                 )
         self.ranges.append(address_range)
+        port = None
+        if not address_range.is_mmio:
+            port = self._backing_port(address_range)
+            self._backing[address_range.name] = port
+            if address_range.cacheable and self.dcache is not None:
+                port = partial(_cached_access, self.dcache, port)
         lo = address_range.base
-        self._bounds += ((lo, lo + address_range.size, address_range),)
+        self._bounds += ((lo, lo + address_range.size, address_range, port),)
         return address_range
 
     def decode(self, addr):
-        for lo, hi, rng in self._bounds:
+        return self.decode_port(addr)[0]
+
+    def decode_port(self, addr):
+        """``(range, data port)`` of ``addr``.  The port times one data
+        access at virtual cycle ``t``, ``port(addr, is_write, t) ->
+        latency``: through the D-cache for cacheable ranges, else
+        straight to the backing device; None for an MMIO range."""
+        for lo, hi, rng, port in self._bounds:
             if lo <= addr < hi:
-                return rng
+                return rng, port
         raise AccessFault(f"{self.name}: no range maps address 0x{addr:08x}")
 
     # -- functional data access ------------------------------------------------
@@ -122,42 +138,35 @@ class MemoryController(Observable):
         if self.clk_suppression_hook is not None:
             self.clk_suppression_hook(real_cycles)
 
-    def _backing_latency(self, rng, addr, is_write, nwords, t):
-        """Latency of touching the backing device behind ``rng``.
+    def _backing_port(self, rng):
+        """``port(addr, is_write, t, nwords=1) -> latency`` of touching the
+        backing device behind ``rng``: one interconnect transfer or the
+        direct access, bound once per range.
 
         Either way the device's physical penalty (board memory slower
         than the configured latency, e.g. DDR backing a fast emulated
-        memory) raises a VPCM clock-suppression request.
+        memory) raises a VPCM clock-suppression request.  Ports reach
+        this controller through a weak reference: it holds them, and a
+        platform without reference cycles is freed as soon as it is
+        dropped.
         """
         memory = rng.target
         if rng.via is not None:
-            latency = rng.via.transfer(
-                rng.master_id, memory, addr, is_write, nwords, t
-            )
+            access = rng.via.port(rng.master_id, memory)
         else:
-            latency = memory.access_latency(nwords)
-            memory.record_access(t, is_write, nwords)
-        penalty = memory.physical_penalty(nwords)
-        if penalty > 0:
-            self._suppress(penalty)
-        return latency
+            def access(addr, is_write, t, nwords=1):
+                memory.record_access(t, is_write, nwords)
+                return memory.access_latency(nwords)
+        if memory.physical_penalty() <= 0:
+            return access
+        penalty, controller = memory.physical_penalty, weakref.ref(self)
 
-    def _cached_access(self, cache, rng, addr, is_write, t):
-        """Access through an L1; returns total latency in virtual cycles."""
-        result = cache.access(addr, is_write, t)
-        latency = cache.hit_latency
-        line_words = cache.line_words
-        if result.writeback:
-            latency += self._backing_latency(
-                rng, result.victim_addr, True, line_words, t + latency
-            )
-        if result.fill:
-            latency += self._backing_latency(
-                rng, cache.line_base(addr), False, line_words, t + latency
-            )
-        if result.through_write:
-            latency += self._backing_latency(rng, addr, True, 1, t + latency)
-        return latency
+        def penalized(addr, is_write, t, nwords=1):
+            latency = access(addr, is_write, t, nwords)
+            controller()._suppress(penalty(nwords))
+            return latency
+
+        return penalized
 
     # -- the access paths used by the processors ---------------------------------
     def fetch_timing(self, addr, t):
@@ -165,35 +174,26 @@ class MemoryController(Observable):
         rng = self.decode(addr)
         self.counters.add("fetches")
         if rng.cacheable and self.icache is not None:
-            return self._cached_access(self.icache, rng, addr, False, t)
-        return self._backing_latency(rng, addr, False, 1, t)
-
-    def data_timing(self, rng, addr, is_write, t):
-        """Latency of one data access at virtual cycle ``t`` to ``addr``
-        in the (already decoded, non-MMIO) range ``rng``: through the
-        D-cache for cacheable ranges, else straight to the backing
-        device."""
-        if rng.cacheable and self.dcache is not None:
-            return self._cached_access(self.dcache, rng, addr, is_write, t)
-        return self._backing_latency(rng, addr, is_write, 1, t)
+            return _cached_access(self.icache, self._backing[rng.name], addr, False, t)
+        return self._backing[rng.name](addr, False, t)
 
     def load(self, addr, size, t):
         """Data load; returns ``(value, latency)``."""
-        rng = self.decode(addr)
+        rng, port = self.decode_port(addr)
         self.counters.add("loads")
         value = self._read(rng, addr, size)
         if rng.is_mmio:
             return value, 1
-        return value, self.data_timing(rng, addr, False, t)
+        return value, port(addr, False, t)
 
     def store(self, addr, size, value, t):
         """Data store; returns the latency."""
-        rng = self.decode(addr)
+        rng, port = self.decode_port(addr)
         self.counters.add("stores")
         self._write(rng, addr, size, value)
         if rng.is_mmio:
             return 1
-        return self.data_timing(rng, addr, True, t)
+        return port(addr, True, t)
 
     def stats(self):
         return {
@@ -203,3 +203,18 @@ class MemoryController(Observable):
             "clk_suppression_requests": self.counters.get("clk_suppression_requests"),
             "suppressed_real_cycles": self.counters.get("suppressed_real_cycles"),
         }
+
+
+def _cached_access(cache, backing, addr, is_write, t):
+    """An access through an L1 in front of the ``backing`` port; returns
+    the total latency in virtual cycles."""
+    result = cache.access(addr, is_write, t)
+    latency = cache.hit_latency
+    line_words = cache.line_words
+    if result.writeback:
+        latency += backing(result.victim_addr, True, t + latency, line_words)
+    if result.fill:
+        latency += backing(cache.line_base(addr), False, t + latency, line_words)
+    if result.through_write:
+        latency += backing(addr, True, t + latency)
+    return latency

@@ -90,7 +90,6 @@ class Noc(Observable):
             raise ValueError(f"{config.name}: topology is not connected")
         self._endpoints = {}  # endpoint name -> switch
         self._routes = {}  # (src switch, dst switch) -> [switches]
-        self._paths = {}  # (master id, slave name) -> see _path
         self._link_busy = {}  # (a, b) directed -> busy-until cycle
         self.switch_flits = {s: 0 for s in config.switches}
         self.link_flits = {}
@@ -139,75 +138,84 @@ class Noc(Observable):
         return list(self._routes[(src, dst)])
 
     # -- fast timed transfer ---------------------------------------------------
-    def _path(self, master_id, slave):
-        """``(master name, request hops, response hops)`` of one
-        master/slave pair, computed on first use.  Hops are ``(first
-        switch, ((link, next switch), ...))`` along the static route."""
-        plan = self._paths.get((master_id, slave.name))
-        if plan is None:
-            if not 0 <= master_id < len(self.masters):
-                raise ValueError(f"{self.name}: unknown master id {master_id}")
-            master_name = self.masters[master_id]
-            path = self.route(master_name, slave.name)
-            plan = (master_name, _hops(path), _hops(path[::-1]))
-            self._paths[(master_id, slave.name)] = plan
-        return plan
-
-    def _traverse(self, hops, nflits, t):
-        """Send one packet's flits along ``hops``; returns tail arrival time.
-
-        Wormhole: the head advances hop by hop, stalling on busy links;
-        each traversed link stays occupied for ``nflits`` cycles behind
-        the head (flits stream in its wake).
-        """
+    def port(self, master_id, slave):
+        """:meth:`transfer` bound to one master/slave pair,
+        ``port(addr, is_write, t, nwords=1) -> latency``, with the static
+        route and the link tables in locals.  A memory controller holds
+        one per shared range."""
+        if not 0 <= master_id < len(self.masters):
+            raise ValueError(f"{self.name}: unknown master id {master_id}")
+        master_name = self.masters[master_id]
+        path = self.route(master_name, slave.name)
+        back = path[::-1]
+        # (link, switch it leads to) per hop, each way.
+        request_hops = tuple(zip(zip(path, path[1:]), path[1:]))
+        response_hops = tuple(zip(zip(back, back[1:]), back[1:]))
         cfg = self.config
         per_hop = cfg.hop_latency + cfg.link_latency
+        ni_latency = cfg.ni_latency
         link_busy, link_flits = self._link_busy, self.link_flits
-        switch_flits = self.switch_flits
-        first, links = hops
-        head_t = t + cfg.ni_latency
-        for link, switch in links:
-            free_t = link_busy.get(link, 0)
-            head_t = (head_t if head_t > free_t else free_t) + per_hop
-            link_busy[link] = head_t + nflits - 1
-            link_flits[link] = link_flits.get(link, 0) + nflits
-            switch_flits[switch] += nflits
-        switch_flits[first] += nflits
-        # Tail flit arrives nflits-1 cycles behind the head, plus the
-        # depacketization latency at the destination NI.
-        return head_t + nflits - 1 + cfg.ni_latency
+        switch_flits, counts = self.switch_flits, self.counters.counts
+
+        def transfer(addr, is_write, t, nwords=1):
+            if nwords < 1:
+                raise ValueError(f"bad OCP burst length {nwords}")
+            # Flits per packet follow repro.mpsoc.ocp.OcpRequest.
+            request_flits = 2 + nwords if is_write else 2
+            response_flits = 1 if is_write else 1 + nwords
+            # Wormhole: the head advances hop by hop, stalling on busy
+            # links; each link stays occupied for the packet's flits
+            # behind the head.  The tail arrives flits-1 cycles behind
+            # the head, plus the depacketization latency.
+            head = t + ni_latency
+            for link, switch in request_hops:
+                free = link_busy.get(link, 0)
+                head = (head if head > free else free) + per_hop
+                link_busy[link] = head + request_flits - 1
+                link_flits[link] = link_flits.get(link, 0) + request_flits
+                switch_flits[switch] += request_flits
+            switch_flits[path[0]] += request_flits
+            arrival = head + request_flits - 1 + ni_latency
+            # Memory service at the destination.
+            busy = getattr(slave, "port_busy_until", 0)
+            service_start = arrival if arrival > busy else busy
+            service_done = service_start + slave.access_latency(nwords)
+            slave.port_busy_until = service_done
+            slave.record_access(service_start, is_write, nwords)
+            # Response packet back to the master.
+            head = service_done + ni_latency
+            for link, switch in response_hops:
+                free = link_busy.get(link, 0)
+                head = (head if head > free else free) + per_hop
+                link_busy[link] = head + response_flits - 1
+                link_flits[link] = link_flits.get(link, 0) + response_flits
+                switch_flits[switch] += response_flits
+            switch_flits[back[0]] += response_flits
+            counts[ev.NOC_PACKET] = counts.get(ev.NOC_PACKET, 0) + 2
+            counts[ev.NOC_FLIT] = (
+                counts.get(ev.NOC_FLIT, 0) + request_flits + response_flits
+            )
+            counts["ocp_transactions"] = counts.get("ocp_transactions", 0) + 1
+            if self._event_hooks:
+                self.emit(
+                    t, self.name, ev.NOC_PACKET, (master_name, slave.name, nwords)
+                )
+            return head + response_flits - 1 + ni_latency - t
+
+        return transfer
 
     def transfer(self, master_id, slave, addr, is_write, nwords, t):
         """Execute one OCP burst over the NoC; returns total latency.
 
         ``slave`` must expose ``name``/``access_latency``/``record_access``
-        and have been attached with :meth:`register_endpoint`.  Flit
-        counts follow :class:`repro.mpsoc.ocp.OcpRequest`: the request
-        is a header and an address flit plus the written words, the
-        response a header plus the read words.
+        and have been attached with :meth:`register_endpoint`.  The head
+        flit pays ``ni_latency``, then ``hop_latency + link_latency`` per
+        hop and any wait for a busy link; the request is a header and an
+        address flit plus the written words, the response a header plus
+        the read words.  A one-off call: repeated transfers go through
+        a :meth:`port`.
         """
-        master_name, request_hops, response_hops = self._path(master_id, slave)
-        if nwords < 1:
-            raise ValueError(f"bad OCP burst length {nwords}")
-        request_flits = 2 + nwords if is_write else 2
-        response_flits = 1 if is_write else 1 + nwords
-        req_arrival = self._traverse(request_hops, request_flits, t)
-        # Memory service at the destination.
-        service_start = max(req_arrival, getattr(slave, "port_busy_until", 0))
-        service_done = service_start + slave.access_latency(nwords)
-        slave.port_busy_until = service_done
-        slave.record_access(service_start, is_write, nwords)
-        # Response packet back to the master.
-        resp_done = self._traverse(response_hops, response_flits, service_done)
-        counts = self.counters.counts
-        counts[ev.NOC_PACKET] = counts.get(ev.NOC_PACKET, 0) + 2
-        counts[ev.NOC_FLIT] = (
-            counts.get(ev.NOC_FLIT, 0) + request_flits + response_flits
-        )
-        counts["ocp_transactions"] = counts.get("ocp_transactions", 0) + 1
-        if self._event_hooks:
-            self.emit(t, self.name, ev.NOC_PACKET, (master_name, slave.name, nwords))
-        return resp_done - t
+        return self.port(master_id, slave)(addr, is_write, t, nwords)
 
     # -- statistics ------------------------------------------------------------
     def stats(self):
@@ -218,10 +226,6 @@ class Noc(Observable):
             "switch_flits": dict(self.switch_flits),
             "link_flits": dict(self.link_flits),
         }
-
-
-def _hops(path):
-    return path[0], tuple(((a, b), b) for a, b in zip(path, path[1:]))
 
 
 def generate_mesh(name, rows, cols, **kwargs):

@@ -15,6 +15,7 @@ active/stalled/idle mode", Section 4.1).
 """
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.mpsoc import events as ev
@@ -326,14 +327,20 @@ class Processor(Observable):
                 text = None
             text_cached = text is not None and text.cacheable and text.contains(last)
         d_cached = timed and inline and first.cacheable and dcache is not None
+        if not timed:
+            private_port = self._record_access
+        elif inline:
+            private_port = memctrl.decode_port(first.base)[1]
+        else:
+            private_port = None
         return (
             self._code,
             self.regs,
             self.class_counts if timed else dict(self.class_counts),
             memctrl.counters.counts,
             memctrl.fetch_timing if timed else _no_fetch,
-            memctrl.data_timing if timed else self._record_access,
-            memctrl.decode,
+            private_port,
+            memctrl.decode_port if timed else self._decode_recorded,
             text_cached,
             icache._sets if text_cached else None,
             icache._event_hooks if text_cached else None,
@@ -347,16 +354,19 @@ class Processor(Observable):
             dcache.line_size if d_cached else 1,
             dcache.num_sets if d_cached else 1,
             d_cached and dcache.config.write_policy == WRITE_BACK,
-            first,
             p_lo,
             p_hi,
             first.target.data if inline else None,
         )
 
-    def _record_access(self, rng, addr, is_write, t):
+    def _record_access(self, addr, is_write, t):
         """The functional data port: remember the access, charge nothing."""
         self._access = (addr, is_write)
         return 0
+
+    def _decode_recorded(self, addr):
+        """``MemoryController.decode_port`` with the functional port."""
+        return self.memctrl.decode(addr), self._record_access
 
     def reset_stats(self):
         self.counters.reset()
@@ -372,18 +382,31 @@ class Processor(Observable):
         return self.state == STATE_HALTED
 
     # -- execution --------------------------------------------------------------
-    def run_until(self, horizon, until_cycle, budget=None, timed=True):
-        """Execute instructions while ``cycle <= horizon`` and
-        ``cycle < until_cycle``, at most ``budget`` of them, stopping at
-        halt; returns the number executed.
+    def run_until(self, horizon, until_cycle, budget=None, starts=None,
+                  classes=None, on_mmio_read=None, timed=True):
+        """Execute instructions that start before ``until_cycle``, at most
+        ``budget`` of them (none if it is ``<= 0``), stopping at halt;
+        returns the number executed.
 
-        This is the one interpreter: the event-driven engine calls it
-        once per scheduling decision (``horizon`` is the next core's
-        clock), :meth:`step` and :meth:`run` are batches of it.  Fetch
-        goes through the I-cache path of the memory controller,
-        loads/stores through the D-side.  Cycle split: CPI + cache hit
-        latencies count as *active*, anything beyond (miss refills, bus
-        waits) as *stall*.
+        An instruction that starts at or before ``horizon`` always runs.
+        One that starts after it runs only if it is *core-private*: its
+        fetch hits the I-cache inline, and it is no memory access or a
+        private-range load or write-back store that hits the D-cache
+        inline.  The batch stops before the first other instruction past
+        the horizon — a *sync* instruction: a fetch or data miss, a
+        write-through, uncached, shared or MMIO access.  Private
+        instructions touch nothing but this core's registers, private
+        memory words, cache tags and counters, so no other core can
+        tell when they ran; the event-driven engine lets a core run
+        ahead through them and orders only the sync instructions
+        (:mod:`repro.emulation.engine`).  :meth:`step` and :meth:`run`
+        pass an infinite horizon.
+
+        This is the one interpreter: :meth:`step`, :meth:`run` and the
+        engine are batches of it.  Fetch goes through the I-cache path
+        of the memory controller, loads/stores through the D-side.
+        Cycle split: CPI + cache hit latencies count as *active*,
+        anything beyond (miss refills, bus waits) as *stall*.
 
         Fast paths: an I-cache hit on the text and a D-cache hit on the
         private range are resolved inline, and the counters they bump
@@ -394,15 +417,19 @@ class Processor(Observable):
         and before any MMIO access, since sniffer registers read live
         counters.
 
+        ``starts``/``classes``: lists that get the start cycle and the
+        class of every executed instruction.  ``on_mmio_read(core)``:
+        called just before an MMIO read, with the core's clock at the
+        read's start; it returns a callable to call once the read is done.
         ``timed=False`` is the functional mode :meth:`execute` uses.
         """
-        if self.state != STATE_RUNNING:
+        if self.state != STATE_RUNNING or budget is not None and budget <= 0:
             return 0
         (
-            code, regs, cc, mc_counts, fetch_timing, data_timing, decode,
+            code, regs, cc, mc_counts, fetch_timing, private_port, decode,
             ifast, isets, ihooks, ic_counts, ihit,
             dfast, dsets, dhooks, dc_counts, dhit, dls, dns, dwb,
-            rng0, p_lo, p_hi, pdata,
+            p_lo, p_hi, pdata,
         ) = self._prepared if timed else self._functional
         # An event-logging sniffer on a cache needs one event per access:
         # the memory controller's path emits them.
@@ -410,6 +437,9 @@ class Processor(Observable):
             ifast = False
         if dfast and dhooks:
             dfast = dwb = False
+        logged = starts is not None
+        if logged:
+            log_start, log_class = starts.append, classes.append
         ncode = len(code)
         text_base = self._text_base
         pc = self.pc
@@ -417,7 +447,7 @@ class Processor(Observable):
         limit = -1 if budget is None else budget
         n = synced = act = ih = dh = nld = nst = 0
         try:
-            while cycle <= horizon and cycle < until_cycle:
+            while cycle < until_cycle:
                 if not 0 <= pc < ncode:
                     raise ExecutionError(
                         f"{self.name}: pc {pc} outside text ({ncode} instrs)"
@@ -432,10 +462,16 @@ class Processor(Observable):
                 ):
                     ih += 1
                     dc = da = hc
+                elif cycle > horizon:
+                    break  # a fetch miss past the horizon
                 else:
                     lat = fetch_timing(text_base + 4 * pc, cycle)
                     dc = lat + cpi
                     da = (lat if lat < ihit else ihit) + cpi
+                # A data access past the horizon that is no private hit
+                # stops the batch before the instruction: its fetch (an
+                # inline hit, which left the tags as they will be when
+                # it runs) is taken back.
                 if op <= _ALU_LAST:
                     a = regs[rs1]
                     if op == _ADDI:
@@ -512,9 +548,6 @@ class Processor(Observable):
                         )
                     t = cycle + dc - cpi + 1
                     if p_lo <= addr < p_hi:
-                        nld += 1
-                        off = addr - p_lo
-                        value = _unpack_word(pdata, off)[0] if op == _LW else pdata[off]
                         hit = False
                         if dfast:
                             line = addr // dls
@@ -525,10 +558,19 @@ class Processor(Observable):
                         if hit:
                             dh += 1
                             lat = dhit
+                        elif cycle > horizon:
+                            ih -= 1
+                            break
                         else:
-                            lat = data_timing(rng0, addr, False, t)
+                            lat = private_port(addr, False, t)
+                        nld += 1
+                        off = addr - p_lo
+                        value = _unpack_word(pdata, off)[0] if op == _LW else pdata[off]
+                    elif cycle > horizon:
+                        ih -= 1
+                        break
                     else:
-                        rng = decode(addr)
+                        rng, port = decode(addr)
                         off = addr - rng.base
                         if rng.is_mmio:
                             self._sync(pc, cycle, cycle0, act, n - synced,
@@ -536,14 +578,21 @@ class Processor(Observable):
                             cycle0, synced = cycle, n
                             act = ih = dh = nld = nst = 0
                             mc_counts["loads"] = mc_counts.get("loads", 0) + 1
-                            value = rng.target.mmio_read(off)
+                            if on_mmio_read is None:
+                                value = rng.target.mmio_read(off)
+                            else:
+                                restore = on_mmio_read(self)
+                                try:
+                                    value = rng.target.mmio_read(off)
+                                finally:
+                                    restore()
                             lat = 1
                         else:
                             nld += 1
                             target = rng.target
                             value = (target.read_word(off) if op == _LW
                                      else target.read_byte(off))
-                            lat = data_timing(rng, addr, False, t)
+                            lat = port(addr, False, t)
                     if op == _LB:
                         value = ((value & 0xFF) ^ 0x80) - 0x80
                     if rd:
@@ -560,12 +609,6 @@ class Processor(Observable):
                     value = regs[rd]
                     t = cycle + dc - cpi + 1
                     if p_lo <= addr < p_hi:
-                        nst += 1
-                        off = addr - p_lo
-                        if op == _SW:
-                            _pack_word(pdata, off, value)
-                        else:
-                            pdata[off] = value & 0xFF
                         hit = False
                         if dwb:  # a write-back hit only dirties the line
                             line = addr // dls
@@ -577,10 +620,22 @@ class Processor(Observable):
                             entries[-1][1] = True
                             dh += 1
                             lat = dhit
+                        elif cycle > horizon:
+                            ih -= 1
+                            break
                         else:
-                            lat = data_timing(rng0, addr, True, t)
+                            lat = private_port(addr, True, t)
+                        nst += 1
+                        off = addr - p_lo
+                        if op == _SW:
+                            _pack_word(pdata, off, value)
+                        else:
+                            pdata[off] = value & 0xFF
+                    elif cycle > horizon:
+                        ih -= 1
+                        break
                     else:
-                        rng = decode(addr)
+                        rng, port = decode(addr)
                         off = addr - rng.base
                         if rng.is_mmio:
                             self._sync(pc, cycle, cycle0, act, n - synced,
@@ -596,7 +651,7 @@ class Processor(Observable):
                                 rng.target.write_word(off, value)
                             else:
                                 rng.target.write_byte(off, value)
-                            lat = data_timing(rng, addr, True, t)
+                            lat = port(addr, True, t)
                     dc += lat
                     da += lat if lat < dhit else dhit
                     pc += 1
@@ -616,6 +671,9 @@ class Processor(Observable):
                         self.state = STATE_HALTED
                         limit = n + 1
                     pc += 1
+                if logged:
+                    log_start(cycle)
+                    log_class(cls)
                 cycle += dc
                 act += da
                 cc[cls] += 1
@@ -666,6 +724,44 @@ class Processor(Observable):
         if stores:
             memctrl.counters.add("stores", stores)
 
+    def retract(self, start, classes):
+        """Hide this core's newest instructions — core-private ones that
+        started at cycle ``start`` and after, of the logged ``classes`` —
+        from its clock and counters, as if they had not run yet; returns
+        a callable that puts them back.
+
+        A private instruction's only visible effects are its counts:
+        one instruction of its class, an inline I-cache hit fetch, for a
+        load or store an inline D-cache hit, and cycles that are all
+        active.
+        """
+        count = len(classes)
+        classes = Counter(classes)
+        cycles = self.cycle - start
+        memctrl = self.memctrl
+        mc_counts = memctrl.counters.counts
+        ic_counts = memctrl.icache.counters.counts
+        loads, stores = classes[CLASS_LOAD], classes[CLASS_STORE]
+        shifts = [(self.class_counts, cls, k) for cls, k in classes.items()]
+        shifts += [(mc_counts, "fetches", count), (ic_counts, "accesses", count),
+                   (ic_counts, _HIT, count)]
+        if loads or stores:
+            dc_counts = memctrl.dcache.counters.counts
+            shifts += [(mc_counts, "loads", loads), (mc_counts, "stores", stores),
+                       (dc_counts, "accesses", loads + stores),
+                       (dc_counts, _HIT, loads + stores)]
+
+        def shift(sign):
+            self.cycle += sign * cycles
+            self.active_cycles += sign * cycles
+            self.instructions += sign * count
+            for counts, key, amount in shifts:
+                if amount:
+                    counts[key] += sign * amount
+
+        shift(-1)
+        return lambda: shift(1)
+
     def step(self):
         """Execute one instruction (a one-instruction :meth:`run_until`);
         returns the virtual cycles it took, 0 when the core is halted."""
@@ -678,8 +774,6 @@ class Processor(Observable):
 
         Returns the number of instructions executed in this call.
         """
-        if max_instructions is not None and max_instructions <= 0:
-            return 0
         return self.run_until(
             _FOREVER, _FOREVER if until_cycle is None else until_cycle,
             max_instructions,

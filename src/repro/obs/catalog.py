@@ -52,6 +52,15 @@ OBS_METRICS.register(
     "repro_emulation_calibration_misses_total",
     "Windowed-backend calibration cache misses (full measurements)",
 )
+# Event-driven engine scheduler
+OBS_METRICS.register(
+    "repro_emulation_schedule_decisions_total",
+    "Event-driven engine scheduling decisions (core handoffs)",
+)
+OBS_METRICS.register(
+    "repro_emulation_tie_resolutions_total",
+    "Same-cycle ties the event-driven engine resolved from its logs",
+)
 # Trace store
 OBS_METRICS.register(
     "repro_store_hits_total",

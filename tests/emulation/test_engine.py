@@ -97,3 +97,23 @@ def test_instructions_counter_accumulates(platform1):
     engine.run_window(20)
     engine.run_window(10**9, idle_to_boundary=False)
     assert engine.instructions_executed == platform1.cores[0].instructions
+
+
+@pytest.mark.parametrize("budget", [1, 7, 150, 999])
+def test_window_budget_executes_exactly_that_many(platform2, budget):
+    # Cores run ahead through the loop (private work) between their
+    # shared loads; the budget still caps the window's total exactly.
+    program = assemble(f"""
+        main:   li   r1, 400
+                li   r8, {SHARED_BASE}
+        loop:   lw   r2, 0(r8)
+                addi r1, r1, -1
+                addi r3, r3, 1
+                bgt  r1, r0, loop
+                halt
+    """)
+    for index in range(2):
+        platform2.load_program(index, program)
+    executed = EventDrivenEngine(platform2).run_window(10**9, max_instructions=budget)
+    assert executed == budget
+    assert sum(core.instructions for core in platform2.cores) == budget

@@ -270,3 +270,38 @@ def test_reset_stats(platform1):
     stats = platform1.cores[0].stats()
     assert stats["instructions"] == 0
     assert stats["active_cycles"] == 0
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_run_until_with_no_budget_executes_nothing(platform1, budget):
+    platform1.load_program(0, assemble("""
+        main:   li   r1, 1000
+        loop:   addi r1, r1, -1
+                bne  r1, r0, loop
+                halt
+    """))
+    core = platform1.cores[0]
+    assert core.run_until(10**9, 10**9, budget) == 0
+    assert (core.pc, core.cycle, core.instructions) == (0, 0, 0)
+    assert not core.halted
+
+
+def test_run_until_runs_past_the_horizon_only_through_private_work(platform1):
+    # Two 16-byte I-cache lines: the first fetch of each misses (a sync
+    # instruction), every other instruction is private.
+    platform1.load_program(0, assemble("""
+        main:   li   r1, 3
+                addi r2, r2, 1
+                addi r2, r2, 1
+                addi r2, r2, 1
+        loop:   addi r1, r1, -1
+                bne  r1, r0, loop
+                halt
+    """))
+    core = platform1.cores[0]
+    # The miss at cycle 0 runs (it is at the horizon); the rest of its
+    # line runs ahead; the miss on the next line stops the batch.
+    assert core.run_until(0, 10**9) == 4
+    assert core.run_until(core.cycle - 1, 10**9) == 0
+    assert core.run_until(core.cycle, 10**9) == 7
+    assert core.halted and core.instructions == 11

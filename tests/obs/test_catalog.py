@@ -10,12 +10,18 @@ pruning here fails too.
 
 import pytest
 
+from repro.emulation.engine import EventDrivenEngine
+from repro.mpsoc.asm import assemble
+from repro.mpsoc.platform import SHARED_BASE, build_platform
 from repro.obs import catalog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from tests.conftest import small_config
 
 EXPECTED_METRICS = [
     "repro_emulation_calibration_hits_total",
     "repro_emulation_calibration_misses_total",
+    "repro_emulation_schedule_decisions_total",
+    "repro_emulation_tie_resolutions_total",
     "repro_farm_claim_latency_seconds",
     "repro_farm_claims_total",
     "repro_farm_emulated_jobs",
@@ -96,3 +102,27 @@ def test_helpers_declare_into_injected_registry():
     assert registry.get("repro_store_hits_total") is counter
     # HELP text comes from the catalog description.
     assert counter.help == catalog.describe("repro_store_hits_total")
+
+
+def test_engine_counts_its_decisions_and_ties():
+    # Two identical programs start together: a tie at cycle 0, and the
+    # cores meet at their shared loads, not at every instruction.
+    program = assemble(f"""
+        main:   li   r7, 20
+                li   r8, {SHARED_BASE}
+        loop:   lw   r1, 0(r8)
+                addi r2, r2, 1
+                addi r3, r3, 2
+                addi r7, r7, -1
+                bne  r7, r0, loop
+                halt
+    """)
+    platform = build_platform(small_config(2))
+    for index in range(2):
+        platform.load_program(index, program)
+    decisions = catalog.counter("repro_emulation_schedule_decisions_total")
+    ties = catalog.counter("repro_emulation_tie_resolutions_total")
+    decisions_before, ties_before = decisions.value, ties.value
+    executed, _ = EventDrivenEngine(platform).run_to_completion()
+    assert ties.value - ties_before >= 1
+    assert 2 <= decisions.value - decisions_before < executed / 2
