@@ -24,6 +24,7 @@ from repro.emulation.cycle_accurate import CycleAccurateEngine
 from repro.mpsoc.cache import WRITE_BACK
 from repro.mpsoc.platform import build_platform
 from repro.scenario.presets import PRESETS
+from repro.scenario.spec import WorkloadSpec
 from repro.workloads.matrix import matrix_programs
 
 
@@ -54,6 +55,11 @@ def _scenario(case):
         scenario.platform.dcache = replace(
             scenario.platform.dcache, write_policy=WRITE_BACK
         )
+    if variant == "matrix":
+        # The preset's own workload is a profile (no instruction runs):
+        # MATRIX on its cache-less ppc405 + microblaze bus platform pins
+        # the interpreter on two CPI tables and two core clocks.
+        scenario.workload = WorkloadSpec("matrix", {"n": 8, "iterations": 1})
     return scenario
 
 
@@ -87,6 +93,9 @@ CASES = [
     ("matrix_quickstart", "short_windows"),
     ("dithering_noc", "short_windows"),
     ("matrix_quickstart", "write_back"),
+    ("hetero_biglittle", "preset"),
+    ("hetero_biglittle", "matrix"),
+    ("dithering_noc", "write_back"),
 ]
 
 PINS = {
@@ -114,6 +123,24 @@ PINS = {
         "trace_sha": "0a366b45674aaa2b6f5c88ca84ee896db5441e41cd095a21a28b829d3c56437c",
         "end_cycle": 21481, "instructions": 32431, "windows": 11,
         "stats_sha": "1d67432bbdced21975b74a86aeb89d1c776980b3237287be85df3ef93314de61",
+    },
+    ("hetero_biglittle", "preset"): {
+        "trace_sha": "558663f3b7d616843aea97077129d1229d6ca241408b9f3c123608174edf2821",
+        "end_cycle": 0, "instructions": 3000000.0, "windows": 40,
+        "stats_sha": "d1d3f3cab8eba7977d6b14b8c194f030dce8926435eae60cbe44d04b310f67a3",
+    },
+    ("hetero_biglittle", "matrix"): {
+        "trace_sha": "6cbf31d0089e508bbed388c803520889791221ab2828c5a394fcbeca50fd9b81",
+        "end_cycle": 21229, "instructions": 32431, "windows": 1,
+        "stats_sha": "acca3581728e956a1641c8813eb0555411344fbbc9d4f059e246e823541fdf49",
+    },
+    # DITHERING keeps all its data in shared (uncached) memory, so the
+    # write-back D-cache leaves it as the short_windows run: the pin
+    # guards the write-back fast path against touching shared traffic.
+    ("dithering_noc", "write_back"): {
+        "trace_sha": "bbee63cb016583e5de6f45851d377d608ced5e234bcee7fb0b043e08ac7f052a",
+        "end_cycle": 35693, "instructions": 27020, "windows": 18,
+        "stats_sha": "8c677e827004a0e28aee8f4178b5c4d5ad859a283912de2a9041ff6e4c6228ef",
     },
 }
 
