@@ -74,6 +74,9 @@ class EventDrivenEngine:
         :meth:`run_to_completion` raises in that case.
         """
         cores = self.platform.cores
+        runs = [core.runner() for core in cores]
+        blocks = sum(core.block_runs for core in cores)
+        shared = sum(core.shared_accesses for core in cores)
         window = _Window(cores)
         starts, classes, hide = window.starts, window.classes, window.hide
         # Cores waiting at their next instruction, earliest first; a
@@ -91,63 +94,72 @@ class EventDrivenEngine:
         # Like one instruction at a time: the budget is checked after an
         # instruction ran, so even a budget of 0 runs one.
         budget = None if max_instructions is None else max(max_instructions, 1)
-        while heap:
-            cycle, index = heap[0]
-            size = len(heap)
-            after = until_cycle  # when the next other core waits
-            if size > 1:
-                after = heap[1][0]
-                if size > 2 and heap[2][0] < after:
-                    after = heap[2][0]
-            pos = 0
-            if after == cycle:
-                # A tie: the core that ran last before this cycle goes
-                # first if it waits here too, then the platform index.
-                # It runs its instruction at this cycle, then private
-                # ones only.
-                if tie_cycle != cycle:
-                    tie_cycle, tie_first = cycle, window.priority(cycle)
-                    ties += 1
-                if tie_first is not None and tie_first != index:
-                    try:
-                        pos = heap.index((cycle, tie_first))
-                        index = tie_first
-                    except ValueError:
-                        pass
-                horizon = cycle
-            else:
-                # Alone until ``after``: sync instructions before it
-                # cannot be overtaken by any other core's.
-                horizon = after - 1
-            core = cores[index]
-            ran = core.run_until(horizon, until_cycle, budget, starts[index],
-                                 classes[index], hide)
-            decisions += 1
-            executed += ran
-            if budget is not None:
-                budget -= ran
-                if budget <= 0:
-                    break
-            if core.state != "halted" and core.cycle < until_cycle:
-                if pos:
-                    heap[pos] = (core.cycle, index)
+        try:
+            while heap:
+                cycle, index = heap[0]
+                size = len(heap)
+                after = until_cycle  # when the next other core waits
+                if size > 1:
+                    after = heap[1][0]
+                    if size > 2 and heap[2][0] < after:
+                        after = heap[2][0]
+                pos = 0
+                if after == cycle:
+                    # A tie: the core that ran last before this cycle goes
+                    # first if it waits here too, then the platform index.
+                    # It runs its instruction at this cycle, then private
+                    # ones only.
+                    if tie_cycle != cycle:
+                        tie_cycle, tie_first = cycle, window.priority(cycle)
+                        ties += 1
+                    if tie_first is not None and tie_first != index:
+                        try:
+                            pos = heap.index((cycle, tie_first))
+                            index = tie_first
+                        except ValueError:
+                            pass
+                    horizon = cycle
+                else:
+                    # Alone until ``after``: sync instructions before it
+                    # cannot be overtaken by any other core's.
+                    horizon = after - 1
+                core = cores[index]
+                ran = runs[index](core, horizon, until_cycle, budget, starts[index],
+                                  classes[index], hide)
+                decisions += 1
+                executed += ran
+                if budget is not None:
+                    budget -= ran
+                    if budget <= 0:
+                        break
+                if core.state != "halted" and core.cycle < until_cycle:
+                    if pos:
+                        heap[pos] = (core.cycle, index)
+                        heapify(heap)
+                    else:
+                        heapreplace(heap, (core.cycle, index))
+                elif pos:
+                    heap.pop(pos)
                     heapify(heap)
                 else:
-                    heapreplace(heap, (core.cycle, index))
-            elif pos:
-                heap.pop(pos)
-                heapify(heap)
-            else:
-                heappop(heap)
-            logged += ran
-            if logged >= _TRIM_EVERY and heap:
-                window.priority(heap[0][0])
-                logged = 0
+                    heappop(heap)
+                logged += ran
+                if logged >= _TRIM_EVERY and heap:
+                    window.priority(heap[0][0])
+                    logged = 0
+        finally:
+            # The batches leave their fetch-hit counts pending.
+            for core in cores:
+                core.sync()
         if idle_to_boundary:
             self._idle_stragglers(until_cycle)
         self.instructions_executed += executed
         obs_catalog.counter("repro_emulation_schedule_decisions_total").inc(decisions)
         obs_catalog.counter("repro_emulation_tie_resolutions_total").inc(ties)
+        obs_catalog.counter("repro_emulation_blocks_total").inc(
+            sum(core.block_runs for core in cores) - blocks)
+        obs_catalog.counter("repro_emulation_shared_accesses_total").inc(
+            sum(core.shared_accesses for core in cores) - shared)
         return executed
 
     def _idle_stragglers(self, until_cycle):
@@ -285,6 +297,8 @@ class _Window:
         after ``t``, or at ``t`` behind the reader by the tie rule, and
         are all core-private.  Returns the callable that puts them back.
         """
+        for core in self.cores:  # retract reads the fetch counters
+            core.sync()
         t = reader.cycle
         reader_index = self.index_of[reader]
         first = self.priority(t)

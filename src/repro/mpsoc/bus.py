@@ -147,8 +147,8 @@ class Bus(Observable):
     """Fast timed-transaction shared bus.
 
     Masters are registered with :meth:`register_master`; slaves are
-    :class:`repro.mpsoc.memory.Memory` objects (or anything exposing
-    ``access_latency``/``record_access``/``port_busy_until``).
+    :class:`repro.mpsoc.memory.Memory` objects, which time and record
+    their side of a transfer (:meth:`~repro.mpsoc.memory.Memory.serve`).
     """
 
     def __init__(self, config, num_masters=0):
@@ -183,24 +183,31 @@ class Bus(Observable):
     def port(self, master_id, slave):
         """:meth:`transfer` bound to one master/slave pair,
         ``port(addr, is_write, t, nwords=1) -> latency``.  A memory
-        controller holds one per shared range."""
+        controller holds one per shared range; ``slave`` is a
+        :class:`~repro.mpsoc.memory.Memory`."""
         if not 0 <= master_id < len(self.masters):
             raise ValueError(f"{self.name}: unknown master id {master_id}")
         tdma = self.config.arbitration == ARB_TDMA
         occupancy_cycles = self.occupancy_cycles
+        one_word = occupancy_cycles(1)
+        serve = slave.serve
         counts, per_master_wait = self.counters.counts, self.per_master_wait
 
         def transfer(addr, is_write, t, nwords=1):
             if nwords < 1:
                 raise ValueError(f"{self.name}: empty transfer")
-            grant_t = max(t, self._busy_until, getattr(slave, "port_busy_until", 0))
+            grant_t = self._busy_until
+            if grant_t < t:
+                grant_t = t
+            if grant_t < slave.port_busy_until:
+                grant_t = slave.port_busy_until
             if tdma:
                 grant_t += self._arbiter.slot_wait(master_id, grant_t)
             wait = grant_t - t
-            total_busy = occupancy_cycles(nwords) + slave.access_latency(nwords)
+            total_busy = serve(addr, is_write, grant_t, nwords) + (
+                one_word if nwords == 1 else occupancy_cycles(nwords))
             self._busy_until = grant_t + total_busy
             slave.port_busy_until = self._busy_until
-            slave.record_access(grant_t, is_write, nwords)
             counts[ev.BUS_TXN] = counts.get(ev.BUS_TXN, 0) + 1
             counts["words"] = counts.get("words", 0) + nwords
             counts["busy_cycles"] = counts.get("busy_cycles", 0) + total_busy

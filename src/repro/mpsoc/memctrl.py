@@ -154,9 +154,7 @@ class MemoryController(Observable):
         if rng.via is not None:
             access = rng.via.port(rng.master_id, memory)
         else:
-            def access(addr, is_write, t, nwords=1):
-                memory.record_access(t, is_write, nwords)
-                return memory.access_latency(nwords)
+            access = memory.serve
         if memory.physical_penalty() <= 0:
             return access
         penalty, controller = memory.physical_penalty, weakref.ref(self)

@@ -124,12 +124,23 @@ class Memory(Observable):
         extra = self.config.physical_latency - self.config.latency
         return max(0, extra) * nwords if extra > 0 else 0
 
+    def serve(self, addr, is_write, t, nwords=1):
+        """Serve a burst of ``nwords`` words that starts at virtual cycle
+        ``t``: record it and return its :meth:`access_latency`.  This is
+        the memory's own data port, ``port(addr, is_write, t,
+        nwords=1)``, and what an interconnect's port calls at the
+        slave."""
+        kind = ev.MEM_WRITE if is_write else ev.MEM_READ
+        counts = self.counters.counts
+        counts[kind] = counts.get(kind, 0) + nwords
+        if self._event_hooks:
+            self.emit(t, self.name, kind, (nwords,))
+        return self.config.latency + nwords - 1  # access_latency, nwords >= 1
+
     # -- statistics ----------------------------------------------------------
     def record_access(self, cycle, is_write, nwords=1):
-        kind = ev.MEM_WRITE if is_write else ev.MEM_READ
-        self.counters.add(kind, nwords)
-        if self._event_hooks:
-            self.emit(cycle, self.name, kind, (nwords,))
+        """Record a burst served at ``cycle`` without timing it."""
+        self.serve(None, is_write, cycle, nwords)
 
     def stats(self):
         return {

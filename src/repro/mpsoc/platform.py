@@ -219,6 +219,10 @@ class Platform:
         self.interconnect = None
         self.mmio = _MmioHub(f"{config.name}.mmio")
         self.clock_domains = {}
+        # The cores' translated blocks and their warm-up counts
+        # (repro.mpsoc.translate), shared by every run on this platform,
+        # the windowed calibration included.
+        self.code_cache = {}
         self._build()
 
     # -- construction -----------------------------------------------------------
@@ -310,7 +314,8 @@ class Platform:
                 )
             )
             core = Processor(
-                core_cfg.name, spec, memctrl, frequency_hz=core_cfg.frequency_hz
+                core_cfg.name, spec, memctrl, frequency_hz=core_cfg.frequency_hz,
+                code_cache=self.code_cache,
             )
             self.cores.append(core)
             self.memctrls.append(memctrl)

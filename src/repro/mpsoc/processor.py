@@ -15,8 +15,10 @@ active/stalled/idle mode", Section 4.1).
 """
 
 import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from repro.mpsoc import events as ev
 from repro.mpsoc import isa
@@ -34,6 +36,14 @@ from repro.mpsoc.isa import (
 )
 from repro.mpsoc.memctrl import AccessFault
 from repro.mpsoc.memory import Memory
+from repro.mpsoc.translate import (
+    RUNTIME,
+    Instr,
+    Translator,
+    unpack_classes,
+    unpack_data,
+)
+from repro.util.codegen import fresh
 
 STATE_RUNNING = "running"
 STATE_HALTED = "halted"
@@ -156,81 +166,17 @@ class ExecutionError(Exception):
     """Raised on run-time program faults (bad jump, misaligned access...)."""
 
 
-# -- predecoded programs ---------------------------------------------------------
-# ``load_program`` decodes every instruction once into a flat tuple the
-# run loop unpacks without attribute or property lookups:
-#
-#   (op, rd, rs1, rs2, imm, cls, cpi, hit_cycles, fetch_set, fetch_tag)
-#
-# ``op`` is one of the small ints below, ordered by how often the
-# MATRIX and DITHERING kernels execute them (the dispatch chain tests
-# them in this order).  Decoding also folds what the encoding leaves to
-# execution: ALU and mul/div ops writing ``r0`` become ``_NOP`` (they
-# have no other effect), branch immediates become absolute targets,
-# shift immediates are masked, ``lui`` becomes a constant load,
-# ``jal``/``jalr`` writing ``r0`` become ``j``/``jr``.  ``hit_cycles``
-# is the CPI plus the I-cache hit latency (an instruction whose fetch
-# hits costs exactly that), ``fetch_set``/``fetch_tag`` locate its
-# fetch address in the I-cache.
-(
-    _ADDI, _ADD, _SLLI, _SRAI, _SUB, _SLTI, _LI, _AND, _ANDI, _OR, _ORI,
-    _XOR, _XORI, _SLL, _SRL, _SRLI, _SRA, _SLT, _SLTU, _MUL, _DIV, _REM,
-) = range(22)
-_ALU_LAST = _REM  # every op up to here writes ``rd``
-_BGE, _BLT, _BNE, _BEQ, _BLTU, _BGEU = range(_ALU_LAST + 1, _ALU_LAST + 7)
-_LBU, _LW, _LB = range(_BGEU + 1, _BGEU + 4)
-_SB, _SW = range(_LB + 1, _LB + 3)
-_JAL, _JR, _J, _JALR, _HALT, _NOP = range(_SW + 1, _SW + 7)
-
-_OP_IDS = {
-    "addi": _ADDI, "add": _ADD, "slli": _SLLI, "srai": _SRAI, "sub": _SUB,
-    "slti": _SLTI, "lui": _LI, "and": _AND, "andi": _ANDI, "or": _OR,
-    "ori": _ORI, "xor": _XOR, "xori": _XORI, "sll": _SLL, "srl": _SRL,
-    "srli": _SRLI, "sra": _SRA, "slt": _SLT, "sltu": _SLTU, "mul": _MUL,
-    "div": _DIV, "rem": _REM, "bge": _BGE, "blt": _BLT, "bne": _BNE,
-    "beq": _BEQ, "bltu": _BLTU, "bgeu": _BGEU, "lbu": _LBU, "lw": _LW,
-    "lb": _LB, "sb": _SB, "sw": _SW, "jal": _JAL, "jr": _JR, "j": _J,
-    "jalr": _JALR, "halt": _HALT, "nop": _NOP,
-}
-
-_MASK = isa.WORD_MASK
-_SIGN = 0x80000000  # (w ^ _SIGN) orders unsigned words as signed ones
-
+_NO_LIMIT = 1 << 62  # the instruction budget of an unbounded run
 _WORD = struct.Struct("<I")
-_unpack_word, _pack_word = _WORD.unpack_from, _WORD.pack_into
 _HIT = ev.CACHE_HIT
 
 
-def _predecode(instr, pc):
-    """``(op, rd, rs1, rs2, imm)`` of one decoded instruction at ``pc``."""
-    op = _OP_IDS[instr.mnemonic]
-    rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-    if op <= _ALU_LAST and rd == 0:
-        op = _NOP  # writes r0 only: no architectural effect
-    elif op in (_SLLI, _SRAI, _SRLI):
-        imm &= 31
-    elif op == _LI:
-        imm = (imm & 0xFFFF) << 16
-    elif _BGE <= op <= _BGEU:
-        imm = pc + 1 + imm
-    elif op == _JAL and rd == 0:
-        op = _J
-    elif op == _JALR and rd == 0:
-        op = _JR
-    return op, rd, rs1, rs2, imm
-
-
-def _lru_hit(entries, tag):
-    """A hit below the MRU position of a cache set: move the line to MRU
-    (as :meth:`repro.mpsoc.cache.Cache.access` does) and return True."""
-    for pos in range(len(entries) - 1):
-        if entries[pos][0] == tag:
-            entries.append(entries.pop(pos))
-            return True
-    return False
-
-
 def _no_fetch(addr, t):
+    return 0
+
+
+def _no_run(core, *args):
+    """:meth:`Processor.runner` of a core with no program: it is halted."""
     return 0
 
 
@@ -241,7 +187,7 @@ class Processor(Observable):
     which the run loop relies on for its signed comparisons.
     """
 
-    def __init__(self, name, spec, memctrl, frequency_hz=None):
+    def __init__(self, name, spec, memctrl, frequency_hz=None, code_cache=None):
         super().__init__()
         self.name = name
         self.spec = spec
@@ -255,60 +201,61 @@ class Processor(Observable):
         self.program = None
         self._code = []  # predecoded instructions (decode once, execute many)
         self._text_base = 0
-        self._prepared = None  # run-loop state, built by load_program
-        self._functional = None  # the same for execute(), built lazily
-        self._access = None  # data access of the last execute()
+        # The translation: its code cache (shared by a platform's cores),
+        # and the timed namespace built by load_program and the
+        # functional one execute() builds on first use.
+        self._code_cache = {} if code_cache is None else code_cache
+        self._namespaces = []
+        self._timed = self._functional = None
+        # Monotonic counts for the engine's metrics (see block_runs).
+        self._runs = [0, 0]
         # active/stall/idle accounting (virtual cycles)
         self.active_cycles = 0
         self.stall_cycles = 0
         self.idle_cycles = 0
         self.instructions = 0
-        self.class_counts = {cls: 0 for cls in isa.INSTRUCTION_CLASSES}
+        self._class_counts = {cls: 0 for cls in isa.INSTRUCTION_CLASSES}
+
+    def __del__(self):
+        # A namespace and its functions refer to each other; emptying it
+        # frees them with the core instead of at the next full collection.
+        for namespace in self._namespaces:
+            namespace.clear()
 
     # -- program loading ----------------------------------------------------
     def load_program(self, program):
         """Bind an assembled program; text/data must already be in memory
-        (the platform loader does that) — the core keeps a predecoded copy
-        of the text and prepares its run loop once here."""
+        (the platform loader does that).
+
+        The text is predecoded once here and translated into Python
+        blocks (:mod:`repro.mpsoc.translate`) as it runs: an instruction
+        gets its step on its first run, a block is compiled once it ran
+        :data:`~repro.mpsoc.translate.COLD` times as steps.  The
+        translation lives as long as the program stays loaded; compiled
+        blocks go to the ``code_cache`` the core was built with — one
+        per platform, so its cores and the windowed calibration run on
+        it compile each distinct block once, and a new platform pays its
+        translation again.
+        """
         self.program = program
         self._text_base = program.text_base
         self.pc = program.entry
         self.regs[:] = [0] * isa.NUM_REGISTERS
         self.state = STATE_RUNNING
-        icache = self.memctrl.icache
-        cpi = self.spec.cpi
+        memctrl = self.memctrl
+        icache, dcache = memctrl.icache, memctrl.dcache
         ihit = icache.hit_latency if icache is not None else 1
         code = []
         for pc, word in enumerate(program.code):
-            instr = isa.decode(word)
-            cls = instr.cls
-            fetch_set = fetch_tag = 0
+            line = None
             if icache is not None:
-                line = (program.text_base + 4 * pc) // icache.line_size
-                fetch_set = line % icache.num_sets
-                fetch_tag = line // icache.num_sets
-            code.append((*_predecode(instr, pc), cls, cpi[cls], cpi[cls] + ihit,
-                         fetch_set, fetch_tag))
+                index = (program.text_base + 4 * pc) // icache.line_size
+                line = (index % icache.num_sets, index // icache.num_sets)
+            code.append(Instr(word, pc, self.spec.cpi, ihit, line))
         self._code = code
-        self._prepared = self._prepare(timed=True)
-        self._functional = None
-
-    def _prepare(self, timed):
-        """The per-core state the run loop unpacks in one go.
-
-        Timed: fetches from a cacheable text range hit the I-cache
-        inline, and data accesses to the first (private) address range
-        hit the D-cache inline; everything else calls the memory
-        controller.  Functional (``execute``): no fetch or data timing at
-        all — the data port only records the access — and a scratch copy
-        of the class counters, since the caller retires the instruction.
-        """
-        memctrl = self.memctrl
-        icache, dcache = memctrl.icache, memctrl.dcache
-        ranges = memctrl.ranges
-        first = ranges[0] if ranges else None
-        # Inline functional access to the first range: a plain memory
-        # whose words the range maps one to one.
+        # Data accesses to the first range are inline when it is a plain
+        # memory whose words the range maps one to one.
+        first = memctrl.ranges[0] if memctrl.ranges else None
         inline = (
             first is not None
             and not first.is_mmio
@@ -317,56 +264,198 @@ class Processor(Observable):
             and first.size % 4 == 0
             and first.size <= first.target.config.size
         )
-        p_lo, p_hi = (first.base, first.base + first.size) if inline else (0, 0)
-        text_cached = False
-        if timed and icache is not None and self._code:
-            last = self._text_base + 4 * (len(self._code) - 1)
+        self._inline = first if inline else None
+        # Fetches hit the I-cache inline when the text is cacheable.
+        self._text_cached = False
+        if icache is not None and code:
             try:
                 text = memctrl.decode(self._text_base)
             except AccessFault:
                 text = None
-            text_cached = text is not None and text.cacheable and text.contains(last)
-        d_cached = timed and inline and first.cacheable and dcache is not None
-        if not timed:
-            private_port = self._record_access
-        elif inline:
-            private_port = memctrl.decode_port(first.base)[1]
-        else:
-            private_port = None
-        return (
-            self._code,
-            self.regs,
-            self.class_counts if timed else dict(self.class_counts),
-            memctrl.counters.counts,
-            memctrl.fetch_timing if timed else _no_fetch,
-            private_port,
-            memctrl.decode_port if timed else self._decode_recorded,
-            text_cached,
-            icache._sets if text_cached else None,
-            icache._event_hooks if text_cached else None,
-            icache.counters.counts if text_cached else None,
-            icache.hit_latency if icache is not None else 1,
-            d_cached,
-            dcache._sets if d_cached else None,
-            dcache._event_hooks if d_cached else None,
-            dcache.counters.counts if d_cached else None,
-            dcache.hit_latency if dcache is not None else 1,
-            dcache.line_size if d_cached else 1,
-            dcache.num_sets if d_cached else 1,
-            d_cached and dcache.config.write_policy == WRITE_BACK,
-            p_lo,
-            p_hi,
-            first.target.data if inline else None,
+            last = self._text_base + 4 * (len(code) - 1)
+            self._text_cached = (
+                text is not None and text.cacheable and text.contains(last)
+            )
+        self._d_cached = inline and first.cacheable and dcache is not None
+        private = None
+        if self._d_cached:
+            private = (first.base, first.base + first.size, dcache.line_size,
+                       dcache.num_sets, dcache.config.write_policy == WRITE_BACK)
+        # Blocks access a plain memory behind a port (the shared range)
+        # inline when its words map one to one.
+        self._ports = [
+            (lo, hi, rng.target, port)
+            for lo, hi, rng, port in memctrl._bounds[1 if inline else 0:]
+            if port is not None and isinstance(rng.target, Memory)
+            and lo % 4 == 0 and (hi - lo) % 4 == 0
+            and hi - lo <= rng.target.config.size
+        ]
+        geometry = (icache.line_size, icache.num_sets) if icache else None
+        self._translator = Translator(
+            program.code, code, ihit,
+            dcache.hit_latency if dcache is not None else 1, private,
+            [(lo, hi, hasattr(port, "read1")) for lo, hi, _, port in self._ports],
+            (program.text_base, geometry, tuple(sorted(self.spec.cpi.items()))),
+            self._code_cache,
         )
+        self._take_class_counts()  # the old translation's pending ones
+        for namespace in self._namespaces:
+            namespace.clear()
+        self._namespaces.clear()
+        self._timed = self._namespace(timed=True)
+        self._functional = None
 
-    def _record_access(self, addr, is_write, t):
-        """The functional data port: remember the access, charge nothing."""
-        self._access = (addr, is_write)
-        return 0
+    def _namespace(self, timed):
+        """The globals a translated program runs in (see
+        :mod:`repro.mpsoc.translate`), holding this core's state by
+        reference.
 
-    def _decode_recorded(self, addr):
-        """``MemoryController.decode_port`` with the functional port."""
-        return self.memctrl.decode(addr), self._record_access
+        Timed: fetches from a cacheable text hit the I-cache inline and
+        private-range data accesses hit the D-cache inline; everything
+        else goes to the memory controller.  Functional (``execute``):
+        no fetch or data timing at all — the data ports only record the
+        access — and class counts that are dropped, since the caller
+        retires the instruction.
+        """
+        memctrl = self.memctrl
+        icache, dcache = memctrl.icache, memctrl.dcache
+        first = self._inline
+        ns = {
+            "TIMED": timed,
+            "RUNNING": STATE_RUNNING,
+            "HALTED": STATE_HALTED,
+            "NO_LIMIT": _NO_LIMIT,
+            "ExecutionError": ExecutionError,
+            "AccessFault": AccessFault,
+            "UNPACK": _WORD.unpack_from,
+            "PACK": _WORD.pack_into,
+            "NAME": self.name,
+            "MEMCTRL": memctrl.name,
+            "NCODE": len(self._code),
+            "TEXT": self._text_base,
+            "R": self.regs,
+            "KC": 0,
+            "CPI_LOAD": self.spec.cpi[CLASS_LOAD],
+            "CPI_STORE": self.spec.cpi[CLASS_STORE],
+            "FETCH": memctrl.fetch_timing if timed else _no_fetch,
+            "ISETS": icache._sets if icache is not None else None,
+            "IHIT": icache.hit_latency if icache is not None else 1,
+            "DSETS": dcache._sets if dcache is not None else None,
+            "DLS": dcache.line_size if dcache is not None else 1,
+            "DNS": dcache.num_sets if dcache is not None else 1,
+            "DHIT": dcache.hit_latency if dcache is not None else 1,
+            "P_LO": first.base if first else 0,
+            "P_HI": first.base + first.size if first else 0,
+            "PDATA": first.target.data if first else None,
+            "RUNS": self._runs,
+            # The fast paths a run may take, unless an event-logging
+            # sniffer hooks the cache (it needs one event per access).
+            "ITEXT": timed and self._text_cached,
+            "IHOOKS": icache._event_hooks if icache is not None else (),
+            "DCACHED": timed and self._d_cached,
+            "DHOOKS": dcache._event_hooks if dcache is not None else (),
+            "WB": dcache is not None and dcache.config.write_policy == WRITE_BACK,
+            "BLOCKS": None,
+            # The run's parameters (RUN sets them; the functional mode
+            # has none) and accumulators.
+            "H": _FOREVER, "U": _FOREVER, "LIMIT": _NO_LIMIT,
+            "LS": None, "LC": None,
+            "MMIO_HOOK": None,
+            "cycle": 0, "n": 0, "nf": 0, "stall": 0, "done": 0, "at": 0,
+            "badpc": 0, "halted": False, "access": None, "PH": 0, "DC": 0,
+            "STEP_CODE": {},  # the translation's step code, by mnemonic
+        }
+        ns["NS"] = ns
+        exec(fresh(RUNTIME), ns)  # its own copy of the helpers (see fresh)
+        record = ns["RECORD"]
+        ranges = []
+        for lo, hi, rng, port in memctrl._bounds:
+            if rng is first:
+                continue  # resolved before the ranges are
+            target = rng.target
+            memory = isinstance(target, Memory)
+            if port is not None and not timed:
+                port = record
+            ranges.append((lo, hi, target.data if memory else None,
+                           target.config.size if memory else 0, port, target))
+        ns["RANGES"] = tuple(ranges)
+        for index, (_, _, memory, port) in enumerate(self._ports):
+            ns[f"SD{index}"], ns[f"SP{index}"] = memory.data, port
+            if hasattr(port, "read1"):
+                ns[f"SR{index}"], ns[f"SW{index}"] = port.read1, port.write1
+        if first:
+            ns["PPORT"] = memctrl.decode_port(first.base)[1] if timed else record
+        ns["MMIO_LOAD"], ns["MMIO_STORE"] = self._mmio_ports(ns, timed)
+        translator = self._translator
+        ncode = len(self._code)
+
+        def translate(table, name, pc):
+            function = translator.function(ns, name, pc)
+            if function is None:  # a block still run as steps
+                return ns["SLOW"](translator.trace(pc))
+            table[pc] = function
+            return function()
+
+        names = ("STEPS", "BLOCKS") if timed and self._text_cached else ("STEPS",)
+        for key in names:
+            table = ns[key] = []
+            table += [partial(translate, table, key[0].lower(), pc)
+                      for pc in range(ncode)]
+            table.append(ns["BAD_PC"])
+        self._namespaces.append(ns)
+        return ns
+
+    def _functional_namespace(self):
+        if self._functional is None:
+            self._functional = self._namespace(timed=False)
+        return self._functional
+
+    def _mmio_ports(self, ns, timed):
+        """``(load(pc, target, off), store(pc, target, off, value))`` of
+        an MMIO access: the run's accumulators are written back first,
+        since sniffer registers read live counters, and a read runs
+        inside the run's ``on_mmio_read`` hook.  They reach the core
+        through a weak reference, so a dropped core is freed at once."""
+        core_ref = weakref.ref(self)
+        counts = self.memctrl.counters.counts
+
+        def load(pc, target, off):
+            core = core_ref()
+            core._flush(ns, pc, timed, inflight=1)
+            counts["loads"] = counts.get("loads", 0) + 1
+            hook = ns["MMIO_HOOK"]
+            if hook is None:
+                return target.mmio_read(off)
+            restore = hook(core)
+            try:
+                return target.mmio_read(off)
+            finally:
+                restore()
+
+        def store(pc, target, off, value):
+            core_ref()._flush(ns, pc, timed, inflight=1)
+            counts["stores"] = counts.get("stores", 0) + 1
+            target.mmio_write(off, value)
+
+        return load, store
+
+    @property
+    def class_counts(self):
+        """Instructions executed per class.  Translated code counts them
+        packed in its namespace (one add per block); they are added here
+        when read."""
+        ns = self._timed
+        if ns is not None and ns["KC"]:
+            self._take_class_counts()
+        return self._class_counts
+
+    def _take_class_counts(self):
+        ns = self._timed
+        if ns is not None:
+            counts = self._class_counts
+            for cls, count in unpack_classes(ns["KC"]):
+                counts[cls] = counts.get(cls, 0) + count
+            ns["KC"] = 0
 
     def reset_stats(self):
         self.counters.reset()
@@ -383,7 +472,7 @@ class Processor(Observable):
 
     # -- execution --------------------------------------------------------------
     def run_until(self, horizon, until_cycle, budget=None, starts=None,
-                  classes=None, on_mmio_read=None, timed=True):
+                  classes=None, on_mmio_read=None):
         """Execute instructions that start before ``until_cycle``, at most
         ``budget`` of them (none if it is ``<= 0``), stopping at halt;
         returns the number executed.
@@ -402,327 +491,102 @@ class Processor(Observable):
         (:mod:`repro.emulation.engine`).  :meth:`step` and :meth:`run`
         pass an infinite horizon.
 
-        This is the one interpreter: :meth:`step`, :meth:`run` and the
-        engine are batches of it.  Fetch goes through the I-cache path
-        of the memory controller, loads/stores through the D-side.
-        Cycle split: CPI + cache hit latencies count as *active*,
-        anything beyond (miss refills, bus waits) as *stall*.
-
-        Fast paths: an I-cache hit on the text and a D-cache hit on the
-        private range are resolved inline, and the counters they bump
-        (``fetches``/``loads``/``stores``, cache ``accesses`` and hits)
-        are kept in locals.  Misses, an attached cache event hook and
-        every other range fall back to the memory controller.  The
-        locals are written back when the batch ends (also on a fault)
-        and before any MMIO access, since sniffer registers read live
-        counters.
+        This runs the translated program (:mod:`repro.mpsoc.translate`):
+        it calls one block after another, each of which runs whole when
+        the budget and ``until_cycle`` leave room for it and its I-cache
+        lines are resident, and otherwise steps through it one checked
+        instruction at a time.  :meth:`step`, :meth:`run` and the engine
+        are batches of it.  Cycle split: CPI + cache hit latencies count
+        as *active*, anything beyond (miss refills, bus waits) as
+        *stall*.  The clock, the accounting and (:meth:`sync`) the
+        pending fetch and data-access counts are written back when the
+        batch ends, also on a fault, and before any MMIO access, since
+        sniffer registers read live counters.  A fault leaves the core
+        at the faulting instruction, which takes no cycle and is not
+        counted, except for its fetch.
 
         ``starts``/``classes``: lists that get the start cycle and the
         class of every executed instruction.  ``on_mmio_read(core)``:
         called just before an MMIO read, with the core's clock at the
         read's start; it returns a callable to call once the read is done.
-        ``timed=False`` is the functional mode :meth:`execute` uses.
         """
-        if self.state != STATE_RUNNING or budget is not None and budget <= 0:
+        if self.state != STATE_RUNNING:
             return 0
-        (
-            code, regs, cc, mc_counts, fetch_timing, private_port, decode,
-            ifast, isets, ihooks, ic_counts, ihit,
-            dfast, dsets, dhooks, dc_counts, dhit, dls, dns, dwb,
-            p_lo, p_hi, pdata,
-        ) = self._prepared if timed else self._functional
-        # An event-logging sniffer on a cache needs one event per access:
-        # the memory controller's path emits them.
-        if ifast and ihooks:
-            ifast = False
-        if dfast and dhooks:
-            dfast = dwb = False
-        logged = starts is not None
-        if logged:
-            log_start, log_class = starts.append, classes.append
-        ncode = len(code)
-        text_base = self._text_base
-        pc = self.pc
-        cycle = cycle0 = self.cycle
-        limit = -1 if budget is None else budget
-        n = synced = act = ih = dh = nld = nst = 0
-        try:
-            while cycle < until_cycle:
-                if not 0 <= pc < ncode:
-                    raise ExecutionError(
-                        f"{self.name}: pc {pc} outside text ({ncode} instrs)"
-                    )
-                op, rd, rs1, rs2, imm, cls, cpi, hc, fset, ftag = code[pc]
-                # ``dc``/``da``: this instruction's cycles and active
-                # cycles, added to the clock once it completes (a fault or
-                # an MMIO access sees the state before it, as in hardware).
-                if ifast and (
-                    (entries := isets[fset]) and entries[-1][0] == ftag
-                    or _lru_hit(entries, ftag)
-                ):
-                    ih += 1
-                    dc = da = hc
-                elif cycle > horizon:
-                    break  # a fetch miss past the horizon
-                else:
-                    lat = fetch_timing(text_base + 4 * pc, cycle)
-                    dc = lat + cpi
-                    da = (lat if lat < ihit else ihit) + cpi
-                # A data access past the horizon that is no private hit
-                # stops the batch before the instruction: its fetch (an
-                # inline hit, which left the tags as they will be when
-                # it runs) is taken back.
-                if op <= _ALU_LAST:
-                    a = regs[rs1]
-                    if op == _ADDI:
-                        value = a + imm
-                    elif op == _ADD:
-                        value = a + regs[rs2]
-                    elif op == _SLLI:
-                        value = a << imm
-                    elif op == _SRAI:
-                        value = ((a ^ _SIGN) - _SIGN) >> imm
-                    elif op == _SUB:
-                        value = a - regs[rs2]
-                    elif op == _SLTI:
-                        value = 1 if (a ^ _SIGN) - _SIGN < imm else 0
-                    elif op == _LI:
-                        value = imm
-                    elif op == _AND:
-                        value = a & regs[rs2]
-                    elif op == _ANDI:
-                        value = a & imm
-                    elif op == _OR:
-                        value = a | regs[rs2]
-                    elif op == _ORI:
-                        value = a | imm
-                    elif op == _XOR:
-                        value = a ^ regs[rs2]
-                    elif op == _XORI:
-                        value = a ^ imm
-                    elif op == _SLL:
-                        value = a << (regs[rs2] & 31)
-                    elif op == _SRL:
-                        value = a >> (regs[rs2] & 31)
-                    elif op == _SRLI:
-                        value = a >> imm
-                    elif op == _SRA:
-                        value = ((a ^ _SIGN) - _SIGN) >> (regs[rs2] & 31)
-                    elif op == _SLT:
-                        value = 1 if (a ^ _SIGN) < (regs[rs2] ^ _SIGN) else 0
-                    elif op == _SLTU:
-                        value = 1 if a < regs[rs2] else 0
-                    else:
-                        a = (a ^ _SIGN) - _SIGN
-                        b = (regs[rs2] ^ _SIGN) - _SIGN
-                        if op == _MUL:
-                            value = a * b
-                        elif op == _DIV:
-                            # C-style truncation toward zero; x / 0 == -1.
-                            value = int(a / b) if b else -1
-                        else:
-                            value = a - int(a / b) * b if b else a
-                    regs[rd] = value & _MASK
-                    pc += 1
-                elif op <= _BGEU:
-                    a = regs[rs1]
-                    b = regs[rs2]
-                    if op == _BGE:
-                        taken = (a ^ _SIGN) >= (b ^ _SIGN)
-                    elif op == _BLT:
-                        taken = (a ^ _SIGN) < (b ^ _SIGN)
-                    elif op == _BNE:
-                        taken = a != b
-                    elif op == _BEQ:
-                        taken = a == b
-                    elif op == _BLTU:
-                        taken = a < b
-                    else:
-                        taken = a >= b
-                    pc = imm if taken else pc + 1
-                elif op <= _LB:
-                    addr = (regs[rs1] + imm) & _MASK
-                    if op == _LW and addr & 3:
-                        raise ExecutionError(
-                            f"{self.name}: misaligned lw at 0x{addr:08x}"
-                        )
-                    t = cycle + dc - cpi + 1
-                    if p_lo <= addr < p_hi:
-                        hit = False
-                        if dfast:
-                            line = addr // dls
-                            entries = dsets[line % dns]
-                            tag = line // dns
-                            hit = (entries and entries[-1][0] == tag
-                                   or _lru_hit(entries, tag))
-                        if hit:
-                            dh += 1
-                            lat = dhit
-                        elif cycle > horizon:
-                            ih -= 1
-                            break
-                        else:
-                            lat = private_port(addr, False, t)
-                        nld += 1
-                        off = addr - p_lo
-                        value = _unpack_word(pdata, off)[0] if op == _LW else pdata[off]
-                    elif cycle > horizon:
-                        ih -= 1
-                        break
-                    else:
-                        rng, port = decode(addr)
-                        off = addr - rng.base
-                        if rng.is_mmio:
-                            self._sync(pc, cycle, cycle0, act, n - synced,
-                                       ih, dh, nld, nst, timed)
-                            cycle0, synced = cycle, n
-                            act = ih = dh = nld = nst = 0
-                            mc_counts["loads"] = mc_counts.get("loads", 0) + 1
-                            if on_mmio_read is None:
-                                value = rng.target.mmio_read(off)
-                            else:
-                                restore = on_mmio_read(self)
-                                try:
-                                    value = rng.target.mmio_read(off)
-                                finally:
-                                    restore()
-                            lat = 1
-                        else:
-                            nld += 1
-                            target = rng.target
-                            value = (target.read_word(off) if op == _LW
-                                     else target.read_byte(off))
-                            lat = port(addr, False, t)
-                    if op == _LB:
-                        value = ((value & 0xFF) ^ 0x80) - 0x80
-                    if rd:
-                        regs[rd] = value & _MASK
-                    dc += lat
-                    da += lat if lat < dhit else dhit
-                    pc += 1
-                elif op <= _SW:
-                    addr = (regs[rs1] + imm) & _MASK
-                    if op == _SW and addr & 3:
-                        raise ExecutionError(
-                            f"{self.name}: misaligned sw at 0x{addr:08x}"
-                        )
-                    value = regs[rd]
-                    t = cycle + dc - cpi + 1
-                    if p_lo <= addr < p_hi:
-                        hit = False
-                        if dwb:  # a write-back hit only dirties the line
-                            line = addr // dls
-                            entries = dsets[line % dns]
-                            tag = line // dns
-                            hit = (entries and entries[-1][0] == tag
-                                   or _lru_hit(entries, tag))
-                        if hit:
-                            entries[-1][1] = True
-                            dh += 1
-                            lat = dhit
-                        elif cycle > horizon:
-                            ih -= 1
-                            break
-                        else:
-                            lat = private_port(addr, True, t)
-                        nst += 1
-                        off = addr - p_lo
-                        if op == _SW:
-                            _pack_word(pdata, off, value)
-                        else:
-                            pdata[off] = value & 0xFF
-                    elif cycle > horizon:
-                        ih -= 1
-                        break
-                    else:
-                        rng, port = decode(addr)
-                        off = addr - rng.base
-                        if rng.is_mmio:
-                            self._sync(pc, cycle, cycle0, act, n - synced,
-                                       ih, dh, nld, nst, timed)
-                            cycle0, synced = cycle, n
-                            act = ih = dh = nld = nst = 0
-                            mc_counts["stores"] = mc_counts.get("stores", 0) + 1
-                            rng.target.mmio_write(off, value)
-                            lat = 1
-                        else:
-                            nst += 1
-                            if op == _SW:
-                                rng.target.write_word(off, value)
-                            else:
-                                rng.target.write_byte(off, value)
-                            lat = port(addr, True, t)
-                    dc += lat
-                    da += lat if lat < dhit else dhit
-                    pc += 1
-                elif op == _JAL:
-                    regs[rd] = pc + 1
-                    pc = imm
-                elif op == _JR:
-                    pc = regs[rs1]
-                elif op == _J:
-                    pc = imm
-                elif op == _JALR:
-                    target_pc = regs[rs1]
-                    regs[rd] = pc + 1
-                    pc = target_pc
-                else:
-                    if op == _HALT:
-                        self.state = STATE_HALTED
-                        limit = n + 1
-                    pc += 1
-                if logged:
-                    log_start(cycle)
-                    log_class(cls)
-                cycle += dc
-                act += da
-                cc[cls] += 1
-                n += 1
-                if n == limit:
-                    break
-        finally:
-            # ``_sync`` inline: this runs once per batch.
-            self.pc = pc
-            if timed:
-                self.cycle = cycle
-                self.active_cycles += act
-                self.stall_cycles += cycle - cycle0 - act
-                self.instructions += n - synced
-            if ih:
-                mc_counts["fetches"] = mc_counts.get("fetches", 0) + ih
-                ic_counts["accesses"] = ic_counts.get("accesses", 0) + ih
-                ic_counts[_HIT] = ic_counts.get(_HIT, 0) + ih
-            if dh:
-                dc_counts["accesses"] = dc_counts.get("accesses", 0) + dh
-                dc_counts[_HIT] = dc_counts.get(_HIT, 0) + dh
-            if nld:
-                mc_counts["loads"] = mc_counts.get("loads", 0) + nld
-            if nst:
-                mc_counts["stores"] = mc_counts.get("stores", 0) + nst
-        return n
+        ran = self._timed["RUN"](self, horizon, until_cycle, budget, starts,
+                                 classes, on_mmio_read)
+        self.sync()
+        return ran
 
-    def _sync(self, pc, cycle, cycle0, active, executed, fetch_hits,
-              dcache_hits, loads, stores, timed):
-        """Write the run loop's locals back: the clock, the accounting
-        since ``cycle0`` and the counters the fast paths deferred."""
-        self.pc = pc
-        if timed:
-            self.cycle = cycle
-            self.active_cycles += active
-            self.stall_cycles += cycle - cycle0 - active
-            self.instructions += executed
+    def runner(self):
+        """:meth:`run_until` (timed) as a plain function of the core and
+        the same arguments, ``run(core, horizon, until_cycle, budget,
+        starts, classes, on_mmio_read)``, for a caller that runs many
+        batches; valid until the next :meth:`load_program`.  It leaves
+        the fetch-hit counts pending: call :meth:`sync` before anything
+        reads the memory controller's or the I-cache's counters."""
+        return _no_run if self._timed is None else self._timed["RUN"]
+
+    def sync(self):
+        """Add the counts translated code leaves pending to the counters:
+        inline fetch hits to the memory controller's ``fetches`` and the
+        I-cache's accesses and hits, and data accesses to ``loads``,
+        ``stores``, the D-cache's accesses and hits and
+        :attr:`shared_accesses`."""
         memctrl = self.memctrl
-        if fetch_hits:
-            memctrl.counters.add("fetches", fetch_hits)
-            memctrl.icache.counters.add("accesses", fetch_hits)
-            memctrl.icache.counters.add(ev.CACHE_HIT, fetch_hits)
-        if dcache_hits:
-            memctrl.dcache.counters.add("accesses", dcache_hits)
-            memctrl.dcache.counters.add(ev.CACHE_HIT, dcache_hits)
+        for ns in self._namespaces:
+            if ns["PH"] and memctrl.icache is not None:
+                hits, ns["PH"] = ns["PH"], 0
+                memctrl.counters.add("fetches", hits)
+                memctrl.icache.counters.add("accesses", hits)
+                memctrl.icache.counters.add(_HIT, hits)
+            if ns["DC"]:
+                self._sync_data(ns)
+
+    def _sync_data(self, ns):
+        memctrl = self.memctrl
+        loads, stores, hits, ports = unpack_data(ns["DC"])
+        ns["DC"] = 0
         if loads:
             memctrl.counters.add("loads", loads)
         if stores:
             memctrl.counters.add("stores", stores)
+        if hits:
+            memctrl.dcache.counters.add("accesses", hits)
+            memctrl.dcache.counters.add(_HIT, hits)
+        self._runs[1] += ports
+
+    def _flush(self, ns, pc, timed, inflight=0):
+        """Write a run's accumulators back to the core and its counters
+        and zero them, before an MMIO access or after a fault; the
+        instructions they held move to ``done`` (and off the budget).
+
+        ``inflight``: 1 when an instruction is under way (an MMIO access
+        after its fetch): its fetch is counted now, not when it retires.
+        """
+        self.pc = pc
+        ran = ns["n"]
+        if timed:
+            cycle, stall = ns["cycle"], ns["stall"]
+            self.active_cycles += cycle - self.cycle - stall
+            self.stall_cycles += stall
+            self.cycle = cycle
+            self.instructions += ran
+        ns["PH"] += ran + inflight - ns["nf"]
+        self.sync()
+        ns["LIMIT"] -= ran
+        ns["done"] += ran
+        ns["n"], ns["nf"], ns["stall"] = 0, inflight, 0
+
+    @property
+    def block_runs(self):
+        """Translated blocks and steps this core has called, ever."""
+        return self._runs[0]
+
+    @property
+    def shared_accesses(self):
+        """Data accesses this core has made through a range port (the
+        interconnect, for the shared range), ever."""
+        return self._runs[1]
 
     def retract(self, start, classes):
         """Hide this core's newest instructions — core-private ones that
@@ -788,14 +652,17 @@ class Processor(Observable):
         Returns ``(cls, cpi, access)``; ``access`` is the
         ``(addr, is_write)`` data access to time, ``None`` for
         non-memory instructions and MMIO accesses (which take 1 cycle).
+        Raises :class:`ExecutionError` on a halted core.
         """
-        if self._functional is None:
-            self._functional = self._prepare(timed=False)
-        self._access = None
+        if self.state != STATE_RUNNING:
+            raise ExecutionError(f"{self.name}: execute() on a halted core")
+        ns = self._functional_namespace()
         pc = self.pc
-        self.run_until(_FOREVER, _FOREVER, 1, timed=False)  # checks pc
-        cls, cpi = self._code[pc][5:7]
-        return cls, cpi, self._access
+        ns["EXEC"](self)  # checks pc
+        if ns["DC"]:  # its only pending count: it fetches nothing inline
+            self._sync_data(ns)
+        ins = self._code[pc]
+        return ins.cls, ins.cpi, ns["access"]
 
     def idle_until(self, cycle):
         """Advance local time in the idle state (halted core, frozen clock)."""

@@ -61,6 +61,17 @@ OBS_METRICS.register(
     "repro_emulation_tie_resolutions_total",
     "Same-cycle ties the event-driven engine resolved from its logs",
 )
+# Event-driven engine interpreter
+OBS_METRICS.register(
+    "repro_emulation_blocks_total",
+    "Translated basic blocks (or single steps) the event-driven engine's "
+    "cores ran",
+)
+OBS_METRICS.register(
+    "repro_emulation_shared_accesses_total",
+    "Data accesses the event-driven engine's cores made through a range "
+    "port (the shared memory)",
+)
 # Trace store
 OBS_METRICS.register(
     "repro_store_hits_total",

@@ -177,3 +177,41 @@ def test_flit_conservation(transfers):
         )
         expected += request.request_flits() + request.response_flits()
     assert noc.stats()["flits"] == expected
+
+
+def _noc_state(noc, slave):
+    return (noc.stats(), dict(noc._link_busy), slave.port_busy_until, slave.stats())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    transfers=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # master
+            st.booleans(),  # write?
+            st.integers(min_value=0, max_value=30),  # issue time step
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_one_word_ports_match_the_general_transfer(transfers):
+    """The generated ``read1``/``write1`` of a port time and count a
+    one-word transfer exactly as ``port(addr, is_write, t, 1)``."""
+    nocs = []
+    for _ in range(2):
+        noc = make_noc(3, 3)
+        slave = make_slave()
+        noc.register_endpoint(slave.name, "sw2_1")
+        masters = [noc.register_master(f"m{i}.bridge", f"sw{i % 3}_{i // 3}")
+                   for i in range(4)]
+        nocs.append((noc, slave, [noc.port(m, slave) for m in masters]))
+    t = 0
+    for master, is_write, step in transfers:
+        t += step
+        (noc_a, _, ports_a), (noc_b, _, ports_b) = nocs
+        general = ports_a[master](0x40, is_write, t, 1)
+        port = ports_b[master]
+        one = (port.write1 if is_write else port.read1)(0x40, t)
+        assert one == general
+    assert _noc_state(*nocs[0][:2]) == _noc_state(*nocs[1][:2])

@@ -9,7 +9,9 @@ hypothesis.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpsoc import events as ev
 from repro.mpsoc.asm import assemble
+from repro.mpsoc.memctrl import AccessFault
 from repro.mpsoc.platform import build_platform
 from repro.mpsoc.processor import CORE_SPECS, ExecutionError
 from tests.conftest import small_config
@@ -305,3 +307,119 @@ def test_run_until_runs_past_the_horizon_only_through_private_work(platform1):
     assert core.run_until(core.cycle - 1, 10**9) == 0
     assert core.run_until(core.cycle, 10**9) == 7
     assert core.halted and core.instructions == 11
+
+
+@pytest.mark.parametrize("source", ["main: halt", "main: halt\n      div r1, r2, r3"])
+def test_execute_on_a_halted_core_raises(platform1, source):
+    # Once halted there is no instruction to execute: neither one past
+    # the end of the text nor the never-run one after the halt.
+    platform1.load_program(0, assemble(source))
+    core = platform1.cores[0]
+    assert core.execute()[0] == "system"
+    assert core.halted
+    with pytest.raises(ExecutionError, match="halted"):
+        core.execute()
+
+
+def _fault_snapshot(core):
+    memctrl = core.memctrl
+    icache = memctrl.icache
+    return {
+        "pc": core.pc,
+        "cycle": core.cycle,
+        "active": core.active_cycles,
+        "stall": core.stall_cycles,
+        "instructions": core.instructions,
+        "classes": dict(core.class_counts),
+        "loads": memctrl.counters.get("loads"),
+        "fetches": memctrl.counters.get("fetches"),
+        "icache": None if icache is None else (
+            icache.counters.get("accesses"),
+            icache.counters.get(ev.CACHE_HIT) + icache.counters.get(ev.CACHE_MISS),
+        ),
+    }
+
+
+# A misaligned or unmapped word load at pc ``k``; ``k`` places it at the
+# start of an I-cache line (its fetch a cold miss) or inside the first
+# one (an inline hit).
+_FAULTS = {
+    "misaligned": (ExecutionError, "li r1, 2"),
+    "unmapped": (AccessFault, "lui r1, 0x7000"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("cached", [True, False])
+def test_a_faulting_access_counts_only_its_fetch(fault, k, cached):
+    error, setup = _FAULTS[fault]
+    source = "\n".join([f"main: {setup}", *["nop"] * (k - 1),
+                        "lw r2, 0(r1)", "halt"])
+    overrides = {} if cached else {"icache": None, "dcache": None}
+    cores = []
+    for _ in range(2):
+        platform = build_platform(small_config(1, **overrides))
+        platform.load_program(0, assemble(source))
+        cores.append(platform.cores[0])
+    before, faulting = cores
+    assert before.run(max_instructions=k) == k
+    with pytest.raises(error):
+        faulting.run()
+    # The core stops at the faulting load, which neither retires nor
+    # takes a cycle; its fetch happened and is counted.
+    expected = _fault_snapshot(before)
+    expected["fetches"] += 1
+    if cached:
+        expected["icache"] = tuple(count + 1 for count in expected["icache"])
+    got = _fault_snapshot(faulting)
+    assert got == expected
+    assert got["pc"] == k and got["active"] >= 0 and got["stall"] >= 0
+    assert got["cycle"] == got["active"] + got["stall"]
+
+
+def test_execute_of_a_faulting_access_raises_its_fault():
+    platform = build_platform(small_config(1, icache=None, dcache=None))
+    platform.load_program(0, assemble("main: li r1, 2\n      lw r2, 0(r1)"))
+    core = platform.cores[0]
+    core.execute()
+    with pytest.raises(ExecutionError, match="misaligned"):
+        core.execute()
+    assert core.pc == 1
+
+
+class _FaultingDevice:
+    def mmio_read(self, offset):
+        raise RuntimeError("device fault")
+
+    def mmio_write(self, offset, value):
+        raise RuntimeError("device fault")
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("cached", [True, False])
+def test_a_faulting_mmio_read_counts_its_fetch_and_load(k, cached):
+    # The MMIO read starts (the load is counted, as a sniffer would see
+    # it) and its device fails: the load takes no cycle and does not
+    # retire; its fetch, counted before the read, stays counted once.
+    source = "\n".join(["main: lui r1, 0x2000", *["nop"] * (k - 1),
+                        "lw r2, 0(r1)", "halt"])
+    overrides = {} if cached else {"icache": None, "dcache": None}
+    cores = []
+    for _ in range(2):
+        platform = build_platform(small_config(1, **overrides))
+        platform.mmio.register(_FaultingDevice())
+        platform.load_program(0, assemble(source))
+        cores.append(platform.cores[0])
+    before, faulting = cores
+    assert before.run(max_instructions=k) == k
+    with pytest.raises(RuntimeError, match="device fault"):
+        faulting.run()
+    expected = _fault_snapshot(before)
+    expected["fetches"] += 1
+    expected["loads"] += 1
+    if cached:
+        expected["icache"] = tuple(count + 1 for count in expected["icache"])
+    got = _fault_snapshot(faulting)
+    assert got == expected
+    assert got["cycle"] == got["active"] + got["stall"]

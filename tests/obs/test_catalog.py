@@ -18,9 +18,11 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from tests.conftest import small_config
 
 EXPECTED_METRICS = [
+    "repro_emulation_blocks_total",
     "repro_emulation_calibration_hits_total",
     "repro_emulation_calibration_misses_total",
     "repro_emulation_schedule_decisions_total",
+    "repro_emulation_shared_accesses_total",
     "repro_emulation_tie_resolutions_total",
     "repro_farm_claim_latency_seconds",
     "repro_farm_claims_total",
@@ -122,7 +124,15 @@ def test_engine_counts_its_decisions_and_ties():
         platform.load_program(index, program)
     decisions = catalog.counter("repro_emulation_schedule_decisions_total")
     ties = catalog.counter("repro_emulation_tie_resolutions_total")
-    decisions_before, ties_before = decisions.value, ties.value
+    blocks = catalog.counter("repro_emulation_blocks_total")
+    shared = catalog.counter("repro_emulation_shared_accesses_total")
+    before = [metric.value for metric in (decisions, ties, blocks, shared)]
     executed, _ = EventDrivenEngine(platform).run_to_completion()
-    assert ties.value - ties_before >= 1
-    assert 2 <= decisions.value - decisions_before < executed / 2
+    made = [metric.value - was
+            for metric, was in zip((decisions, ties, blocks, shared), before)]
+    assert made[1] >= 1
+    assert 2 <= made[0] < executed / 2
+    # Each decision calls a block or more, each block runs instructions;
+    # every one of the 2 x 20 shared loads goes through the bus port.
+    assert made[0] <= made[2] < executed
+    assert made[3] == 2 * 20

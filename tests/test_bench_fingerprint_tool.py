@@ -34,3 +34,13 @@ def test_checker_parses_perfbench_output_and_flags_a_moved_field():
         ("end_cycle", recorded()["event_driven"]["end_cycle"],
          moved["event_driven"]["end_cycle"]),
     ]
+
+
+def test_checker_flags_per_window_statistics_the_totals_miss():
+    # Counts that land in the wrong window keep every total but move the
+    # per-window power: the trace digest and the peak temperature.
+    moved = json.loads(json.dumps(recorded()))
+    moved["event_driven"]["trace_digest"] = "0" * 64
+    moved["event_driven"]["peak_k"] += 1e-9
+    flagged = [field for field, _, _ in tool.mismatches(recorded(), moved)]
+    assert flagged == ["trace_digest", "peak_k"]

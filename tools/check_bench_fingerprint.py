@@ -2,12 +2,15 @@
 """Check the exact interpreter's statistics against the recorded benchmark run.
 
 Runs ``perfbench/run.py --workload emu_dither --seed 1 --seconds 1`` and
-compares the ``event_driven`` instructions, end cycle, window count and
-cache misses of its ``fingerprint`` line with the run recorded in
+compares the ``event_driven`` instructions, end cycle, window count,
+cache misses, thermal-trace digest and peak temperature of its
+``fingerprint`` line with the run recorded in
 ``docs/perf/BENCH_emu_dither.json``.  perfbench itself only checks that
 repeats within one run agree; this catches a change that moves the
-simulated statistics of the exact engine.  Exits nonzero listing every
-field that differs.
+simulated statistics of the exact engine.  The totals alone would miss
+counts that land in the wrong window (they move per-window power, so
+the trace digest and the peak temperature).  Exits nonzero listing
+every field that differs.
 
 Usage: python3 tools/check_bench_fingerprint.py [repo-root]
 """
@@ -17,7 +20,8 @@ import pathlib
 import subprocess
 import sys
 
-FIELDS = ("instructions", "end_cycle", "windows", "cache_misses")
+FIELDS = ("instructions", "end_cycle", "windows", "cache_misses",
+          "trace_digest", "peak_k")
 COMMAND = ["perfbench/run.py", "--workload", "emu_dither", "--seed", "1",
            "--seconds", "1", "--trace", "0"]
 
