@@ -8,24 +8,11 @@ the VPCM to freeze the platform's virtual clocks until the backlog
 drains (Section 4.2, second use of the VPCM).
 """
 
-from dataclasses import dataclass
-
 from repro.emulation.ethernet import EthernetLink
 
-
-@dataclass(frozen=True)
-class StatisticsFrame:
-    """Header of one MAC frame in the dispatcher's format."""
-
-    sequence: int
-    window: int
-    payload_bytes: int
-
-    HEADER_BYTES = 10  # sequence + window + record count
-
-    @property
-    def wire_payload(self):
-        return self.payload_bytes + self.HEADER_BYTES
+#: Header of one MAC frame in the dispatcher's format: sequence number,
+#: window number and record count.
+FRAME_HEADER_BYTES = 10
 
 
 class BramBuffer:
@@ -67,8 +54,7 @@ class EthernetDispatcher:
         self.link = link or EthernetLink()
         self.buffer = buffer or BramBuffer()
         self.feedback_bytes_per_sensor = feedback_bytes_per_sensor
-        self.frames = []
-        self.windows = 0
+        self.windows = 0  # one frame per window; its sequence number
         self.freeze_seconds = 0.0
         self.freeze_events = 0
 
@@ -85,14 +71,11 @@ class EthernetDispatcher:
         """
         if payload_bytes < 0 or real_window_seconds < 0:
             raise ValueError("negative window inputs")
-        frame = StatisticsFrame(
-            sequence=len(self.frames), window=self.windows, payload_bytes=payload_bytes
-        )
-        self.frames.append(frame)
+        wire_payload = payload_bytes + FRAME_HEADER_BYTES
         self.windows += 1
         # Concurrent drain while the window ran.
         drain_capacity = self.link.bandwidth_bps / 8.0 * real_window_seconds
-        overflow = self.buffer.push(frame.wire_payload)
+        overflow = self.buffer.push(wire_payload)
         self.buffer.drain(drain_capacity)
         freeze = 0.0
         if overflow > 0:
@@ -101,7 +84,7 @@ class EthernetDispatcher:
             freeze = self.link.wire_bytes(overflow) * 8.0 / self.link.bandwidth_bps
             self.buffer.drain(overflow)  # modelled as drained during freeze
             self.freeze_events += 1
-        self.link.send(frame.wire_payload)
+        self.link.send(wire_payload)
         if num_sensors:
             self.link.send(self.feedback_bytes_per_sensor * num_sensors)
         self.freeze_seconds += freeze
@@ -110,7 +93,7 @@ class EthernetDispatcher:
     def stats(self):
         return {
             "windows": self.windows,
-            "frames": len(self.frames),
+            "frames": self.windows,
             "bytes_sent": self.link.bytes_sent,
             "mac_frames": self.link.frames_sent,
             "buffer_peak_bytes": self.buffer.peak_bytes,

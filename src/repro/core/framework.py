@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.dispatcher import BramBuffer, EthernetDispatcher
 from repro.core.sniffers import SnifferBank
-from repro.core.stats import ThermalTrace, TraceSample
+from repro.core.stats import ThermalTrace, WindowRow
 from repro.core.vpcm import FREEZE_ETHERNET, Vpcm
 from repro.emulation.backends import make_emulation_backend
 from repro.emulation.ethernet import EthernetLink
@@ -288,7 +288,7 @@ class ThermalSide:
             None if columns == list(range(len(self.network.component_names)))
             else np.array(columns, dtype=np.int64)
         )
-        self.trace = ThermalTrace()
+        self.trace = ThermalTrace(components=self.network.component_names)
         self.trace_stride = config.trace_stride
         self.windows = 0  # sampling windows completed so far
         # Peak/final run independently of the (possibly decimated) trace,
@@ -300,36 +300,32 @@ class ThermalSide:
         self.timing = dict.fromkeys(PHASE_ORDER, 0.0)
 
     def sense(self, watts, frequency, now):
-        """Read the solved window out to the sensors; returns its sample.
+        """Read the solved window out to the sensors; returns its
+        :class:`~repro.core.stats.WindowRow`.
 
         ``watts`` is the window's power vector in the network's
-        ``component_names`` order; the sample's ``component_temps`` is
-        the one per-window dict, kept for the trace and its readers.
+        ``component_names`` order, and so is the row's ``temps``.
         """
         means = self.solver.component_temperatures()
         columns = self._sensor_columns
         transitions = self.sensors.update(
             means if columns is None else means[columns], now
         )
-        temps = means.tolist()
-        return TraceSample(
-            time_s=now,
-            frequency_hz=frequency,
-            total_power_w=sum(watts.tolist()),
-            max_temp_k=max(temps),
-            component_temps=dict(zip(self.network.component_names, temps)),
-            events=tuple(sorted(transitions.items())),
+        return WindowRow(
+            now, frequency, sum(watts.tolist()), max(means.tolist()), means,
+            tuple(sorted(transitions.items())),
         )
 
-    def commit(self, sample):
+    def commit(self, row):
         """Count one sensed window into the trace, peak and final."""
         if not (self.windows % self.trace_stride):
-            self.trace.append(sample)
-        if not (self.peak_temp_k >= sample.max_temp_k):  # NaN-aware max
-            self.peak_temp_k = sample.max_temp_k
-        self.final_temp_k = sample.max_temp_k
+            self.trace.add(*row)
+        hottest = row.max_temp_k
+        if not (self.peak_temp_k >= hottest):  # NaN-aware max
+            self.peak_temp_k = hottest
+        self.final_temp_k = hottest
         self.windows += 1
-        return sample
+        return row
 
 
 def _monitored_components(floorplan, monitored):
@@ -409,6 +405,11 @@ class EmulationFramework(ThermalSide):
             backend = make_emulation_backend(cfg.emulation_backend)
             workload = backend.build_workload(platform, self.power_model)
             self.emulation_backend = backend.name
+        # A workload that emits a profile's utilizations lays them out
+        # in this power model's slot order once, here.
+        bind = getattr(workload, "bind", None)
+        if bind is not None:
+            bind(self.power_model)
         self.workload = workload
         # High-water marks of what report() already pushed into the
         # metrics registry, so repeated reports never double count.
@@ -436,9 +437,11 @@ class EmulationFramework(ThermalSide):
         """Phases 1-3 of a window: emulate, convert to power, dispatch.
 
         Leaves the window's power injected into ``self.network`` and
-        returns ``(watts, frequency)`` for :meth:`_window_commit`, the
-        watts a vector in ``network.component_names`` order; the thermal
-        solve in between belongs to :func:`step_windows`.
+        returns ``(watts, frequency, phases)`` for :func:`step_windows`:
+        the watts a vector in ``network.component_names`` order, the
+        phases the window's ``(emulate, power, dispatch)`` seconds, which
+        are also added to ``timing``.  The thermal solve in between
+        belongs to :func:`step_windows`.
         """
         cfg = self.config
         period = cfg.sampling_period_s
@@ -477,7 +480,6 @@ class EmulationFramework(ThermalSide):
             self._stall_bound_hit = False
         activity = self.workload.advance(progress_cycles)
         t1 = time.perf_counter()
-        self.timing["emulate"] += t1 - t0
 
         # 2. Activity -> power (per floorplan component).
         watts = self.power_model.component_power(
@@ -486,7 +488,6 @@ class EmulationFramework(ThermalSide):
             core_frequencies=core_frequencies,
         )
         t2 = time.perf_counter()
-        self.timing["power"] += t2 - t1
 
         # 3. Statistics stream to the host; congestion freezes the clocks.
         _, payload = self.sniffer_bank.collect_window()
@@ -498,8 +499,12 @@ class EmulationFramework(ThermalSide):
             self.vpcm.freeze_seconds(freeze, FREEZE_ETHERNET)
 
         self.network.set_power(watts)
-        self.timing["dispatch"] += time.perf_counter() - t2
-        return watts, frequency
+        phases = (t1 - t0, t2 - t1, time.perf_counter() - t2)
+        timing = self.timing
+        timing["emulate"] += phases[0]
+        timing["power"] += phases[1]
+        timing["dispatch"] += phases[2]
+        return watts, frequency, phases
 
     def _window_commit(self, watts, frequency):
         """Phase 5 of a window, after the thermal solve: sensors, policy,
@@ -507,16 +512,17 @@ class EmulationFramework(ThermalSide):
         # 5. Temperatures return to the sensors; the policy reacts via VPCM.
         self.vpcm.account_window(self.config.sampling_period_s)
         now = self.vpcm.emulated_seconds
-        sample = self.sense(watts, frequency, now)
+        row = self.sense(watts, frequency, now)
         self.policy.react(self.sensors, self.vpcm, now)
         for capture in self.captures:
-            capture.on_window(self, watts, frequency, sample)
-        return self.commit(sample)
+            capture.on_window(self, watts, frequency, row.time_s, row.temps)
+        return self.commit(row)
 
     def attach_capture(self, capture):
         """Register a per-window capture hook (``on_window(framework,
-        watts, frequency, sample)``, ``watts`` the injected power vector
-        in ``network.component_names`` order); returns ``capture`` for
+        watts, frequency, time_s, temps)``, ``watts`` the injected power
+        and ``temps`` the component temperatures, both vectors in
+        ``network.component_names`` order); returns ``capture`` for
         chaining.  Captures see every window, even ones ``trace_stride``
         drops."""
         self.captures.append(capture)
@@ -666,22 +672,10 @@ def step_windows(runnables, backend=None):
     even share of the solve and of the residual (``other``), so the
     members' phases add up to the window's wall time; with a tracer
     active, each member emits its five ``window.*`` spans.  Returns the
-    members' trace samples.
+    members' :class:`~repro.core.stats.WindowRow` results.
     """
-    tracer = obs_tracing.ACTIVE
     t_start = time.perf_counter()
-    pending = []
-    spent = 0.0
-    for runnable in runnables:
-        timing = runnable.timing
-        emulate, power, dispatch = (
-            timing["emulate"], timing["power"], timing["dispatch"]
-        )
-        watts, frequency = runnable._window_power()
-        delta = (timing["emulate"] - emulate, timing["power"] - power,
-                 timing["dispatch"] - dispatch)
-        spent += delta[0] + delta[1] + delta[2]
-        pending.append((runnable, watts, frequency, delta))
+    pending = [runnable._window_power() for runnable in runnables]
     # 4. The SW thermal tool integrates one sampling period.
     t0 = time.perf_counter()
     if backend is None:
@@ -698,24 +692,26 @@ def step_windows(runnables, backend=None):
             runnable.solver.temperatures = advanced[:, col]
             runnable.solver.time += dt
     d_solve = time.perf_counter() - t0
-    samples = [
+    rows = [
         runnable._window_commit(watts, frequency)
-        for runnable, watts, frequency, _ in pending
+        for runnable, (watts, frequency, _) in zip(runnables, pending)
     ]
-    count = len(pending)
+    count = len(rows)
+    spent = sum(sum(phases) for _, _, phases in pending)
     d_other = max(0.0, time.perf_counter() - t_start - spent - d_solve) / count
     d_solve /= count
-    for runnable, _, _, (d_emulate, d_power, d_dispatch) in pending:
+    tracer = obs_tracing.ACTIVE
+    for runnable, (_, _, phases) in zip(runnables, pending):
         timing = runnable.timing
         timing["solve"] += d_solve
         timing["other"] += d_other
         if tracer is not None:
-            tracer.emit("window.emulate", d_emulate)
-            tracer.emit("window.power", d_power)
-            tracer.emit("window.dispatch", d_dispatch)
+            tracer.emit("window.emulate", phases[0])
+            tracer.emit("window.power", phases[1])
+            tracer.emit("window.dispatch", phases[2])
             tracer.emit("window.solve", d_solve)
             tracer.emit("window.other", d_other)
-    return samples
+    return rows
 
 
 def run_windows(runnables, bounds, co_step=False, completed=None):

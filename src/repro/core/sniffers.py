@@ -18,6 +18,8 @@ FPGA overhead: 0.2 % of the V2VP30 per event-logging sniffer, 0.3 % per
 count-logging sniffer (Section 4.1); the resource model uses those.
 """
 
+import weakref
+
 from repro.core.stats import flatten_numeric
 
 # MMIO register map (one 16-byte window per sniffer).
@@ -43,9 +45,17 @@ class Sniffer:
 
     def __init__(self, name, component):
         self.name = name
-        self.component = component
+        # Weak: the platform owns its components, and a core reaches the
+        # sniffers through its MMIO hub, so a strong back-reference would
+        # keep a dropped platform alive until a full collection.
+        self._component = weakref.ref(component)
         self.enabled = True
         self._selected = 0
+
+    @property
+    def component(self):
+        """The monitored component (``None`` once its platform is gone)."""
+        return self._component()
 
     # -- MMIO register file (mapped by the platform's MMIO hub) -------------
     def mmio_read(self, offset):

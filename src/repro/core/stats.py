@@ -9,6 +9,9 @@ data behind Figure 6.
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 
 def diff_stats(new, old):
@@ -82,29 +85,136 @@ class TraceSample:
         )
 
 
-@dataclass
-class ThermalTrace:
-    """The full temperature/power/frequency history of a run (Figure 6)."""
+class WindowRow(NamedTuple):
+    """One sensed window as the window driver hands it on.
 
-    samples: list = field(default_factory=list)
+    The scalar fields are the trace's columns; ``temps`` is the window's
+    component temperatures as a vector in the network's component order
+    and ``events`` its sensor/DFS transitions.  This is what
+    ``step_window()`` returns and what :meth:`ThermalTrace.add` stores.
+    """
+
+    time_s: float
+    frequency_hz: float
+    total_power_w: float
+    max_temp_k: float
+    temps: np.ndarray
+    events: tuple
+
+
+class ThermalTrace:
+    """The full temperature/power/frequency history of a run (Figure 6).
+
+    Stored as columns: time, frequency, total power and max temperature
+    lists, a ``(rows, components)`` temperature matrix that grows by
+    doubling, and the events of the few windows that have any in a
+    ``{row: events}`` map.  :attr:`samples`, :meth:`to_dict`,
+    :meth:`series` and the other readers build their views from the
+    columns; :class:`TraceSample` is the per-window view.
+    """
+
+    def __init__(self, samples=(), components=None):
+        self.components = None if components is None else tuple(components)
+        self._time = []
+        self._frequency = []
+        self._power = []
+        self._max = []
+        self._temps = np.empty((0, len(self.components or ())))
+        self._events = {}
+        for sample in samples:
+            self.append(sample)
+
+    def add(self, time_s, frequency_hz, total_power_w, max_temp_k, temps,
+            events=()):
+        """Append one window; ``temps`` is a vector in ``components``
+        order (the fields of a :class:`WindowRow`)."""
+        rows = len(self._time)
+        matrix = self._temps
+        if rows == len(matrix):
+            grown = np.empty((max(2 * rows, 64), matrix.shape[1]))
+            grown[:rows] = matrix
+            self._temps = matrix = grown
+        matrix[rows] = temps
+        self._time.append(time_s)
+        self._frequency.append(frequency_hz)
+        self._power.append(total_power_w)
+        self._max.append(max_temp_k)
+        if events:
+            self._events[rows] = events
 
     def append(self, sample):
-        self.samples.append(sample)
+        """Append a hand-built :class:`TraceSample`.
+
+        The first sample fixes ``components`` when the trace has none;
+        a component a sample lacks reads NaN, one the trace does not
+        have raises.
+        """
+        temps = sample.component_temps
+        if self.components is None:
+            self.components = tuple(temps)
+            self._temps = np.empty((0, len(self.components)))
+        unknown = set(temps).difference(self.components)
+        if unknown:
+            raise ValueError(
+                f"trace sample has components {sorted(unknown)} the trace "
+                f"does not record"
+            )
+        self.add(
+            sample.time_s, sample.frequency_hz, sample.total_power_w,
+            sample.max_temp_k,
+            [temps.get(name, float("nan")) for name in self.components],
+            tuple(sample.events),
+        )
 
     def __len__(self):
-        return len(self.samples)
+        return len(self._time)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_temps"] = self._temps[: len(self)].copy()  # no spare rows
+        return state
+
+    def _rows(self):
+        """The stored temperature rows, one list of floats at a time."""
+        for row in self._temps[: len(self)]:
+            yield row.tolist()
+
+    def _views(self):
+        """Each window as a :class:`TraceSample`, one at a time."""
+        names = self.components or ()
+        events = self._events
+        for k, (t, f, p, m, row) in enumerate(zip(
+            self._time, self._frequency, self._power, self._max, self._rows()
+        )):
+            yield TraceSample(
+                time_s=t, frequency_hz=f, total_power_w=p, max_temp_k=m,
+                component_temps=dict(zip(names, row)),
+                events=events.get(k, ()),
+            )
+
+    @property
+    def samples(self):
+        """Every window as a :class:`TraceSample`, built on read."""
+        return list(self._views())
 
     def times(self):
-        return [s.time_s for s in self.samples]
+        return list(self._time)
 
     def max_temps(self):
-        return [s.max_temp_k for s in self.samples]
+        return list(self._max)
 
     def frequencies(self):
-        return [s.frequency_hz for s in self.samples]
+        return list(self._frequency)
+
+    def powers(self):
+        """Per-window total power (W)."""
+        return list(self._power)
 
     def series(self, component):
-        return [s.component_temps.get(component, float("nan")) for s in self.samples]
+        if self.components is None or component not in self.components:
+            return [float("nan")] * len(self)
+        column = self.components.index(component)
+        return self._temps[: len(self), column].tolist()
 
     def peak_temperature(self):
         """Highest per-window max temperature, or NaN for an empty trace.
@@ -115,27 +225,26 @@ class ThermalTrace:
         tolerance checks.  NaN propagates, fails every comparison, and
         renders as ``n/a`` in summaries.
         """
-        return max(self.max_temps(), default=float("nan"))
+        return max(self._max, default=float("nan"))
 
     def final_temperature(self):
         """Last window's max temperature, or NaN for an empty trace."""
-        return self.samples[-1].max_temp_k if self.samples else float("nan")
+        return self._max[-1] if self._max else float("nan")
 
     def duty_cycle(self, frequency_hz):
         """Fraction of samples spent at the given clock frequency."""
-        if not self.samples:
+        if not self._frequency:
             return 0.0
-        hits = sum(1 for s in self.samples if abs(s.frequency_hz - frequency_hz) < 1.0)
-        return hits / len(self.samples)
+        hits = sum(1 for f in self._frequency if abs(f - frequency_hz) < 1.0)
+        return hits / len(self._frequency)
 
     def time_above(self, threshold_k):
         """Emulated seconds with max temperature above ``threshold_k``."""
-        if len(self.samples) < 2:
-            return 0.0
+        times = self._time
         total = 0.0
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.max_temp_k > threshold_k:
-                total += cur.time_s - prev.time_s
+        for k in range(1, len(times)):
+            if self._max[k] > threshold_k:
+                total += times[k] - times[k - 1]
         return total
 
     def digest(self):
@@ -153,7 +262,7 @@ class ThermalTrace:
 
     def to_dict(self):
         """Lossless JSON-compatible dict of every sample."""
-        return {"samples": [sample.to_dict() for sample in self.samples]}
+        return {"samples": [sample.to_dict() for sample in self._views()]}
 
     @classmethod
     def from_dict(cls, data):
@@ -163,20 +272,17 @@ class ThermalTrace:
 
     def to_csv(self):
         """CSV text: time, frequency, power, max temperature, components."""
-        if not self.samples:
+        if not self._time:
             return ""
-        components = sorted(self.samples[0].component_temps)
+        names = self.components
+        order = sorted(range(len(names)), key=names.__getitem__)
         out = io.StringIO()
         header = ["time_s", "frequency_hz", "total_power_w", "max_temp_k"]
-        out.write(",".join(header + components) + "\n")
-        for s in self.samples:
-            row = [
-                f"{s.time_s:.6f}",
-                f"{s.frequency_hz:.0f}",
-                f"{s.total_power_w:.6f}",
-                f"{s.max_temp_k:.3f}",
-            ]
-            row += [f"{s.component_temps.get(c, float('nan')):.3f}" for c in components]
+        out.write(",".join(header + [names[k] for k in order]) + "\n")
+        for t, f, p, m, temps in zip(self._time, self._frequency, self._power,
+                                     self._max, self._rows()):
+            row = [f"{t:.6f}", f"{f:.0f}", f"{p:.6f}", f"{m:.3f}"]
+            row += [f"{temps[k]:.3f}" for k in order]
             out.write(",".join(row) + "\n")
         return out.getvalue()
 
@@ -186,7 +292,7 @@ class ThermalTrace:
         Rows are temperature bins, columns time bins; ``*`` marks the
         trace, so the Figure 6 shape is visible in a terminal.
         """
-        if not self.samples:
+        if not self._time:
             return "(empty trace)"
         times = self.times()
         temps = self.max_temps()

@@ -14,13 +14,17 @@ Two ways to produce per-window activity:
   substitution).  DFS still slows *progress* naturally: a window at
   100 MHz contains 5x fewer cycles, hence 5x fewer iterations, than one
   at 500 MHz.
+
+Both return each window's utilizations as a vector in the bound
+:class:`~repro.power.models.PowerModel`'s source-slot order.
 """
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.stats import diff_stats
 from repro.emulation.engine import EventDrivenEngine
-from repro.power.models import ActivityVector
 
 
 @dataclass
@@ -35,10 +39,6 @@ class ActivityProfile:
     def __post_init__(self):
         if self.cycles_per_iteration <= 0:
             raise ValueError(f"{self.name}: cycles per iteration must be positive")
-
-    def scaled(self, busy_fraction):
-        """Utilizations scaled by the fraction of a window spent busy."""
-        return {k: v * busy_fraction for k, v in self.utilization.items()}
 
     def to_dict(self):
         """JSON-compatible dict.  Utilization keys are activity-source
@@ -85,7 +85,7 @@ class DirectWorkload:
         return self.engine.all_halted
 
     def advance(self, window_cycles):
-        """Run one window; returns its :class:`ActivityVector`."""
+        """Run one window; returns its utilization vector."""
         if window_cycles < 0:
             raise ValueError("negative window")
         self._horizon += window_cycles
@@ -97,7 +97,12 @@ class DirectWorkload:
 
 
 class ProfiledWorkload:
-    """Replay a measured :class:`ActivityProfile` for N iterations."""
+    """Replay a measured :class:`ActivityProfile` for N iterations.
+
+    The framework binds the workload to its power model before the first
+    window (:meth:`bind`), which lays the profile's utilizations out as
+    one base vector in the model's source-slot order.
+    """
 
     def __init__(self, profile, total_iterations):
         if total_iterations <= 0:
@@ -106,6 +111,14 @@ class ProfiledWorkload:
         self.total_iterations = float(total_iterations)
         self.remaining = float(total_iterations)
         self.instructions = 0.0
+        self._base = None
+
+    def bind(self, power_model):
+        """Lay the profile out in ``power_model``'s slot order; returns
+        ``self``.  The base vector is unclamped: a window scales it
+        first, then clamps."""
+        self._base = power_model.utilization_vector(self.profile.utilization)
+        return self
 
     @property
     def done(self):
@@ -116,17 +129,24 @@ class ProfiledWorkload:
         return self.total_iterations - self.remaining
 
     def advance(self, window_cycles):
-        activity = ActivityVector(window_cycles)
+        """One window's utilizations: the base vector scaled by the
+        fraction of the window the remaining work keeps busy, clamped
+        to ``[0, 1]``."""
+        base = self._base
+        if base is None:
+            raise RuntimeError(
+                f"profile {self.profile.name!r}: bind the workload to a "
+                f"power model before advancing it"
+            )
         if window_cycles <= 0 or self.done:
-            return activity
+            return np.zeros_like(base)
         possible = window_cycles / self.profile.cycles_per_iteration
         executed = min(self.remaining, possible)
         busy_fraction = executed / possible
         self.remaining -= executed
         self.instructions += executed * self.profile.instructions_per_iteration
-        for source, value in self.profile.scaled(busy_fraction).items():
-            activity.set(source, value)
-        return activity
+        util = base * busy_fraction
+        return np.minimum(np.maximum(util, 0.0, out=util), 1.0, out=util)
 
 
 def profile_platform_run(platform, power_model, iterations=1, name="workload",
@@ -136,16 +156,17 @@ def profile_platform_run(platform, power_model, iterations=1, name="workload",
     The platform must have its programs loaded; this runs every core to
     completion, extracts whole-run utilizations and divides the finish
     cycle by ``iterations`` (the number of kernel iterations the loaded
-    program performs).
+    program performs).  The profile keeps every source the stats report,
+    including those ``power_model``'s floorplan has no slot for, so it
+    replays on any floorplan.
     """
     engine = EventDrivenEngine(platform)
     before = platform.stats()
     executed, end_cycle = engine.run_to_completion(max_instructions=max_instructions)
     delta = diff_stats(platform.stats(), before)
-    activity = power_model.activity_from_stats(delta, end_cycle)
     return ActivityProfile(
         name=name,
         cycles_per_iteration=end_cycle / iterations,
-        utilization=dict(activity.utilization),
+        utilization=power_model.stats_utilization_map(delta, end_cycle),
         instructions_per_iteration=executed / iterations,
     )

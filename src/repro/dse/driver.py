@@ -22,9 +22,10 @@ from repro.scenario.runner import Runner
 
 def _mean_power_w(trace):
     """Mean per-window total platform power over a ThermalTrace."""
-    if trace is None or not trace.samples:
+    powers = [] if trace is None else trace.powers()
+    if not powers:
         return float("nan")
-    return sum(s.total_power_w for s in trace.samples) / len(trace.samples)
+    return sum(powers) / len(powers)
 
 
 def metric_row(point, result):

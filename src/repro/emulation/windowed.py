@@ -474,7 +474,7 @@ class WindowedWorkload:
                 )
 
     def advance(self, window_cycles):
-        """Model one window; returns its :class:`ActivityVector`."""
+        """Model one window; returns its utilization vector."""
         if window_cycles < 0:
             raise ValueError("negative window")
         self._horizon += window_cycles

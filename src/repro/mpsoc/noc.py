@@ -222,7 +222,10 @@ class Noc(Observable):
             "master_name": master_name,
         }
         exec(fresh(code), namespace)
-        transfer.read1, transfer.write1 = namespace["read1"], namespace["write1"]
+        # Popped, so the globals do not hold their own functions: a port
+        # then dies with its memory controller, not at a full collection.
+        transfer.read1 = namespace.pop("read1")
+        transfer.write1 = namespace.pop("write1")
         return transfer
 
     def transfer(self, master_id, slave, addr, is_write, nwords, t):

@@ -389,19 +389,19 @@ class Processor(Observable):
         translator = self._translator
         ncode = len(self._code)
 
-        def translate(table, name, pc):
-            function = translator.function(ns, name, pc)
+        def translate(key, pc):
+            function = translator.function(ns, key[0].lower(), pc)
             if function is None:  # a block still run as steps
                 return ns["SLOW"](translator.trace(pc))
-            table[pc] = function
+            ns[key][pc] = function
             return function()
 
         names = ("STEPS", "BLOCKS") if timed and self._text_cached else ("STEPS",)
         for key in names:
-            table = ns[key] = []
-            table += [partial(translate, table, key[0].lower(), pc)
-                      for pc in range(ncode)]
-            table.append(ns["BAD_PC"])
+            # The entries reach their table through ``ns`` only, so
+            # clearing the namespace (``__del__``) frees the tables too.
+            ns[key] = [partial(translate, key, pc) for pc in range(ncode)]
+            ns[key].append(ns["BAD_PC"])
         self._namespaces.append(ns)
         return ns
 

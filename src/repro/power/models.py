@@ -17,8 +17,7 @@ Utilization definitions (per window of ``W`` virtual cycles):
 * bus (when the floorplan has a bus region) — busy cycles / W.
 """
 
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +28,6 @@ from repro.util.units import MHZ
 ACTIVE_WEIGHT = 1.0
 STALL_WEIGHT = 0.4
 IDLE_WEIGHT = 0.05
-
-
-def _clamp01(value):
-    return 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
 
 
 # -- technology nodes: voltage/frequency operating points ----------------------
@@ -198,22 +193,29 @@ def make_tech_node(spec=None):
     return TECH_NODES.resolve(spec)
 
 
-@dataclass
-class ActivityVector:
-    """Per-activity-source utilizations for one sampling window.
-
-    Keys are the floorplan ``activity_source`` tuples, e.g. ``("core", 0)``
-    or ``("noc_switch", "sw2")``; values are utilizations in ``[0, 1]``.
-    """
-
-    window_cycles: int
-    utilization: dict = field(default_factory=dict)
-
-    def get(self, source):
-        return self.utilization.get(source, 0.0)
-
-    def set(self, source, value):
-        self.utilization[source] = _clamp01(value)
+def _stats_utilizations(stats_delta, window_cycles):
+    """Yield ``(source, utilization)`` for every source a platform stats
+    delta reports over a ``window_cycles``-cycle window, unclamped."""
+    w = float(window_cycles)
+    for index, core in enumerate(stats_delta.get("cores", {}).values()):
+        yield ("core", index), (
+            ACTIVE_WEIGHT * core.get("active_cycles", 0)
+            + STALL_WEIGHT * core.get("stall_cycles", 0)
+            + IDLE_WEIGHT * core.get("idle_cycles", 0)
+        ) / w
+    for family in ("icache", "dcache"):
+        for index, cache in enumerate(stats_delta.get(family + "s", {}).values()):
+            yield (family, index), cache.get("accesses", 0) / w
+    for index, mem in enumerate(stats_delta.get("private_mems", {}).values()):
+        yield ("private_mem", index), (mem.get("reads", 0) + mem.get("writes", 0)) / w
+    shared = stats_delta.get("shared_mem", {})
+    yield ("shared_mem", None), (shared.get("reads", 0) + shared.get("writes", 0)) / w
+    inter = stats_delta.get("interconnect", {})
+    for switch, flits in inter.get("switch_flits", {}).items():
+        # radix 4 is the Figure 4 switch size; per-port-per-cycle cap.
+        yield ("noc_switch", switch), flits / (w * 4.0)
+    if "busy_cycles" in inter:
+        yield ("bus", None), inter["busy_cycles"] / w
 
 
 class PowerModel:
@@ -231,6 +233,14 @@ class PowerModel:
     window's power is one elementwise ``max_power * util * (f / ref_hz)``
     (times the V(f)^2 factor), IEEE-identical to the per-component
     :meth:`~repro.power.library.PowerClass.power_at`.
+
+    Utilizations are vectors as well: one float per activity source in
+    ``sources`` order (each source's first use in ``component_names``),
+    plus a last slot that stays 0.0 for passive components.  Workloads
+    emit that vector (:meth:`activity_from_stats`,
+    :meth:`~repro.core.workload_model.ProfiledWorkload.advance`); a
+    hand-built ``{source: utilization}`` mapping goes through
+    :meth:`utilization_vector` once.
     """
 
     def __init__(self, floorplan, library=None, tech_node=None):
@@ -260,8 +270,10 @@ class PowerModel:
             ref_hz.append(cls.ref_hz)
             if source[0] == "core":
                 core_slots.append((k, source[1]))
-        # Passive components read a slot no activity table has a key for.
-        self._sources = tuple(sources) + (object(),)
+        self.sources = tuple(sources)
+        self._slot_of = sources
+        self._vector_shape = (len(sources) + 1,)
+        # Passive components read the vector's last, always-zero slot.
         self._slots = np.array(
             [len(sources) if slot < 0 else slot for slot in slots],
             dtype=np.int64,
@@ -270,48 +282,68 @@ class PowerModel:
         self._ref_hz = np.array(ref_hz)
         self._core_slots = tuple(core_slots)
 
-    # -- utilization extraction ------------------------------------------------
+    # -- utilization vectors ---------------------------------------------------
+    def utilization_vector(self, utilization=None):
+        """A ``{source: utilization}`` mapping as a utilization vector.
+
+        Sources the floorplan does not have are dropped and missing ones
+        read 0.0.  Values are taken as given: :meth:`component_power`
+        rejects any outside ``[0, 1]``.
+        """
+        vector = np.zeros(len(self.sources) + 1)
+        if utilization:
+            slot_of = self._slot_of
+            for source, value in utilization.items():
+                slot = slot_of.get(source)
+                if slot is not None:
+                    vector[slot] = value
+        return vector
+
+    def utilization_map(self, vector):
+        """A utilization vector as ``{source: utilization}``, in
+        ``sources`` order."""
+        return dict(zip(self.sources, vector.tolist()))
+
     def activity_from_stats(self, stats_delta, window_cycles):
-        """Build an :class:`ActivityVector` from a platform stats delta.
+        """A platform stats delta as a utilization vector, every source
+        clamped to ``[0, 1]``.
 
         ``stats_delta`` has the same structure as ``Platform.stats()``
-        (absolute counters differenced per window by the framework).
+        (absolute counters differenced per window by the framework);
+        sources the floorplan does not have are skipped.
         """
-        activity = ActivityVector(window_cycles)
+        util = np.zeros(len(self.sources) + 1)
         if window_cycles <= 0:
-            return activity
-        w = float(window_cycles)
-        for index, (name, core) in enumerate(stats_delta.get("cores", {}).items()):
-            busy = (
-                ACTIVE_WEIGHT * core.get("active_cycles", 0)
-                + STALL_WEIGHT * core.get("stall_cycles", 0)
-                + IDLE_WEIGHT * core.get("idle_cycles", 0)
-            )
-            activity.set(("core", index), busy / w)
-        for index, (name, cache) in enumerate(stats_delta.get("icaches", {}).items()):
-            activity.set(("icache", index), cache.get("accesses", 0) / w)
-        for index, (name, cache) in enumerate(stats_delta.get("dcaches", {}).items()):
-            activity.set(("dcache", index), cache.get("accesses", 0) / w)
-        for index, (name, mem) in enumerate(
-            stats_delta.get("private_mems", {}).items()
-        ):
-            words = mem.get("reads", 0) + mem.get("writes", 0)
-            activity.set(("private_mem", index), words / w)
-        shared = stats_delta.get("shared_mem", {})
-        shared_words = shared.get("reads", 0) + shared.get("writes", 0)
-        activity.set(("shared_mem", None), shared_words / w)
-        inter = stats_delta.get("interconnect", {})
-        if "switch_flits" in inter:
-            for switch, flits in inter["switch_flits"].items():
-                # radix 4 is the Figure 4 switch size; per-port-per-cycle cap.
-                activity.set(("noc_switch", switch), flits / (w * 4.0))
-        if "busy_cycles" in inter:
-            activity.set(("bus", None), inter.get("busy_cycles", 0) / w)
-        return activity
+            return util
+        slot_of = self._slot_of
+        for source, value in _stats_utilizations(stats_delta, window_cycles):
+            slot = slot_of.get(source)
+            if slot is not None:
+                util[slot] = value
+        return np.minimum(np.maximum(util, 0.0, out=util), 1.0, out=util)
+
+    @staticmethod
+    def stats_utilization_map(stats_delta, window_cycles):
+        """A platform stats delta as ``{source: utilization}`` over every
+        source the stats report, each clamped to ``[0, 1]``.
+
+        Unlike :meth:`activity_from_stats` this keeps sources no
+        floorplan slot holds, so a measured profile carries them to any
+        floorplan it is replayed on.
+        """
+        if window_cycles <= 0:
+            return {}
+        return {
+            source: min(max(value, 0.0), 1.0)
+            for source, value in _stats_utilizations(stats_delta, window_cycles)
+        }
 
     # -- power mapping -------------------------------------------------------------
     def component_power(self, activity, frequency_hz=None, core_frequencies=None):
         """Per-component watts as a vector in ``component_names`` order.
+
+        ``activity`` is a utilization vector (see the class docstring)
+        laid out by this model; one of another length is refused.
 
         ``frequency_hz`` scales every component (global DFS, the paper's
         policy; ``None`` runs each at its library reference clock);
@@ -320,12 +352,15 @@ class PowerModel:
         node folds its voltage factor into each component at that
         component's own effective clock.
         """
-        sources = self._sources
-        util = np.fromiter(
-            map(activity.utilization.get, sources, repeat(0.0)),
-            float, len(sources),
-        )[self._slots]
-        if not (0.0 <= util.min() and util.max() <= 1.0 + 1e-9):
+        if activity.shape != self._vector_shape:
+            raise ValueError(
+                f"utilization vector of shape {activity.shape} is not laid "
+                f"out for {self.floorplan.name} ({len(self.sources)} sources "
+                f"and a passive slot)"
+            )
+        util = activity[self._slots]
+        if not (0.0 <= np.minimum.reduce(util)
+                and np.maximum.reduce(util) <= 1.0 + 1e-9):
             self._reject(util)
         f = self._ref_hz if frequency_hz is None else float(frequency_hz)
         if core_frequencies:
@@ -382,7 +417,8 @@ class PowerModel:
 
     def peak_power(self, frequency_hz=None):
         """Power with every component at full utilization (sizing aid)."""
-        full = ActivityVector(1)
-        for comp in self.floorplan.active_components():
-            full.set(comp.activity_source, 1.0)
+        full = self.utilization_vector({
+            comp.activity_source: 1.0
+            for comp in self.floorplan.active_components()
+        })
         return self.total_power(full, frequency_hz)

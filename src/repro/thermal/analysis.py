@@ -8,9 +8,10 @@ designer sweeps before committing to a policy (Section 7's "explore the
 design space of complex thermal management policies").
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.power.models import ActivityVector, PowerModel
+from repro.power.models import PowerModel
 from repro.thermal.grid import build_grid
 from repro.thermal.rc_network import RCNetwork
 from repro.thermal.solver import ThermalSolver
@@ -43,18 +44,20 @@ class OperatingPointAnalyzer:
         self.network = RCNetwork(grid)
 
     def _activity(self, utilization):
-        if isinstance(utilization, ActivityVector):
-            return utilization
-        activity = ActivityVector(1)
-        for comp in self.floorplan.active_components():
-            activity.set(comp.activity_source, utilization)
-        return activity
+        if not isinstance(utilization, Mapping):
+            clamped = min(max(utilization, 0.0), 1.0)
+            utilization = {
+                comp.activity_source: clamped
+                for comp in self.floorplan.active_components()
+            }
+        return self.power_model.utilization_vector(utilization)
 
     def steady_state(self, frequency_hz, utilization=1.0):
         """Solve the steady state of one operating point.
 
         ``utilization`` is either a scalar applied to every component or
-        a full :class:`ActivityVector` (e.g. a measured workload profile).
+        a ``{activity source: utilization}`` mapping (e.g. a measured
+        workload profile's).
         """
         activity = self._activity(utilization)
         watts = self.power_model.component_power(

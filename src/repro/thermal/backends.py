@@ -165,22 +165,25 @@ class CachedLU(SolverBackend):
         self._c_over_dt = None
 
     # -- factorization policy ------------------------------------------------
-    def _drifted(self, temperatures):
-        """Has any non-linear cell left the tolerance band around T_ref?
+    def _drifted(self, reference):
+        """Has any non-linear cell of ``reference`` left the tolerance
+        band around T_ref, ``|t - T_ref| > tol``?
 
-        A batch drifts when its *column mean* leaves the band: one matrix
+        For a batch, ``reference`` is the *column mean*: one matrix
         serves every column, so re-linearizing cannot reduce a persistent
         spread between columns, and chasing individual columns would
         thrash the factorization for no accuracy gain.  The residual
         per-column error is bounded by the column's distance from the
-        batch mean.
+        batch mean.  One NaN-skipping max decides, so a NaN cell counts
+        as not drifted, as an elementwise comparison would.
         """
         cells = self._nonlinear
         if not len(cells):
             return False
-        t = temperatures.mean(axis=1) if temperatures.ndim == 2 else temperatures
-        drift = np.abs(t[cells] - self._t_ref)
-        return bool(np.count_nonzero(drift > self.refactor_tolerance_kelvin))
+        drift = reference[cells]
+        drift -= self._t_ref
+        worst = np.fmax.reduce(np.abs(drift, out=drift))
+        return bool(worst > self.refactor_tolerance_kelvin)
 
     def _refactor(self, t_ref, dt):
         net = self.network
@@ -191,13 +194,13 @@ class CachedLU(SolverBackend):
         self._t_ref = np.asarray(t_ref, dtype=float)[self._nonlinear]
         self.factorizations += 1
 
-    def _ensure_factors(self, t_ref, temperatures, dt):
-        if self._solve is None or dt != self._dt or self._drifted(temperatures):
-            self._refactor(t_ref, dt)
+    def _ensure_factors(self, reference, dt):
+        if self._solve is None or dt != self._dt or self._drifted(reference):
+            self._refactor(reference, dt)
 
     # -- stepping ------------------------------------------------------------
     def step(self, temperatures, dt):
-        self._ensure_factors(temperatures, temperatures, dt)
+        self._ensure_factors(temperatures, dt)
         b = self._c_over_dt * temperatures + self.network.rhs()
         self.solves += 1
         return self._solve(b)
@@ -205,8 +208,7 @@ class CachedLU(SolverBackend):
     def step_batch(self, temperatures, dt, rhs):
         """One factorization (linearized at the batch-mean temperature)
         and one multi-column backsolve for every column."""
-        reference = temperatures.mean(axis=1)
-        self._ensure_factors(reference, temperatures, dt)
+        self._ensure_factors(temperatures.mean(axis=1), dt)
         b = self._c_over_dt[:, None] * temperatures + rhs
         self.solves += temperatures.shape[1]
         return self._solve(b)

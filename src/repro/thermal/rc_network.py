@@ -27,7 +27,9 @@ Power injection and component readout are precomputed sparse maps:
 component wattage vector, and per-component mean temperatures are one
 product ``W @ T`` — no per-window Python loops on the hot path.  Both
 vectors are in ``component_names`` order, the one fixed component order
-of the whole window.
+of the whole window.  Both products call SciPy's ``csr_matvec`` kernel
+directly (:func:`_matvec`): it is the kernel ``@`` dispatches to, so the
+sums run in the same order, without ``@``'s per-call dispatch.
 
 The backward-Euler system ``C/dt + G(T)`` is written straight into a CSC
 pattern derived once per network structure (:class:`SystemPattern`, at
@@ -48,6 +50,9 @@ from collections.abc import Mapping
 
 import numpy as np
 from scipy import sparse
+# A private SciPy module (checked on SciPy 1.17.1); test_rc_network pins
+# ``_matvec`` against ``matrix @ vector`` byte for byte.
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.thermal.grid import LAYER_DIE, build_grid
 from repro.thermal.properties import silicon_conductivity
@@ -178,6 +183,8 @@ class RCNetwork:
         self._readout = sparse.csr_matrix(
             (read_data, (read_rows, read_cols)), shape=(m, n)
         )
+        self._inject_args = _matvec_args(self._injection)
+        self._readout_args = _matvec_args(self._readout)
 
         # Power injection vector (set_power refreshes it).
         self.power = np.zeros(n)
@@ -210,7 +217,7 @@ class RCNetwork:
         """
         if isinstance(watts, Mapping):
             watts = self.watts_vector(watts)
-        self.power = self._injection @ watts
+        self.power = _matvec(self._inject_args, watts)
 
     def total_power(self):
         return float(self.power.sum())
@@ -219,7 +226,7 @@ class RCNetwork:
     def component_temperatures(self, temperatures):
         """Area-weighted mean temperature per component, ``W @ T``, as a
         vector in ``component_names`` order."""
-        return self._readout @ np.asarray(temperatures)
+        return _matvec(self._readout_args, temperatures)
 
     def as_map(self, vector):
         """A per-component vector as ``{component: value}``."""
@@ -303,6 +310,27 @@ class RCNetwork:
         twin = copy.copy(self)
         twin.power = np.zeros(self.num_cells)
         return twin
+
+
+def _matvec_args(matrix):
+    """The leading ``csr_matvec`` arguments of a CSR matrix."""
+    rows, cols = matrix.shape
+    return rows, cols, matrix.indptr, matrix.indices, matrix.data
+
+
+def _matvec(args, vector):
+    """``matrix @ vector`` through the kernel ``@`` itself calls, on the
+    :func:`_matvec_args` of ``matrix``: the same float64 sums, in the
+    same order, into a fresh zeroed vector."""
+    rows, cols, indptr, indices, data = args
+    vector = np.asarray(vector)
+    if vector.shape != (cols,):  # the kernel does not check
+        raise ValueError(
+            f"expected a vector of {cols} entries, got shape {vector.shape}"
+        )
+    out = np.zeros(rows)
+    csr_matvec(rows, cols, indptr, indices, data, vector, out)
+    return out
 
 
 class SystemPattern:

@@ -52,12 +52,13 @@ class PowerTraceCapture:
         return len(self._power_rows)
 
     # -- the framework hook ------------------------------------------------
-    def on_window(self, framework, watts, frequency, sample):
+    def on_window(self, framework, watts, frequency, time_s, temps):
         """Record one window (called from ``_window_commit``).
 
-        ``watts`` is the vector the window injected, in network
-        component order (a hand-fed ``{component: watts}`` map goes
-        through the network's own conversion).
+        ``watts`` is the vector the window injected and ``temps`` the
+        component temperatures the thermal tool computed, both in
+        network component order (a hand-fed ``{component: watts}`` map
+        goes through the network's own conversion).
         """
         if self.component_names is None:
             self.component_names = tuple(framework.network.component_names)
@@ -65,12 +66,8 @@ class PowerTraceCapture:
             watts = framework.network.watts_vector(watts)
         self._power_rows.append(np.array(watts, dtype=float))
         self._frequencies.append(float(frequency))
-        self._times.append(float(sample.time_s))
-        self._temp_rows.append(
-            np.array(
-                [sample.component_temps[n] for n in self.component_names]
-            )
-        )
+        self._times.append(float(time_s))
+        self._temp_rows.append(np.array(temps, dtype=float))
 
     # -- archive assembly --------------------------------------------------
     def to_archive(self, framework, scenario=None, report=None,

@@ -157,8 +157,9 @@ class ReplaySource(ThermalSide):
         watts = self.archive.power_w[index][self._column_of]
         self.network.set_power(watts)
         frequency = float(self.archive.frequency_hz[index])
-        self.timing["dispatch"] += time.perf_counter() - t0
-        return watts, frequency
+        spent = time.perf_counter() - t0
+        self.timing["dispatch"] += spent
+        return watts, frequency, (0.0, 0.0, spent)
 
     def _window_commit(self, watts, frequency):
         """The framework's commit at the recorded time, without a policy."""

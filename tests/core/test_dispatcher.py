@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.dispatcher import BramBuffer, EthernetDispatcher, StatisticsFrame
+from repro.core.dispatcher import (
+    FRAME_HEADER_BYTES,
+    BramBuffer,
+    EthernetDispatcher,
+)
 from repro.emulation.ethernet import EthernetLink
 
 
@@ -62,13 +66,14 @@ def test_sustained_overload_keeps_freezing():
     assert all(f > 0 for f in freezes[1:])
 
 
-def test_frames_sequence():
+def test_one_frame_per_window_with_its_header():
     dispatcher = EthernetDispatcher()
     dispatcher.dispatch_window(10, 0.01)
     dispatcher.dispatch_window(20, 0.01)
-    assert [f.sequence for f in dispatcher.frames] == [0, 1]
-    assert [f.window for f in dispatcher.frames] == [0, 1]
-    assert dispatcher.frames[1].wire_payload == 20 + StatisticsFrame.HEADER_BYTES
+    stats = dispatcher.stats()
+    assert stats["windows"] == stats["frames"] == 2
+    assert stats["bytes_sent"] == 10 + 20 + 2 * FRAME_HEADER_BYTES
+    assert dispatcher.buffer.total_pushed == 10 + 20 + 2 * FRAME_HEADER_BYTES
 
 
 def test_dispatch_validates():

@@ -35,8 +35,10 @@ def test_flatten_numeric():
     assert flat == {"a.b": 1, "a.c.d": 2.5, "e": 3}
 
 
-def make_trace(freqs=(500e6, 500e6, 100e6, 100e6), temps=(310, 350, 345, 339)):
+def make_trace(freqs=(500e6, 500e6, 100e6, 100e6), temps=(310, 350, 345, 339),
+               events=None):
     trace = ThermalTrace()
+    events = events or {}
     for index, (f, t) in enumerate(zip(freqs, temps)):
         trace.append(
             TraceSample(
@@ -45,6 +47,7 @@ def make_trace(freqs=(500e6, 500e6, 100e6, 100e6), temps=(310, 350, 345, 339)):
                 total_power_w=5.0,
                 max_temp_k=float(t),
                 component_temps={"core0": float(t) - 1.0},
+                events=events.get(index, ()),
             )
         )
     return trace
@@ -133,8 +136,8 @@ def test_sample_to_dict_is_json_compatible():
 
 
 def test_trace_round_trip_preserves_every_sample():
-    trace = make_trace()
-    trace.samples[1].events = (("core0", "over-upper"),)
+    trace = make_trace(events={1: (("core0", "over-upper"),)})
+    assert trace.samples[1].events == (("core0", "over-upper"),)
     back = ThermalTrace.from_dict(trace.to_dict())
     assert back.samples == trace.samples
     assert back.digest() == trace.digest()

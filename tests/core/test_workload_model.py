@@ -22,33 +22,61 @@ def make_profile(cycles=1000, core_util=0.9):
     )
 
 
+MODEL = PowerModel(floorplan_4xarm7())
+
+
+def bound(profile, total_iterations):
+    """A profiled workload bound to MODEL, as the framework binds it."""
+    return ProfiledWorkload(profile, total_iterations).bind(MODEL)
+
+
+def util(activity, source):
+    return MODEL.utilization_map(activity)[source]
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ActivityProfile(name="k", cycles_per_iteration=0)
 
 
 def test_profiled_depletion():
-    workload = ProfiledWorkload(make_profile(cycles=1000), total_iterations=10)
+    workload = bound(make_profile(cycles=1000), total_iterations=10)
     activity = workload.advance(4000)
     assert workload.completed_iterations == pytest.approx(4)
-    assert activity.get(("core", 0)) == pytest.approx(0.9)
+    assert util(activity, ("core", 0)) == pytest.approx(0.9)
     workload.advance(8000)  # only 6 iterations remain
     assert workload.done
     assert workload.instructions == pytest.approx(8000)
 
 
 def test_profiled_partial_window_scales_activity():
-    workload = ProfiledWorkload(make_profile(cycles=1000), total_iterations=2)
+    workload = bound(make_profile(cycles=1000), total_iterations=2)
     activity = workload.advance(8000)  # work fills only a quarter of it
-    assert activity.get(("core", 0)) == pytest.approx(0.9 * 0.25)
+    assert util(activity, ("core", 0)) == pytest.approx(0.9 * 0.25)
     assert workload.done
 
 
 def test_profiled_zero_window():
-    workload = ProfiledWorkload(make_profile(), total_iterations=1)
+    workload = bound(make_profile(), total_iterations=1)
     activity = workload.advance(0)
-    assert activity.get(("core", 0)) == 0.0
+    assert util(activity, ("core", 0)) == 0.0
     assert not workload.done
+
+
+def test_profiled_clamps_after_scaling():
+    hot = ActivityProfile(
+        name="hot", cycles_per_iteration=1000,
+        utilization={("core", 0): 1.6, ("icache", 0): -0.5},
+    )
+    assert util(bound(hot, 10).advance(1000), ("core", 0)) == 1.0
+    assert util(bound(hot, 10).advance(1000), ("icache", 0)) == 0.0
+    # A quarter-busy window scales 1.6 to 0.4 before clamping.
+    assert util(bound(hot, 1).advance(4000), ("core", 0)) == 0.4
+
+
+def test_profiled_needs_binding():
+    with pytest.raises(RuntimeError, match="bind the workload"):
+        ProfiledWorkload(make_profile(), total_iterations=1).advance(100)
 
 
 def test_profiled_validates():
@@ -70,14 +98,14 @@ def test_direct_workload_runs_platform(platform1):
     workload = DirectWorkload(platform1, model)
     assert not workload.done
     activity = workload.advance(100)
-    assert 0.0 < activity.get(("core", 0)) <= 1.0
+    assert 0.0 < util(activity, ("core", 0)) <= 1.0
     while not workload.done:
         workload.advance(200)
     assert platform1.cores[0].halted
     assert workload.instructions == platform1.cores[0].instructions
     # After completion, windows report idle-only activity.
     tail = workload.advance(100)
-    assert tail.get(("core", 0)) < 0.2
+    assert util(tail, ("core", 0)) < 0.2
 
 
 def test_direct_workload_rejects_negative_window(platform1):
@@ -106,3 +134,7 @@ def test_profile_platform_run(platform1):
         platform1.cores[0].instructions / 50
     )
     assert 0.0 < profile.utilization[("core", 0)] <= 1.0
+    # The profile holds what the one-core platform reported, including
+    # its bus, which 4xarm7 has no region for, and no other core.
+    assert ("bus", None) in profile.utilization
+    assert ("core", 1) not in profile.utilization

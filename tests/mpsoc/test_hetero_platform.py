@@ -95,9 +95,9 @@ def test_little_cores_draw_proportionally_less_power():
     # power must reflect its slower static clock (100 vs 200 MHz) on top
     # of its smaller power class.
     framework = hetero_framework(big_hz=200 * MHZ)
-    from repro.power.models import ActivityVector
-
-    activity = ActivityVector(1, {("core", i): 1.0 for i in range(3)})
+    activity = framework.power_model.utilization_vector(
+        {("core", i): 1.0 for i in range(3)}
+    )
     powers = framework.power_model.power_map(
         activity,
         frequency_hz=200 * MHZ,

@@ -226,3 +226,45 @@ def test_stats_shape(platform2):
         "interconnect",
     }
     assert len(stats["cores"]) == 2
+
+
+def _stepped_dithering_noc():
+    from repro.scenario.presets import PRESETS
+
+    framework = PRESETS.get("dithering_noc")().build()
+    for _ in range(3):
+        framework.step_window()
+    return framework
+
+
+def test_dropped_platform_dies_without_the_cycle_collector():
+    """A core reaches its sniffers through the MMIO hub and its memory
+    controller; the sniffers' back-references are weak, so a dropped
+    platform and its translated code go with their last reference."""
+    import gc
+    import weakref
+
+    _stepped_dithering_noc()  # one-time lazy set-up of the libraries
+    gc.collect()
+    gc.disable()
+    try:
+        framework = _stepped_dithering_noc()
+        platform = framework.platform
+        refs = [weakref.ref(obj) for obj in (
+            platform, *platform.cores, *platform.memctrls,
+            *framework.sniffer_bank.sniffers,
+        )]
+        del framework, platform
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_sniffers_do_not_keep_their_platform_alive():
+    from repro.core.sniffers import SnifferBank
+
+    platform = build_platform(small_config(2))
+    bank = SnifferBank.from_platform(platform)
+    assert bank.sniffers[0].component is platform.cores[0]
+    del platform
+    assert all(sniffer.component is None for sniffer in bank.sniffers)

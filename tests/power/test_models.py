@@ -7,7 +7,6 @@ from repro.power.models import (
     ACTIVE_WEIGHT,
     IDLE_WEIGHT,
     STALL_WEIGHT,
-    ActivityVector,
     PowerModel,
 )
 from repro.thermal.floorplan import floorplan_4xarm11
@@ -40,7 +39,9 @@ def stats_delta(active=800, stall=100, idle=100, icache=500, dcache=300):
 
 
 def test_activity_extraction(model):
-    activity = model.activity_from_stats(stats_delta(), window_cycles=1000)
+    activity = model.utilization_map(
+        model.activity_from_stats(stats_delta(), window_cycles=1000)
+    )
     expected_core = (
         ACTIVE_WEIGHT * 800 + STALL_WEIGHT * 100 + IDLE_WEIGHT * 100
     ) / 1000
@@ -50,26 +51,59 @@ def test_activity_extraction(model):
     assert activity.get(("private_mem", 0)) == pytest.approx(0.05)
     assert activity.get(("shared_mem", None)) == pytest.approx(0.15)
     assert activity.get(("noc_switch", "sw0")) == pytest.approx(400 / 4000)
-    assert activity.get(("bus", None)) == pytest.approx(0.2)
+    # 4xarm11 has no bus region: the bus counter has no slot to land in.
+    assert ("bus", None) not in activity
+
+
+def test_bus_activity_on_a_bus_floorplan():
+    from repro.thermal.floorplan import floorplan_hetero
+
+    model = PowerModel(floorplan_hetero())
+    activity = model.utilization_map(
+        model.activity_from_stats(stats_delta(), window_cycles=1000)
+    )
+    assert activity[("bus", None)] == pytest.approx(0.2)
 
 
 def test_activity_clamped_to_one(model):
-    activity = model.activity_from_stats(
-        stats_delta(active=5000, icache=9000), window_cycles=1000
-    )
+    activity = model.utilization_map(model.activity_from_stats(
+        stats_delta(active=5000, icache=9000, dcache=-300), window_cycles=1000
+    ))
     assert activity.get(("core", 0)) == 1.0
     assert activity.get(("icache", 0)) == 1.0
+    assert activity.get(("dcache", 0)) == 0.0
+
+
+def test_stats_utilization_map_keeps_every_reported_source(model):
+    delta = stats_delta(icache=9000, dcache=-300)
+    mapping = model.stats_utilization_map(delta, window_cycles=1000)
+    # The bus has no slot on 4xarm11, yet a profile keeps its activity.
+    assert mapping[("bus", None)] == pytest.approx(0.2)
+    assert mapping[("icache", 0)] == 1.0 and mapping[("dcache", 0)] == 0.0
+    vector = model.activity_from_stats(delta, window_cycles=1000)
+    assert model.utilization_map(vector) == {
+        source: mapping.get(source, 0.0) for source in model.sources
+    }
+    assert model.stats_utilization_map(delta, window_cycles=0) == {}
+
+
+def test_component_power_refuses_another_models_vector(model):
+    from repro.thermal.floorplan import floorplan_hetero
+
+    other = PowerModel(floorplan_hetero())
+    assert len(other.sources) != len(model.sources)
+    vector = other.utilization_vector({("core", 0): 0.5})
+    with pytest.raises(ValueError, match="not laid out"):
+        model.component_power(vector)
 
 
 def test_empty_window(model):
     activity = model.activity_from_stats(stats_delta(), window_cycles=0)
-    assert activity.get(("core", 0)) == 0.0
+    assert activity.tolist() == [0.0] * (len(model.sources) + 1)
 
 
 def test_component_power_scaling(model):
-    activity = ActivityVector(1000)
-    for i in range(4):
-        activity.set(("core", i), 1.0)
+    activity = model.utilization_vector({("core", i): 1.0 for i in range(4)})
     powers = model.power_map(activity, frequency_hz=500 * MHZ)
     assert powers["arm11_0"] == pytest.approx(1.5)
     # At 100 MHz (DFS low point), one fifth the power.
@@ -81,10 +115,10 @@ def test_component_power_scaling(model):
 
 
 def test_per_core_frequency_overrides(model):
-    activity = ActivityVector(1000)
-    for i in range(4):
-        activity.set(("core", i), 1.0)
-        activity.set(("icache", i), 0.5)
+    activity = model.utilization_vector({
+        **{("core", i): 1.0 for i in range(4)},
+        **{("icache", i): 0.5 for i in range(4)},
+    })
     powers = model.power_map(
         activity,
         frequency_hz=500 * MHZ,
@@ -97,9 +131,10 @@ def test_per_core_frequency_overrides(model):
 
 
 def test_total_and_peak_power(model):
-    activity = ActivityVector(1000)
-    for comp in model.floorplan.active_components():
-        activity.set(comp.activity_source, 1.0)
+    activity = model.utilization_vector({
+        comp.activity_source: 1.0
+        for comp in model.floorplan.active_components()
+    })
     total = model.total_power(activity, frequency_hz=500 * MHZ)
     assert total == pytest.approx(model.peak_power(frequency_hz=500 * MHZ))
     # 4 ARM11 at full power dominate: more than 6 W, less than 12 W.
@@ -121,13 +156,18 @@ def test_unknown_power_class_rejected():
         PowerModel(plan)
 
 
-def test_activity_vector_clamps():
-    activity = ActivityVector(10)
-    activity.set(("core", 0), 1.7)
-    activity.set(("core", 1), -0.5)
-    assert activity.get(("core", 0)) == 1.0
-    assert activity.get(("core", 1)) == 0.0
-    assert activity.get(("missing", 9)) == 0.0
+def test_utilization_vector_layout(model):
+    vector = model.utilization_vector(
+        {("core", 1): 0.25, ("missing", 9): 0.5, ("icache", 0): 1.5}
+    )
+    # One slot per source in first-use order plus the passive slot;
+    # unknown sources drop out and values are not clamped here.
+    assert len(vector) == len(model.sources) + 1
+    assert model.utilization_map(vector) == {
+        source: {("core", 1): 0.25, ("icache", 0): 1.5}.get(source, 0.0)
+        for source in model.sources
+    }
+    assert vector[-1] == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,10 +178,8 @@ def test_activity_vector_clamps():
 def test_power_monotone_in_utilization_and_frequency(util, f):
     """Property: power never decreases when utilization or clock rise."""
     model = PowerModel(floorplan_4xarm11())
-    activity_lo = ActivityVector(100)
-    activity_hi = ActivityVector(100)
-    activity_lo.set(("core", 0), util * 0.5)
-    activity_hi.set(("core", 0), util)
+    activity_lo = model.utilization_vector({("core", 0): util * 0.5})
+    activity_hi = model.utilization_vector({("core", 0): util})
     lo = model.power_map(activity_lo, frequency_hz=f)["arm11_0"]
     hi = model.power_map(activity_hi, frequency_hz=f)["arm11_0"]
     hi_f = model.power_map(activity_hi, frequency_hz=f * 1.5)["arm11_0"]
@@ -166,7 +204,7 @@ def loop_component_power(model, activity, frequency_hz=None, core_frequencies=No
             and comp.activity_source[1] in core_frequencies
         ):
             f = core_frequencies[comp.activity_source[1]]
-        power = cls.power_at(activity.get(comp.activity_source), f)
+        power = cls.power_at(activity.get(comp.activity_source, 0.0), f)
         if node is not None and power > 0.0:
             power *= node.voltage_scale(cls.ref_hz if f is None else f)
         powers.append(power)
@@ -185,12 +223,12 @@ def loop_component_power(model, activity, frequency_hz=None, core_frequencies=No
 def test_vector_power_matches_per_component_loop_bitwise(utils, f, throttled,
                                                          node):
     model = PowerModel(floorplan_4xarm11(), tech_node=node)
-    activity = ActivityVector(1)
     sources = [c.activity_source for c in model.floorplan.active_components()
                if c.activity_source is not None]
-    for source, value in zip(sources, utils):
-        activity.set(source, value)
-    watts = model.component_power(activity, f, throttled or None)
+    activity = dict(zip(sources, utils))
+    watts = model.component_power(
+        model.utilization_vector(activity), f, throttled or None
+    )
     assert watts.tolist() == loop_component_power(
         model, activity, f, throttled or None
     )
@@ -200,6 +238,6 @@ def test_vector_power_matches_per_component_loop_bitwise(utils, f, throttled,
 
 
 def test_out_of_range_utilization_names_the_power_class(model):
-    activity = ActivityVector(1, {("icache", 2): 1.5})
+    activity = model.utilization_vector({("icache", 2): 1.5})
     with pytest.raises(ValueError, match="icache_8k_dm: utilization 1.5"):
         model.component_power(activity, 500 * MHZ)

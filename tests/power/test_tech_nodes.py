@@ -4,7 +4,6 @@ import pytest
 
 from repro.power.models import (
     TECH_NODES,
-    ActivityVector,
     OperatingPoint,
     PowerModel,
     TechNode,
@@ -113,8 +112,8 @@ def floorplan():
     return floorplan_4xarm11()
 
 
-def busy_vector():
-    return ActivityVector(1, {("core", 0): 1.0})
+def busy_vector(model):
+    return model.utilization_vector({("core", 0): 1.0})
 
 
 def test_power_model_scales_by_voltage_squared(floorplan):
@@ -122,8 +121,8 @@ def test_power_model_scales_by_voltage_squared(floorplan):
     scaled = PowerModel(floorplan, tech_node="65nm")
     node = scaled.tech_node
     frequency = 200 * MHZ
-    base = nominal.power_map(busy_vector(), frequency)
-    low = scaled.power_map(busy_vector(), frequency)
+    base = nominal.power_map(busy_vector(nominal), frequency)
+    low = scaled.power_map(busy_vector(scaled), frequency)
     for name, watts in base.items():
         if watts > 0:
             assert low[name] == pytest.approx(
@@ -138,8 +137,8 @@ def test_power_model_nominal_point_is_identity(floorplan):
     nominal = PowerModel(floorplan)
     scaled = PowerModel(floorplan, tech_node="130nm")
     frequency = 600 * MHZ
-    base = nominal.power_map(busy_vector(), frequency)
-    top = scaled.power_map(busy_vector(), frequency)
+    base = nominal.power_map(busy_vector(nominal), frequency)
+    top = scaled.power_map(busy_vector(scaled), frequency)
     for name in base:
         assert top[name] == pytest.approx(base[name])
 
@@ -148,8 +147,8 @@ def test_dvfs_step_changes_voltage_as_well_as_frequency(floorplan):
     # Halving f under a tech node drops power by MORE than 2x: the
     # ladder lowers V alongside f, so the step is f * V(f)^2.
     model = PowerModel(floorplan, tech_node="65nm")
-    high = sum(model.power_map(busy_vector(), 400 * MHZ).values())
-    low = sum(model.power_map(busy_vector(), 200 * MHZ).values())
+    high = sum(model.power_map(busy_vector(model), 400 * MHZ).values())
+    low = sum(model.power_map(busy_vector(model), 200 * MHZ).values())
     assert low < high / 2
     node = model.tech_node
     expected = (200 / 400) * (

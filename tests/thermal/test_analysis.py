@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.power.models import ActivityVector
 from repro.thermal.analysis import OperatingPointAnalyzer
 from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import MHZ
@@ -62,9 +61,8 @@ def test_minimum_holding_frequency_edges(analyzer):
         analyzer.minimum_holding_frequency(290.0)
 
 
-def test_accepts_activity_vector(analyzer):
-    activity = ActivityVector(1)
-    activity.set(("core", 0), 1.0)  # single hot core
+def test_accepts_a_utilization_mapping(analyzer):
+    activity = {("core", 0): 1.0}  # single hot core
     point = analyzer.steady_state(500 * MHZ, activity)
     hottest = max(
         point.component_temperatures, key=point.component_temperatures.get

@@ -11,7 +11,7 @@ from repro.thermal.properties import (
     ThermalProperties,
     silicon_conductivity,
 )
-from repro.thermal.rc_network import RCNetwork
+from repro.thermal.rc_network import RCNetwork, _matvec, _matvec_args
 
 
 def make_network(die_res=(3, 3), spread_res=(3, 3)):
@@ -127,3 +127,21 @@ def test_power_injection_conserves_watts(watts):
     plan, grid, net = make_network()
     net.set_power({"block": watts})
     assert net.total_power() == pytest.approx(watts, rel=1e-12)
+
+
+def test_direct_kernel_equals_the_sparse_product_bytewise():
+    """``_matvec`` calls SciPy's private ``csr_matvec``; it must give
+    exactly what ``@`` gives, on the network's own matrices and on a
+    random rectangular one."""
+    from scipy import sparse
+
+    _, grid, net = make_network(die_res=(4, 3), spread_res=(5, 5))
+    rng = np.random.default_rng(3)
+    random = sparse.random(17, 29, density=0.3, format="csr", random_state=rng)
+    for matrix in (net._injection, net._readout, random):
+        for _ in range(5):
+            vector = rng.normal(300.0, 40.0, matrix.shape[1])
+            got = _matvec(_matvec_args(matrix), vector)
+            assert got.tobytes() == (matrix @ vector).tobytes()
+    with pytest.raises(ValueError, match="expected a vector of 29"):
+        _matvec(_matvec_args(random), np.zeros(28))

@@ -60,10 +60,10 @@ def test_recorded_temps_match_trace_samples(stress_scenario):
 def test_capture_on_unknown_component_fails_loudly(stress_scenario):
     framework = stress_scenario.build()
     capture = framework.attach_capture(PowerTraceCapture())
-    framework.step_window()
-    sample = framework.trace.samples[-1]
+    row = framework.step_window()
     with pytest.raises(KeyError, match="no floorplan component"):
-        capture.on_window(framework, {"bogus": 1.0}, 1e8, sample)
+        capture.on_window(framework, {"bogus": 1.0}, 1e8, row.time_s,
+                          row.temps)
 
 
 def test_zero_window_recording_saves_strict_json(tmp_path):

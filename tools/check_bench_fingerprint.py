@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Check the exact interpreter's statistics against the recorded benchmark run.
+"""Check simulated statistics against the recorded benchmark runs.
 
-Runs ``perfbench/run.py --workload emu_dither --seed 1 --seconds 1`` and
-compares the ``event_driven`` instructions, end cycle, window count,
-cache misses, thermal-trace digest and peak temperature of its
+For each workload in ``CHECKS`` this runs ``perfbench/run.py --workload
+<workload> --seed 1 --seconds 1`` and compares fields of its
 ``fingerprint`` line with the run recorded in
-``docs/perf/BENCH_emu_dither.json``.  perfbench itself only checks that
-repeats within one run agree; this catches a change that moves the
-simulated statistics of the exact engine.  The totals alone would miss
-counts that land in the wrong window (they move per-window power, so
-the trace digest and the peak temperature).  Exits nonzero listing
-every field that differs.
+``docs/perf/BENCH_<workload>.json``:
+
+* ``emu_dither``: the exact interpreter's (``event_driven``)
+  instructions, end cycle, window count, cache misses, thermal-trace
+  digest and peak temperature.  The totals alone would miss counts that
+  land in the wrong window (they move per-window power, so the trace
+  digest and the peak temperature).
+* ``thermal_dfs_loop``: the closed DFS loop's trace digest, window
+  count, DFS transitions, peak temperature and instructions, so a change
+  to the profiled window path (activity, power, solve, sensors, trace)
+  that moves one bit of the trace fails here.
+
+perfbench itself only checks that repeats within one run agree.  Exits
+nonzero listing every field that differs.
 
 Usage: python3 tools/check_bench_fingerprint.py [repo-root]
 """
@@ -20,10 +27,21 @@ import pathlib
 import subprocess
 import sys
 
-FIELDS = ("instructions", "end_cycle", "windows", "cache_misses",
-          "trace_digest", "peak_k")
-COMMAND = ["perfbench/run.py", "--workload", "emu_dither", "--seed", "1",
-           "--seconds", "1", "--trace", "0"]
+#: ``(workload, fingerprint key or None when the fingerprint is flat,
+#: checked fields)``.
+CHECKS = (
+    ("emu_dither", "event_driven",
+     ("instructions", "end_cycle", "windows", "cache_misses", "trace_digest",
+      "peak_k")),
+    ("thermal_dfs_loop", None,
+     ("trace_digest", "windows", "dfs_transitions", "peak_k",
+      "instructions")),
+)
+
+
+def command(workload):
+    return ["perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "1", "--trace", "0"]
 
 
 def fingerprint(output):
@@ -34,23 +52,29 @@ def fingerprint(output):
     raise ValueError("perfbench printed no fingerprint line")
 
 
-def mismatches(recorded, measured):
+def mismatches(recorded, measured, key, fields):
     """``(field, recorded, measured)`` for every differing field."""
-    want, got = recorded["event_driven"], measured["event_driven"]
-    return [(field, want[field], got[field]) for field in FIELDS
+    want = recorded if key is None else recorded[key]
+    got = measured if key is None else measured[key]
+    return [(field, want[field], got[field]) for field in fields
             if want[field] != got[field]]
 
 
 def main(root):
-    recorded = json.loads((root / "docs/perf/BENCH_emu_dither.json").read_text())
-    run = subprocess.run([sys.executable, *COMMAND], cwd=root, check=True,
-                         capture_output=True, text=True)
-    diffs = mismatches(recorded["fingerprint"], fingerprint(run.stdout))
-    for field, want, got in diffs:
-        print(f"event_driven {field}: recorded {want}, measured {got}")
-    print(f"checked {len(FIELDS)} event_driven fields of emu_dither seed 1: "
-          f"{len(diffs)} differ")
-    return 1 if diffs else 0
+    differing = 0
+    for workload, key, fields in CHECKS:
+        bench = root / f"docs/perf/BENCH_{workload}.json"
+        recorded = json.loads(bench.read_text())["fingerprint"]
+        run = subprocess.run([sys.executable, *command(workload)], cwd=root,
+                             check=True, capture_output=True, text=True)
+        diffs = mismatches(recorded, fingerprint(run.stdout), key, fields)
+        label = workload if key is None else f"{workload} {key}"
+        for field, want, got in diffs:
+            print(f"{label} {field}: recorded {want}, measured {got}")
+        print(f"checked {len(fields)} fields of {label} seed 1: "
+              f"{len(diffs)} differ")
+        differing += len(diffs)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
