@@ -10,7 +10,7 @@ run-time thermal-management policy through the VPCM.
 """
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -255,6 +255,10 @@ class ThermalSide:
     one window's power into ``network``, :func:`step_windows` steps
     ``solver`` one sampling period, and ``_window_commit`` reads the
     result out through :meth:`sense` and counts it with :meth:`commit`.
+    :meth:`run`, :meth:`bounds_reached` and :meth:`report` read what a
+    subclass supplies: ``done``, ``emulated_seconds``,
+    ``emulation_backend`` (the ``run`` span's label) and
+    ``_base_report()``, the emulation-side facts of the report.
     """
 
     def __init__(self, floorplan, config, properties=None):
@@ -298,6 +302,11 @@ class ThermalSide:
         # Per-phase wall-time accumulators (seconds), filled by
         # _window_power and by the window driver (see step_windows).
         self.timing = dict.fromkeys(PHASE_ORDER, 0.0)
+        # High-water marks of what report() already pushed into the
+        # metrics registry, so repeated reports never double count.
+        self._published = {"windows": 0, "timing": {}, "solver": {}}
+        self.stall_windows = 0  # consecutive zero-progress windows
+        self._stall_bound_hit = False  # a bounds check tripped on stalling
 
     def sense(self, watts, frequency, now):
         """Read the solved window out to the sensors; returns its
@@ -326,6 +335,101 @@ class ThermalSide:
         self.final_temp_k = hottest
         self.windows += 1
         return row
+
+    # -- the run contract ------------------------------------------------------
+    def bounds_reached(
+        self, max_emulated_seconds=None, max_windows=None, max_stall_windows=None
+    ):
+        """True when the source is done or a run bound has been hit."""
+        if self.done:
+            return True
+        if (
+            max_emulated_seconds is not None
+            and self.emulated_seconds >= max_emulated_seconds - 1e-12
+        ):
+            return True
+        if max_stall_windows is not None and self.stall_windows >= max_stall_windows:
+            self._stall_bound_hit = True
+            return True
+        return max_windows is not None and self.windows >= max_windows
+
+    def run(self, max_emulated_seconds=None, max_windows=None,
+            max_stall_windows=None):
+        """Run until the source is done (or a bound is hit); returns
+        :meth:`report`.
+
+        ``max_stall_windows`` bounds *consecutive zero-progress windows*:
+        a run whose virtual clock is gated (or rounds to zero cycles per
+        window) under a never-cooling policy stops after that many stalled
+        windows instead of spinning forever, and the returned report
+        carries ``stalled=True``.
+        """
+        bounds = [(max_emulated_seconds, max_windows, max_stall_windows)]
+        tracer = obs_tracing.ACTIVE
+        if tracer is None:
+            run_windows([self], bounds)
+        else:
+            backend = self.emulation_backend or "custom"
+            with tracer.span("run", backend=backend) as span:
+                run_windows([self], bounds)
+                span.set(windows=self.windows, emulated_s=self.emulated_seconds)
+        return self.report()
+
+    def _publish_metrics(self):
+        """Push run/solver counters into the default metrics registry.
+
+        Publishes the *delta* since the last publish, so repeated
+        ``report()`` calls on a long-lived run never double count.
+        Runs at report time, not per window: the hot loop stays
+        metrics-free."""
+        published = self._published
+        delta_windows = self.windows - published["windows"]
+        if delta_windows > 0:
+            obs_catalog.counter("repro_run_windows_total").inc(delta_windows)
+        published["windows"] = self.windows
+        phase_seconds = obs_catalog.counter(
+            "repro_run_phase_seconds_total", labels=("phase",)
+        )
+        for phase, wall in self.timing.items():
+            delta = wall - published["timing"].get(phase, 0.0)
+            if delta > 0:
+                phase_seconds.labels(phase=phase).inc(delta)
+            published["timing"][phase] = wall
+        stats = self.solver.backend.stats()
+        backend = self.solver.backend.name or "custom"
+        factorizations = stats.get("factorizations", 0)
+        solves = stats.get("solves", 0)
+        for metric, key, value in (
+            ("repro_solver_factorizations_total", "factorizations",
+             factorizations),
+            ("repro_solver_solves_total", "solves", solves),
+            ("repro_solver_reuses_total", "reuses",
+             max(0, solves - factorizations)),
+        ):
+            delta = value - published["solver"].get(key, 0)
+            if delta > 0:
+                obs_catalog.counter(metric, labels=("backend",)).labels(
+                    backend=backend
+                ).inc(delta)
+            published["solver"][key] = value
+
+    def report(self):
+        """The run's :class:`RunReport`: the source's ``_base_report()``
+        with this side's own windows, peak/final temperatures, cell
+        count and phase ``timing``; publishes the run metrics."""
+        self._publish_metrics()
+        base = self._base_report()
+        return replace(
+            base,
+            windows=self.windows,
+            peak_temperature_k=self.peak_temp_k,
+            final_temperature_k=self.final_temp_k,
+            extras=dict(
+                base.extras,
+                thermal_cells=self.network.num_cells,
+                timing=dict(self.timing),
+            ),
+        )
 
 
 def _monitored_components(floorplan, monitored):
@@ -411,11 +515,6 @@ class EmulationFramework(ThermalSide):
         if bind is not None:
             bind(self.power_model)
         self.workload = workload
-        # High-water marks of what report() already pushed into the
-        # metrics registry, so repeated reports never double count.
-        self._published = {"windows": 0, "timing": {}, "solver": {}}
-        self.stall_windows = 0  # consecutive zero-progress windows
-        self._stall_bound_hit = False  # a bounds check tripped on stalling
         # Per-window capture hooks (repro.trace records the dispatcher
         # boundary through these) — called for *every* window, before
         # trace_stride decimation.
@@ -545,92 +644,16 @@ class EmulationFramework(ThermalSide):
         """
         return self._stall_bound_hit and not self.workload.done
 
-    def bounds_reached(
-        self, max_emulated_seconds=None, max_windows=None, max_stall_windows=None
-    ):
-        """True when the workload is done or a run bound has been hit."""
-        if self.workload.done:
-            return True
-        if (
-            max_emulated_seconds is not None
-            and self.vpcm.emulated_seconds >= max_emulated_seconds - 1e-12
-        ):
-            return True
-        if max_stall_windows is not None and self.stall_windows >= max_stall_windows:
-            self._stall_bound_hit = True
-            return True
-        return max_windows is not None and self.windows >= max_windows
+    @property
+    def done(self):
+        return self.workload.done
 
-    def run(self, max_emulated_seconds=None, max_windows=None,
-            max_stall_windows=None):
-        """Run until the workload completes (or a bound is hit).
+    @property
+    def emulated_seconds(self):
+        return self.vpcm.emulated_seconds
 
-        ``max_stall_windows`` bounds *consecutive zero-progress windows*:
-        a run whose virtual clock is gated (or rounds to zero cycles per
-        window) under a never-cooling policy stops after that many stalled
-        windows instead of spinning forever, and the returned report
-        carries ``stalled=True``.
-        """
-        bounds = [(max_emulated_seconds, max_windows, max_stall_windows)]
-        tracer = obs_tracing.ACTIVE
-        if tracer is None:
-            run_windows([self], bounds)
-            return self.report()
-        with tracer.span(
-            "run", backend=self.emulation_backend or "custom"
-        ) as span:
-            run_windows([self], bounds)
-            span.set(
-                windows=self.windows,
-                emulated_s=self.vpcm.emulated_seconds,
-            )
-        return self.report()
-
-    def _publish_metrics(self):
-        """Push run/solver counters into the default metrics registry.
-
-        Publishes the *delta* since the last publish, so repeated
-        ``report()`` calls on a long-lived framework never double
-        count.  Runs at report time, not per window: the hot loop
-        stays metrics-free."""
-        published = self._published
-        delta_windows = self.windows - published["windows"]
-        if delta_windows > 0:
-            obs_catalog.counter("repro_run_windows_total").inc(delta_windows)
-        published["windows"] = self.windows
-        phase_seconds = obs_catalog.counter(
-            "repro_run_phase_seconds_total", labels=("phase",)
-        )
-        for phase, wall in self.timing.items():
-            delta = wall - published["timing"].get(phase, 0.0)
-            if delta > 0:
-                phase_seconds.labels(phase=phase).inc(delta)
-            published["timing"][phase] = wall
-        stats = self.solver.backend.stats()
-        backend = self.solver.backend.name or "custom"
-        factorizations = stats.get("factorizations", 0)
-        solves = stats.get("solves", 0)
-        for metric, key, value in (
-            ("repro_solver_factorizations_total", "factorizations",
-             factorizations),
-            ("repro_solver_solves_total", "solves", solves),
-            ("repro_solver_reuses_total", "reuses",
-             max(0, solves - factorizations)),
-        ):
-            delta = value - published["solver"].get(key, 0)
-            if delta > 0:
-                obs_catalog.counter(metric, labels=("backend",)).labels(
-                    backend=backend
-                ).inc(delta)
-            published["solver"][key] = value
-
-    def report(self):
-        self._publish_metrics()
-        extras = {
-            "thermal_cells": self.network.num_cells,
-            "emulation_backend": self.emulation_backend,
-            "timing": dict(self.timing),
-        }
+    def _base_report(self):
+        extras = {"emulation_backend": self.emulation_backend}
         policy_report = getattr(self.policy, "report", None)
         if policy_report is not None:
             extras["policy"] = policy_report()

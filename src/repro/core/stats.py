@@ -50,6 +50,17 @@ def _flatten_into(flat, stats, prefix):
             flat[name] = value
 
 
+def put_row(matrix, row, values):
+    """Write ``values`` into row ``row`` of ``matrix``, doubling its rows
+    first when it is full; returns the matrix that now holds the row."""
+    if row == len(matrix):
+        grown = np.empty((max(2 * row, 8), matrix.shape[1]))
+        grown[:row] = matrix
+        matrix = grown
+    matrix[row] = values
+    return matrix
+
+
 @dataclass
 class TraceSample:
     """One sampling window of a co-emulation run."""
@@ -129,12 +140,7 @@ class ThermalTrace:
         """Append one window; ``temps`` is a vector in ``components``
         order (the fields of a :class:`WindowRow`)."""
         rows = len(self._time)
-        matrix = self._temps
-        if rows == len(matrix):
-            grown = np.empty((max(2 * rows, 64), matrix.shape[1]))
-            grown[:rows] = matrix
-            self._temps = matrix = grown
-        matrix[rows] = temps
+        self._temps = put_row(self._temps, rows, temps)
         self._time.append(time_s)
         self._frequency.append(frequency_hz)
         self._power.append(total_power_w)

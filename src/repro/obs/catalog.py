@@ -156,7 +156,7 @@ OBS_METRICS.register(
 # -- span names ------------------------------------------------------------
 OBS_SPANS.register(
     "run",
-    "One EmulationFramework.run(): the full window loop",
+    "One ThermalSide.run() (a live run or a replay): the full window loop",
 )
 OBS_SPANS.register(
     "window.emulate",
@@ -188,11 +188,11 @@ OBS_SPANS.register(
 )
 OBS_SPANS.register(
     "runner.plan",
-    "Runner.run_batched() planning: parse, digest and store lookups",
+    "Runner planning (run and run_batched): parse, digest, store lookups",
 )
 OBS_SPANS.register(
     "runner.setup",
-    "Runner.run_batched() set-up: scenario builds and replay set-ups",
+    "Runner set-up (run and run_batched): builds and replay set-ups",
 )
 OBS_SPANS.register(
     "farm.job",

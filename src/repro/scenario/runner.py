@@ -1,21 +1,24 @@
 """Batch execution of scenarios, optionally across worker processes.
 
 :class:`Runner` executes a list of scenarios (or raw scenario dicts) and
-returns uniform :class:`ScenarioResult` objects in input order.  With
-``workers > 1`` the batch fans out over a ``multiprocessing`` pool —
-scenarios travel as their JSON-compatible dicts and come back as
-serialized reports, so the only requirement on a scenario is the same
-one the CLI imposes: it must be expressible as plain data.
+returns uniform :class:`ScenarioResult` objects in input order.  Its two
+entry points drive one executor (:class:`_Execution`): each member is set
+up (a replay of a recording, or a build with a capture when it records),
+stepped by the window driver (:func:`repro.core.framework.run_windows`)
+and finished (report, recording filed, result), and each batch emits one
+``runner.plan`` and one ``runner.setup`` span.
 
-:meth:`Runner.run_batched` is the orthogonal fast path: instead of
-fanning scenarios out, it co-steps scenarios that share one network
-structure through a single multi-RHS thermal solve per window (one
-factorization for the whole group — see
-:meth:`repro.thermal.backends.CachedLU.step_batch`).  The co-step is
-the same window driver serial and replayed runs go through
-(:func:`repro.core.framework.run_windows`), so every member's
-``extras["timing"]`` carries its own phases plus an even share of the
-group's solve and residual.
+* :meth:`Runner.run` builds, runs and releases one member at a time, so
+  ``wall_seconds`` is the member's own set-up and run; with
+  ``workers > 1`` the emulating members run the same steps in a
+  ``multiprocessing`` pool.
+* :meth:`Runner.run_batched` co-steps scenarios that share one network
+  structure through a single multi-RHS thermal solve per window (one
+  factorization for the whole group — see
+  :meth:`repro.thermal.backends.CachedLU.step_batch`), so
+  ``wall_seconds`` is the group's wall and each member's
+  ``extras["timing"]`` carries its own phases plus an even share of the
+  group's solve and residual.
 
 ``trace_store`` adds the record-once/replay-many decoupling from
 :mod:`repro.trace`: every emulated scenario is captured into the store
@@ -25,8 +28,8 @@ whose digest is already present — a previous run, or another member of
 the *same* batch that differs only in thermal-side knobs — replays the
 recorded boundary stream through the thermal solver instead of
 re-emulating the platform.  Replayed members carry provenance in
-``report.extras["replay"]``.  Both entry points share one planner for
-that split (:class:`_DedupPlan`) and differ only in how they execute it.
+``report.extras["replay"]``.  One planner makes that split for both
+entry points (:class:`_DedupPlan`).
 """
 
 import multiprocessing
@@ -101,36 +104,12 @@ class ScenarioResult:
 
 
 def _execute(payload):
-    """Pool worker: run one scenario dict, return a picklable outcome.
-
-    With ``capture_power`` the live run records its boundary stream and
-    ships the :class:`~repro.trace.format.TraceArchive` back (NumPy
-    arrays pickle fine), so the parent can file it in the trace store.
-    """
-    index, scenario_dict, capture_trace, capture_power = payload
-    start = time.perf_counter()
-    name = scenario_dict.get("name", f"scenario{index}")
-    archive = None
-    try:
-        scenario = Scenario.from_dict(scenario_dict)
-        if capture_power:
-            from repro.trace.capture import record
-
-            framework, report, archive = record(scenario)
-        else:
-            framework, report = scenario.run()
-        wall = time.perf_counter() - start
-        trace = framework.trace if capture_trace else None
-        return (
-            index, scenario.name, report.to_dict(), wall, None, None, trace,
-            archive,
-        )
-    except Exception as exc:  # the batch survives one bad scenario
-        wall = time.perf_counter() - start
-        return (
-            index, name, None, wall, f"{type(exc).__name__}: {exc}",
-            traceback_module.format_exc(), None, None,
-        )
+    """Pool worker: run one member alone, as in-process; returns its
+    result and the archive it recorded (or None) for the parent to file."""
+    member, capture_trace = payload
+    archives = []
+    result = _Execution(capture_trace, archives.append).alone(member)
+    return result, (archives[0] if archives else None)
 
 
 def _group_key(runnable):
@@ -307,28 +286,6 @@ class Runner:
             data["config"] = config
         return Scenario.from_dict(data)
 
-    def _replay_result(self, member, source):
-        """Replay one member's recording in-process; mirrors ``_execute``."""
-        from repro.trace.replay import replay_for_scenario
-
-        start = time.perf_counter()
-        scenario = member.scenario
-        try:
-            player = replay_for_scenario(member.archive, scenario, source=source)
-            report = player.run(*scenario.bounds)
-            wall = time.perf_counter() - start
-            return ScenarioResult(
-                name=scenario.name,
-                index=member.index,
-                report=report,
-                wall_seconds=wall,
-                trace=player.trace if self.capture_trace else None,
-            )
-        except Exception as exc:
-            return _failure(
-                member.index, scenario.name, exc, time.perf_counter() - start
-            )
-
     # -- observability ---------------------------------------------------------
     def _observe_batch(self, results, wall_s, kind):
         """Record one finished batch into the metrics registry (and the
@@ -372,7 +329,7 @@ class Runner:
                 scenarios=len(results), workers=workers_used,
             )
 
-    # -- plain batches ---------------------------------------------------------
+    # -- the two entry points ------------------------------------------------
     def run(self, scenarios):
         """Run every scenario; returns ``list[ScenarioResult]`` in input
         order.  Items may be :class:`Scenario` objects or raw dicts.
@@ -385,55 +342,10 @@ class Runner:
         one emulation plus 16 thermal solves, not 16 emulations.
         """
         start = time.perf_counter()
-        results = self._run(scenarios)
+        results = self._drive(scenarios, co_step=False)
         self._observe_batch(results, time.perf_counter() - start, "run")
         return results
 
-    def _run(self, scenarios):
-        plan = _DedupPlan(self, scenarios)
-        results = [member.error for member in plan.members]
-        for members in (plan.first_pass, plan.second_pass):
-            live = []
-            for member in members():
-                if member.archive is None:
-                    live.append(member)
-                else:
-                    results[member.index] = self._replay_result(
-                        member, plan.source
-                    )
-            raw = self._run_payloads([
-                (m.index, m.scenario.to_dict(), self.capture_trace, m.records)
-                for m in live
-            ])
-            for row in raw:
-                results[row[0]] = self._result_of(row)
-                if row[7] is not None:
-                    plan.recorded(row[7])
-        return results
-
-    def _run_payloads(self, payloads):
-        if not payloads:
-            return []
-        if self.workers <= 1 or len(payloads) == 1:
-            return [_execute(p) for p in payloads]
-        ctx = multiprocessing.get_context(self.start_method)
-        with ctx.Pool(processes=min(self.workers, len(payloads))) as pool:
-            return pool.map(_execute, payloads)
-
-    @staticmethod
-    def _result_of(row):
-        index, name, report_dict, wall, error, tb, trace, _archive = row
-        return ScenarioResult(
-            name=name,
-            index=index,
-            report=RunReport.from_dict(report_dict) if report_dict else None,
-            wall_seconds=wall,
-            error=error,
-            traceback=tb,
-            trace=trace,
-        )
-
-    # -- batched thermal solving ----------------------------------------------
     def run_batched(self, scenarios, library=None):
         """Run the batch in-process, co-stepping structure-sharing groups.
 
@@ -462,50 +374,31 @@ class Runner:
         group as failed.
         """
         start = time.perf_counter()
-        results = self._run_batched(scenarios, library=library)
+        results = self._drive(scenarios, co_step=True, library=library)
         self._observe_batch(results, time.perf_counter() - start, "batched")
         return results
 
-    def _run_batched(self, scenarios, library=None):
+    # -- the one executor ------------------------------------------------------
+    def _drive(self, scenarios, co_step, library=None):
+        """Plan the batch, then run both passes through one
+        :class:`_Execution`; returns the results in input order."""
         start = time.perf_counter()
         plan = _DedupPlan(self, scenarios)
         plan_s = time.perf_counter() - start
+        execution = _Execution(
+            self.capture_trace, plan.recorded, plan.source, library
+        )
         results = [member.error for member in plan.members]
-        setup_s, builds, replays = 0.0, 0, 0
-        # Hits co-step with the leaders, followers only after every
-        # leader recorded: the shared solve linearizes at the group
-        # mean, so group composition is part of the numbers.
+        # Hits run with the leaders, followers only after every leader
+        # recorded: a co-stepped group linearizes at its mean, so group
+        # composition is part of the numbers.
         for members in (plan.first_pass, plan.second_pass):
-            start = time.perf_counter()
-            groups = defaultdict(list)
-            captures = {}
-            for member in members():
-                try:
-                    if member.archive is not None:
-                        from repro.trace.replay import replay_for_scenario
-
-                        replays += 1
-                        runnable = replay_for_scenario(
-                            member.archive, member.scenario, source=plan.source
-                        )
-                    else:
-                        builds += 1
-                        runnable = member.scenario.build(library=library)
-                        if member.records:
-                            from repro.trace.capture import PowerTraceCapture
-
-                            captures[member.index] = runnable.attach_capture(
-                                PowerTraceCapture()
-                            )
-                    groups[_group_key(runnable)].append(
-                        (member, runnable)
-                    )
-                except Exception as exc:  # the batch survives one bad scenario
-                    results[member.index] = _failure(
-                        member.index, member.scenario.name, exc
-                    )
-            setup_s += time.perf_counter() - start
-            self._run_groups(groups, results, captures, plan)
+            if co_step:
+                finished = execution.co_step(members())
+            else:
+                finished = self._one_at_a_time(members(), execution)
+            for result in finished:
+                results[result.index] = result
         tracer = obs_tracing.ACTIVE
         if tracer is not None:
             # One event each per batch, so tracing costs nothing per member.
@@ -513,20 +406,113 @@ class Runner:
                 "runner.plan", plan_s, scenarios=len(plan.members),
                 digests=sum(m.digest is not None for m in plan.members),
             )
-            tracer.emit("runner.setup", setup_s, builds=builds,
-                        replays=replays)
+            tracer.emit("runner.setup", execution.setup_s,
+                        builds=execution.builds, replays=execution.replays)
         return results
 
-    def _run_groups(self, groups, results, captures, plan):
-        """Co-step every group through the window driver, fill
-        ``results``, file recordings."""
+    def _one_at_a_time(self, members, execution):
+        """Each member's result, run alone: in-process, or for the
+        emulating members over the pool when ``workers > 1``."""
+        live = [m for m in members if m.archive is None]
+        pooled = live if self.workers > 1 and len(live) > 1 else []
+        for member in members:
+            if member.archive is not None or not pooled:
+                yield execution.alone(member)
+        if pooled:
+            ctx = multiprocessing.get_context(self.start_method)
+            with ctx.Pool(processes=min(self.workers, len(pooled))) as pool:
+                rows = pool.map(
+                    _execute, [(m, self.capture_trace) for m in pooled]
+                )
+            for result, archive in rows:
+                if archive is not None:
+                    execution.recorded(archive)
+                yield result
+
+
+class _Execution:
+    """The per-member steps of both entry points: :meth:`setup` and
+    :meth:`finish`, with :meth:`alone` running one member between them
+    and :meth:`co_step` running structure-sharing groups."""
+
+    def __init__(self, capture_trace, recorded, source=None, library=None):
+        self.capture_trace = capture_trace
+        self.recorded = recorded  # files a leader's fresh archive
+        self.source = source  # the replays' provenance label
+        self.library = library
+        self.setup_s, self.builds, self.replays = 0.0, 0, 0
+
+    def setup(self, member):
+        """``(runnable, capture)`` of one member; ``capture`` is None
+        unless the member records."""
+        start = time.perf_counter()
+        try:
+            if member.archive is not None:
+                from repro.trace.replay import replay_for_scenario
+
+                self.replays += 1
+                return replay_for_scenario(
+                    member.archive, member.scenario, source=self.source
+                ), None
+            self.builds += 1
+            runnable = member.scenario.build(library=self.library)
+            if not member.records:
+                return runnable, None
+            from repro.trace.capture import PowerTraceCapture
+
+            return runnable, runnable.attach_capture(PowerTraceCapture())
+        finally:
+            self.setup_s += time.perf_counter() - start
+
+    def finish(self, member, runnable, capture, report, wall):
+        """File a recording leader's archive; returns the member's result."""
+        if capture is not None:
+            # Assembly errors propagate (they are bugs, and masking them
+            # would silently disable replay).
+            self.recorded(capture.to_archive(
+                runnable, scenario=member.scenario, report=report,
+                scenario_digest=member.digest,
+            ))
+        return ScenarioResult(
+            name=member.scenario.name,
+            index=member.index,
+            report=report,
+            wall_seconds=wall,
+            trace=runnable.trace if self.capture_trace else None,
+        )
+
+    def alone(self, member):
+        """Set up, run and release one member; ``wall_seconds`` is its
+        own set-up and run."""
+        start = time.perf_counter()
+        try:
+            runnable, capture = self.setup(member)
+            report = runnable.run(*member.scenario.bounds)
+        except Exception as exc:  # the batch survives one bad scenario
+            return _failure(member.index, member.scenario.name, exc,
+                            time.perf_counter() - start)
+        return self.finish(member, runnable, capture, report,
+                           time.perf_counter() - start)
+
+    def co_step(self, members):
+        """Set every member up, then co-step each structure-sharing
+        group through the window driver; yields the members' results,
+        whose ``wall_seconds`` is their group's wall."""
+        groups = defaultdict(list)
+        for member in members:
+            try:
+                runnable, capture = self.setup(member)
+            except Exception as exc:  # the batch survives one bad scenario
+                yield _failure(member.index, member.scenario.name, exc)
+                continue
+            groups[_group_key(runnable)].append((member, runnable, capture))
         for group in groups.values():
             start = time.perf_counter()
             completed = set()
             try:
                 run_windows(
-                    [runnable for _, runnable in group],
-                    [member.scenario.bounds for member, _ in group],
+                    [runnable for _, runnable, _ in group],
+                    [member.scenario.bounds for member, _, _ in group],
                     co_step=True,
                     completed=completed,
                 )
@@ -535,34 +521,17 @@ class Runner:
                 error = f"{type(exc).__name__}: {exc}"
                 tb = traceback_module.format_exc()
             wall = time.perf_counter() - start
-            for position, (member, runnable) in enumerate(group):
+            for position, (member, runnable, capture) in enumerate(group):
                 # A member that had already reached its bounds *before*
                 # the failing window completed normally and keeps its
                 # report; everyone else (including a member whose
                 # workload happened to finish during the window that
                 # raised) is marked failed, matching serial semantics.
-                member_error = None if position in completed else error
-                report = None
-                if not member_error:
-                    report = runnable.report()
-                    capture = captures.get(member.index)
-                    if capture is not None:
-                        # Assembly errors propagate (they are bugs, and
-                        # masking them would silently disable replay).
-                        plan.recorded(capture.to_archive(
-                            runnable, scenario=member.scenario, report=report,
-                            scenario_digest=member.digest,
-                        ))
-                results[member.index] = ScenarioResult(
-                    name=member.scenario.name,
-                    index=member.index,
-                    report=report,
-                    wall_seconds=wall,
-                    error=member_error,
-                    traceback=tb if member_error else None,
-                    trace=(
-                        runnable.trace
-                        if self.capture_trace and not member_error
-                        else None
-                    ),
-                )
+                if error is None or position in completed:
+                    yield self.finish(member, runnable, capture,
+                                      runnable.report(), wall)
+                else:
+                    yield ScenarioResult(
+                        name=member.scenario.name, index=member.index,
+                        wall_seconds=wall, error=error, traceback=tb,
+                    )

@@ -188,12 +188,28 @@ def _rect_overlaps(cells_a, cells_b):
     return pairs
 
 
+#: The two die knobs' defaults; each grid mode reads only one of them.
+DEFAULT_REFINE_CRITICAL = 1
+DEFAULT_DIE_RESOLUTION = (8, 8)
+
+
+def used_die_knobs(mode, refine_critical, die_resolution):
+    """``(refine_critical, die_resolution)`` with the one ``mode`` never
+    reads at its default, so the keys built from them (network structure,
+    scenario digests) do not split on a value no grid ever sees."""
+    if mode == "component":
+        die_resolution = DEFAULT_DIE_RESOLUTION
+    elif mode == "uniform":
+        refine_critical = DEFAULT_REFINE_CRITICAL
+    return refine_critical, tuple(die_resolution)
+
+
 def build_grid(
     floorplan,
     properties=None,
     mode="component",
-    refine_critical=1,
-    die_resolution=(8, 8),
+    refine_critical=DEFAULT_REFINE_CRITICAL,
+    die_resolution=DEFAULT_DIE_RESOLUTION,
     spreader_resolution=(4, 4),
 ):
     """Generate a :class:`Grid` over ``floorplan``.

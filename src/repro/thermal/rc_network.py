@@ -54,7 +54,7 @@ from scipy import sparse
 # ``_matvec`` against ``matrix @ vector`` byte for byte.
 from scipy.sparse._sparsetools import csr_matvec
 
-from repro.thermal.grid import LAYER_DIE, build_grid
+from repro.thermal.grid import LAYER_DIE, build_grid, used_die_knobs
 from repro.thermal.properties import silicon_conductivity
 
 
@@ -475,11 +475,14 @@ def network_for(
             spreader_resolution=spreader_resolution,
         )
         return RCNetwork(grid)
+    refine_critical, die_resolution = used_die_knobs(
+        mode, refine_critical, die_resolution
+    )
     key = (
         floorplan.fingerprint(),
         mode,
         refine_critical,
-        tuple(die_resolution),
+        die_resolution,
         tuple(spreader_resolution),
     )
     prototype = _ASSEMBLY_CACHE.get(key)

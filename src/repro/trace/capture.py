@@ -21,6 +21,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.core.stats import put_row
 from repro.trace.format import TRACE_FORMAT_VERSION, TraceArchive
 
 
@@ -42,14 +43,15 @@ class PowerTraceCapture:
 
     def __init__(self):
         self.component_names = None
-        self._power_rows = []
+        # Power and temperature rows in matrices that double when full
+        # (as the trace's), so each window is held once.
+        self._power = self._temps = None
         self._frequencies = []
         self._times = []
-        self._temp_rows = []
 
     @property
     def windows(self):
-        return len(self._power_rows)
+        return len(self._frequencies)
 
     # -- the framework hook ------------------------------------------------
     def on_window(self, framework, watts, frequency, time_s, temps):
@@ -61,13 +63,21 @@ class PowerTraceCapture:
         goes through the network's own conversion).
         """
         if self.component_names is None:
-            self.component_names = tuple(framework.network.component_names)
+            self._start(framework)
         if isinstance(watts, Mapping):
             watts = framework.network.watts_vector(watts)
-        self._power_rows.append(np.array(watts, dtype=float))
+        row = self.windows
+        self._power = put_row(self._power, row, watts)
+        self._temps = put_row(self._temps, row, temps)
         self._frequencies.append(float(frequency))
         self._times.append(float(time_s))
-        self._temp_rows.append(np.array(temps, dtype=float))
+
+    def _start(self, framework):
+        """Take the component order (and the matrices' width) from the
+        framework's network."""
+        self.component_names = tuple(framework.network.component_names)
+        self._power = np.empty((0, len(self.component_names)))
+        self._temps = np.empty((0, len(self.component_names)))
 
     # -- archive assembly --------------------------------------------------
     def to_archive(self, framework, scenario=None, report=None,
@@ -84,9 +94,8 @@ class PowerTraceCapture:
         if self.component_names is None:
             # Zero windows recorded: fall back to the network's order so
             # the archive still validates (and says "0 windows").
-            self.component_names = tuple(framework.network.component_names)
+            self._start(framework)
         count = self.windows
-        width = len(self.component_names)
         scenario_dict = None
         if scenario is not None:
             scenario_dict = (
@@ -112,18 +121,10 @@ class PowerTraceCapture:
             ),
         }
         archive = TraceArchive(
-            power_w=(
-                np.stack(self._power_rows)
-                if count
-                else np.zeros((0, width))
-            ),
+            power_w=self._power[:count].copy(),
             frequency_hz=np.array(self._frequencies),
             time_s=np.array(self._times),
-            component_temps_k=(
-                np.stack(self._temp_rows)
-                if count
-                else np.zeros((0, width))
-            ),
+            component_temps_k=self._temps[:count].copy(),
             metadata=metadata,
         )
         if scenario_digest is None:

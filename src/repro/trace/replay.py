@@ -3,9 +3,11 @@
 A :class:`ReplaySource` is the same
 :class:`~repro.core.framework.ThermalSide` a live run is, fed by a
 recorded power stream.  It supplies only the replay-specific half of a
-window — the recorded power
-injection (``_window_power``) and the commit at the recorded time
-(``_window_commit``) — and leaves the loop to the one window driver
+window — the recorded power injection (``_window_power``) and the
+commit at the recorded time (``_window_commit``) — plus its done and
+time sources and the recorded base report.  ``run``, the bounds and the
+report's thermal half are the :class:`~repro.core.framework.ThermalSide`
+contract, and the loop is the one window driver
 (:func:`~repro.core.framework.step_windows` /
 :func:`~repro.core.framework.run_windows`), which also steps live
 :class:`~repro.core.framework.EmulationFramework` runs and the batched
@@ -36,7 +38,6 @@ from repro.core.framework import (
     FrameworkConfig,
     RunReport,
     ThermalSide,
-    run_windows,
     step_windows,
 )
 from repro.thermal.floorplan import FLOORPLANS
@@ -123,25 +124,17 @@ class ReplaySource(ThermalSide):
         self._column_of = np.array(
             [components.index(name) for name in self.network.component_names]
         )
-        self._time = 0.0
+        self.emulated_seconds = 0.0  # the recorded time of the last window
 
     # -- the replayed closed loop -----------------------------------------
+    #: The ``run`` span's backend label.
+    emulation_backend = "replay"
+
     @property
     def exhausted(self):
         return self.windows >= self.archive.windows
 
-    def bounds_reached(self, max_emulated_seconds=None, max_windows=None,
-                       max_stall_windows=None):
-        """Same contract as the framework's; the recording's end acts as
-        the workload-done condition."""
-        if self.exhausted:
-            return True
-        if (
-            max_emulated_seconds is not None
-            and self._time >= max_emulated_seconds - 1e-12
-        ):
-            return True
-        return max_windows is not None and self.windows >= max_windows
+    done = exhausted  # the recording's end is the workload-done condition
 
     def _window_power(self):
         """Inject the next recorded power vector; no platform runs, so
@@ -164,19 +157,12 @@ class ReplaySource(ThermalSide):
     def _window_commit(self, watts, frequency):
         """The framework's commit at the recorded time, without a policy."""
         now = float(self.archive.time_s[self.windows])
-        self._time = now
+        self.emulated_seconds = now
         return self.commit(self.sense(watts, frequency, now))
 
     def step_window(self):
         """Replay exactly one recorded sampling window."""
         return step_windows((self,))[0]
-
-    def run(self, max_emulated_seconds=None, max_windows=None,
-            max_stall_windows=None):
-        """Replay to the recording's end (or an earlier bound)."""
-        run_windows([self], [(max_emulated_seconds, max_windows,
-                              max_stall_windows)])
-        return self.report()
 
     # -- reporting ---------------------------------------------------------
     def overrides(self):
@@ -197,26 +183,19 @@ class ReplaySource(ThermalSide):
             changed["properties"] = "custom"
         return changed
 
-    def report(self):
-        """A normal :class:`RunReport` with provenance in
-        ``extras["replay"]``.
-
-        Emulation-side facts (board time, freezes, dispatcher stats,
-        instructions, workload completion) are the recording's own — the
-        replay never re-derives them; thermal-side facts (peak/final
-        temperature, cell count) and the phase ``timing`` are the
-        replay's own.  A replay
-        truncated before the recording's end falls back to what it
-        actually observed.
-        """
+    def _base_report(self):
+        """The recording's emulation-side facts (board time, freezes,
+        dispatcher stats, instructions, workload completion), with
+        provenance in ``extras["replay"]``; a replay truncated before the
+        recording's end falls back to what it actually observed."""
         recorded = self.archive.metadata.get("report") or {}
         if self.exhausted and recorded:
             base = RunReport.from_dict(recorded)
         else:
             frequencies = self.archive.frequency_hz[: max(self.windows, 1)]
             base = RunReport(
-                emulated_seconds=self._time,
-                fpga_real_seconds=self._time,
+                emulated_seconds=self.emulated_seconds,
+                fpga_real_seconds=self.emulated_seconds,
                 windows=self.windows,
                 workload_done=False,
                 peak_temperature_k=float("nan"),
@@ -228,8 +207,6 @@ class ReplaySource(ThermalSide):
                 dispatcher={},
             )
         extras = dict(base.extras)
-        extras["thermal_cells"] = self.network.num_cells
-        extras["timing"] = dict(self.timing)
         extras["replay"] = {
             "scenario_digest": self.archive.scenario_digest,
             "recorded_windows": self.archive.windows,
@@ -237,13 +214,7 @@ class ReplaySource(ThermalSide):
             "source": self.source or "archive",
             "overrides": self.overrides(),
         }
-        return replace(
-            base,
-            windows=self.windows,
-            peak_temperature_k=self.peak_temp_k,
-            final_temperature_k=self.final_temp_k,
-            extras=extras,
-        )
+        return replace(base, extras=extras)
 
 
 def replay(archive, config=None, floorplan=None, properties=None,

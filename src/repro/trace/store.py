@@ -45,6 +45,7 @@ import json
 import pathlib
 
 from repro.obs import catalog as obs_catalog
+from repro.thermal.grid import used_die_knobs
 from repro.trace.format import load_archive, sidecar_path
 from repro.util.jsondata import json_canonical
 from repro.util.locking import FileLock, atomic_write_json
@@ -125,15 +126,21 @@ def emulation_projection(scenario):
     data = json_canonical(_scenario_dict(scenario))
     data.pop("name", None)
     data.pop("description", None)
-    if _policy_name(data) in _OPEN_LOOP_POLICIES and isinstance(
-        data.get("config"), dict
-    ):
+    config = data.get("config")
+    if not isinstance(config, dict):
+        return data
+    if _policy_name(data) in _OPEN_LOOP_POLICIES:
         for key in THERMAL_SIDE_KEYS:
-            data["config"].pop(key, None)
-    if data.get("platform") is None and isinstance(data.get("config"), dict):
+            config.pop(key, None)
+    else:  # a closed loop keeps its grid knobs, bar the one unread
+        refine, die = used_die_knobs(config["grid_mode"],
+                                     config["refine_critical"],
+                                     config["die_resolution"])
+        config["refine_critical"], config["die_resolution"] = refine, list(die)
+    if data.get("platform") is None:
         # A platform-less (profiled) run never builds an emulation
         # backend, so every spelling of the knob is the same stream.
-        data["config"]["emulation_backend"] = "event_driven"
+        config["emulation_backend"] = "event_driven"
     return data
 
 

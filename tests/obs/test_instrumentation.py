@@ -10,7 +10,7 @@ from repro.obs.tracing import SpanTracer
 from repro.scenario.presets import PRESETS
 from repro.scenario.runner import Runner
 from repro.trace.capture import record
-from repro.trace.replay import replay
+from repro.trace.replay import ReplaySource, replay
 from repro.trace.store import TraceStore
 
 
@@ -71,12 +71,14 @@ def test_run_emits_run_and_window_spans(path):
     assert windows > 0
     for phase in PHASE_ORDER:
         assert timeline.by_name["window." + phase]["count"] == windows
-    if path is serial_path:
+    if path is not batched_path:
         [report] = reports
         assert timeline.by_name["run"]["count"] == 1
         run_event = next(e for e in tracer.events if e["name"] == "run")
         assert run_event["attrs"]["windows"] == report.windows
-        assert run_event["attrs"]["backend"] == "event_driven"
+        assert run_event["attrs"]["backend"] == (
+            "replay" if path is replay_path else "event_driven"
+        )
     # The span log reconstructs the reports' summed timing breakdown.
     for phase, wall in timeline.phases().items():
         timing = sum(report.extras["timing"][phase] for report in reports)
@@ -101,8 +103,16 @@ def test_untraced_run_records_no_spans():
 # -- metric publishing -----------------------------------------------------
 
 
-def test_publish_metrics_counts_each_window_once():
-    framework = quick_framework()
+def replay_source():
+    _, _, archive = record(quick_scenario())
+    return ReplaySource(archive)
+
+
+@pytest.mark.parametrize(
+    "build", [quick_framework, replay_source], ids=["live", "replay"]
+)
+def test_publish_metrics_counts_each_window_once(build):
+    framework = build()
     windows_before = counter_value("repro_run_windows_total")
     report = framework.run(max_windows=6)
     assert (

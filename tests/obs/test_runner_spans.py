@@ -1,13 +1,15 @@
-"""The batched runner's orchestration spans: ``runner.plan``/``runner.setup``.
+"""The runner's orchestration spans: ``runner.plan``/``runner.setup``.
 
-``Runner.run_batched`` spends much of a design sweep outside the window
-loop: parsing, digesting and store lookups (the plan), then scenario
-builds and replay set-ups.  Each batch emits one event for each, so a
-span log of a ``dse`` run accounts for that time, and tracing costs
-nothing per member.
+A batch spends much of a design sweep outside the window loop: parsing,
+digesting and store lookups (the plan), then scenario builds and replay
+set-ups.  Both entry points, ``Runner.run`` and ``Runner.run_batched``,
+emit one event for each per batch, so a span log of a ``dse`` run
+accounts for that time, and tracing costs nothing per member.
 """
 
 import json
+
+import pytest
 
 from repro.dse import space
 from repro.dse.cli import main as dse_main
@@ -27,10 +29,11 @@ def _twins():
     return [space.point_scenario(p, max_windows=3) for p in points]
 
 
-def test_run_batched_emits_one_plan_and_one_setup_event():
+@pytest.mark.parametrize("entry", ["run", "run_batched"])
+def test_run_batched_emits_one_plan_and_one_setup_event(entry):
     tracer = SpanTracer()
     with activate(tracer):
-        results = Runner(trace_store=True).run_batched(_twins())
+        results = getattr(Runner(trace_store=True), entry)(_twins())
     assert all(r.ok for r in results)
     by_name = {}
     for event in tracer.events:
@@ -42,15 +45,6 @@ def test_run_batched_emits_one_plan_and_one_setup_event():
     assert plan["wall_s"] > 0 and setup["wall_s"] > 0
     (batch,) = by_name["runner.batch"]
     assert plan["wall_s"] + setup["wall_s"] < batch["wall_s"]
-
-
-def test_plain_run_emits_no_batched_spans():
-    tracer = SpanTracer()
-    with activate(tracer):
-        Runner(trace_store=True).run(_twins()[:2])
-    names = {event["name"] for event in tracer.events}
-    assert "runner.batch" in names
-    assert not names & {"runner.plan", "runner.setup"}
 
 
 def test_dse_obs_log_attributes_orchestration(tmp_path, capsys):

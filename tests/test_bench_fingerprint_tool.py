@@ -1,7 +1,7 @@
 """The CI check that pins simulated statistics to the recorded
-``emu_dither`` and ``thermal_dfs_loop`` benchmark runs reads its inputs
-right and catches a moved statistic (the perfbench runs themselves are
-CI's job)."""
+``emu_dither``, ``thermal_dfs_loop`` and ``dse_sweep`` benchmark runs
+reads its inputs right and catches a moved statistic (the perfbench
+runs themselves are CI's job)."""
 
 import importlib.util
 import json
@@ -18,6 +18,7 @@ spec.loader.exec_module(tool)
 CHECKS = {workload: (key, fields) for workload, key, fields in tool.CHECKS}
 EMU_KEY, EMU_FIELDS = CHECKS["emu_dither"]
 DFS_KEY, DFS_FIELDS = CHECKS["thermal_dfs_loop"]
+DSE_KEY, DSE_FIELDS = CHECKS["dse_sweep"]
 
 
 def recorded(workload="emu_dither"):
@@ -35,6 +36,8 @@ def test_recorded_runs_have_every_checked_field():
     assert set(EMU_FIELDS) <= set(recorded()[EMU_KEY])
     assert DFS_KEY is None
     assert set(DFS_FIELDS) <= set(recorded("thermal_dfs_loop"))
+    assert DSE_KEY is None
+    assert set(DSE_FIELDS) <= set(recorded("dse_sweep"))
 
 
 def test_checker_parses_perfbench_output_and_flags_a_moved_field():
@@ -81,3 +84,19 @@ def test_checker_flags_a_moved_dfs_loop_trace():
     flagged = [field for field, _, _ in
                tool.mismatches(dfs, moved, DFS_KEY, DFS_FIELDS)]
     assert flagged == ["trace_digest", "dfs_transitions", "peak_k"]
+
+
+def test_checker_flags_a_moved_design_sweep():
+    # One design's result moving changes the front digest or a sum; the
+    # sweep has no caches and no end cycle to check.
+    dse = recorded("dse_sweep")
+    assert dse["windows"] == 12096  # 1008 designs x 12 windows
+    assert tool.mismatches(dse, copy(dse), DSE_KEY, DSE_FIELDS) == []
+    moved = copy(dse)
+    moved["trace_digest"] = "e" * 64
+    moved["instructions"] += 1
+    moved["peak_k"] += 1e-12
+    moved["end_cycle"] += 1  # not checked
+    flagged = [field for field, _, _ in
+               tool.mismatches(dse, moved, DSE_KEY, DSE_FIELDS)]
+    assert flagged == ["trace_digest", "instructions", "peak_k"]

@@ -55,7 +55,7 @@ def test_reactive_policy_digest_tracks_thermal_knobs():
     b = short_scenario("matrix_tm_dfs")
     assert not is_open_loop(a)
     assert scenario_trace_digest(a) == scenario_trace_digest(b)
-    b.config.die_resolution = (16, 16)
+    b.config.refine_critical = 2  # a knob the component grid reads
     # The closed loop feeds temperature back into power: thermal knobs
     # change the boundary stream, so the digest must move.
     assert scenario_trace_digest(a) != scenario_trace_digest(b)

@@ -15,6 +15,11 @@ For each workload in ``CHECKS`` this runs ``perfbench/run.py --workload
   count, DFS transitions, peak temperature and instructions, so a change
   to the profiled window path (activity, power, solve, sensors, trace)
   that moves one bit of the trace fails here.
+* ``dse_sweep``: the design sweep's Pareto-front digest (its
+  ``trace_digest``), summed windows, instructions and DFS transitions
+  and the hottest peak over all 1008 designs, so a change to the
+  runner's batched execution (planning, replays, co-stepped groups)
+  that moves one design's result fails here.
 
 perfbench itself only checks that repeats within one run agree.  Exits
 nonzero listing every field that differs.
@@ -36,6 +41,9 @@ CHECKS = (
     ("thermal_dfs_loop", None,
      ("trace_digest", "windows", "dfs_transitions", "peak_k",
       "instructions")),
+    ("dse_sweep", None,
+     ("trace_digest", "windows", "instructions", "peak_k",
+      "dfs_transitions")),
 )
 
 
