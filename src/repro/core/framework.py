@@ -10,7 +10,7 @@ run-time thermal-management policy through the VPCM.
 """
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -184,8 +184,23 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        """JSON-compatible dict, serializable next to the Scenario spec."""
-        return asdict(self)
+        """JSON-compatible dict, serializable next to the Scenario spec;
+        equal to ``dataclasses.asdict(self)``, copied field by field
+        (the dicts with ``json_copy``; the other fields are scalars)."""
+        return {
+            "emulated_seconds": self.emulated_seconds,
+            "fpga_real_seconds": self.fpga_real_seconds,
+            "windows": self.windows,
+            "workload_done": self.workload_done,
+            "peak_temperature_k": self.peak_temperature_k,
+            "final_temperature_k": self.final_temperature_k,
+            "freeze_breakdown": json_copy(self.freeze_breakdown),
+            "frequency_transitions": self.frequency_transitions,
+            "dispatcher": json_copy(self.dispatcher),
+            "instructions": self.instructions,
+            "stalled": self.stalled,
+            "extras": json_copy(self.extras),
+        }
 
     @classmethod
     def from_dict(cls, data):

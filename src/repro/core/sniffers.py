@@ -19,8 +19,9 @@ count-logging sniffer (Section 4.1); the resource model uses those.
 """
 
 import weakref
+from collections.abc import Mapping
 
-from repro.core.stats import flatten_numeric
+from repro.mpsoc.events import Observable
 
 # MMIO register map (one 16-byte window per sniffer).
 REG_ENABLE = 0x0
@@ -49,13 +50,30 @@ class Sniffer:
         # sniffers through its MMIO hub, so a strong back-reference would
         # keep a dropped platform alive until a full collection.
         self._component = weakref.ref(component)
-        self.enabled = True
+        self._enabled = True
         self._selected = 0
 
     @property
     def component(self):
         """The monitored component (``None`` once its platform is gone)."""
         return self._component()
+
+    @property
+    def enabled(self):
+        """Whether the sniffer records; set as an attribute or through
+        ``REG_ENABLE``.  Switching a disabled sniffer on calls
+        :meth:`_resume`."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value):
+        value = bool(value)
+        if value and not self._enabled:
+            self._resume()
+        self._enabled = value
+
+    def _resume(self):
+        """Called as a disabled sniffer is switched back on."""
 
     # -- MMIO register file (mapped by the platform's MMIO hub) -------------
     def mmio_read(self, offset):
@@ -92,6 +110,12 @@ class Sniffer:
         raise NotImplementedError
 
 
+def _deltas(current, last):
+    """Counter deltas ``current - last`` between two flat snapshots; a
+    counter new since ``last`` diffs against zero."""
+    return {name: value - last.get(name, 0) for name, value in current.items()}
+
+
 class CountLoggingSniffer(Sniffer):
     """Counts high-level events; reports per-window counter deltas.
 
@@ -99,7 +123,11 @@ class CountLoggingSniffer(Sniffer):
     numeric ``stats()`` leaves (nested keys joined with dots), and on
     the wire one header plus one entry per counter.  Counter sets may
     grow mid-run (a core's instruction classes, a bus's masters), so
-    every window is sized from its own snapshot.
+    every window is sized from its own snapshot.  The snapshot is the
+    component's ``flat_stats()`` (:class:`~repro.mpsoc.events.Observable`),
+    or ``flatten_numeric(stats())`` for a component without one.  A
+    sniffer counts from zero, or from the moment it was last switched
+    back on.
     """
 
     kind_code = KIND_COUNT_LOGGING
@@ -107,10 +135,22 @@ class CountLoggingSniffer(Sniffer):
 
     def __init__(self, name, component):
         super().__init__(name, component)
+        # Unbound, so the sniffer keeps only its weak reference.
+        self._read = getattr(type(component), "flat_stats", Observable.flat_stats)
         self._last = {}
 
     def _current(self):
-        return flatten_numeric(self.component.stats())
+        return self._read(self.component)
+
+    def _resume(self):
+        self._last = self._current()
+
+    def _advance(self):
+        """Take this window's snapshot: ``(current, last)``, with
+        ``current`` the baseline of the next window."""
+        current = self._read(self.component)
+        last, self._last = self._last, current
+        return current, last
 
     def _selected_value(self):
         flat = self._current()
@@ -124,18 +164,14 @@ class CountLoggingSniffer(Sniffer):
         return sorted(self._current())
 
     def collect(self):
-        """Counter deltas since the previous window (empty if disabled);
-        a counter new since then diffs against zero."""
-        if not self.enabled:
+        """Counter deltas since the previous window (empty, and the
+        baseline left where it was, if disabled)."""
+        if not self._enabled:
             return {}
-        current = self._current()
-        last = self._last
-        self._last = current
-        return {name: value - last.get(name, 0)
-                for name, value in current.items()}
+        return _deltas(*self._advance())
 
     def record_bytes(self, record):
-        if not self.enabled:
+        if not self._enabled:
             return 0
         return (
             COUNT_RECORD_HEADER_BYTES
@@ -143,7 +179,7 @@ class CountLoggingSniffer(Sniffer):
         )
 
     def window_payload_bytes(self):
-        if not self.enabled:
+        if not self._enabled:
             return 0
         return self.record_bytes(self._current())
 
@@ -162,7 +198,7 @@ class EventLoggingSniffer(Sniffer):
         component.attach_hook(self._on_event)
 
     def _on_event(self, event):
-        if not self.enabled:
+        if not self._enabled:
             return
         if len(self.events) >= self.max_events:
             self.dropped += 1
@@ -182,6 +218,44 @@ class EventLoggingSniffer(Sniffer):
 
     def window_payload_bytes(self):
         return self.record_bytes(self.events)
+
+
+class WindowRecords(Mapping):
+    """One closed window's records by sniffer name, read-only.
+
+    An enabled count sniffer's entry is held as the window's two flat
+    snapshots and diffed into its ``{counter: delta}`` record the first
+    time it is read, so a window nobody reads never pays for the diffs.
+    The snapshots are the window's own: a mapping read after later
+    windows have closed still returns its window's deltas.
+    """
+
+    __slots__ = ("_records", "_unread")
+
+    def __init__(self, records, unread):
+        self._records = records  # name -> record (None while unread)
+        self._unread = unread  # name -> (current, last) snapshots
+
+    def __getitem__(self, name):
+        if name in self._unread:
+            self._records[name] = _deltas(*self._unread.pop(name))
+        return self._records[name]
+
+    def __contains__(self, name):
+        return name in self._records
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self):
+        return len(self._records)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+#: The records of a bank with no sniffers (a platform-less run).
+_NO_RECORDS = WindowRecords({}, {})
 
 
 class SnifferBank:
@@ -235,18 +309,29 @@ class SnifferBank:
     def collect_window(self):
         """Close one statistics window: ``(records, payload_bytes)``.
 
-        ``records`` holds each sniffer's record keyed by sniffer name; a
-        count sniffer's is its flat ``{counter: delta}`` dict, an event
-        sniffer's its event list.  ``payload_bytes`` is what those
-        records occupy in the BRAM buffer, sized from the same snapshot
-        — one ``stats()`` read per count sniffer per window.
+        ``records`` is a :class:`WindowRecords` mapping each sniffer's
+        name to its record: a count sniffer's flat ``{counter: delta}``
+        dict, an event sniffer's event list.  Each enabled count sniffer
+        takes one flat snapshot of its component's counters (one
+        ``flat_stats()`` read) and keeps it with the previous one; its
+        record is diffed from the two only when read.  ``payload_bytes``
+        is what the records occupy in the BRAM buffer, sized from the
+        same snapshots; every other sniffer is collected as it stands.
         """
-        records = {}
+        if not self.sniffers:
+            return _NO_RECORDS, 0
+        records, unread = {}, {}
         payload = 0
         for sniffer in self.sniffers:
-            record = records[sniffer.name] = sniffer.collect()
-            payload += sniffer.record_bytes(record)
-        return records, payload
+            name = sniffer.name
+            if isinstance(sniffer, CountLoggingSniffer) and sniffer._enabled:
+                snapshots = unread[name] = sniffer._advance()
+                records[name] = None
+                payload += sniffer.record_bytes(snapshots[0])
+            else:
+                record = records[name] = sniffer.collect()
+                payload += sniffer.record_bytes(record)
+        return WindowRecords(records, unread), payload
 
     def fpga_overhead_percent(self):
         return sum(s.fpga_overhead_percent for s in self.sniffers)

@@ -242,6 +242,17 @@ class Bus(Observable):
             "per_master_wait": dict(self.per_master_wait),
         }
 
+    def flat_stats(self):
+        counts = self.counters.counts
+        return {
+            "transactions": counts.get(ev.BUS_TXN, 0),
+            "words": counts.get("words", 0),
+            "busy_cycles": counts.get("busy_cycles", 0),
+            "wait_cycles": counts.get(ev.BUS_WAIT, 0),
+            **{f"per_master_wait.{master}": wait
+               for master, wait in self.per_master_wait.items()},
+        }
+
     def utilization(self, elapsed_cycles):
         """Fraction of ``elapsed_cycles`` the bus was occupied."""
         if elapsed_cycles <= 0:

@@ -208,3 +208,6 @@ class Cache(Observable):
             "writebacks": self.counters.get(ev.CACHE_WRITEBACK),
             "miss_rate": (misses / accesses) if accesses else 0.0,
         }
+
+    def flat_stats(self):
+        return self.stats()  # already flat

@@ -9,6 +9,8 @@ optional pieces of monitoring hardware).
 
 from dataclasses import dataclass, field
 
+from repro.core.stats import flatten_numeric
+
 # -- processor events ------------------------------------------------------
 CORE_ACTIVE = "core.active"
 CORE_STALL = "core.stall"
@@ -96,6 +98,14 @@ class Observable:
         event = Event(cycle, source, kind, tuple(info))
         for fn in self._event_hooks:
             fn(event)
+
+    def flat_stats(self):
+        """The numeric leaves of ``stats()`` as one fresh flat dict,
+        equal to ``flatten_numeric(self.stats())`` in keys, order and
+        values; what a count-logging sniffer reads once per window.
+        Components whose ``stats()`` nests override it with one literal.
+        """
+        return flatten_numeric(self.stats())
 
 
 @dataclass

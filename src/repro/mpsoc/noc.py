@@ -250,6 +250,18 @@ class Noc(Observable):
             "link_flits": dict(self.link_flits),
         }
 
+    def flat_stats(self):
+        counts = self.counters.counts
+        return {
+            "packets": counts.get(ev.NOC_PACKET, 0),
+            "flits": counts.get(ev.NOC_FLIT, 0),
+            "ocp_transactions": counts.get("ocp_transactions", 0),
+            **{f"switch_flits.{switch}": flits
+               for switch, flits in self.switch_flits.items()},
+            **{f"link_flits.{link}": flits
+               for link, flits in self.link_flits.items()},
+        }
+
 
 def _one_word_source(path, per_hop, ni_latency):
     """Source of ``read1(addr, t)`` and ``write1(addr, t)``: the port's

@@ -686,3 +686,19 @@ class Processor(Observable):
             # clock) time is not instruction time.
             "cpi": (busy / self.instructions) if self.instructions else 0.0,
         }
+
+    def flat_stats(self):
+        active, stall, instructions = (self.active_cycles, self.stall_cycles,
+                                       self.instructions)
+        total = active + stall + self.idle_cycles
+        return {
+            "instructions": instructions,
+            "cycles": self.cycle,
+            "active_cycles": active,
+            "stall_cycles": stall,
+            "idle_cycles": self.idle_cycles,
+            "activity": (active / total) if total else 0.0,
+            **{f"class_counts.{cls}": count
+               for cls, count in self.class_counts.items()},
+            "cpi": ((active + stall) / instructions) if instructions else 0.0,
+        }

@@ -233,3 +233,42 @@ def test_emulation_speed_is_flat_in_sniffer_count():
     assert DEFAULT_MPARM_MODEL.rate_hz(4, components=150) < (
         DEFAULT_MPARM_MODEL.rate_hz(4, components=22) / 4
     )
+
+
+def test_count_sniffer_reenabled_counts_from_the_switch_on():
+    cache = make_cache()
+    sniffer = CountLoggingSniffer("d.cnt", cache)
+    sniffer.enabled = False
+    for _ in range(5):
+        cache.access(0x00, False)
+    sniffer.enabled = True
+    cache.access(0x00, False)
+    record = sniffer.collect()
+    assert record["accesses"] == 1
+    assert record["hits"] == 1
+    assert sniffer.record_bytes(record) == 8 + 8 * len(record)
+
+
+def test_count_sniffer_reenabled_over_mmio_counts_from_the_switch_on(platform2):
+    from repro.mpsoc.platform import MMIO_BASE
+
+    bank = SnifferBank.from_platform(platform2)
+    cache = platform2.dcaches[0]
+    sniffer = next(s for s in bank.count_sniffers() if s.component is cache)
+    address = MMIO_BASE + bank.mmio_offsets[sniffer.name] + REG_ENABLE
+    ctrl = platform2.memctrls[0]
+    ctrl.store(address, 4, 0, t=0)
+    assert not sniffer.enabled
+    for _ in range(5):
+        cache.access(0x00, False)
+    records, _ = bank.collect_window()
+    assert records[sniffer.name] == {}
+    ctrl.store(address, 4, 1, t=0)
+    assert sniffer.enabled
+    cache.access(0x00, False)
+    records, _ = bank.collect_window()
+    assert records[sniffer.name]["accesses"] == 1
+    # Re-enabling an enabled sniffer keeps its baseline.
+    cache.access(0x00, False)
+    ctrl.store(address, 4, 1, t=0)
+    assert sniffer.collect()["accesses"] == 1
