@@ -188,11 +188,13 @@ OBS_SPANS.register(
 )
 OBS_SPANS.register(
     "runner.plan",
-    "Runner planning (run and run_batched): parse, digest, store lookups",
+    "Runner planning (run and run_batched): parse, digest, store lookups, "
+    "floorplan resolves",
 )
 OBS_SPANS.register(
     "runner.setup",
-    "Runner set-up (run and run_batched): builds and replay set-ups",
+    "Runner set-up (run and run_batched): builds and replay set-ups; "
+    "floorplans = distinct floorplans the batch resolved",
 )
 OBS_SPANS.register(
     "farm.job",

@@ -18,7 +18,14 @@ and finished (report, recording filed, result), and each batch emits one
   :meth:`repro.thermal.backends.CachedLU.step_batch`), so
   ``wall_seconds`` is the group's wall and each member's
   ``extras["timing"]`` carries its own phases plus an even share of the
-  group's solve and residual.
+  group's solve and residual.  Groups are keyed before anything is
+  built, and a group's members are set up when it starts and released
+  when it ends, so only one group's frameworks are alive at a time.
+
+Set-up costs per floorplan, not per member: the plan resolves each
+distinct floorplan spec of a batch once, and every member naming it
+builds (or replays) on that one immutable
+:class:`~repro.thermal.floorplan.Floorplan`.
 
 ``trace_store`` adds the record-once/replay-many decoupling from
 :mod:`repro.trace`: every emulated scenario is captured into the store
@@ -32,6 +39,7 @@ re-emulating the platform.  Replayed members carry provenance in
 entry points (:class:`_DedupPlan`).
 """
 
+import json
 import multiprocessing
 import time
 import traceback as traceback_module
@@ -42,6 +50,8 @@ from repro.core.framework import RunReport, check_trace_stride, run_windows
 from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.scenario.spec import Scenario
+from repro.thermal.floorplan import FLOORPLANS
+from repro.thermal.rc_network import structure_key
 
 #: Scenarios-per-batch histogram buckets (counts, not seconds).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -112,22 +122,23 @@ def _execute(payload):
     return result, (archives[0] if archives else None)
 
 
-def _group_key(runnable):
-    """The batching key of one framework-shaped runnable.
+def _co_step_key(scenario, floorplan):
+    """The co-step group of a scenario on its resolved floorplan, from
+    configuration alone, before anything is built.
 
-    Grouping is defined by *configuration*, not object identity: the
-    structure-keyed assembly cache stamps every network it hands out
-    with its content key (:attr:`repro.thermal.rc_network.RCNetwork.
-    structure_key`), so two scenarios whose floorplan + grid knobs
-    coincide group together even when cache eviction (or a custom
-    build) gave them distinct grid objects.  Networks without a content
-    key (custom material properties) fall back to grid identity.
+    Members co-step together when their networks share one structure
+    (:func:`repro.thermal.rc_network.structure_key`, the key
+    :func:`~repro.thermal.rc_network.network_for` stamps on what it
+    builds) and their sampling period.  A replay runs under its
+    requesting scenario's config, so one key serves both kinds.
     """
-    structure = runnable.network.structure_key
-    if structure is None:
-        # repro: allow[determinism] — process-local batching key; grouping affects solve order, never any emulated value
-        structure = ("grid-id", id(runnable.grid))
-    return (structure, runnable.config.sampling_period_s)
+    config = scenario.config
+    return (
+        structure_key(floorplan, config.grid_mode,
+                      config.refine_critical, config.die_resolution,
+                      config.spreader_resolution),
+        config.sampling_period_s,
+    )
 
 
 def _failure(index, name, exc, wall=0.0):
@@ -151,6 +162,7 @@ class _Member:
     digest: str | None = None
     archive: object = None  # the recording a hit or follower replays
     error: ScenarioResult | None = None  # the result of an "error" item
+    floorplan: object = None  # the batch's one Floorplan for its spec
 
     @property
     def records(self):
@@ -165,8 +177,13 @@ class _DedupPlan:
     once.  A digest already in the store makes a *hit*; the first item of
     an unseen digest is its *leader* (it emulates and records), later
     items of that digest are *followers* that replay the leader's
-    recording.  Unparseable items are *errors*.  Without a store every
-    parsed item leads and nothing records.
+    recording.  Unparseable items, and items whose floorplan does not
+    resolve, are *errors*.  Without a store every parsed item leads and
+    nothing records.
+
+    Each distinct floorplan spec is resolved once per plan, and every
+    member naming it shares the one immutable
+    :class:`~repro.thermal.floorplan.Floorplan` (``floorplans``).
     """
 
     def __init__(self, runner, scenarios):
@@ -177,6 +194,7 @@ class _DedupPlan:
 
             self.source = "memory" if store.in_memory else str(store.root)
         self._recordings = {}  # digest -> archive, one store load each
+        self.floorplans = {}  # spec key -> Floorplan, one resolve each
         self.members = []
         claimed = set()
         for index, item in enumerate(scenarios):
@@ -188,6 +206,7 @@ class _DedupPlan:
                 member.scenario = runner._scenario_of(item, name)
                 if store is not None:
                     member.digest = scenario_trace_digest(member.scenario)
+                member.floorplan = self._floorplan(member.scenario.floorplan)
             except Exception as exc:  # the batch survives one bad scenario
                 member.kind = "error"
                 member.error = _failure(index, name, exc)
@@ -201,6 +220,14 @@ class _DedupPlan:
                 member.kind = "follower"
             else:
                 claimed.add(member.digest)
+
+    def _floorplan(self, spec):
+        """The batch's one :class:`Floorplan` for a canonical spec."""
+        key = spec if isinstance(spec, str) else json.dumps(spec, sort_keys=True)
+        floorplan = self.floorplans.get(key)
+        if floorplan is None:
+            floorplan = self.floorplans[key] = FLOORPLANS.resolve(spec)
+        return floorplan
 
     def first_pass(self):
         """Store hits and leaders, in input order."""
@@ -407,7 +434,8 @@ class Runner:
                 digests=sum(m.digest is not None for m in plan.members),
             )
             tracer.emit("runner.setup", execution.setup_s,
-                        builds=execution.builds, replays=execution.replays)
+                        builds=execution.builds, replays=execution.replays,
+                        floorplans=len(plan.floorplans))
         return results
 
     def _one_at_a_time(self, members, execution):
@@ -452,10 +480,12 @@ class _Execution:
 
                 self.replays += 1
                 return replay_for_scenario(
-                    member.archive, member.scenario, source=self.source
+                    member.archive, member.scenario, source=self.source,
+                    floorplan=member.floorplan,
                 ), None
             self.builds += 1
-            runnable = member.scenario.build(library=self.library)
+            runnable = member.scenario.build(library=self.library,
+                                             floorplan=member.floorplan)
             if not member.records:
                 return runnable, None
             from repro.trace.capture import PowerTraceCapture
@@ -495,43 +525,57 @@ class _Execution:
                            time.perf_counter() - start)
 
     def co_step(self, members):
-        """Set every member up, then co-step each structure-sharing
-        group through the window driver; yields the members' results,
-        whose ``wall_seconds`` is their group's wall."""
+        """Co-step each structure-sharing group through the window
+        driver, one group at a time; yields the members' results, whose
+        ``wall_seconds`` is their group's wall.
+
+        Groups run in order of first appearance, members in input order
+        (the first member's network binds the group's solver).
+        """
         groups = defaultdict(list)
         for member in members:
-            try:
-                runnable, capture = self.setup(member)
-            except Exception as exc:  # the batch survives one bad scenario
-                yield _failure(member.index, member.scenario.name, exc)
-                continue
-            groups[_group_key(runnable)].append((member, runnable, capture))
+            groups[_co_step_key(member.scenario, member.floorplan)].append(member)
         for group in groups.values():
-            start = time.perf_counter()
-            completed = set()
+            yield from self._co_step_group(group)
+
+    def _co_step_group(self, members):
+        """Set up one group, co-step it and finish it; returns its
+        results.  Its runnables die with this call, so only results,
+        traces and recordings outlive the group."""
+        results, group = [], []
+        for member in members:
             try:
-                run_windows(
-                    [runnable for _, runnable, _ in group],
-                    [member.scenario.bounds for member, _, _ in group],
-                    co_step=True,
-                    completed=completed,
-                )
-                error = tb = None
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                tb = traceback_module.format_exc()
-            wall = time.perf_counter() - start
-            for position, (member, runnable, capture) in enumerate(group):
-                # A member that had already reached its bounds *before*
-                # the failing window completed normally and keeps its
-                # report; everyone else (including a member whose
-                # workload happened to finish during the window that
-                # raised) is marked failed, matching serial semantics.
-                if error is None or position in completed:
-                    yield self.finish(member, runnable, capture,
-                                      runnable.report(), wall)
-                else:
-                    yield ScenarioResult(
-                        name=member.scenario.name, index=member.index,
-                        wall_seconds=wall, error=error, traceback=tb,
-                    )
+                group.append((member, *self.setup(member)))
+            except Exception as exc:  # the batch survives one bad scenario
+                results.append(_failure(member.index, member.scenario.name, exc))
+        if not group:
+            return results
+        start = time.perf_counter()
+        completed = set()
+        try:
+            run_windows(
+                [runnable for _, runnable, _ in group],
+                [member.scenario.bounds for member, _, _ in group],
+                co_step=True,
+                completed=completed,
+            )
+            error = tb = None
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            tb = traceback_module.format_exc()
+        wall = time.perf_counter() - start
+        for position, (member, runnable, capture) in enumerate(group):
+            # A member that had already reached its bounds *before*
+            # the failing window completed normally and keeps its
+            # report; everyone else (including a member whose
+            # workload happened to finish during the window that
+            # raised) is marked failed, matching serial semantics.
+            if error is None or position in completed:
+                results.append(self.finish(member, runnable, capture,
+                                           runnable.report(), wall))
+            else:
+                results.append(ScenarioResult(
+                    name=member.scenario.name, index=member.index,
+                    wall_seconds=wall, error=error, traceback=tb,
+                ))
+        return results

@@ -133,10 +133,16 @@ class Scenario:
         return cls(**json_copy(dict(data)))
 
     # -- construction ------------------------------------------------------------
-    def build(self, library=None):
-        """Wire the scenario into a ready-to-run :class:`EmulationFramework`."""
+    def build(self, library=None, floorplan=None):
+        """Wire the scenario into a ready-to-run :class:`EmulationFramework`.
+
+        ``floorplan`` is the resolved ``self.floorplan`` when the caller
+        already has it (the batch runner resolves each distinct spec
+        once per batch); it is not a second floorplan choice.
+        """
         platform = build_platform(self.platform) if self.platform is not None else None
-        floorplan = FLOORPLANS.resolve(self.floorplan)
+        if floorplan is None:
+            floorplan = FLOORPLANS.resolve(self.floorplan)
         # A spec dataclass's fields are exactly the spec grammar's keys.
         policy = POLICIES.resolve(vars(self.policy))
         workload = WORKLOADS.resolve(vars(self.workload), platform, floorplan)

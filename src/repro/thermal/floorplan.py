@@ -24,7 +24,7 @@ drive its power: ``("core", i)``, ``("icache", i)``, ``("dcache", i)``,
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.registry import Registry
 from repro.util.units import MM2
@@ -72,17 +72,33 @@ class FloorplanComponent:
         return dx * dy
 
 
-@dataclass
+@dataclass(frozen=True)
 class Floorplan:
-    """An exact rectangular tiling of the die."""
+    """An exact rectangular tiling of the die.
+
+    Immutable: ``components`` is stored as a tuple, so one floorplan
+    object can be shared by every scenario of a batch that names it (see
+    :class:`repro.scenario.runner.Runner`) without one changing it under
+    another.
+    """
 
     name: str
     width: float
     height: float
-    components: list = field(default_factory=list)
+    components: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
         self.validate()
+        object.__setattr__(self, "_fingerprint", (
+            self.name,
+            self.width,
+            self.height,
+            tuple(
+                (c.name, c.x, c.y, c.width, c.height, c.power_class, c.critical)
+                for c in self.components
+            ),
+        ))
 
     @property
     def area(self):
@@ -100,16 +116,9 @@ class Floorplan:
         Two floorplans with equal fingerprints produce identical grids
         and RC networks, so the fingerprint is the key under which
         :func:`repro.thermal.rc_network.network_for` shares assembly.
+        Computed once, when the floorplan is made.
         """
-        return (
-            self.name,
-            self.width,
-            self.height,
-            tuple(
-                (c.name, c.x, c.y, c.width, c.height, c.power_class, c.critical)
-                for c in self.components
-            ),
-        )
+        return self._fingerprint
 
     def active_components(self):
         return [c for c in self.components if not c.is_filler]

@@ -66,10 +66,9 @@ class RCNetwork:
     assemblies = 0
 
     #: content key of the structure this network was assembled from
-    #: (set by :func:`network_for`; ``None`` for direct/custom-property
-    #: builds).  Equal keys mean identical structure arrays even across
-    #: distinct prototype objects, so batch grouping can key on
-    #: configuration instead of object identity.
+    #: (:func:`structure_key`, set by :func:`network_for`; ``None`` for
+    #: direct/custom-property builds).  Equal keys mean identical
+    #: structure arrays even across distinct prototype objects.
     structure_key = None
 
     def __init__(self, grid):
@@ -449,6 +448,29 @@ _ASSEMBLY_CACHE = {}
 _ASSEMBLY_CACHE_LIMIT = 32
 
 
+def structure_key(floorplan, mode, refine_critical, die_resolution,
+                  spreader_resolution):
+    """The content key of the network a floorplan + grid configuration
+    assembles to, known before anything is built.
+
+    Equal keys mean identical structure arrays: :func:`network_for`
+    caches prototypes under it (and stamps it on what it hands out as
+    :attr:`RCNetwork.structure_key`), and the batch runner groups
+    scenarios by it before it builds any of them.  A die knob the grid
+    ``mode`` never reads is normalized away (:func:`used_die_knobs`).
+    """
+    refine_critical, die_resolution = used_die_knobs(
+        mode, refine_critical, die_resolution
+    )
+    return (
+        floorplan.fingerprint(),
+        mode,
+        refine_critical,
+        die_resolution,
+        tuple(spreader_resolution),
+    )
+
+
 def network_for(
     floorplan,
     mode="component",
@@ -475,18 +497,12 @@ def network_for(
             spreader_resolution=spreader_resolution,
         )
         return RCNetwork(grid)
-    refine_critical, die_resolution = used_die_knobs(
-        mode, refine_critical, die_resolution
-    )
-    key = (
-        floorplan.fingerprint(),
-        mode,
-        refine_critical,
-        die_resolution,
-        tuple(spreader_resolution),
+    key = structure_key(
+        floorplan, mode, refine_critical, die_resolution, spreader_resolution
     )
     prototype = _ASSEMBLY_CACHE.get(key)
     if prototype is None:
+        _, _, refine_critical, die_resolution, _ = key  # the normalized knobs
         grid = build_grid(
             floorplan,
             mode=mode,
@@ -503,5 +519,5 @@ def network_for(
 
 
 def clear_assembly_cache():
-    """Drop all cached network prototypes (tests, floorplan edits)."""
+    """Drop all cached network prototypes (tests, cold-process timings)."""
     _ASSEMBLY_CACHE.clear()

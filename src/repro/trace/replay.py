@@ -232,14 +232,15 @@ def replay(archive, config=None, floorplan=None, properties=None,
     return player, report
 
 
-def replay_for_scenario(archive, scenario, source=None):
+def replay_for_scenario(archive, scenario, source=None, floorplan=None):
     """A :class:`ReplaySource` configured by a *requesting* scenario —
     the runner's transparent-replay entry point: the scenario's own
     thermal knobs (and floorplan) apply, the recording supplies the
-    boundary stream."""
+    boundary stream.  ``floorplan`` is the scenario's floorplan already
+    resolved, when the caller has it."""
     return ReplaySource(
         archive,
         config=scenario.config,
-        floorplan=scenario.floorplan,
+        floorplan=scenario.floorplan if floorplan is None else floorplan,
         source=source,
     )

@@ -21,7 +21,8 @@ from repro.util.units import MHZ
 
 
 def _twins():
-    """Two designs, each in both grids: two builds and two replays."""
+    """Two designs, each in both grids: two builds and two replays on
+    two floorplans."""
     points = space.generate_points(
         big_counts=(1,), little_counts=(0, 1), tech_nodes=("65nm",),
         big_hz_steps=(200 * MHZ,),
@@ -41,7 +42,8 @@ def test_run_batched_emits_one_plan_and_one_setup_event(entry):
     (plan,) = by_name["runner.plan"]
     (setup,) = by_name["runner.setup"]
     assert plan["attrs"] == {"scenarios": 4, "digests": 4}
-    assert setup["attrs"] == {"builds": 2, "replays": 2}
+    # Two designs on two floorplans, each resolved once for both grids.
+    assert setup["attrs"] == {"builds": 2, "replays": 2, "floorplans": 2}
     assert plan["wall_s"] > 0 and setup["wall_s"] > 0
     (batch,) = by_name["runner.batch"]
     assert plan["wall_s"] + setup["wall_s"] < batch["wall_s"]

@@ -356,3 +356,119 @@ def test_batched_failures_carry_traceback():
     assert good.status == "ok" and good.traceback is None
     assert failed.status == "failed"
     assert "Traceback" in failed.traceback
+
+
+# -- batch-shared floorplans and per-group lifetime ---------------------------
+
+
+@pytest.fixture
+def counted_floorplans():
+    """A registered ``"counted"`` floorplan factory; yields the list of
+    its calls (the ``kind`` each resolved)."""
+    from repro.thermal.floorplan import FLOORPLANS, floorplan_4xarm7, floorplan_4xarm11
+
+    calls = []
+
+    def counted(kind="4xarm11"):
+        calls.append(kind)
+        return floorplan_4xarm7() if kind == "4xarm7" else floorplan_4xarm11()
+
+    FLOORPLANS.register("counted", counted)
+    yield calls
+    FLOORPLANS.unregister("counted")
+
+
+def counted_batch():
+    """Three members on two ``"counted"`` specs: the second is a grid
+    twin of the first, so with a trace store it follows the first."""
+    first = profiled_scenario("first", iterations=10_000)
+    twin = profiled_scenario("twin", iterations=10_000)
+    twin.config.spreader_resolution = (3, 3)
+    other = profiled_scenario("other", iterations=10_000)
+    first.floorplan = twin.floorplan = "counted"
+    other.floorplan = {"name": "counted", "params": {"kind": "4xarm7"}}
+    return [first, twin, other]
+
+
+@pytest.mark.parametrize("entry", ["run", "run_batched"])
+def test_each_floorplan_spec_resolves_once_per_batch(
+    entry, counted_floorplans, monkeypatch
+):
+    import repro.scenario.runner as runner_module
+
+    seen = {}  # member index -> the floorplan its runnable ran on
+    finish = runner_module._Execution.finish
+
+    def spying(self, member, runnable, capture, report, wall):
+        seen[member.index] = runnable.floorplan
+        return finish(self, member, runnable, capture, report, wall)
+
+    monkeypatch.setattr(runner_module._Execution, "finish", spying)
+    runner = Runner(trace_store=True)
+    # A leader, its follower and a second leader; then all store hits.
+    for replayed in ([False, True, False], [True, True, True]):
+        counted_floorplans.clear()
+        seen.clear()
+        results = getattr(runner, entry)(counted_batch())
+        assert all(r.ok for r in results)
+        assert [r.replayed for r in results] == replayed
+        assert sorted(counted_floorplans) == ["4xarm11", "4xarm7"]
+        assert seen[0] is seen[1] and seen[0].name == "4xarm11"
+        assert seen[2].name == "4xarm7"
+
+
+def test_co_step_releases_a_group_before_the_next_one_starts(monkeypatch):
+    """Frameworks are set up when their group starts and freed (by
+    reference counting, not a later collection) when it ends."""
+    import gc
+    import weakref
+
+    import repro.scenario.runner as runner_module
+    from repro.scenario.presets import PRESETS
+
+    groups, alive = [], []
+    run_windows = runner_module.run_windows
+
+    def spying(runnables, bounds, **kwargs):
+        if groups:  # what is left of the previous group
+            alive.append([ref() is not None for ref in groups[-1]])
+        groups.append([weakref.ref(r) for r in runnables])
+        return run_windows(runnables, bounds, **kwargs)
+
+    monkeypatch.setattr(runner_module, "run_windows", spying)
+    emulated = [PRESETS.get(name)() for name in
+                ("matrix_quickstart", "dithering_noc")]
+    for scenario in emulated:
+        scenario.max_windows = 2
+    # Two 4xarm7 platforms in one group, a 4xarm11 profile in another.
+    scenarios = emulated + [profiled_scenario("profiled", iterations=10_000)]
+    gc.disable()
+    try:
+        results = Runner(capture_trace=True, trace_store=True).run_batched(
+            scenarios
+        )
+    finally:
+        gc.enable()
+    assert all(r.ok for r in results)
+    assert all(len(r.trace) == r.report.windows for r in results)
+    assert [len(group) for group in groups] == [2, 1]
+    assert alive == [[False, False]]
+
+
+def test_co_step_key_is_the_built_structure_key():
+    """The group key known before a build is the key its network is
+    stamped with, for every preset and a DSE point."""
+    from repro.dse.space import default_points, point_scenario
+    from repro.scenario.presets import PRESETS
+    from repro.scenario.runner import _co_step_key
+    from repro.thermal.floorplan import FLOORPLANS
+
+    scenarios = [PRESETS.get(name)() for name in PRESETS.names()]
+    scenarios.append(point_scenario(default_points()[0]))
+    for scenario in scenarios:
+        structure, period = _co_step_key(
+            scenario, FLOORPLANS.resolve(scenario.floorplan)
+        )
+        framework = scenario.build()
+        assert structure == framework.network.structure_key, scenario.name
+        assert period == framework.config.sampling_period_s

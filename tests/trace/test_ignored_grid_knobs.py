@@ -9,7 +9,7 @@ a group of its own.
 
 import pytest
 
-from repro.scenario.runner import Runner, _group_key
+from repro.scenario.runner import Runner, _co_step_key
 from repro.trace.store import scenario_trace_digest
 from tests.trace.conftest import short_scenario
 
@@ -42,11 +42,13 @@ def test_ignored_die_knob_keeps_digest_structure_and_group(
     assert scenario_trace_digest(twin) == scenario_trace_digest(base)
     assert scenario_trace_digest(other) != scenario_trace_digest(base)
 
-    frameworks = [s.build() for s in (base, twin, other)]
+    scenarios = (base, twin, other)
+    frameworks = [s.build() for s in scenarios]
     keys = [f.network.structure_key for f in frameworks]
     assert keys[1] == keys[0] and keys[2] != keys[0]
-    assert _group_key(frameworks[1]) == _group_key(frameworks[0])
-    assert _group_key(frameworks[2]) != _group_key(frameworks[0])
+    groups = [_co_step_key(s, f.floorplan) for s, f in zip(scenarios, frameworks)]
+    assert [group[0] for group in groups] == keys  # known before the build
+    assert groups[1] == groups[0] and groups[2] != groups[0]
 
     # End to end: one co-step group shares one wall-clock float, and the
     # twin replays its base's recording instead of emulating again.

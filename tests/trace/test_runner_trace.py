@@ -221,9 +221,9 @@ def test_trace_stride_roundtrips_through_config():
 
 
 def test_batched_grouping_keys_on_structure_content_not_identity():
-    """Two structurally identical frameworks must co-step in one group
+    """Two structurally identical scenarios must co-step in one group
     even when cache eviction gave them distinct grid objects."""
-    from repro.scenario.runner import _group_key
+    from repro.scenario.runner import _co_step_key
     from repro.thermal.rc_network import clear_assembly_cache
 
     a = short_scenario(name="a")
@@ -231,33 +231,13 @@ def test_batched_grouping_keys_on_structure_content_not_identity():
     fa = a.build()
     clear_assembly_cache()  # simulates mid-batch eviction
     fb = b.build()
-    assert fa.grid is not fb.grid  # identity-keyed grouping would split
-    assert _group_key(fa) == _group_key(fb)
+    assert fa.grid is not fb.grid and fa.floorplan is not fb.floorplan
+    assert _co_step_key(a, fa.floorplan) == _co_step_key(b, fb.floorplan)
     # End to end: one co-step group means one shared wall-clock float.
     builds = [a, b]
     clear_assembly_cache()
     results = Runner().run_batched(builds)
     assert results[0].wall_seconds == results[1].wall_seconds
-
-
-def test_custom_properties_networks_fall_back_to_identity_grouping():
-    from repro.scenario.runner import _group_key
-    from repro.thermal.calibration import uniform_floorplan
-    from repro.thermal.properties import ThermalProperties
-    from repro.thermal.rc_network import network_for
-
-    net = network_for(uniform_floorplan(), properties=ThermalProperties())
-    assert net.structure_key is None
-
-    class Shim:
-        network = net
-        grid = net.grid
-
-        class config:
-            sampling_period_s = 0.01
-
-    key_a = _group_key(Shim())
-    assert key_a[0][0] == "grid-id"
 
 
 def test_scenario_digest_unchanged_by_runner_stride_override():

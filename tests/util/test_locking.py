@@ -86,16 +86,19 @@ def test_flock_acquire_release(tmp_path):
 def test_flock_excludes_threads(tmp_path):
     path = tmp_path / "x.lock"
     order = []
+    held = threading.Event()
 
     def holder():
         with FileLock(path):
             order.append("acquired")
+            held.set()
             time.sleep(0.05)
             order.append("releasing")
 
     thread = threading.Thread(target=holder)
     thread.start()
-    time.sleep(0.02)
+    # The contender starts only once the holder owns the lock.
+    assert held.wait(timeout=2.0)
     with FileLock(path, timeout=2.0):
         order.append("second")
     thread.join()
