@@ -29,9 +29,6 @@ import json
 import sys
 from dataclasses import replace
 
-from repro.scenario.presets import PRESETS, load_scenarios
-from repro.scenario.runner import Runner
-
 
 def _policies_main(argv):
     """``python -m repro policies`` — list registered thermal policies."""
@@ -162,6 +159,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    # Imported here, not at the top, so that the subcommands above do
+    # not load the framework and SciPy.
+    from repro.scenario.presets import PRESETS, load_scenarios
+
     if args.list_presets:
         for name in PRESETS.names():
             scenario = PRESETS.get(name)()
@@ -212,6 +213,8 @@ def main(argv=None):
         return 0
 
     import contextlib
+
+    from repro.scenario.runner import Runner
 
     observe = contextlib.nullcontext()
     if args.obs_log:

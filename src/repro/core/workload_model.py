@@ -70,12 +70,15 @@ class ActivityProfile:
 
 
 class DirectWorkload:
-    """Run the platform's cores for real, window by window."""
+    """Run the platform's cores for real, window by window, on
+    ``engine``: an :class:`EventDrivenEngine` unless the emulation
+    backend builds another (anything with ``run_window(horizon)`` and
+    ``all_halted``)."""
 
-    def __init__(self, platform, power_model):
+    def __init__(self, platform, power_model, engine=None):
         self.platform = platform
         self.power_model = power_model
-        self.engine = EventDrivenEngine(platform)
+        self.engine = EventDrivenEngine(platform) if engine is None else engine
         self._horizon = 0
         self._last_stats = platform.stats()
         self.instructions = 0

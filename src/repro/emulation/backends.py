@@ -75,35 +75,6 @@ class EventDrivenBackend(EmulationBackend):
         return DirectWorkload(platform, power_model)
 
 
-class CycleAccurateWorkload:
-    """``DirectWorkload``-shaped wrapper around the signal-level engine."""
-
-    def __init__(self, platform, power_model):
-        from repro.core.stats import diff_stats
-
-        self.platform = platform
-        self.power_model = power_model
-        self.engine = CycleAccurateEngine(platform)
-        self._diff_stats = diff_stats
-        self._horizon = 0
-        self._last_stats = platform.stats()
-        self.instructions = 0
-
-    @property
-    def done(self):
-        return self.engine.all_halted
-
-    def advance(self, window_cycles):
-        if window_cycles < 0:
-            raise ValueError("negative window")
-        self._horizon += window_cycles
-        self.instructions += self.engine.run_window(self._horizon)
-        stats = self.platform.stats()
-        delta = self._diff_stats(stats, self._last_stats)
-        self._last_stats = stats
-        return self.power_model.activity_from_stats(delta, window_cycles)
-
-
 @EMULATION_BACKENDS.register("cycle_accurate")
 class CycleAccurateBackend(EmulationBackend):
     """Signal-level reference: every component evaluated every cycle."""
@@ -116,7 +87,9 @@ class CycleAccurateBackend(EmulationBackend):
     power_tolerance_pct = 50.0
 
     def build_workload(self, platform, power_model):
-        return CycleAccurateWorkload(platform, power_model)
+        from repro.core.workload_model import DirectWorkload
+
+        return DirectWorkload(platform, power_model, CycleAccurateEngine(platform))
 
 
 @EMULATION_BACKENDS.register("windowed")

@@ -3,8 +3,10 @@
 An xpipes-class NoC: network interfaces (NIs) translate OCP bursts from
 the memory-controller bridges into wormhole packets; switches with small
 output buffers forward flits over 32-bit links; routing is static
-shortest-path (XY on meshes), precomputed into per-switch tables the way
-``XpipesCompiler`` instantiates application-specific NoCs.
+shortest-path with ties broken by the order the links are listed (not
+XY on a mesh; see :func:`generate_mesh`), precomputed into per-switch
+tables the way ``XpipesCompiler`` instantiates application-specific
+NoCs.
 
 Timing model (fast path): the head flit pays ``ni_latency`` for
 packetization, ``hop_latency + link_latency`` per hop, and contends for
@@ -18,8 +20,6 @@ XpipesCompiler topology generator.
 """
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
@@ -71,12 +71,6 @@ class NocConfig:
         data["links"] = [tuple(link) for link in data.get("links", [])]
         return cls(**data)
 
-    def graph(self):
-        g = nx.Graph()
-        g.add_nodes_from(self.switches)
-        g.add_edges_from(self.links)
-        return g
-
 
 class Noc(Observable):
     """Fast timed-transaction NoC sharing the :class:`Bus` transfer API."""
@@ -86,9 +80,11 @@ class Noc(Observable):
         self.config = config
         self.name = config.name
         self.counters = CounterBlock(config.name)
-        self._graph = config.graph()
-        if self._graph.number_of_nodes() > 1 and not nx.is_connected(self._graph):
-            raise ValueError(f"{config.name}: topology is not connected")
+        # Neighbours in the order their links are listed: the route
+        # search's tie-break.
+        self._adjacency = {s: {} for s in config.switches}
+        for a, b in config.links:
+            self._adjacency[a][b] = self._adjacency[b][a] = None
         self._endpoints = {}  # endpoint name -> switch
         self._routes = {}  # (src switch, dst switch) -> [switches]
         self._link_busy = {}  # (a, b) directed -> busy-until cycle
@@ -100,9 +96,19 @@ class Noc(Observable):
         self._precompute_routes()
 
     def _precompute_routes(self):
-        paths = dict(nx.all_pairs_shortest_path(self._graph))
-        for src, targets in paths.items():
-            for dst, path in targets.items():
+        """Breadth-first search from every switch: the first path to
+        reach a switch is its route."""
+        for src in self._adjacency:
+            paths = {src: [src]}
+            queue = [src]
+            for switch in queue:  # grows while it is read
+                for neighbour in self._adjacency[switch]:
+                    if neighbour not in paths:
+                        paths[neighbour] = paths[switch] + [neighbour]
+                        queue.append(neighbour)
+            if len(paths) < len(self._adjacency):
+                raise ValueError(f"{self.name}: topology is not connected")
+            for dst, path in paths.items():
                 self._routes[(src, dst)] = path
 
     # -- topology / attachment ---------------------------------------------
@@ -129,7 +135,7 @@ class Noc(Observable):
 
     def switch_radix(self, switch):
         """Channels on a switch: inter-switch links + attached NIs."""
-        degree = self._graph.degree(switch)
+        degree = len(self._adjacency[switch])
         nis = sum(1 for s in self._endpoints.values() if s == switch)
         return degree + nis
 
@@ -307,7 +313,13 @@ def _one_word_source(path, per_hop, ni_latency):
 
 
 def generate_mesh(name, rows, cols, **kwargs):
-    """Generate a ``rows x cols`` mesh NoC (XY-minimal shortest paths)."""
+    """Generate a ``rows x cols`` mesh NoC.
+
+    Links are made row by row, each switch's right link before its down
+    link, so a switch's neighbours come up, left, right, down.  Routes
+    are shortest paths with ties broken in that order, which is not XY:
+    on a 3x3 mesh ``sw0_0 -> sw2_2`` runs ``sw0_1, sw0_2, sw1_2`` but
+    ``sw2_2 -> sw0_0`` runs ``sw1_2, sw0_2, sw0_1``."""
     if rows < 1 or cols < 1:
         raise ValueError("mesh dimensions must be positive")
     switches = [f"sw{r}_{c}" for r in range(rows) for c in range(cols)]

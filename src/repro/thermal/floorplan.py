@@ -99,6 +99,9 @@ class Floorplan:
                 for c in self.components
             ),
         ))
+        object.__setattr__(self, "_active_components", tuple(
+            c for c in self.components if not c.is_filler
+        ))
 
     @property
     def area(self):
@@ -121,7 +124,8 @@ class Floorplan:
         return self._fingerprint
 
     def active_components(self):
-        return [c for c in self.components if not c.is_filler]
+        """The non-filler components, in order; computed once."""
+        return self._active_components
 
     def validate(self):
         """Check bounds, pairwise disjointness and exact coverage.

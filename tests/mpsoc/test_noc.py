@@ -20,8 +20,12 @@ def test_mesh_generation():
     cfg = generate_mesh("m", 3, 3)
     assert len(cfg.switches) == 9
     assert len(cfg.links) == 12  # 2*3*(3-1)
-    g = cfg.graph()
-    assert g.degree["sw1_1"] == 4  # centre switch
+    noc = Noc(cfg)
+    assert noc.switch_radix("sw1_1") == 4  # centre switch, no NIs
+    noc.register_endpoint("centre", "sw1_1")
+    for neighbour in ("sw0_1", "sw1_0", "sw1_2", "sw2_1"):
+        noc.register_endpoint(neighbour, neighbour)
+        assert noc.route("centre", neighbour) == ["sw1_1", neighbour]
 
 
 def test_custom_generation_ring_and_extra_links():

@@ -1,10 +1,39 @@
 """The ``python -m repro`` entry point."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
 
 from repro.__main__ import main
 from repro.scenario.presets import PRESETS
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv", [["lint", "--list-rules"], ["obs", "catalog"], ["policies"]],
+    ids=" ".join,
+)
+def test_listing_subcommands_import_no_numpy_or_scipy(argv):
+    """A subcommand imports what it runs: listing lint rules, metrics or
+    policies in a fresh interpreter leaves NumPy and SciPy unloaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from repro.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main({argv!r})\n"
+        "print(status, [m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert result.stdout.strip() == "0 []"
 
 
 def test_list_presets(capsys):
