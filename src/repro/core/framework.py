@@ -530,6 +530,10 @@ class EmulationFramework(ThermalSide):
         if bind is not None:
             bind(self.power_model)
         self.workload = workload
+        # A workload that never runs the platform (a profile replay)
+        # leaves every counter where it was, so the sniffers read them
+        # once and not every window.
+        self._runs_platform = getattr(workload, "runs_platform", True)
         # Per-window capture hooks (repro.trace records the dispatcher
         # boundary through these) — called for *every* window, before
         # trace_stride decimation.
@@ -604,7 +608,7 @@ class EmulationFramework(ThermalSide):
         t2 = time.perf_counter()
 
         # 3. Statistics stream to the host; congestion freezes the clocks.
-        _, payload = self.sniffer_bank.collect_window()
+        _, payload = self.sniffer_bank.collect_window(ran=self._runs_platform)
         real_window = self.vpcm.window_real_seconds(period)
         freeze = self.dispatcher.dispatch_window(
             payload, real_window, num_sensors=len(self.sensors.names)

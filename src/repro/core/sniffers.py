@@ -137,7 +137,7 @@ class CountLoggingSniffer(Sniffer):
         super().__init__(name, component)
         # Unbound, so the sniffer keeps only its weak reference.
         self._read = getattr(type(component), "flat_stats", Observable.flat_stats)
-        self._last = {}
+        self._last = None  # no baseline until the first read
 
     def _current(self):
         return self._read(self.component)
@@ -145,11 +145,18 @@ class CountLoggingSniffer(Sniffer):
     def _resume(self):
         self._last = self._current()
 
-    def _advance(self):
+    def _advance(self, ran=True):
         """Take this window's snapshot: ``(current, last)``, with
-        ``current`` the baseline of the next window."""
-        current = self._read(self.component)
-        last, self._last = self._last, current
+        ``current`` the baseline of the next window.  When nothing
+        ``ran`` since the baseline was taken, the baseline is both
+        snapshots and the component is not read; a sniffer with no
+        baseline yet reads it anyway."""
+        last = self._last
+        if last is None:
+            last = {}
+        elif not ran:
+            return last, last
+        current = self._last = self._read(self.component)
         return current, last
 
     def _selected_value(self):
@@ -267,7 +274,9 @@ class SnifferBank:
     can toggle it.  The paper's observation that "practically an
     unlimited number of event-counting sniffers can be added without
     deteriorating the emulation speed" is mirrored here: sniffers read
-    counters the components maintain anyway.
+    counters the components maintain anyway, once per window and never
+    between window boundaries, and not at all in a window that ran
+    nothing (``collect_window(ran=False)``, a profiled workload).
     """
 
     def __init__(self):
@@ -306,7 +315,7 @@ class SnifferBank:
         """Bytes the pending window would stream (nothing is collected)."""
         return sum(s.window_payload_bytes() for s in self.sniffers)
 
-    def collect_window(self):
+    def collect_window(self, ran=True):
         """Close one statistics window: ``(records, payload_bytes)``.
 
         ``records`` is a :class:`WindowRecords` mapping each sniffer's
@@ -317,6 +326,11 @@ class SnifferBank:
         record is diffed from the two only when read.  ``payload_bytes``
         is what the records occupy in the BRAM buffer, sized from the
         same snapshots; every other sniffer is collected as it stands.
+
+        ``ran=False`` says nothing ran the platform this window, so no
+        counter moved: a count sniffer that already has a baseline keeps
+        it as both snapshots (all-zero deltas, the same payload) and
+        reads nothing.  One with no baseline yet still reads.
         """
         if not self.sniffers:
             return _NO_RECORDS, 0
@@ -325,7 +339,7 @@ class SnifferBank:
         for sniffer in self.sniffers:
             name = sniffer.name
             if isinstance(sniffer, CountLoggingSniffer) and sniffer._enabled:
-                snapshots = unread[name] = sniffer._advance()
+                snapshots = unread[name] = sniffer._advance(ran)
                 records[name] = None
                 payload += sniffer.record_bytes(snapshots[0])
             else:

@@ -9,7 +9,15 @@ starved link forces must follow from those bytes.  Counter sets grow
 mid-run here on purpose (a new instruction class on a core, a master
 registering late on the interconnect), so a payload sized once and
 cached would drift from the definition.
+
+``hetero_biglittle`` is a profiled design: its cores never run and its
+counters never move, so after the first window its sniffers size the
+payload from the baseline they hold instead of reading the platform.
+Its sniffers are switched off and back on mid-run instead, and the
+payload must still follow the definition window by window.
 """
+
+import dataclasses
 
 import pytest
 
@@ -33,7 +41,8 @@ def defined_payload(bank):
     )
 
 
-def grow_counters(platform, window):
+def grow_counters(framework, window):
+    platform = framework.platform
     if window == 3:
         platform.cores[0].class_counts["late_class"] = 7
     if window == 5:
@@ -42,9 +51,24 @@ def grow_counters(platform, window):
         platform.cores[1].class_counts["later_class"] = 0
 
 
-def run(preset):
+def toggle_sniffers(framework, window):
+    """Switch sniffers off and back on by attribute; counters untouched."""
+    by_name = {s.name: s for s in framework.sniffer_bank.count_sniffers()}
+    core, interconnect = (
+        by_name[f"{framework.platform.cores[0].name}.cnt"],
+        by_name[f"{framework.platform.interconnect.name}.cnt"],
+    )
+    if window == 3:
+        core.enabled = False
+    if window == 5:
+        interconnect.enabled = False
+    if window == 7:
+        core.enabled = interconnect.enabled = True
+
+
+def run(preset, config, change):
     scenario = PRESETS.get(preset)()
-    scenario.config = FrameworkConfig(sampling_period_s=2e-5, **STARVED)
+    scenario.config = config(scenario.config)
     framework = scenario.build()
     dispatched = []
     dispatch = framework.dispatcher.dispatch_window
@@ -57,22 +81,40 @@ def run(preset):
 
     framework.dispatcher.dispatch_window = recording
     while not framework.bounds_reached(*scenario.bounds):
-        grow_counters(framework.platform, framework.windows)
+        change(framework, framework.windows)
         framework.step_window()
     return framework, dispatched
 
 
-@pytest.mark.parametrize("preset", ["dithering_noc", "matrix_quickstart"])
-def test_payload_and_freezes_follow_the_definition(preset):
-    framework, dispatched = run(preset)
+def short_starved_windows(config):
+    return FrameworkConfig(sampling_period_s=2e-5, **STARVED)
+
+
+def starved_long_windows(config):
+    # A 0.1 ms window drains more of the link, so a smaller buffer keeps
+    # every window freezing.
+    return dataclasses.replace(config, **dict(STARVED, bram_capacity_bytes=512))
+
+
+@pytest.mark.parametrize(
+    "preset, config, change",
+    [
+        ("dithering_noc", short_starved_windows, grow_counters),
+        ("matrix_quickstart", short_starved_windows, grow_counters),
+        ("hetero_biglittle", starved_long_windows, toggle_sniffers),
+    ],
+    ids=["dithering_noc", "matrix_quickstart", "hetero_biglittle"],
+)
+def test_payload_and_freezes_follow_the_definition(preset, config, change):
+    framework, dispatched = run(preset, config, change)
     assert len(dispatched) == framework.windows > 7
     payloads = [row[0] for row in dispatched]
     assert payloads == [row[1] for row in dispatched]
-    assert len(set(payloads)) >= 3, "the counter sets grew mid-run"
+    assert len(set(payloads)) >= 3, "the counter sets changed mid-run"
 
     reference = EthernetDispatcher(
-        link=EthernetLink(bandwidth_bps=STARVED["ethernet_bandwidth_bps"]),
-        buffer=BramBuffer(capacity_bytes=STARVED["bram_capacity_bytes"]),
+        link=EthernetLink(bandwidth_bps=framework.config.ethernet_bandwidth_bps),
+        buffer=BramBuffer(capacity_bytes=framework.config.bram_capacity_bytes),
     )
     freezes = [
         reference.dispatch_window(defined, real, num_sensors)

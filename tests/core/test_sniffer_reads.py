@@ -1,0 +1,110 @@
+"""Sniffer reads counted, not timed.
+
+The paper's count-logging sniffers read counters the components keep
+anyway, so adding sniffers must not slow the emulation down.  This is
+the structural property behind
+``test_sniffers.py::test_emulation_speed_is_flat_in_sniffer_count``,
+asserted with a count of ``flat_stats()`` reads instead of a clock:
+
+* on a platform that runs (``matrix_quickstart``), each window reads
+  every enabled count sniffer's component exactly once, at the window's
+  close, and never while :meth:`EventDrivenEngine.run_window` runs;
+* on a profiled design (``hetero_biglittle``), whose cores never
+  execute, only the first window reads, plus the one fresh baseline a
+  sniffer switched back on takes.
+"""
+
+import pytest
+
+from repro.core.sniffers import CountLoggingSniffer
+from repro.emulation.engine import EventDrivenEngine
+from repro.scenario.presets import PRESETS
+
+
+class ReadCounter:
+    """Counts ``flat_stats()`` reads by wrapping each component type's
+    method; reads made while ``run_window`` runs are counted apart."""
+
+    def __init__(self, monkeypatch, platform):
+        self.reads = 0
+        self.inside_run_window = 0
+        self._running = False
+        # Every read taken before any is wrapped: a subclass's inherited
+        # read must not wrap its already wrapped base.
+        reads = {type(c): type(c).flat_stats for _, c in platform.components()}
+        for cls, read in reads.items():
+            monkeypatch.setattr(cls, "flat_stats", self._counting(read))
+        run_window = EventDrivenEngine.run_window
+
+        def counted_run_window(engine, *args, **kwargs):
+            self._running = True
+            try:
+                return run_window(engine, *args, **kwargs)
+            finally:
+                self._running = False
+
+        monkeypatch.setattr(EventDrivenEngine, "run_window", counted_run_window)
+
+    def _counting(self, read):
+        def flat_stats(component):
+            self.reads += 1
+            if self._running:
+                self.inside_run_window += 1
+            return read(component)
+
+        return flat_stats
+
+
+def build_counted(monkeypatch, preset, sampling_period_s=None):
+    """``preset``'s framework, built after the counters are in place
+    (a sniffer binds its component type's read when it is made)."""
+    scenario = PRESETS.get(preset)()
+    if sampling_period_s is not None:
+        scenario.config.sampling_period_s = sampling_period_s
+    counter = ReadCounter(monkeypatch, scenario.build().platform)
+    return scenario.build(), counter
+
+
+def enabled_count_sniffers(framework):
+    return sum(1 for s in framework.sniffer_bank.count_sniffers() if s.enabled)
+
+
+def test_a_running_platform_is_read_once_per_window_at_its_close(monkeypatch):
+    framework, counter = build_counted(
+        monkeypatch, "matrix_quickstart", sampling_period_s=2e-5
+    )
+    assert isinstance(framework.workload.engine, EventDrivenEngine)
+    sniffers = framework.sniffer_bank.count_sniffers()
+    assert len(sniffers) > 1
+    reads = []
+    for window in range(8):
+        if window == 4:
+            sniffers[0].enabled = False
+        before = counter.reads
+        expected = enabled_count_sniffers(framework)
+        framework.step_window()
+        reads.append((counter.reads - before, expected))
+    assert not framework.workload.done and framework.workload.instructions > 0
+    assert all(made == expected for made, expected in reads), reads
+    assert reads[4][0] == reads[3][0] - 1
+    assert counter.inside_run_window == 0
+
+
+@pytest.mark.parametrize("extra_sniffers", [0, 64])
+def test_a_profiled_design_is_read_once(monkeypatch, extra_sniffers):
+    framework, counter = build_counted(monkeypatch, "hetero_biglittle")
+    assert framework.workload.runs_platform is False
+    bank, platform = framework.sniffer_bank, framework.platform
+    for index in range(extra_sniffers):
+        bank.add(CountLoggingSniffer(f"extra{index}.cnt", platform.cores[0]))
+    toggled = bank.count_sniffers()[0]
+    reads = []
+    while framework.windows < 10:
+        if framework.windows == 3:
+            toggled.enabled = False
+        before = counter.reads
+        if framework.windows == 5:
+            toggled.enabled = True  # one fresh baseline
+        framework.step_window()
+        reads.append(counter.reads - before)
+    assert reads == [len(bank.count_sniffers()), 0, 0, 0, 0, 1, 0, 0, 0, 0]

@@ -8,6 +8,11 @@ previous snapshot at the window's close — whether they are read at once
 or only after later windows have closed.  One count sniffer is switched
 off over MMIO for good, another off and back on (counting afresh from
 the switch-on), and one event-logging sniffer rides along.
+
+A profiled design (``hetero_biglittle``) closes its windows without
+reading the platform once its sniffers hold a baseline; its records
+must equal the same eager reference, for a sniffer switched back on and
+for one added mid-run alike.
 """
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from repro.core.sniffers import (
     EVENT_RECORD_BYTES,
     REG_ENABLE,
+    CountLoggingSniffer,
     EventLoggingSniffer,
     WindowRecords,
 )
@@ -70,8 +76,8 @@ def test_lazy_records_match_the_eager_deltas():
     closed = []
     collect = bank.collect_window
 
-    def closing():
-        records, payload = collect()
+    def closing(*args, **kwargs):
+        records, payload = collect(*args, **kwargs)
         expected, expected_payload = reference.close()
         assert payload == expected_payload
         # Odd windows are read at once, even ones after the run.
@@ -107,6 +113,58 @@ def test_lazy_records_match_the_eager_deltas():
     assert closed[5][1][toggled.name]["instructions"] > 0
     assert not framework.workload.done
     assert all(expected[f"{shared.name}.evt"] for _, expected in closed)
+
+
+def test_profiled_records_match_the_eager_deltas():
+    framework = PRESETS.get("hetero_biglittle")().build()
+    assert framework.workload.runs_platform is False
+    platform, bank = framework.platform, framework.sniffer_bank
+    # Counters a boot image left behind: the first window reports them,
+    # a sniffer switched on later counts from its switch-on.
+    for core in platform.cores[:2]:
+        core.instructions = core.class_counts["alu"] = 5
+    reference = EagerReference(bank)
+
+    closed = []
+    collect = bank.collect_window
+
+    def closing(*args, **kwargs):
+        records, payload = collect(*args, **kwargs)
+        expected, expected_payload = reference.close()
+        assert payload == expected_payload
+        # Even windows are read at once, odd ones after the run.
+        read_now = len(closed) % 2 == 0
+        closed.append((dict(records) if read_now else records, expected))
+        return records, payload
+
+    bank.collect_window = closing
+    by_name = {s.name: s for s in bank.count_sniffers()}
+    toggled = by_name[f"{platform.cores[1].name}.cnt"]
+    shared = platform.shared_mem
+    added = None
+    while framework.windows < WINDOWS:
+        if framework.windows == 0:
+            toggled.enabled = False
+        if framework.windows == 2:
+            added = bank.add(
+                CountLoggingSniffer(f"{shared.name}.late.cnt", shared), platform.mmio
+            )
+            reference.last[added.name] = {}
+        if framework.windows == 4:
+            toggled.enabled = True
+            reference.resume(toggled)
+        framework.step_window()
+
+    assert len(closed) == WINDOWS
+    for window, (records, expected) in enumerate(closed):
+        assert list(records) == [s.name for s in bank.sniffers][: len(expected)]
+        assert dict(records) == expected, f"window {window}"
+    assert closed[0][1][f"{platform.cores[0].name}.cnt"]["instructions"] == 5
+    assert closed[1][1][f"{platform.cores[0].name}.cnt"]["instructions"] == 0
+    assert closed[3][1][toggled.name] == {}
+    assert closed[4][1][toggled.name]["instructions"] == 0
+    assert closed[2][1][added.name] == {"reads": 0, "writes": 0}
+    assert added.name not in closed[1][1]
 
 
 def test_window_records_are_a_read_only_mapping(platform2):
