@@ -34,15 +34,6 @@ from repro.util.registry import canonical_spec
 from repro.util.units import MHZ, MS
 
 
-def check_trace_stride(stride):
-    """Reject a ``trace_stride`` that is not a positive integer."""
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
-        raise ValueError(
-            f"trace_stride must be a positive integer (1 keeps every "
-            f"sample), got {stride!r}"
-        )
-
-
 #: Knobs written in the registry spec grammar, with their make functions.
 #: ``FrameworkConfig`` builds (and discards) one of each, so a bad spec
 #: fails at config time and not in a worker.  Live objects are refused:
@@ -105,7 +96,12 @@ class FrameworkConfig:
                 )
             make(spec)
             setattr(self, knob, canonical_spec(spec))
-        check_trace_stride(self.trace_stride)
+        stride = self.trace_stride
+        if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
+            raise ValueError(
+                f"trace_stride must be a positive integer (1 keeps every "
+                f"sample), got {stride!r}"
+            )
         if self.sensor_upper_kelvin <= self.sensor_lower_kelvin:
             raise ValueError(
                 f"sensor upper threshold ({self.sensor_upper_kelvin} K) must be "

@@ -241,7 +241,6 @@ class WindowedCalibration:
         active = np.array([c["active_cycles"] for c in cores], dtype=float)
         stall = np.array([c["stall_cycles"] for c in cores], dtype=float)
         busy = active + stall
-        self.busy_total = busy
         self.active_pi = _per_instruction(active, self.instr_total)
         self.busy_pi = np.maximum(
             _per_instruction(busy, self.instr_total), 1e-9

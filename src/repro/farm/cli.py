@@ -89,11 +89,9 @@ def _serve(args):
         import multiprocessing
 
         from repro.farm.worker import worker_main
+        from repro.util.processes import start_method
 
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
+        ctx = multiprocessing.get_context(start_method())
         for i in range(args.workers):
             process = ctx.Process(
                 target=worker_main,

@@ -18,6 +18,7 @@ import time
 from repro.farm.queue import JobQueue
 from repro.farm.worker import DEFAULT_CAPABILITIES, worker_main
 from repro.trace.store import TraceStore
+from repro.util.processes import start_method
 
 
 class LocalFarm:
@@ -31,8 +32,7 @@ class LocalFarm:
 
     def __init__(self, base_dir, workers=4, heartbeat_timeout=10.0,
                  heartbeat_s=0.5, poll_s=0.05,
-                 capabilities=DEFAULT_CAPABILITIES, start_method=None,
-                 store_dir=None):
+                 capabilities=DEFAULT_CAPABILITIES, store_dir=None):
         self.base_dir = pathlib.Path(base_dir)
         self.queue_root = self.base_dir / "queue"
         # store_dir points several farms at one shared (possibly warm)
@@ -50,10 +50,7 @@ class LocalFarm:
             self.queue_root, store=self.store,
             heartbeat_timeout=self.heartbeat_timeout,
         )
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(start_method())
         self._processes = []
 
     # -- submission --------------------------------------------------------

@@ -257,8 +257,3 @@ def decode(word):
         )
     # J format
     return Instruction(spec.mnemonic, rd=(word >> 21) & 0x1F, imm=word & 0x1FFFFF)
-
-
-def assemble_word(mnemonic, rd=0, rs1=0, rs2=0, imm=0):
-    """Convenience constructor + encoder in one call."""
-    return Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2, imm=imm).encode()

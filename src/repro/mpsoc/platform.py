@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.mpsoc.bus import Bus, BusConfig
 from repro.mpsoc.cache import Cache, CacheConfig
-from repro.mpsoc.clock import DOMAIN_MEMCTRL, DOMAIN_SYSTEM, ClockDomain
 from repro.mpsoc.memctrl import AddressRange, MemoryController
 from repro.mpsoc.memory import KIND_PRIVATE, KIND_SHARED, Memory, MemoryConfig
 from repro.mpsoc.noc import Noc, NocConfig
@@ -205,7 +204,7 @@ class _MmioHub:
 
 
 class Platform:
-    """An instantiated MPSoC: cores, hierarchy, interconnect, clocking."""
+    """An instantiated MPSoC: cores, hierarchy, interconnect."""
 
     def __init__(self, config):
         self.config = config
@@ -218,7 +217,6 @@ class Platform:
         self.shared_mem = None
         self.interconnect = None
         self.mmio = _MmioHub(f"{config.name}.mmio")
-        self.clock_domains = {}
         # The cores' translated blocks and their warm-up counts
         # (repro.mpsoc.translate), shared by every run on this platform,
         # the windowed calibration included.
@@ -246,12 +244,6 @@ class Platform:
                 "shared_mem", cfg.noc.switches[0]
             )
             self.interconnect.register_endpoint(self.shared_mem.name, shared_switch)
-
-        system_hz = max(
-            (c.frequency_hz or CORE_SPECS[c.spec].default_hz) for c in cfg.cores
-        )
-        self.clock_domains[DOMAIN_SYSTEM] = ClockDomain(DOMAIN_SYSTEM, system_hz)
-        self.clock_domains[DOMAIN_MEMCTRL] = ClockDomain(DOMAIN_MEMCTRL, system_hz)
 
         for index, core_cfg in enumerate(cfg.cores):
             spec = CORE_SPECS[core_cfg.spec]
@@ -314,13 +306,10 @@ class Platform:
                 )
             )
             core = Processor(
-                core_cfg.name, spec, memctrl, frequency_hz=core_cfg.frequency_hz,
-                code_cache=self.code_cache,
+                core_cfg.name, spec, memctrl, code_cache=self.code_cache
             )
             self.cores.append(core)
             self.memctrls.append(memctrl)
-            self.clock_domains[DOMAIN_SYSTEM].members.append(core_cfg.name)
-            self.clock_domains[DOMAIN_MEMCTRL].members.append(memctrl.name)
 
     # -- program loading -----------------------------------------------------
     def load_program(self, core_index, program):

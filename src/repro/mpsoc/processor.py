@@ -187,12 +187,11 @@ class Processor(Observable):
     which the run loop relies on for its signed comparisons.
     """
 
-    def __init__(self, name, spec, memctrl, frequency_hz=None, code_cache=None):
+    def __init__(self, name, spec, memctrl, code_cache=None):
         super().__init__()
         self.name = name
         self.spec = spec
         self.memctrl = memctrl
-        self.frequency_hz = frequency_hz or spec.default_hz
         self.counters = CounterBlock(name)
         self.regs = [0] * isa.NUM_REGISTERS
         self.pc = 0

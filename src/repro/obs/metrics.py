@@ -404,7 +404,3 @@ class MetricsRegistry:
 
 #: The process-wide default registry library code records into.
 REGISTRY = MetricsRegistry()
-
-
-def default_registry():
-    return REGISTRY

@@ -4,13 +4,13 @@ The Figure 6 experiment compares exactly two operating modes (no
 management vs dual-threshold DFS).  :func:`compare_policies` generalizes
 it into design-space exploration: take one base scenario, substitute N
 policy specs through :func:`repro.scenario.sweep.sweep`, execute the
-variants — by default through
-:meth:`repro.scenario.runner.Runner.run_batched`, since policy variants
-share the base scenario's floorplan/grid and therefore one RC structure
-and one multi-RHS solve per window — and distill each run into a
-:class:`PolicyOutcome` row: peak/final temperature, emulated seconds
-spent above the thermal threshold, work completed, and the throughput
-loss against the batch's unmanaged baseline.
+variants through :meth:`repro.scenario.runner.Runner.run_batched`,
+since policy variants share the base scenario's floorplan/grid and
+therefore one RC structure and one multi-RHS solve per window — and
+distill each run into a :class:`PolicyOutcome` row: peak/final
+temperature, emulated seconds spent above the thermal threshold, work
+completed, and the throughput loss against the batch's unmanaged
+baseline.
 
 The ``policy_comparison`` report artifact
 (:mod:`repro.report.artifacts`) renders these rows into
@@ -176,8 +176,6 @@ def compare_policies(
     base,
     policies,
     threshold_kelvin=None,
-    runner=None,
-    batched=True,
     baseline="none",
 ):
     """Run ``base`` once per policy and distill the closed-loop outcomes.
@@ -187,21 +185,14 @@ def compare_policies(
     ``threshold_kelvin`` defaults to the base config's sensor upper
     threshold.  ``baseline`` names the policy whose throughput anchors
     ``throughput_loss`` (omit it from ``policies`` to skip the
-    normalization).  Failed variants land in ``errors`` rather than
-    aborting the batch.
+    normalization).  The variants co-step through one trace-capturing
+    :meth:`~repro.scenario.runner.Runner.run_batched` call.  Failed
+    variants land in ``errors`` rather than aborting the batch.
     """
     base, scenarios = comparison_scenarios(base, policies)
     if threshold_kelvin is None:
         threshold_kelvin = base.config.sensor_upper_kelvin
-    if runner is None:
-        runner = Runner(capture_trace=True)
-    elif not runner.capture_trace:
-        runner = Runner(
-            workers=runner.workers,
-            capture_trace=True,
-            start_method=runner.start_method,
-        )
-    results = runner.run_batched(scenarios) if batched else runner.run(scenarios)
+    results = Runner(capture_trace=True).run_batched(scenarios)
     return outcomes_from_results(
         results, threshold_kelvin, base=base.name, baseline=baseline
     )

@@ -207,37 +207,19 @@ class Artifact:
     use_trace_store: bool = False
     checks: tuple = ()
 
-    def run(self, runner=None):
+    def run(self):
         """Execute scenarios, extract values, evaluate checks."""
         start = time.perf_counter()
         values, body, check_results, error = {}, "", [], None
         try:
             results = []
             if self.scenarios:
-                if runner is None:
-                    runner = Runner(
-                        capture_trace=self.capture_trace,
-                        trace_store=True if self.use_trace_store else None,
-                    )
-                elif (self.capture_trace and not runner.capture_trace) or (
-                    self.use_trace_store and runner.trace_store is None
-                ):
-                    # The extractor needs traces (or the replay path); a
-                    # caller-supplied runner must not silently drop them.
-                    runner = Runner(
-                        workers=runner.workers,
-                        capture_trace=self.capture_trace or runner.capture_trace,
-                        start_method=runner.start_method,
-                        trace_store=(
-                            True if self.use_trace_store else runner.trace_store
-                        ),
-                        trace_stride=runner.trace_stride,
-                    )
-                batch = list(self.scenarios)
-                if self.batched:
-                    results = runner.run_batched(batch)
-                else:
-                    results = runner.run(batch)
+                runner = Runner(
+                    capture_trace=self.capture_trace,
+                    trace_store=True if self.use_trace_store else None,
+                )
+                run = runner.run_batched if self.batched else runner.run
+                results = run(list(self.scenarios))
                 failed = [r for r in results if not r.ok]
                 if failed:
                     raise RuntimeError(

@@ -46,12 +46,13 @@ import traceback as traceback_module
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.core.framework import RunReport, check_trace_stride, run_windows
+from repro.core.framework import RunReport, run_windows
 from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.scenario.spec import Scenario
 from repro.thermal.floorplan import FLOORPLANS
 from repro.thermal.rc_network import structure_key
+from repro.util.processes import start_method
 
 #: Scenarios-per-batch histogram buckets (counts, not seconds).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -173,10 +174,11 @@ class _Member:
 class _DedupPlan:
     """The store-hit / leader / follower split of one batch.
 
-    Every item is parsed and, with a trace store, digested and looked up
-    once.  A digest already in the store makes a *hit*; the first item of
-    an unseen digest is its *leader* (it emulates and records), later
-    items of that digest are *followers* that replay the leader's
+    A :class:`Scenario` item is used as given (and never mutated), a dict
+    is parsed once, and with a trace store each is digested and looked
+    up once.  A digest already in the store makes a *hit*; the first
+    item of an unseen digest is its *leader* (it emulates and records),
+    later items of that digest are *followers* that replay the leader's
     recording.  Unparseable items, and items whose floorplan does not
     resolve, are *errors*.  Without a store every parsed item leads and
     nothing records.
@@ -203,7 +205,10 @@ class _DedupPlan:
             member = _Member(index, "leader")
             self.members.append(member)
             try:
-                member.scenario = runner._scenario_of(item, name)
+                member.scenario = (
+                    item if isinstance(item, Scenario)
+                    else Scenario.from_dict({**item, "name": name})
+                )
                 if store is not None:
                     member.digest = scenario_trace_digest(member.scenario)
                 member.floorplan = self._floorplan(member.scenario.floorplan)
@@ -263,23 +268,19 @@ class Runner:
     ``workers <= 1`` runs in-process (and then also sees workloads and
     policies registered after import, regardless of start method).
     ``capture_trace=True`` ships each run's :class:`ThermalTrace` back in
-    the result — useful for plotting, costly for very long runs;
-    ``trace_stride=k`` decimates those traces to every k-th sample (the
-    run's peak/final temperatures are tracked independently and stay
-    exact).  ``trace_store`` (a :class:`repro.trace.store.TraceStore`,
-    a directory path, or ``True`` for an in-memory store) turns on
-    record-once/replay-many: see the module docstring.
+    the result — useful for plotting, costly for very long runs (a
+    scenario's ``config.trace_stride`` decimates it).  ``trace_store``
+    (a :class:`repro.trace.store.TraceStore`, a directory path, or
+    ``True`` for an in-memory store) turns on record-once/replay-many:
+    see the module docstring.  Every other knob of a run lives on its
+    scenario, which the runner uses as given.
     """
 
-    def __init__(self, workers=1, capture_trace=False, start_method=None,
-                 trace_store=None, trace_stride=None):
+    def __init__(self, workers=1, capture_trace=False, trace_store=None):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self.capture_trace = capture_trace
-        if trace_stride is not None:
-            check_trace_stride(trace_stride)
-        self.trace_stride = trace_stride
         if trace_store is not None:
             from repro.trace.store import TraceStore
 
@@ -288,30 +289,6 @@ class Runner:
             elif not isinstance(trace_store, TraceStore):
                 trace_store = TraceStore(trace_store)
         self.trace_store = trace_store
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
-
-    # -- scenario normalization ------------------------------------------------
-    def _scenario_of(self, item, name):
-        """One batch item as a :class:`Scenario`, runner overrides applied.
-
-        A ``Scenario`` that no override touches is used as given (and
-        never mutated); anything else is parsed once, here.
-        """
-        if isinstance(item, Scenario):
-            if self.trace_stride is None:
-                return item
-            data = item.to_dict()
-        else:
-            data = dict(item)
-            data["name"] = name
-        if self.trace_stride is not None:
-            config = dict(data.get("config") or {})
-            config["trace_stride"] = self.trace_stride
-            data["config"] = config
-        return Scenario.from_dict(data)
 
     # -- observability ---------------------------------------------------------
     def _observe_batch(self, results, wall_s, kind):
@@ -447,7 +424,7 @@ class Runner:
             if member.archive is not None or not pooled:
                 yield execution.alone(member)
         if pooled:
-            ctx = multiprocessing.get_context(self.start_method)
+            ctx = multiprocessing.get_context(start_method())
             with ctx.Pool(processes=min(self.workers, len(pooled))) as pool:
                 rows = pool.map(
                     _execute, [(m, self.capture_trace) for m in pooled]

@@ -110,20 +110,5 @@ class ExperimentSuite:
     def from_dict(cls, data):
         return cls(name=data["name"], scenarios=list(data.get("scenarios", [])))
 
-    def run(self, runner=None, batched=False):
-        """Execute every scenario; see :class:`repro.scenario.runner.Runner`.
-
-        ``batched=True`` co-steps structure-sharing scenarios through one
-        multi-RHS thermal solve per window
-        (:meth:`repro.scenario.runner.Runner.run_batched`) — the fast
-        path for sweeps that vary workload/policy over one floorplan.
-        """
-        from repro.scenario.runner import Runner
-
-        runner = runner or Runner()
-        if batched:
-            return runner.run_batched(self.scenarios)
-        return runner.run(self.scenarios)
-
     def __len__(self):
         return len(self.scenarios)

@@ -1,1 +1,2 @@
-"""Shared helpers: units, small record/report utilities."""
+"""Shared helpers: units, small record/report utilities, the process
+start method."""

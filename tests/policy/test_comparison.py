@@ -101,12 +101,13 @@ def test_unknown_outcome_raises_keyerror():
 
 
 def test_unbatched_path_matches_batched():
-    serial = compare_policies(
-        _base(windows=30), ["none", "dual_threshold"], batched=False
+    base, scenarios = comparison_scenarios(
+        _base(windows=30), ["none", "dual_threshold"]
     )
-    batched = compare_policies(
-        _base(windows=30), ["none", "dual_threshold"], batched=True
-    )
+    threshold = base.config.sensor_upper_kelvin
+    runner = Runner(capture_trace=True)
+    serial = outcomes_from_results(runner.run(scenarios), threshold)
+    batched = outcomes_from_results(runner.run_batched(scenarios), threshold)
     for a, b in zip(serial.outcomes, batched.outcomes):
         assert a.policy == b.policy
         assert a.peak_temperature_k == pytest.approx(

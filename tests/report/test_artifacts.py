@@ -19,7 +19,6 @@ from repro.report.pipeline import (
     write_report,
 )
 from repro.report.render import markdown_table
-from repro.scenario.runner import Runner
 from repro.util.records import Table
 
 
@@ -119,14 +118,6 @@ def test_default_order_follows_the_paper():
         "table1", "table2", "table3", "fig3", "fig6", "obs_overview",
         "pareto_front", "policy_comparison",
     ]
-
-
-def test_capture_trace_survives_a_caller_supplied_runner():
-    # fig6's extractor needs traces; a runner without capture_trace must
-    # not silently drop them.
-    result = ARTIFACTS.get("fig6")().run(runner=Runner(capture_trace=False))
-    assert result.error is None, result.error
-    assert result.ok
 
 
 def test_table1_artifact_reproduces_paper_numbers():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.framework import FrameworkConfig
+from repro.scenario.runner import Runner
 from repro.scenario.spec import PolicySpec, Scenario, WorkloadSpec
 from repro.scenario.sweep import ExperimentSuite, Variant, sweep
 from repro.util.units import MHZ
@@ -102,8 +103,8 @@ def test_suite_batched_run_matches_plain_run():
         "thresholds", base_scenario(),
         {"config.sensor_upper_kelvin": [360.0, 350.0]},
     )
-    plain = suite.run()
-    batched = suite.run(batched=True)
+    plain = Runner().run(suite.scenarios)
+    batched = Runner().run_batched(suite.scenarios)
     assert [r.name for r in batched] == [r.name for r in plain]
     for p, b in zip(plain, batched):
         assert b.ok, b.error

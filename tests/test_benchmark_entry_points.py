@@ -1,11 +1,15 @@
 """The traced benchmark run patches layer entry points by name
 (``perfbench/spans.py``): every one must still exist where it is looked
-up, and the ``batched_lu`` alias must keep loading as ``CachedLU``."""
+up, the calls its workloads make must still bind, and the
+``batched_lu`` alias must keep loading as ``CachedLU``."""
 
 import importlib.util
+import inspect
 import pathlib
 
+from repro.dse.driver import run_dse
 from repro.scenario.presets import PRESETS
+from repro.scenario.runner import Runner
 from repro.thermal.backends import CachedLU, make_backend
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -25,6 +29,13 @@ def test_every_traced_entry_point_resolves_on_its_owner():
         if attr not in vars(owner)
     ]
     assert points and not missing
+
+
+def test_dse_sweep_calls_still_bind():
+    """``dse_sweep`` subclasses :class:`Runner`, passing ``library`` on
+    to ``run_batched`` by position, and hands ``run_dse`` that runner."""
+    inspect.signature(Runner.run_batched).bind(Runner(), [], None)
+    inspect.signature(run_dse).bind([], runner=Runner())
 
 
 def test_batched_lu_loads_as_cached_lu():

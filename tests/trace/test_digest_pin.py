@@ -4,8 +4,8 @@ Every recording on disk is filed under :func:`scenario_trace_digest`,
 so the digest bytes must not move when the way it is computed changes
 (no deep copies, one canonical JSON pass).  These hex values were
 captured before that rework, for every preset, 20 DSE points, a
-runner's ``trace_stride`` override (open and closed loop), a raw dict
-spelling, and a scenario whose workload params hold non-string dict
+scenario with ``config.trace_stride`` set (open and closed loop), a raw
+dict spelling, and a scenario whose workload params hold non-string dict
 keys — JSON turns those keys into strings *before* sorting them, so
 ``{10: ..., 2: ...}`` sorts as ``"10" < "2"``.
 
@@ -14,6 +14,7 @@ script (``PYTHONPATH=src python tests/trace/test_digest_pin.py``) and
 paste its output over ``PINS``.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -30,10 +31,11 @@ def _dse_points():
 
 
 def _stride_override(policy):
-    """The digest a striding runner files a two-window run under."""
+    """The digest a two-window run with ``trace_stride=4`` is filed under."""
     scenario = space.point_scenario(space.default_points()[0], max_windows=2)
     scenario.policy = scenario.policy.from_dict(policy)
-    runner = Runner(trace_store=True, trace_stride=4)
+    scenario.config = dataclasses.replace(scenario.config, trace_stride=4)
+    runner = Runner(trace_store=True)
     (result,) = runner.run_batched([scenario])
     assert result.ok, result.error
     (digest,) = runner.trace_store.digests()

@@ -1,5 +1,7 @@
 """Runner + trace store: transparent replay, fan-out, grouping, stride."""
 
+import dataclasses
+
 import pytest
 
 from repro.scenario.presets import PRESETS
@@ -183,27 +185,35 @@ def test_serial_and_batched_entry_points_plan_alike(entry):
     assert results[4].report.windows > 0
 
 
+def strided(scenario, stride):
+    """``scenario`` with its trace sampled every ``stride``-th window."""
+    scenario.config = dataclasses.replace(scenario.config, trace_stride=stride)
+    return scenario
+
+
 def test_trace_stride_bounds_captured_samples():
-    scenario = short_scenario(seconds=2.0)
-    full = Runner(capture_trace=True).run([scenario])[0]
-    strided = Runner(capture_trace=True, trace_stride=10).run([scenario])[0]
-    assert len(strided.trace) == -(-len(full.trace) // 10)  # ceil
-    assert strided.report.windows == full.report.windows
+    runner = Runner(capture_trace=True)
+    full = runner.run([short_scenario(seconds=2.0)])[0]
+    strided_run = runner.run([strided(short_scenario(seconds=2.0), 10)])[0]
+    assert len(strided_run.trace) == -(-len(full.trace) // 10)  # ceil
+    assert strided_run.report.windows == full.report.windows
     assert (
-        strided.report.peak_temperature_k == full.report.peak_temperature_k
+        strided_run.report.peak_temperature_k
+        == full.report.peak_temperature_k
     )
     assert (
-        strided.report.final_temperature_k == full.report.final_temperature_k
+        strided_run.report.final_temperature_k
+        == full.report.final_temperature_k
     )
 
 
 def test_trace_stride_validation():
-    with pytest.raises(ValueError, match="trace_stride"):
-        Runner(trace_stride=0)
-    with pytest.raises(ValueError, match="trace_stride"):
-        Runner(trace_stride=True)
     from repro.core.framework import FrameworkConfig
 
+    with pytest.raises(ValueError, match="trace_stride"):
+        FrameworkConfig(trace_stride=0)
+    with pytest.raises(ValueError, match="trace_stride"):
+        FrameworkConfig(trace_stride=True)
     with pytest.raises(ValueError, match="trace_stride"):
         FrameworkConfig(trace_stride=-3)
     with pytest.raises(ValueError, match="trace_stride"):
@@ -240,21 +250,21 @@ def test_batched_grouping_keys_on_structure_content_not_identity():
     assert results[0].wall_seconds == results[1].wall_seconds
 
 
-def test_scenario_digest_unchanged_by_runner_stride_override():
-    """The runner's stride override must not split open-loop digests."""
+def test_open_loop_digest_ignores_config_trace_stride():
+    """Sampling the trace less often must not split open-loop digests,
+    so a strided twin replays its plain twin's recording."""
     scenario = short_scenario()
-    runner = Runner(trace_stride=5, trace_store=TraceStore())
-    strided = runner._scenario_of(scenario, scenario.name)
-    assert strided.config.trace_stride == 5
-    assert scenario.config.trace_stride == 1  # the given scenario is intact
-    assert scenario_trace_digest(strided) == scenario_trace_digest(scenario)
-    assert scenario_trace_digest(strided.to_dict()) == scenario_trace_digest(
+    sparse = strided(short_scenario(), 5)
+    assert scenario_trace_digest(sparse) == scenario_trace_digest(scenario)
+    assert scenario_trace_digest(sparse.to_dict()) == scenario_trace_digest(
         scenario
     )
+    results = Runner(trace_store=TraceStore()).run([scenario, sparse])
+    assert [r.replayed for r in results] == [False, True]
 
 
 def test_run_batched_runs_given_scenarios_without_mutating_them():
-    """Scenarios no override touches run as given and come back unchanged."""
+    """Scenarios run as given and come back unchanged."""
     variants = thermal_sweep(3)
     before = [s.to_dict() for s in variants]
     results = Runner(trace_store=TraceStore(), capture_trace=True).run_batched(
