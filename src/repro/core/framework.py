@@ -29,7 +29,7 @@ from repro.thermal.backends import CachedLU, make_backend
 from repro.thermal.rc_network import network_for
 from repro.thermal.sensors import SensorBank
 from repro.thermal.solver import ThermalSolver
-from repro.util.jsondata import json_copy
+from repro.util.jsondata import check_keys, json_copy
 from repro.util.registry import canonical_spec
 from repro.util.units import MHZ, MS
 
@@ -65,7 +65,6 @@ class FrameworkConfig:
     bram_capacity_bytes: int = 64 * 1024
     initial_temperature_kelvin: float | None = None  # default: ambient
     solver_backend: str | dict = "sparse_be"  # see repro.thermal.backends
-    trace_stride: int = 1  # keep every k-th ThermalTrace sample
     emulation_backend: str | dict = "event_driven"  # see repro.emulation.backends
     tech_node: str | dict | None = None  # see repro.power.models.TECH_NODES
 
@@ -96,12 +95,6 @@ class FrameworkConfig:
                 )
             make(spec)
             setattr(self, knob, canonical_spec(spec))
-        stride = self.trace_stride
-        if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
-            raise ValueError(
-                f"trace_stride must be a positive integer (1 keeps every "
-                f"sample), got {stride!r}"
-            )
         if self.sensor_upper_kelvin <= self.sensor_lower_kelvin:
             raise ValueError(
                 f"sensor upper threshold ({self.sensor_upper_kelvin} K) must be "
@@ -150,7 +143,6 @@ class FrameworkConfig:
             "bram_capacity_bytes": self.bram_capacity_bytes,
             "initial_temperature_kelvin": self.initial_temperature_kelvin,
             "solver_backend": json_copy(self.solver_backend),
-            "trace_stride": self.trace_stride,
             "emulation_backend": json_copy(self.emulation_backend),
             "tech_node": json_copy(self.tech_node),
         }
@@ -158,7 +150,14 @@ class FrameworkConfig:
     @classmethod
     def from_dict(cls, data):
         """Rebuild from a (possibly partial) ``to_dict`` dict; missing keys
-        keep their defaults, lists re-become tuples in ``__post_init__``."""
+        keep their defaults, lists re-become tuples in ``__post_init__``.
+
+        A ``trace_stride`` key is dropped: configs written while the
+        trace could be decimated carry it, and it never shaped a run.
+        """
+        data = dict(data)
+        data.pop("trace_stride", None)
+        check_keys(data, cls.__dataclass_fields__, "config")
         return cls(**data)
 
 
@@ -304,10 +303,10 @@ class ThermalSide:
             else np.array(columns, dtype=np.int64)
         )
         self.trace = ThermalTrace(components=self.network.component_names)
-        self.trace_stride = config.trace_stride
         self.windows = 0  # sampling windows completed so far
-        # Peak/final run independently of the (possibly decimated) trace,
-        # so trace_stride never changes the reported temperatures.
+        # Peak/final kept as windows commit, not read off the trace:
+        # commit() lets a numeric window replace a NaN peak, where
+        # ThermalTrace.peak_temperature()'s max() keeps a leading NaN.
         self.peak_temp_k = float("nan")
         self.final_temp_k = float("nan")
         # Per-phase wall-time accumulators (seconds), filled by
@@ -338,8 +337,7 @@ class ThermalSide:
 
     def commit(self, row):
         """Count one sensed window into the trace, peak and final."""
-        if not (self.windows % self.trace_stride):
-            self.trace.add(*row)
+        self.trace.add(*row)
         hottest = row.max_temp_k
         if not (self.peak_temp_k >= hottest):  # NaN-aware max
             self.peak_temp_k = hottest
@@ -531,8 +529,7 @@ class EmulationFramework(ThermalSide):
         # once and not every window.
         self._runs_platform = getattr(workload, "runs_platform", True)
         # Per-window capture hooks (repro.trace records the dispatcher
-        # boundary through these) — called for *every* window, before
-        # trace_stride decimation.
+        # boundary through these).
         self.captures = []
         # Launch-time policy validation: a policy naming components with
         # no sensor (or needing floorplan defaults) finds out now, not
@@ -629,16 +626,14 @@ class EmulationFramework(ThermalSide):
         row = self.sense(watts, frequency, now)
         self.policy.react(self.sensors, self.vpcm, now)
         for capture in self.captures:
-            capture.on_window(self, watts, frequency, row.time_s, row.temps)
+            capture.on_window(self, watts)
         return self.commit(row)
 
     def attach_capture(self, capture):
         """Register a per-window capture hook (``on_window(framework,
-        watts, frequency, time_s, temps)``, ``watts`` the injected power
-        and ``temps`` the component temperatures, both vectors in
-        ``network.component_names`` order); returns ``capture`` for
-        chaining.  Captures see every window, even ones ``trace_stride``
-        drops."""
+        watts)``, ``watts`` the injected power as a vector in
+        ``network.component_names`` order), called before the window
+        enters ``trace``; returns ``capture`` for chaining."""
         self.captures.append(capture)
         return capture
 

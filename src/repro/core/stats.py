@@ -216,6 +216,15 @@ class ThermalTrace:
         """Per-window total power (W)."""
         return list(self._power)
 
+    def columns(self, start, stop):
+        """Rows ``start:stop`` as float arrays ``(time_s, frequency_hz,
+        temps)``, ``temps`` one row per window in ``components`` order."""
+        return (
+            np.array(self._time[start:stop], dtype=float),
+            np.array(self._frequency[start:stop], dtype=float),
+            self._temps[: len(self)][start:stop].copy(),
+        )
+
     def series(self, component):
         if self.components is None or component not in self.components:
             return [float("nan")] * len(self)

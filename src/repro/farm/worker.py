@@ -48,7 +48,7 @@ class FarmWorker:
     def __init__(self, queue, store=None, worker_id=None,
                  capabilities=DEFAULT_CAPABILITIES, heartbeat_s=1.0,
                  poll_s=0.2, stop_when_idle=False, max_jobs=None,
-                 library=None, log=None):
+                 log=None):
         if store is None:
             # A local JobQueue already knows the farm's shared store.
             store = getattr(queue, "store", None)
@@ -65,7 +65,6 @@ class FarmWorker:
         self.poll_s = float(poll_s)
         self.stop_when_idle = stop_when_idle
         self.max_jobs = max_jobs
-        self.library = library
         self.log = log or (lambda message: None)
         self.jobs_done = 0
         self.report_backoff_s = 0.2

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
+from repro.util.jsondata import check_keys
 
 ARB_FIXED_PRIORITY = "fixed-priority"
 ARB_ROUND_ROBIN = "round-robin"
@@ -81,6 +82,7 @@ class BusConfig:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "bus")
         return cls(**data)
 
     def words_per_beat(self):
@@ -240,17 +242,6 @@ class Bus(Observable):
             "busy_cycles": self.counters.get("busy_cycles"),
             "wait_cycles": self.counters.get(ev.BUS_WAIT),
             "per_master_wait": dict(self.per_master_wait),
-        }
-
-    def flat_stats(self):
-        counts = self.counters.counts
-        return {
-            "transactions": counts.get(ev.BUS_TXN, 0),
-            "words": counts.get("words", 0),
-            "busy_cycles": counts.get("busy_cycles", 0),
-            "wait_cycles": counts.get(ev.BUS_WAIT, 0),
-            **{f"per_master_wait.{master}": wait
-               for master, wait in self.per_master_wait.items()},
         }
 
     def utilization(self, elapsed_cycles):

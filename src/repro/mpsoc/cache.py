@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
+from repro.util.jsondata import check_keys
 
 WRITE_THROUGH = "write-through"
 WRITE_BACK = "write-back"
@@ -58,6 +59,7 @@ class CacheConfig:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "cache")
         return cls(**data)
 
     @property
@@ -208,6 +210,3 @@ class Cache(Observable):
             "writebacks": self.counters.get(ev.CACHE_WRITEBACK),
             "miss_rate": (misses / accesses) if accesses else 0.0,
         }
-
-    def flat_stats(self):
-        return self.stats()  # already flat

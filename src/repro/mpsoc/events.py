@@ -101,10 +101,8 @@ class Observable:
 
     def flat_stats(self):
         """The numeric leaves of ``stats()`` as one fresh flat dict,
-        equal to ``flatten_numeric(self.stats())`` in keys, order and
-        values; what a count-logging sniffer reads once per window.
-        Components whose ``stats()`` nests override it with one literal.
-        """
+        nested keys joined with dots; what a count-logging sniffer reads
+        once per window."""
         return flatten_numeric(self.stats())
 
 

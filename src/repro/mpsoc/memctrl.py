@@ -202,9 +202,6 @@ class MemoryController(Observable):
             "suppressed_real_cycles": self.counters.get("suppressed_real_cycles"),
         }
 
-    def flat_stats(self):
-        return self.stats()  # already flat
-
 
 def _cached_access(cache, backing, addr, is_write, t):
     """An access through an L1 in front of the ``backing`` port; returns

@@ -147,6 +147,3 @@ class Memory(Observable):
             "reads": self.counters.get(ev.MEM_READ),
             "writes": self.counters.get(ev.MEM_WRITE),
         }
-
-    def flat_stats(self):
-        return self.stats()  # already flat

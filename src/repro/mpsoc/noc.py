@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
 from repro.util.codegen import fresh
+from repro.util.jsondata import check_keys
 
 
 @dataclass
@@ -67,6 +68,7 @@ class NocConfig:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "noc")
         data = dict(data)
         data["links"] = [tuple(link) for link in data.get("links", [])]
         return cls(**data)
@@ -254,18 +256,6 @@ class Noc(Observable):
             "ocp_transactions": self.counters.get("ocp_transactions"),
             "switch_flits": dict(self.switch_flits),
             "link_flits": dict(self.link_flits),
-        }
-
-    def flat_stats(self):
-        counts = self.counters.counts
-        return {
-            "packets": counts.get(ev.NOC_PACKET, 0),
-            "flits": counts.get(ev.NOC_FLIT, 0),
-            "ocp_transactions": counts.get("ocp_transactions", 0),
-            **{f"switch_flits.{switch}": flits
-               for switch, flits in self.switch_flits.items()},
-            **{f"link_flits.{link}": flits
-               for link, flits in self.link_flits.items()},
         }
 
 

@@ -22,6 +22,7 @@ from repro.mpsoc.memctrl import AddressRange, MemoryController
 from repro.mpsoc.memory import KIND_PRIVATE, KIND_SHARED, Memory, MemoryConfig
 from repro.mpsoc.noc import Noc, NocConfig
 from repro.mpsoc.processor import CORE_SPECS, Processor
+from repro.util.jsondata import check_keys
 from repro.util.units import KB, MB
 
 # -- memory map --------------------------------------------------------------
@@ -79,6 +80,7 @@ class CoreConfig:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "core")
         return cls(**data)
 
 
@@ -156,6 +158,7 @@ class MPSoCConfig:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "platform")
         data = dict(data)
         data["cores"] = [CoreConfig.from_dict(c) for c in data.get("cores", [])]
         for cache_key in ("icache", "dcache"):

@@ -214,9 +214,6 @@ class Processor(Observable):
         self.idle_cycles = 0
         self.instructions = 0
         self._class_counts = {cls: 0 for cls in isa.INSTRUCTION_CLASSES}
-        # class -> its flat_stats key, each built once (grows with a late
-        # instruction class).
-        self._class_keys = {}
 
     def __del__(self):
         # A namespace and its functions refer to each other; emptying it
@@ -688,24 +685,3 @@ class Processor(Observable):
             # clock) time is not instruction time.
             "cpi": (busy / self.instructions) if self.instructions else 0.0,
         }
-
-    def flat_stats(self):
-        active, stall, instructions = (self.active_cycles, self.stall_cycles,
-                                       self.instructions)
-        total = active + stall + self.idle_cycles
-        flat = {
-            "instructions": instructions,
-            "cycles": self.cycle,
-            "active_cycles": active,
-            "stall_cycles": stall,
-            "idle_cycles": self.idle_cycles,
-            "activity": (active / total) if total else 0.0,
-        }
-        keys = self._class_keys
-        for cls, count in self.class_counts.items():
-            key = keys.get(cls)
-            if key is None:
-                key = keys[cls] = f"class_counts.{cls}"
-            flat[key] = count
-        flat["cpi"] = ((active + stall) / instructions) if instructions else 0.0
-        return flat

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.power.library import DEFAULT_LIBRARY
+from repro.util.jsondata import check_keys
 from repro.util.registry import Registry
 from repro.util.units import MHZ
 
@@ -62,6 +63,7 @@ class OperatingPoint:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "operating point")
         return cls(**data)
 
 
@@ -133,6 +135,7 @@ class TechNode:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "tech node")
         return cls(**data)
 
 

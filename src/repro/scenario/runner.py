@@ -268,8 +268,8 @@ class Runner:
     ``workers <= 1`` runs in-process (and then also sees workloads and
     policies registered after import, regardless of start method).
     ``capture_trace=True`` ships each run's :class:`ThermalTrace` back in
-    the result — useful for plotting, costly for very long runs (a
-    scenario's ``config.trace_stride`` decimates it).  ``trace_store``
+    the result (one row per window) — useful for plotting, costly for
+    very long runs.  ``trace_store``
     (a :class:`repro.trace.store.TraceStore`, a directory path, or
     ``True`` for an in-memory store) turns on record-once/replay-many:
     see the module docstring.  Every other knob of a run lives on its

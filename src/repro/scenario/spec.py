@@ -19,7 +19,7 @@ from repro.mpsoc.platform import MPSoCConfig, build_platform
 from repro.policy.base import POLICIES
 from repro.scenario.registry import WORKLOADS
 from repro.thermal.floorplan import FLOORPLANS
-from repro.util.jsondata import json_copy
+from repro.util.jsondata import check_keys, json_copy
 from repro.util.registry import canonical_spec
 
 
@@ -120,13 +120,7 @@ class Scenario:
         """Build a scenario from a (possibly abbreviated) dict: the
         workload/policy may be bare registry-name strings, and missing
         sections keep their defaults."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown scenario keys: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})"
-            )
+        check_keys(data, cls.__dataclass_fields__, "scenario")
         for required in ("name", "workload"):
             if required not in data:
                 raise ValueError(f"a scenario needs a {required!r} entry")

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.scenario.spec import Scenario
+from repro.util.jsondata import check_keys
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,9 @@ class ExperimentSuite:
 
     @classmethod
     def from_dict(cls, data):
+        check_keys(data, cls.__dataclass_fields__, "suite")
+        if "name" not in data:
+            raise ValueError("a suite needs a 'name' entry")
         return cls(name=data["name"], scenarios=list(data.get("scenarios", [])))
 
     def __len__(self):

@@ -2,13 +2,14 @@
 
 :class:`PowerTraceCapture` attaches to an
 :class:`~repro.core.framework.EmulationFramework` (via
-``framework.attach_capture``) and records, for **every** sampling
-window — before any ``trace_stride`` decimation — the full
-per-component power vector at the Ethernet-dispatcher boundary, the
-window's virtual frequency, its emulated end time and the component
-temperatures the thermal tool computed.  :func:`record` is the
-one-call front-end: build a scenario's framework, capture its run and
-return the finished :class:`~repro.trace.format.TraceArchive`.
+``framework.attach_capture``) and records, for every sampling window,
+the full per-component power vector at the Ethernet-dispatcher
+boundary.  The window's virtual frequency, emulated end time and
+component temperatures are already in the framework's
+:class:`~repro.core.stats.ThermalTrace`; the archive takes them from
+there.  :func:`record` is the one-call front-end: build a scenario's
+framework, capture its run and return the finished
+:class:`~repro.trace.format.TraceArchive`.
 
 The recorded power vector is the one
 :meth:`~repro.thermal.rc_network.RCNetwork.set_power` injected (same
@@ -39,45 +40,37 @@ def _json_safe(value):
 
 
 class PowerTraceCapture:
-    """Accumulates one run's boundary stream, window by window."""
+    """Accumulates one run's injected power, window by window."""
 
     def __init__(self):
         self.component_names = None
-        # Power and temperature rows in matrices that double when full
-        # (as the trace's), so each window is held once.
-        self._power = self._temps = None
-        self._frequencies = []
-        self._times = []
-
-    @property
-    def windows(self):
-        return len(self._frequencies)
+        # Power rows in a matrix that doubles when full (as the trace's).
+        self._power = None
+        self.windows = 0
+        self._first = None  # the framework trace row of the first window
 
     # -- the framework hook ------------------------------------------------
-    def on_window(self, framework, watts, frequency, time_s, temps):
-        """Record one window (called from ``_window_commit``).
+    def on_window(self, framework, watts):
+        """Record one window (called from ``_window_commit``, before the
+        window enters ``framework.trace``).
 
-        ``watts`` is the vector the window injected and ``temps`` the
-        component temperatures the thermal tool computed, both in
-        network component order (a hand-fed ``{component: watts}`` map
-        goes through the network's own conversion).
+        ``watts`` is the vector the window injected, in network
+        component order (a hand-fed ``{component: watts}`` map goes
+        through the network's own conversion).
         """
         if self.component_names is None:
             self._start(framework)
         if isinstance(watts, Mapping):
             watts = framework.network.watts_vector(watts)
-        row = self.windows
-        self._power = put_row(self._power, row, watts)
-        self._temps = put_row(self._temps, row, temps)
-        self._frequencies.append(float(frequency))
-        self._times.append(float(time_s))
+        self._power = put_row(self._power, self.windows, watts)
+        self.windows += 1
 
     def _start(self, framework):
-        """Take the component order (and the matrices' width) from the
-        framework's network."""
+        """Take the component order (and the matrix's width) from the
+        framework's network, and the first window's trace row."""
         self.component_names = tuple(framework.network.component_names)
         self._power = np.empty((0, len(self.component_names)))
-        self._temps = np.empty((0, len(self.component_names)))
+        self._first = len(framework.trace)
 
     # -- archive assembly --------------------------------------------------
     def to_archive(self, framework, scenario=None, report=None,
@@ -96,6 +89,9 @@ class PowerTraceCapture:
             # the archive still validates (and says "0 windows").
             self._start(framework)
         count = self.windows
+        time_s, frequency_hz, temps = framework.trace.columns(
+            self._first, self._first + count
+        )
         scenario_dict = None
         if scenario is not None:
             scenario_dict = (
@@ -122,9 +118,9 @@ class PowerTraceCapture:
         }
         archive = TraceArchive(
             power_w=self._power[:count].copy(),
-            frequency_hz=np.array(self._frequencies),
-            time_s=np.array(self._times),
-            component_temps_k=self._temps[:count].copy(),
+            frequency_hz=frequency_hz,
+            time_s=time_s,
+            component_temps_k=temps,
             metadata=metadata,
         )
         if scenario_digest is None:

@@ -10,8 +10,8 @@ at the dispatcher boundary:
 * cosmetic fields (``name``, ``description``) never count;
 * the **thermal-side knobs** (``grid_mode``, ``refine_critical``,
   ``die_resolution``, ``spreader_resolution``, ``solver_backend``,
-  ``initial_temperature_kelvin``, ``trace_stride``) are excluded when
-  the policy is ``none`` — an unmanaged run's boundary stream does not
+  ``initial_temperature_kelvin``) are excluded when the policy is
+  ``none`` — an unmanaged run's boundary stream does not
   depend on how the SW side discretizes or solves the die, so one
   recording serves every thermal variant (the Figure 3 / Table 2
   sweeps).  A *reactive* policy closes the loop (temperature feeds back
@@ -79,9 +79,11 @@ DIGEST_EXEMPT = {
     "refine_critical": "thermal grid refinement; never reaches the HW side",
     "die_resolution": "thermal mesh density; boundary stream unchanged",
     "spreader_resolution": "thermal mesh density; boundary stream unchanged",
-    "solver_backend": "solver choice is bit-equivalent by the PR 5 tests",
+    "solver_backend": (
+        "backends differ in temperature (cached_lu freezes conductivity "
+        "within 1 K), but an open loop's boundary stream reads none"
+    ),
     "initial_temperature_kelvin": "thermal state only; open-loop HW ignores it",
-    "trace_stride": "reporting decimation; emulated behaviour unchanged",
 }
 
 #: Exempt fields in declaration order (dropped from open-loop digests).

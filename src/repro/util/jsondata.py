@@ -3,13 +3,15 @@
 :func:`json_copy` is the copy ``to_dict``/``from_dict`` hand out: equal
 to ``copy.deepcopy`` without its memo bookkeeping.  :func:`json_canonical`
 is what ``json.loads(json.dumps(value))`` would return, built in one
-walk: the scenario digest hashes it.
+walk: the scenario digest hashes it.  :func:`check_keys` is the one
+unknown-key check every ``from_dict`` a scenario file reaches makes.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 #: Immutable leaf types a copy can share, and JSON reads back as written.
@@ -81,3 +83,22 @@ def json_canonical(value: Any) -> Any:
         return [item if type(item) in _ATOMS else json_canonical(item)
                 for item in value]
     return value
+
+
+def check_keys(data: object, known: Iterable[str], what: str) -> None:
+    """Refuse ``data`` unless it is a dict whose keys are all in ``known``.
+
+    The ``ValueError`` names the unknown keys and the known ones, so a
+    misspelled knob in a scenario file is reported as such instead of
+    failing later as a ``TypeError`` from ``cls(**data)``.  ``what``
+    names the section (``"config"``, ``"platform"``, ...).
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a {what} must be a dict, got {type(data).__name__}")
+    names = frozenset(known)
+    unknown = sorted(str(key) for key in data if key not in names)
+    if unknown:
+        raise ValueError(
+            f"unknown {what} keys: {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(names))})"
+        )

@@ -11,12 +11,13 @@ asserted with a count of ``flat_stats()`` reads instead of a clock:
   close, and never while :meth:`EventDrivenEngine.run_window` runs;
 * on a profiled design (``hetero_biglittle``), whose cores never
   execute, only the first window reads, plus the one fresh baseline a
-  sniffer switched back on takes.
+  sniffer switched back on takes.  A DSE point is such a design too.
 """
 
 import pytest
 
 from repro.core.sniffers import CountLoggingSniffer
+from repro.dse.space import default_points, point_scenario
 from repro.emulation.engine import EventDrivenEngine
 from repro.scenario.presets import PRESETS
 
@@ -108,3 +109,12 @@ def test_a_profiled_design_is_read_once(monkeypatch, extra_sniffers):
         framework.step_window()
         reads.append(counter.reads - before)
     assert reads == [len(bank.count_sniffers()), 0, 0, 0, 0, 1, 0, 0, 0, 0]
+
+
+def test_a_dse_point_never_steps_its_platform():
+    point = next(p for p in default_points() if p.big and p.little)
+    framework, _ = point_scenario(point, max_windows=4).run()
+    assert framework.windows == 4
+    assert framework.workload.runs_platform is False
+    cores = framework.platform.cores
+    assert cores and all(core.stats()["cycles"] == 0 for core in cores)

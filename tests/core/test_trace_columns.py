@@ -1,7 +1,7 @@
 """The columnar ThermalTrace against the list-of-samples trace it replaced.
 
 ``SampleListTrace`` below is the former ``ThermalTrace`` kept test-side
-only: one ``TraceSample`` (with its per-component dict) per kept window.
+only: one ``TraceSample`` (with its per-component dict) per window.
 A live run fills it from the rows ``step_window()`` returns, the way the
 old window commit built its samples, and every reader of the columnar
 trace must give the same bytes or values.
@@ -81,22 +81,20 @@ def run_with_oracle(scenario, windows):
     framework = scenario.build()
     oracle = SampleListTrace()
     names = framework.network.component_names
-    stride = framework.trace_stride
-    for index in range(windows):
+    for _ in range(windows):
         row = framework.step_window()
-        if index % stride == 0:
-            oracle.samples.append(TraceSample(
-                time_s=row.time_s,
-                frequency_hz=row.frequency_hz,
-                total_power_w=row.total_power_w,
-                max_temp_k=row.max_temp_k,
-                component_temps=dict(zip(names, row.temps.tolist())),
-                events=row.events,
-            ))
+        oracle.samples.append(TraceSample(
+            time_s=row.time_s,
+            frequency_hz=row.frequency_hz,
+            total_power_w=row.total_power_w,
+            max_temp_k=row.max_temp_k,
+            component_temps=dict(zip(names, row.temps.tolist())),
+            events=row.events,
+        ))
     return framework, oracle
 
 
-def dfs_scenario(stride=1):
+def dfs_scenario():
     """matrix_tm_dfs with a DFS band low enough to cross within tens of
     windows, so some windows carry sensor events."""
     scenario = PRESETS.get("matrix_tm_dfs")()
@@ -104,7 +102,6 @@ def dfs_scenario(stride=1):
     scenario.config.sensor_upper_kelvin = 301.0
     scenario.config.sensor_lower_kelvin = 300.8
     scenario.config.spreader_resolution = (2, 2)
-    scenario.config.trace_stride = stride
     return scenario
 
 
@@ -133,11 +130,10 @@ def assert_same_readers(trace, oracle):
     assert trace.max_temps() == [s.max_temp_k for s in oracle.samples]
 
 
-@pytest.mark.parametrize("stride", [1, 3])
-def test_live_trace_matches_the_sample_list(stride):
-    framework, oracle = run_with_oracle(dfs_scenario(stride), 150)
+def test_live_trace_matches_the_sample_list():
+    framework, oracle = run_with_oracle(dfs_scenario(), 150)
     trace = framework.trace
-    assert len(trace) == (150 + stride - 1) // stride
+    assert len(trace) == 150
     events = [k for k, s in enumerate(oracle.samples) if s.events]
     assert 1 <= len(events) < len(oracle) // 2  # a few windows only
     assert len({s.frequency_hz for s in oracle.samples}) == 2

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
+from repro.power.models import make_tech_node
 from repro.scenario.presets import PRESETS
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -94,3 +95,57 @@ def test_failing_scenario_sets_exit_code(tmp_path, capsys):
 
 def test_no_spec_prints_usage(capsys):
     assert main([]) == 2
+
+
+def _spec_with_every_section():
+    """``dithering_noc`` with a bus and a full tech-node dict added, so a
+    scenario file reaches every section a key can be misspelled in."""
+    scenario = PRESETS.get("dithering_noc")().to_dict()
+    scenario["platform"]["bus"] = {"name": "bus"}
+    scenario["config"]["tech_node"] = make_tech_node("65nm").to_dict()
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "section, what",
+    [
+        ((), "scenario"),
+        (("config",), "config"),
+        (("config", "tech_node"), "tech node"),
+        (("config", "tech_node", "points", 0), "operating point"),
+        (("platform",), "platform"),
+        (("platform", "cores", 0), "core"),
+        (("platform", "icache"), "cache"),
+        (("platform", "dcache"), "cache"),
+        (("platform", "bus"), "bus"),
+        (("platform", "noc"), "noc"),
+    ],
+    ids=lambda value: ".".join(map(str, value)) if isinstance(value, tuple) else value,
+)
+def test_an_unknown_key_in_any_section_exits_2(tmp_path, capsys, section, what):
+    scenario = _spec_with_every_section()
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(scenario))
+    assert main([str(spec), "--dump"]) == 0
+    capsys.readouterr()
+    target = scenario
+    for key in section:
+        target = target[key]
+    target["bogus_knob"] = 1
+    spec.write_text(json.dumps(scenario))
+    assert main([str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: unknown {what} keys: bogus_knob (")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite, message", [
+    ({"name": "suite", "bogus_knob": 1}, "unknown suite keys: bogus_knob ("),
+    ({}, "a suite needs a 'name' entry"),
+])
+def test_a_bad_suite_exits_2(tmp_path, capsys, suite, message):
+    scenario = PRESETS.get("matrix_quickstart")().to_dict()
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps(dict(suite, scenarios=[scenario])))
+    assert main([str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")

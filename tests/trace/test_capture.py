@@ -33,12 +33,20 @@ def test_archive_metadata_carries_provenance(stress_scenario):
     assert meta["floorplan"] == framework.floorplan.name
 
 
-def test_capture_sees_every_window_under_stride():
-    scenario = short_scenario()
-    scenario.config.trace_stride = 7
-    framework, report, archive = record(scenario)
-    assert archive.windows == report.windows  # not decimated
-    assert len(framework.trace) < report.windows  # the trace is
+def test_a_capture_attached_after_window_k_archives_from_k(stress_scenario):
+    framework = stress_scenario.build()
+    whole = framework.attach_capture(PowerTraceCapture())
+    for _ in range(3):
+        framework.step_window()
+    late = framework.attach_capture(PowerTraceCapture())
+    for _ in range(5):
+        framework.step_window()
+    full, tail = whole.to_archive(framework), late.to_archive(framework)
+    assert (full.windows, tail.windows) == (8, 5)
+    for column in ("power_w", "frequency_hz", "time_s", "component_temps_k"):
+        np.testing.assert_array_equal(
+            getattr(tail, column), getattr(full, column)[3:]
+        )
 
 
 def test_recorded_times_and_frequencies_match_trace(stress_scenario):
@@ -60,10 +68,9 @@ def test_recorded_temps_match_trace_samples(stress_scenario):
 def test_capture_on_unknown_component_fails_loudly(stress_scenario):
     framework = stress_scenario.build()
     capture = framework.attach_capture(PowerTraceCapture())
-    row = framework.step_window()
+    framework.step_window()
     with pytest.raises(KeyError, match="no floorplan component"):
-        capture.on_window(framework, {"bogus": 1.0}, 1e8, row.time_s,
-                          row.temps)
+        capture.on_window(framework, {"bogus": 1.0})
 
 
 def test_zero_window_recording_saves_strict_json(tmp_path):

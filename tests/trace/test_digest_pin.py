@@ -3,43 +3,31 @@
 Every recording on disk is filed under :func:`scenario_trace_digest`,
 so the digest bytes must not move when the way it is computed changes
 (no deep copies, one canonical JSON pass).  These hex values were
-captured before that rework, for every preset, 20 DSE points, a
-scenario with ``config.trace_stride`` set (open and closed loop), a raw
+captured before that rework, for every preset, 20 DSE points, a raw
 dict spelling, and a scenario whose workload params hold non-string dict
 keys — JSON turns those keys into strings *before* sorting them, so
-``{10: ..., 2: ...}`` sorts as ``"10" < "2"``.
+``{10: ..., 2: ...}`` sorts as ``"10" < "2"``.  The two closed-loop
+presets (``matrix_tm_cached``, ``matrix_tm_dfs``) were re-captured when
+``config.trace_stride`` was retired: a closed loop digests its whole
+config, which lost that key.
 
 To re-capture after a deliberate digest change, run this module as a
 script (``PYTHONPATH=src python tests/trace/test_digest_pin.py``) and
 paste its output over ``PINS``.
 """
 
-import dataclasses
 import random
 
 import pytest
 
 from repro.dse import space
 from repro.scenario.presets import PRESETS
-from repro.scenario.runner import Runner
 from repro.trace.store import scenario_trace_digest
 
 
 def _dse_points():
     points = space.default_points()
     return random.Random(7).sample(points, 20)
-
-
-def _stride_override(policy):
-    """The digest a two-window run with ``trace_stride=4`` is filed under."""
-    scenario = space.point_scenario(space.default_points()[0], max_windows=2)
-    scenario.policy = scenario.policy.from_dict(policy)
-    scenario.config = dataclasses.replace(scenario.config, trace_stride=4)
-    runner = Runner(trace_store=True)
-    (result,) = runner.run_batched([scenario])
-    assert result.ok, result.error
-    (digest,) = runner.trace_store.digests()
-    return digest
 
 
 def _odd_keys():
@@ -69,8 +57,6 @@ def measure():
         digests[f"dse:{point.label}"] = scenario_trace_digest(
             space.point_scenario(point)
         )
-    digests["stride:none"] = _stride_override("none")
-    digests["stride:dual_threshold"] = _stride_override("dual_threshold")
     digests["raw_dict"] = scenario_trace_digest(_raw_dict())
     digests["odd_keys"] = scenario_trace_digest(_odd_keys())
     return digests
@@ -80,8 +66,8 @@ PINS = {
     'preset:dithering_noc': '1dd03d988188e7bd9d3ba80dd391c870f497e0937a6c047566333d166b283cc4',
     'preset:hetero_biglittle': '14a973da87157c20335af2d70ca0c1a63d1f050ebc7e1bf653fafcb14fb1d52a',
     'preset:matrix_quickstart': '9a97399429627be90e444304e71312ba16039c02c1815a0db5b541a9a57ee23d',
-    'preset:matrix_tm_cached': 'c22abed0398274fe2d470d41e7f6680ca653b6bd1a6e12bbc2444d483cb27af0',
-    'preset:matrix_tm_dfs': 'a68d153a7daca5a4ebec5ddb9d7d6432c40876abac2e792d22f882857a6bf8f2',
+    'preset:matrix_tm_cached': '7bac0963faa474ec8f3743d03a99fa0a551a80dfb171f6f9ff95bad94cde91b3',
+    'preset:matrix_tm_dfs': 'b7713622415c61662d05bfe40651bec13425715d3fc55df22807ffbd0e423ce0',
     'preset:matrix_tm_unmanaged': 'c0cd49d6e04bd80e005d0d85aa1166753cb16d3ebadba66828358282f95b34aa',
     'dse:dse_2b1l_65nm_300MHz_g3x3': '321d8a1711f15987f8c6b4d5ad3e959e2b638c00a9f542fb221d9f2c99f809bb',
     'dse:dse_4b5l_130nm_200MHz_g2x2': 'ea0f294c317174d44c63e6b76ce59e9694672d75ea4c1858bc383d3f254a023e',
@@ -103,8 +89,6 @@ PINS = {
     'dse:dse_1b2l_130nm_200MHz_g2x2': 'c04a4217bd469245265e76e7d69d5f8cbace86b7da4b0bcf7380be10606e126a',
     'dse:dse_2b4l_90nm_400MHz_g2x2': 'ab6bde7fac5c200f7810ab3df3eef20822a410c17fb9f32bd3bc637e493a7b59',
     'dse:dse_2b4l_130nm_300MHz_g2x2': '134a38773189c566768999d6e748cd141de4447f45ebaea8fe0ab4cfe8b70118',
-    'stride:none': '05e1baf1ac288f89c8aea6d051e3dfe7772919c12fcde748af6f5ec7bf9d97bf',
-    'stride:dual_threshold': '3c95ae1779efe88b059677532063cf0c9b4b293b4b63c2dffa6688372afc5c47',
     'raw_dict': 'e7cbb599b5af3900f3959cb127e5e3a396eb4b0ff76eb576b3d9f3ce928d806f',
     'odd_keys': 'bb339aba247a2eabee0ea6793f96e8421dd9e764777893b62a057bde1bc0abb6',
 }

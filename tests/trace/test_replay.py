@@ -46,6 +46,19 @@ def test_replay_reproduces_live_digest_exactly(preset, backend):
         assert live.events == rep.events
 
 
+@pytest.mark.parametrize("stride", [1, 4])
+def test_replay_of_an_archive_whose_config_carries_trace_stride(stride):
+    """Archives recorded while the trace could be decimated keep
+    ``trace_stride`` in their config; a plain replay drops it and
+    reproduces the closed loop."""
+    framework, live_report, archive = record(short_scenario("matrix_tm_dfs"))
+    archive.metadata["config"]["trace_stride"] = stride
+    player, report = replay(archive)
+    assert player.trace.digest() == framework.trace.digest()
+    assert report.peak_temperature_k == live_report.peak_temperature_k
+    assert report.extras["replay"]["overrides"] == {}
+
+
 def test_replay_report_carries_recorded_emulation_facts(stress_scenario):
     _, live_report, archive = record(stress_scenario)
     _, report = replay(archive)

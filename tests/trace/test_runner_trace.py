@@ -1,7 +1,5 @@
 """Runner + trace store: transparent replay, fan-out, grouping, stride."""
 
-import dataclasses
-
 import pytest
 
 from repro.scenario.presets import PRESETS
@@ -9,7 +7,7 @@ from repro.scenario.runner import Runner
 from repro.scenario.spec import Scenario
 from repro.scenario.sweep import Variant, sweep
 from repro.trace.capture import record
-from repro.trace.store import TraceStore, scenario_trace_digest
+from repro.trace.store import TraceStore
 from tests.trace.conftest import short_scenario
 
 
@@ -185,48 +183,6 @@ def test_serial_and_batched_entry_points_plan_alike(entry):
     assert results[4].report.windows > 0
 
 
-def strided(scenario, stride):
-    """``scenario`` with its trace sampled every ``stride``-th window."""
-    scenario.config = dataclasses.replace(scenario.config, trace_stride=stride)
-    return scenario
-
-
-def test_trace_stride_bounds_captured_samples():
-    runner = Runner(capture_trace=True)
-    full = runner.run([short_scenario(seconds=2.0)])[0]
-    strided_run = runner.run([strided(short_scenario(seconds=2.0), 10)])[0]
-    assert len(strided_run.trace) == -(-len(full.trace) // 10)  # ceil
-    assert strided_run.report.windows == full.report.windows
-    assert (
-        strided_run.report.peak_temperature_k
-        == full.report.peak_temperature_k
-    )
-    assert (
-        strided_run.report.final_temperature_k
-        == full.report.final_temperature_k
-    )
-
-
-def test_trace_stride_validation():
-    from repro.core.framework import FrameworkConfig
-
-    with pytest.raises(ValueError, match="trace_stride"):
-        FrameworkConfig(trace_stride=0)
-    with pytest.raises(ValueError, match="trace_stride"):
-        FrameworkConfig(trace_stride=True)
-    with pytest.raises(ValueError, match="trace_stride"):
-        FrameworkConfig(trace_stride=-3)
-    with pytest.raises(ValueError, match="trace_stride"):
-        FrameworkConfig(trace_stride=1.5)
-
-
-def test_trace_stride_roundtrips_through_config():
-    from repro.core.framework import FrameworkConfig
-
-    config = FrameworkConfig(trace_stride=25)
-    assert FrameworkConfig.from_dict(config.to_dict()).trace_stride == 25
-
-
 # -- the structure-content group key (regression) ---------------------------
 
 
@@ -248,19 +204,6 @@ def test_batched_grouping_keys_on_structure_content_not_identity():
     clear_assembly_cache()
     results = Runner().run_batched(builds)
     assert results[0].wall_seconds == results[1].wall_seconds
-
-
-def test_open_loop_digest_ignores_config_trace_stride():
-    """Sampling the trace less often must not split open-loop digests,
-    so a strided twin replays its plain twin's recording."""
-    scenario = short_scenario()
-    sparse = strided(short_scenario(), 5)
-    assert scenario_trace_digest(sparse) == scenario_trace_digest(scenario)
-    assert scenario_trace_digest(sparse.to_dict()) == scenario_trace_digest(
-        scenario
-    )
-    results = Runner(trace_store=TraceStore()).run([scenario, sparse])
-    assert [r.replayed for r in results] == [False, True]
 
 
 def test_run_batched_runs_given_scenarios_without_mutating_them():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scenario.presets import PRESETS
+from repro.scenario.spec import Scenario
 from repro.trace.capture import record
 from repro.trace.store import (
     TraceStore,
@@ -11,7 +12,9 @@ from repro.trace.store import (
     is_open_loop,
     scenario_trace_digest,
 )
+from repro.util.jsondata import json_copy
 from tests.trace.conftest import short_scenario
+from tests.trace.test_digest_pin import PINS
 
 
 # -- digest semantics --------------------------------------------------------
@@ -32,9 +35,21 @@ def test_open_loop_digest_ignores_thermal_side_knobs():
     b.config.spreader_resolution = (5, 5)
     b.config.solver_backend = "cached_lu"
     b.config.initial_temperature_kelvin = 310.0
-    b.config.trace_stride = 4
     assert is_open_loop(b)
     assert scenario_trace_digest(a) == scenario_trace_digest(b)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("preset", ["matrix_tm_unmanaged", "matrix_tm_dfs"])
+def test_a_dump_with_trace_stride_loads_as_the_dump_without(preset, stride):
+    """Dumps, job records and archive configs written while the trace
+    could be decimated carry ``config.trace_stride``; loading drops the
+    key, so they are the same scenario, open loop or closed."""
+    plain = short_scenario(preset).to_dict()
+    old = json_copy(plain)
+    old["config"]["trace_stride"] = stride
+    assert Scenario.from_dict(old).to_dict() == plain
+    assert scenario_trace_digest(old) == scenario_trace_digest(plain)
 
 
 def test_open_loop_digest_tracks_emulation_side_knobs():
@@ -77,9 +92,7 @@ def test_platformless_digest_ignores_the_unused_emulation_backend():
         assert scenario.platform is None
         scenario.config.emulation_backend = backend
         digests.add(scenario_trace_digest(scenario))
-    assert digests == {
-        "c22abed0398274fe2d470d41e7f6680ca653b6bd1a6e12bbc2444d483cb27af0"
-    }
+    assert digests == {PINS["preset:matrix_tm_cached"]}
 
 
 @pytest.mark.parametrize("section,knob,name", [
@@ -110,8 +123,6 @@ def test_digest_normalizes_abbreviated_dicts():
     defaults, bare policy names) must hash like its normalized
     Scenario.to_dict() form, or store lookups miss every recording
     made through record()."""
-    from repro.scenario.spec import Scenario
-
     raw = {
         "name": "abbr",
         "floorplan": "4xarm11",
