@@ -31,7 +31,7 @@ instruction), clipped to its remaining calibrated instruction budget, and
 the per-instruction rates are bulk-applied to the *real* platform
 counters.  The sniffers, ``Platform.stats()`` deltas and
 ``PowerModel.activity_from_stats`` therefore see the same observables a
-real run produces — ``_window_power()`` is untouched.
+real run produces — the framework's window is untouched.
 
 *Contention.*  Shared-resource waiting is corrected with a closed-form
 M/M/1-style model: the measured per-instruction bus wait ``w_c``

@@ -342,6 +342,39 @@ class PowerModel:
         }
 
     # -- power mapping -------------------------------------------------------------
+    def clock_rows(self, frequency_hz=None, core_frequencies=None):
+        """One DFS level's clock rows: ``(ratio, scale)``, vectors in
+        ``component_names`` order.
+
+        ``ratio`` is each component's effective clock over its library
+        reference clock, ``scale`` its ``(V(f) / V_nominal)^2`` factor
+        (``None`` without a tech node).  ``frequency_hz`` and
+        ``core_frequencies`` are read as :meth:`component_power` reads
+        them.  A run builds the rows once per DFS level and hands them
+        to :meth:`power` every window.
+        """
+        f = self._ref_hz if frequency_hz is None else float(frequency_hz)
+        if core_frequencies:
+            clocks = (self._ref_hz.tolist() if frequency_hz is None
+                      else [f] * len(self._ref_hz))
+            for k, core in self._core_slots:
+                if core in core_frequencies:
+                    clocks[k] = core_frequencies[core]
+            f = np.array(clocks, dtype=float)
+        ratio = f / self._ref_hz
+        node = self.tech_node
+        if node is None:
+            return ratio, None
+        # One V(f)^2 factor per distinct clock.  Scaling a zero power
+        # leaves it zero, and a clock <= 0 yields no power to scale, so
+        # this matches scaling only the components that draw power.
+        clocks = f.tolist() if isinstance(f, np.ndarray) else [f] * len(ratio)
+        scales = {
+            hz: node.voltage_scale(hz) if hz > 0.0 else 1.0
+            for hz in dict.fromkeys(clocks)
+        }
+        return ratio, np.array([scales[hz] for hz in clocks])
+
     def component_power(self, activity, frequency_hz=None, core_frequencies=None):
         """Per-component watts as a vector in ``component_names`` order.
 
@@ -361,33 +394,30 @@ class PowerModel:
                 f"out for {self.floorplan.name} ({len(self.sources)} sources "
                 f"and a passive slot)"
             )
-        util = activity[self._slots]
-        if not (0.0 <= np.minimum.reduce(util)
-                and np.maximum.reduce(util) <= 1.0 + 1e-9):
-            self._reject(util)
-        f = self._ref_hz if frequency_hz is None else float(frequency_hz)
-        if core_frequencies:
-            clocks = (self._ref_hz.tolist() if frequency_hz is None
-                      else [f] * len(self._ref_hz))
-            for k, core in self._core_slots:
-                if core in core_frequencies:
-                    clocks[k] = core_frequencies[core]
-            f = np.array(clocks, dtype=float)
-        power = self._max_power * util * (f / self._ref_hz)
-        node = self.tech_node
-        if node is not None:
-            # One V(f)^2 factor per distinct clock.  Scaling a zero power
-            # leaves it zero, and a clock <= 0 yields no power to scale,
-            # so this matches scaling only the components that draw power.
-            clocks = f.tolist() if isinstance(f, np.ndarray) else [f]
-            scales = {
-                hz: node.voltage_scale(hz) if hz > 0.0 else 1.0
-                for hz in dict.fromkeys(clocks)
-            }
-            if len(clocks) == 1:
-                power *= scales[clocks[0]]
-            else:
-                power *= [scales[hz] for hz in clocks]
+        return self.power(
+            activity, *self.clock_rows(frequency_hz, core_frequencies)
+        )
+
+    def power(self, activity, ratio, scale=None):
+        """Watts at one DFS level's clock rows (:meth:`clock_rows`):
+        elementwise ``max_power * util * ratio``, times ``scale``.
+
+        ``activity`` is a utilization vector laid out by this model, or
+        a block with one such vector per row; a block takes ``ratio``
+        and ``scale`` as blocks too, row for row.  Each product is the
+        one :meth:`~repro.power.library.PowerClass.power_at` makes, so a
+        block equals its rows converted one at a time, byte for byte.  A
+        utilization outside ``[0, 1]`` is refused, naming the first one
+        in row order.
+        """
+        util = activity[..., self._slots]
+        if not (0.0 <= np.minimum.reduce(util, axis=None)
+                and np.maximum.reduce(util, axis=None) <= 1.0 + 1e-9):
+            for row in util.reshape(-1, util.shape[-1]):
+                self._reject(row)
+        power = self._max_power * util * ratio
+        if scale is not None:
+            power *= scale
         return power
 
     def _reject(self, util):

@@ -57,6 +57,16 @@ class PolicySpec:
         return cls(name=name, params=json_copy(params))
 
 
+#: What each section of a scenario may be given as, for the message
+#: that refuses anything else.
+_SECTIONS = (
+    ("workload", (str, dict, WorkloadSpec), "a spec name or dict"),
+    ("policy", (str, dict, PolicySpec, type(None)), "a spec name or dict"),
+    ("platform", (dict, MPSoCConfig, type(None)), "a dict or null"),
+    ("config", (dict, FrameworkConfig), "a dict"),
+)
+
+
 @dataclass
 class Scenario:
     """One fully described co-emulation run.
@@ -88,6 +98,13 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self):
+        for section, kinds, what in _SECTIONS:
+            value = getattr(self, section)
+            if not isinstance(value, kinds):
+                raise ValueError(
+                    f"a scenario's {section} must be {what}, got "
+                    f"{type(value).__name__}"
+                )
         if isinstance(self.workload, (str, dict)):
             self.workload = WorkloadSpec.from_dict(self.workload)
         if isinstance(self.policy, (str, dict)) or self.policy is None:

@@ -23,13 +23,15 @@ Every cell interacts only with its neighbours, so assembly and solve
 cost are linear in the number of cells (sparse matrices).
 
 Power injection and component readout are precomputed sparse maps:
-``set_power`` is one matrix-vector product ``P = M_inj @ w`` over the
-component wattage vector, and per-component mean temperatures are one
-product ``W @ T`` — no per-window Python loops on the hot path.  Both
-vectors are in ``component_names`` order, the one fixed component order
-of the whole window.  Both products call SciPy's ``csr_matvec`` kernel
-directly (:func:`_matvec`): it is the kernel ``@`` dispatches to, so the
-sums run in the same order, without ``@``'s per-call dispatch.
+``injection`` is one product ``P = M_inj @ w`` over the component
+wattage vector, and per-component mean temperatures are one product
+``W @ T`` — no per-window Python loops on the hot path.  Both vectors
+are in ``component_names`` order, the one fixed component order of the
+whole window.  Each takes a block as well, one column per co-stepped
+run, and a block is still one product.  The products call SciPy's
+``csr_matvec`` / ``csr_matvecs`` kernels directly (:func:`_matvec`):
+they are the kernels ``@`` dispatches to, so the sums run in the same
+order, and every column of a block sums exactly as the vector would.
 
 The backward-Euler system ``C/dt + G(T)`` is written straight into a CSC
 pattern derived once per network structure (:class:`SystemPattern`, at
@@ -52,7 +54,7 @@ import numpy as np
 from scipy import sparse
 # A private SciPy module (checked on SciPy 1.17.1); test_rc_network pins
 # ``_matvec`` against ``matrix @ vector`` byte for byte.
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from repro.thermal.grid import LAYER_DIE, build_grid, used_die_knobs
 from repro.thermal.properties import silicon_conductivity
@@ -212,11 +214,17 @@ class RCNetwork:
         proportionally to overlap area ("the heat injected by the current
         source corresponds to the power density of the architectural
         component covering the cell multiplied by the surface area of the
-        cell") — one sparse product ``P = M_inj @ w``.
+        cell") — one sparse product ``P = M_inj @ w`` (:meth:`injection`).
         """
         if isinstance(watts, Mapping):
             watts = self.watts_vector(watts)
-        self.power = _matvec(self._inject_args, watts)
+        self.power = self.injection(watts)
+
+    def injection(self, watts):
+        """Per-cell sources ``M_inj @ w`` of a watts vector in
+        ``component_names`` order, or of a block of them (components x
+        runs), without setting them."""
+        return _matvec(self._inject_args, watts)
 
     def total_power(self):
         return float(self.power.sum())
@@ -224,7 +232,8 @@ class RCNetwork:
     # -- readout ---------------------------------------------------------------
     def component_temperatures(self, temperatures):
         """Area-weighted mean temperature per component, ``W @ T``, as a
-        vector in ``component_names`` order."""
+        vector in ``component_names`` order; a block of cell
+        temperatures (cells x runs) reads out as a block."""
         return _matvec(self._readout_args, temperatures)
 
     def as_map(self, vector):
@@ -285,9 +294,13 @@ class RCNetwork:
         """Sparse G(T) (CSC): graph Laplacian over the edges + ambient leakage."""
         return self.system_matrix(temperatures)
 
-    def rhs(self):
-        """Right-hand side: injected power + ambient Dirichlet term."""
-        return self.power + self._ambient_source
+    def rhs(self, power=None):
+        """Right-hand side: injected power + ambient Dirichlet term;
+        with ``power``, a block of per-cell sources (cells x runs), one
+        column each."""
+        if power is None:
+            return self.power + self._ambient_source
+        return power + self._ambient_source[:, None]
 
     # -- energy bookkeeping (property tests) ---------------------------------
     def heat_outflow(self, temperatures):
@@ -317,18 +330,31 @@ def _matvec_args(matrix):
     return rows, cols, matrix.indptr, matrix.indices, matrix.data
 
 
-def _matvec(args, vector):
-    """``matrix @ vector`` through the kernel ``@`` itself calls, on the
-    :func:`_matvec_args` of ``matrix``: the same float64 sums, in the
-    same order, into a fresh zeroed vector."""
+def _matvec(args, operand):
+    """``matrix @ operand`` through the kernel ``@`` itself calls, on
+    the :func:`_matvec_args` of ``matrix``: the same float64 sums, in
+    the same order, into a fresh zeroed vector.  A 2-D ``operand`` is a
+    block of column vectors, multiplied in one ``csr_matvecs`` sweep
+    that sums each column in ``csr_matvec``'s order (a single column
+    takes the cheaper vector kernel)."""
     rows, cols, indptr, indices, data = args
-    vector = np.asarray(vector)
-    if vector.shape != (cols,):  # the kernel does not check
+    operand = np.asarray(operand)
+    if operand.ndim == 2 and len(operand) == cols:
+        vectors = operand.shape[1]
+        out = np.zeros((rows, vectors))
+        if vectors == 1:  # both are contiguous vectors, in effect
+            csr_matvec(rows, cols, indptr, indices, data,
+                       np.ascontiguousarray(operand), out)
+        else:
+            csr_matvecs(rows, cols, vectors, indptr, indices, data,
+                        operand, out)
+        return out
+    if operand.shape != (cols,):  # the kernels do not check
         raise ValueError(
-            f"expected a vector of {cols} entries, got shape {vector.shape}"
+            f"expected a vector of {cols} entries, got shape {operand.shape}"
         )
     out = np.zeros(rows)
-    csr_matvec(rows, cols, indptr, indices, data, vector, out)
+    csr_matvec(rows, cols, indptr, indices, data, operand, out)
     return out
 
 

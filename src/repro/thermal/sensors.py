@@ -103,13 +103,22 @@ class SensorBank:
             self._stale = False
         return self._sensors
 
-    def update(self, temperatures, time=None):
+    def update(self, temperatures, time=None, hottest=None):
         """Feed the sensors; returns ``{component: band}`` for changed ones.
 
         ``temperatures`` is a vector in ``names`` order, or a
         ``{component: kelvin}`` map that may cover only some sensors
-        (unknown names are ignored).
+        (unknown names are ignored).  ``hottest``, when the caller
+        already knows it, is a bound no reading exceeds: with no sensor
+        latched and the bound below the upper threshold, nothing can
+        cross, so the readings are stored without being compared.
         """
+        if (hottest is not None and not self._hot
+                and hottest < self.upper_kelvin
+                and not isinstance(temperatures, Mapping)):
+            self.temperatures = np.array(temperatures, dtype=float)
+            self._stale = True
+            return {}
         if isinstance(temperatures, Mapping):
             slots = [
                 k for k, name in enumerate(self.names) if name in temperatures

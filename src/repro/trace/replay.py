@@ -3,12 +3,12 @@
 A :class:`ReplaySource` is the same
 :class:`~repro.core.framework.ThermalSide` a live run is, fed by a
 recorded power stream.  It supplies only the replay-specific half of a
-window — the recorded power injection (``_window_power``) and the
-commit at the recorded time (``_window_commit``) — plus its done and
-time sources and the recorded base report.  ``run``, the bounds and the
-report's thermal half are the :class:`~repro.core.framework.ThermalSide`
+window — the recorded power (``_window_recorded``) and the commit at
+the recorded time (``_window_commit``) — plus its done and time sources
+and the recorded base report.  ``run``, the bounds and the report's
+thermal half are the :class:`~repro.core.framework.ThermalSide`
 contract, and the loop is the one window driver
-(:func:`~repro.core.framework.step_windows` /
+(:class:`~repro.core.framework.WindowGroup` /
 :func:`~repro.core.framework.run_windows`), which also steps live
 :class:`~repro.core.framework.EmulationFramework` runs and the batched
 multi-RHS co-step in :meth:`repro.scenario.runner.Runner.run_batched`.
@@ -29,17 +29,11 @@ reproduces the live run's :meth:`~repro.core.stats.ThermalTrace.digest`
 bit-for-bit (same float64 power vectors, same solve sequence).
 """
 
-import time
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core.framework import (
-    FrameworkConfig,
-    RunReport,
-    ThermalSide,
-    step_windows,
-)
+from repro.core.framework import FrameworkConfig, RunReport, ThermalSide
 from repro.thermal.floorplan import FLOORPLANS
 from repro.trace.store import THERMAL_SIDE_KEYS
 
@@ -136,10 +130,9 @@ class ReplaySource(ThermalSide):
 
     done = exhausted  # the recording's end is the workload-done condition
 
-    def _window_power(self):
-        """Inject the next recorded power vector; no platform runs, so
-        the injection is the window's whole ``dispatch`` time."""
-        t0 = time.perf_counter()
+    def _window_recorded(self):
+        """The next recorded window: ``(frequency, watts)``.  No platform
+        runs, so this is part of the window's ``dispatch`` time."""
         index = self.windows
         if index >= self.archive.windows:
             raise IndexError(
@@ -147,22 +140,16 @@ class ReplaySource(ThermalSide):
             )
         # The recording's float64 vector, reordered to the network's
         # component order — the root of bit-for-bit replay fidelity.
-        watts = self.archive.power_w[index][self._column_of]
-        self.network.set_power(watts)
-        frequency = float(self.archive.frequency_hz[index])
-        spent = time.perf_counter() - t0
-        self.timing["dispatch"] += spent
-        return watts, frequency, (0.0, 0.0, spent)
+        return (float(self.archive.frequency_hz[index]),
+                self.archive.power_w[index][self._column_of])
 
-    def _window_commit(self, watts, frequency):
+    def _window_commit(self, frequency, watts, total_power_w, temps, hottest):
         """The framework's commit at the recorded time, without a policy."""
         now = float(self.archive.time_s[self.windows])
         self.emulated_seconds = now
-        return self.commit(self.sense(watts, frequency, now))
-
-    def step_window(self):
-        """Replay exactly one recorded sampling window."""
-        return step_windows((self,))[0]
+        return self.commit(
+            self.sense(now, frequency, total_power_w, temps, hottest)
+        )
 
     # -- reporting ---------------------------------------------------------
     def overrides(self):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generic, TypeVar, cast, overload
 
+from repro.util.jsondata import check_keys
+
 T = TypeVar("T")
 
 #: The keys a spec dict may carry.
@@ -95,12 +97,7 @@ class Registry(Generic[T]):
             )
         if "name" not in spec:
             raise ValueError(f"a {self.kind} dict needs a 'name' entry")
-        unknown = spec.keys() - SPEC_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown {self.kind} keys: {', '.join(sorted(unknown))} "
-                f"(a spec takes 'name' and 'params')"
-            )
+        check_keys(spec, SPEC_KEYS, self.kind)
         name, params = spec["name"], spec.get("params", {})
         if not isinstance(name, str):
             raise ValueError(

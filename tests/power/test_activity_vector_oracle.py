@@ -5,7 +5,7 @@ only: a ``{source: utilization}`` dict filled through ``set`` (each value
 clamped to [0, 1] on its own), gathered per component with
 ``np.fromiter`` over the model's sources, then the unchanged frequency
 and voltage scaling.  The workloads' vectors must give bit-identical
-``component_power`` vectors on every window.
+power vectors on every window.
 """
 
 import random
@@ -218,12 +218,13 @@ def test_utilization_vector_matches_the_dict_gather():
 
 def record_windows(framework):
     """Record, for every window the framework steps from now on, its
-    workload cycles, activity-from-stats inputs and ``component_power``
-    call; returns the list the records go into."""
+    workload cycles, activity-from-stats inputs, the utilizations,
+    clocks and per-core clock map its power came from, and that power;
+    returns the list the records go into."""
     windows = []
     workload, model = framework.workload, framework.power_model
-    advance, power = workload.advance, model.component_power
-    extract = model.activity_from_stats
+    advance, extract = workload.advance, model.activity_from_stats
+    emulate = framework._window_emulate
 
     def recording_advance(cycles):
         windows.append({"cycles": cycles})
@@ -233,15 +234,20 @@ def record_windows(framework):
         windows[-1]["stats"] = (delta, cycles)
         return extract(delta, cycles)
 
-    def recording_power(activity, frequency_hz=None, core_frequencies=None):
-        watts = power(activity, frequency_hz, core_frequencies)
-        windows[-1].update(activity=activity.copy(), f=frequency_hz,
-                           cores=core_frequencies, watts=watts.copy())
-        return watts
+    def recording_emulate():
+        frequency, activity, level = emulate()
+        windows[-1].update(activity=activity.copy(), f=frequency,
+                           cores=level.core_frequencies)
+        return frequency, activity, level
+
+    class RecordingWatts:
+        def on_window(self, framework, watts):
+            windows[-1]["watts"] = watts.copy()
 
     workload.advance = recording_advance
     model.activity_from_stats = recording_extract
-    model.component_power = recording_power
+    framework._window_emulate = recording_emulate
+    framework.attach_capture(RecordingWatts())
     return windows
 
 

@@ -149,3 +149,35 @@ def test_a_bad_suite_exits_2(tmp_path, capsys, suite, message):
     spec.write_text(json.dumps(dict(suite, scenarios=[scenario])))
     assert main([str(spec)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("config", "virtual_hz", "fast",
+         "config virtual_hz must be a number, got 'fast'"),
+        ("config", "refine_critical", 1.5,
+         "config refine_critical must be an integer, got 1.5"),
+        ("config", "spreader_resolution", 5,
+         "config spreader_resolution must be a list, got 5"),
+        ("platform", None, 5,
+         "a scenario's platform must be a dict or null, got int"),
+        ("config", None, 5, "a scenario's config must be a dict, got int"),
+        ("workload", None, [],
+         "a scenario's workload must be a spec name or dict, got list"),
+    ],
+    ids=["number", "integer", "list", "platform", "config", "workload"],
+)
+def test_a_wrong_typed_value_exits_2(tmp_path, capsys, section, key, value,
+                                     message):
+    scenario = PRESETS.get("matrix_quickstart")().to_dict()
+    if key is None:
+        scenario[section] = value
+    else:
+        scenario[section][key] = value
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(scenario))
+    assert main([str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -126,7 +126,9 @@ def test_every_registry_reads_one_spec_grammar(registry, name, params, args):
     assert registry.resolve(spec, *args) is not None
     with pytest.raises(ValueError, match=f"a {kind} dict needs a 'name' entry"):
         registry.parse({"params": params})
-    with pytest.raises(ValueError, match=f"unknown {kind} keys: parms"):
+    with pytest.raises(
+        ValueError, match=rf"unknown {kind} keys: parms \(known: name, params\)"
+    ):
         registry.parse({"name": name, "parms": params})
     with pytest.raises(ValueError, match=f"{kind} params must be a dict"):
         registry.parse({"name": name, "params": [1]})

@@ -192,6 +192,6 @@ def test_replay_power_injection_is_bitwise(stress_scenario):
     live.step_window()
     archive = capture.to_archive(live, scenario=stress_scenario)
     player = ReplaySource(archive)
-    player._window_power()
+    player.step_window()
     np.testing.assert_array_equal(player.network.power, live.network.power)
     assert player.solver.temperatures.shape == (player.network.num_cells,)
