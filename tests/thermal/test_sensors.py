@@ -109,3 +109,32 @@ def test_vector_bank_matches_independent_sensors(rows):
         assert bank.sensors[name].hot == reference[name].hot
         assert bank.sensors[name].temperature == reference[name].temperature
         assert bank.sensors[name].crossings == reference[name].crossings
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.floats(min_value=320.0, max_value=370.0), min_size=3,
+                 max_size=3),
+        min_size=1, max_size=60,
+    )
+)
+def test_a_known_hottest_reading_changes_nothing(rows):
+    """A bank told each window's hottest reading skips the comparison
+    while nothing is latched and the hottest is below the upper
+    threshold; its transitions and state stay those of a bank that
+    compares every reading."""
+    names = ["a", "b", "c"]
+    compared, bounded = SensorBank(names), SensorBank(names)
+    for window, row in enumerate(rows):
+        values = np.array(row)
+        assert bounded.update(values, window, max(row)) == compared.update(
+            values, window
+        )
+        assert bounded.any_hot == compared.any_hot
+        assert bounded.max_temperature() == compared.max_temperature()
+    assert bounded.crossings() == compared.crossings()
+    for name in names:
+        assert bounded.sensors[name].hot == compared.sensors[name].hot
+        assert (bounded.sensors[name].temperature
+                == compared.sensors[name].temperature)
