@@ -542,6 +542,7 @@ class EmulationFramework(ThermalSide):
         policy=None,
         config=None,
         library=None,
+        core_hz=None,
     ):
         self.config = config or FrameworkConfig()
         self.platform = platform
@@ -552,14 +553,18 @@ class EmulationFramework(ThermalSide):
         self.policy = policy or NoManagementPolicy()
         cfg = self.config
 
-        # Heterogeneous platforms (mixed static core clocks) feed the
+        # Heterogeneous designs (mixed static core clocks) feed the
         # power model a per-core frequency map every window; homogeneous
-        # ones keep the legacy single-global-clock path bit-for-bit.
-        self._hetero_core_hz = None
+        # ones keep the legacy single-global-clock path bit-for-bit.  A
+        # run without a platform (a profiled design) is given the clocks
+        # as ``core_hz``, its MPSoCConfig.static_core_frequencies().
         if platform is not None:
-            static_hz = platform.config.static_core_frequencies()
-            if len(set(static_hz.values())) > 1:
-                self._hetero_core_hz = static_hz
+            if core_hz is not None:
+                raise ValueError("core_hz is for a run without a platform")
+            core_hz = platform.config.static_core_frequencies()
+        self._hetero_core_hz = (
+            core_hz if core_hz and len(set(core_hz.values())) > 1 else None
+        )
 
         self.vpcm = Vpcm(physical_hz=cfg.physical_hz, virtual_hz=cfg.virtual_hz)
         if platform is not None:
@@ -590,10 +595,6 @@ class EmulationFramework(ThermalSide):
         if bind is not None:
             bind(self.power_model)
         self.workload = workload
-        # A workload that never runs the platform (a profile replay)
-        # leaves every counter where it was, so the sniffers read them
-        # once and not every window.
-        self._runs_platform = getattr(workload, "runs_platform", True)
         self._level = None  # the ClockLevel of the last window
         # Per-window capture hooks (repro.trace records the dispatcher
         # boundary through these).
@@ -674,7 +675,7 @@ class EmulationFramework(ThermalSide):
         """Phase 3 of a window: the statistics stream to the host, and
         congestion freezes the clocks.  Nobody reads the records, so
         the sniffers only size the payload."""
-        payload = self.sniffer_bank.close_window(ran=self._runs_platform)
+        payload = self.sniffer_bank.close_window()
         freeze = self.dispatcher.dispatch_window(
             payload,
             self.vpcm.window_real_seconds(self.config.sampling_period_s),

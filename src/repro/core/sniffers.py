@@ -20,7 +20,6 @@ count-logging sniffer (Section 4.1); the resource model uses those.
 
 import weakref
 from collections.abc import Mapping
-from operator import attrgetter
 
 from repro.mpsoc.events import Observable
 
@@ -53,10 +52,6 @@ class Sniffer:
         self._component = weakref.ref(component)
         self._enabled = True
         self._selected = 0
-        # Counts switches and collects outside a bank's window: a bank
-        # repeats its quiet payload only while its sniffers' counts
-        # stay put (SnifferBank.close_window).
-        self._changes = 0
 
     @property
     def component(self):
@@ -73,8 +68,6 @@ class Sniffer:
     @enabled.setter
     def enabled(self, value):
         value = bool(value)
-        if value != self._enabled:
-            self._changes += 1
         if value and not self._enabled:
             self._resume()
         self._enabled = value
@@ -144,7 +137,7 @@ class CountLoggingSniffer(Sniffer):
         super().__init__(name, component)
         # Unbound, so the sniffer keeps only its weak reference.
         self._read = getattr(type(component), "flat_stats", Observable.flat_stats)
-        self._last = None  # no baseline until the first read
+        self._last = {}  # the baseline: counting starts from zero
 
     def _current(self):
         return self._read(self.component)
@@ -152,17 +145,10 @@ class CountLoggingSniffer(Sniffer):
     def _resume(self):
         self._last = self._current()
 
-    def _advance(self, ran=True):
+    def _advance(self):
         """Take this window's snapshot: ``(current, last)``, with
-        ``current`` the baseline of the next window.  When nothing
-        ``ran`` since the baseline was taken, the baseline is both
-        snapshots and the component is not read; a sniffer with no
-        baseline yet reads it anyway."""
+        ``current`` the baseline of the next window."""
         last = self._last
-        if last is None:
-            last = {}
-        elif not ran:
-            return last, last
         current = self._last = self._read(self.component)
         return current, last
 
@@ -182,7 +168,6 @@ class CountLoggingSniffer(Sniffer):
         baseline left where it was, if disabled)."""
         if not self._enabled:
             return {}
-        self._changes += 1  # a new baseline, outside any bank's window
         return _deltas(*self._advance())
 
     def record_bytes(self, record):
@@ -269,9 +254,6 @@ class WindowRecords(Mapping):
         return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-#: A sniffer's count of switches and lone collects.
-_changes = attrgetter("_changes")
-
 #: The records of a bank with no sniffers (a platform-less run).
 _NO_RECORDS = WindowRecords({}, {})
 
@@ -286,17 +268,12 @@ class SnifferBank:
     unlimited number of event-counting sniffers can be added without
     deteriorating the emulation speed" is mirrored here: sniffers read
     counters the components maintain anyway, once per window and never
-    between window boundaries, and not at all in a window that ran
-    nothing (``close_window(ran=False)``, a profiled workload).
+    between window boundaries.
     """
 
     def __init__(self):
         self.sniffers = []
         self.mmio_offsets = {}
-        # (sniffer count, their summed changes) at the last quiet
-        # window close_window closed, and that window's payload.
-        self._quiet = None
-        self._quiet_payload = 0
 
     @classmethod
     def from_platform(cls, platform, event_logging=()):
@@ -330,7 +307,7 @@ class SnifferBank:
         """Bytes the pending window would stream (nothing is collected)."""
         return sum(s.window_payload_bytes() for s in self.sniffers)
 
-    def collect_window(self, ran=True):
+    def collect_window(self):
         """Close one statistics window: ``(records, payload_bytes)``.
 
         ``records`` is a :class:`WindowRecords` mapping each sniffer's
@@ -341,54 +318,34 @@ class SnifferBank:
         record is diffed from the two only when read.  ``payload_bytes``
         is what the records occupy in the BRAM buffer, sized from the
         same snapshots; every other sniffer is collected as it stands.
-
-        ``ran=False`` says nothing ran the platform this window, so no
-        counter moved: a count sniffer that already has a baseline keeps
-        it as both snapshots (all-zero deltas, the same payload) and
-        reads nothing.  One with no baseline yet still reads.
         """
         if not self.sniffers:
             return _NO_RECORDS, 0
         records, unread = {}, {}
-        payload = self._close(ran, records, unread)
+        payload = self._close(records, unread)
         return WindowRecords(records, unread), payload
 
-    def close_window(self, ran=True):
+    def close_window(self):
         """Close one statistics window without keeping its records;
         returns the payload bytes.
 
         Every sniffer moves on through the same step as under
         :meth:`collect_window`, and the payload is the same: this is how
-        the framework closes a window nobody reads.  A quiet window
-        (``ran=False``) of a bank of count sniffers moves no counter, so
-        it has the payload of the quiet window before until a sniffer is
-        added, switched or collected on its own or a window runs; the
-        bank then returns that payload after one sum over its sniffers'
-        change counts instead of stepping each.
+        the framework closes a window nobody reads.
         """
-        quiet, sniffers = self._quiet, self.sniffers
-        if (not ran and quiet is not None and quiet[0] == len(sniffers)
-                and quiet[1] == sum(map(_changes, sniffers))):
-            return self._quiet_payload
-        payload = self._close(ran)
-        # Any other sniffer (an event log) is collected every window.
-        if not ran and all(isinstance(s, CountLoggingSniffer) for s in sniffers):
-            self._quiet = (len(sniffers), sum(map(_changes, sniffers)))
-            self._quiet_payload = payload
-        return payload
+        return self._close()
 
-    def _close(self, ran, records=None, unread=None):
+    def _close(self, records=None, unread=None):
         """Move every sniffer on one window; returns the payload bytes.
 
         With ``records`` and ``unread`` dicts, keeps what
         :class:`WindowRecords` is made of: each sniffer's record, and an
         enabled count sniffer's two snapshots in place of its record.
         """
-        self._quiet = None
         payload = 0
         for sniffer in self.sniffers:
             if isinstance(sniffer, CountLoggingSniffer) and sniffer._enabled:
-                snapshots = sniffer._advance(ran)
+                snapshots = sniffer._advance()
                 payload += sniffer.record_bytes(snapshots[0])
                 if unread is not None:
                     unread[sniffer.name] = snapshots

@@ -105,13 +105,7 @@ class ProfiledWorkload:
     The framework binds the workload to its power model before the first
     window (:meth:`bind`), which lays the profile's utilizations out as
     one base vector in the model's source-slot order.
-
-    ``runs_platform`` is False: a replay executes nothing on the
-    framework's platform, so its sniffers take their baseline once and
-    close every later window without reading a counter.
     """
-
-    runs_platform = False
 
     def __init__(self, profile, total_iterations):
         if total_iterations <= 0:

@@ -23,7 +23,12 @@ from repro.obs.timeline import RunTimeline
 
 
 def _timeline(args):
-    timeline = RunTimeline.from_jsonl(args.log)
+    try:
+        with open(args.log, encoding="utf-8") as log:
+            timeline = RunTimeline.from_jsonl(log)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(timeline.summary(), indent=2, sort_keys=True))
     else:

@@ -30,6 +30,11 @@ from repro.workloads.matrix import matrix_programs
 
 WORKLOADS = Registry("workload generator")
 
+#: The generators whose workload runs no platform: they are called with
+#: ``platform=None`` even when the scenario names an ``MPSoCConfig``,
+#: and the trace digest ignores the emulation backend they never build.
+PLATFORM_FREE_WORKLOADS = frozenset({"profiled"})
+
 
 def _require_platform(name, platform):
     if platform is None:
@@ -80,7 +85,7 @@ def _compute_burst_workload(platform, floorplan, **params):
 
 @WORKLOADS.register("profiled")
 def _profiled_workload(platform, floorplan, profile, total_iterations):
-    """Replay a serialized :class:`ActivityProfile` (no platform needed)."""
+    """Replay a serialized :class:`ActivityProfile` (no platform built)."""
     if isinstance(profile, dict):
         profile = ActivityProfile.from_dict(profile)
     return ProfiledWorkload(profile, total_iterations=total_iterations)

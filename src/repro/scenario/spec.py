@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.mpsoc.platform import MPSoCConfig, build_platform
 from repro.policy.base import POLICIES
-from repro.scenario.registry import WORKLOADS
+from repro.scenario.registry import PLATFORM_FREE_WORKLOADS, WORKLOADS
 from repro.thermal.floorplan import FLOORPLANS
 from repro.util.jsondata import check_keys, json_copy
 from repro.util.registry import canonical_spec
@@ -72,7 +72,11 @@ class Scenario:
     """One fully described co-emulation run.
 
     ``platform`` may be ``None`` for platform-less (profiled) runs; the
-    workload spec must then produce the workload itself.  ``floorplan``,
+    workload spec must then produce the workload itself.  A workload in
+    :data:`~repro.scenario.registry.PLATFORM_FREE_WORKLOADS` (a
+    ``profiled`` replay) never builds the platform it names: the
+    framework takes the per-core static clocks straight from the
+    ``MPSoCConfig``, and the report has no platform extras.  ``floorplan``,
     the policy and the workload are specs in the one grammar of
     :meth:`repro.util.registry.Registry.parse` (a registered name, or a
     ``{"name": ..., "params": {...}}`` dict), resolved through
@@ -151,7 +155,12 @@ class Scenario:
         already has it (the batch runner resolves each distinct spec
         once per batch); it is not a second floorplan choice.
         """
-        platform = build_platform(self.platform) if self.platform is not None else None
+        platform = core_hz = None
+        if self.platform is not None:
+            if self.workload.name in PLATFORM_FREE_WORKLOADS:
+                core_hz = self.platform.static_core_frequencies()
+            else:
+                platform = build_platform(self.platform)
         if floorplan is None:
             floorplan = FLOORPLANS.resolve(self.floorplan)
         # A spec dataclass's fields are exactly the spec grammar's keys.
@@ -164,6 +173,7 @@ class Scenario:
             policy=policy,
             config=self.config,
             library=library,
+            core_hz=core_hz,
         )
 
     @property

@@ -19,9 +19,12 @@ at the dispatcher boundary:
   scenario participates and only an exact re-run replays.
 * ``emulation_backend`` is **not** thermal-side: the backend *produces*
   the boundary stream (an approximate backend like ``windowed`` yields
-  slightly different power vectors than ``event_driven``), so it always
+  slightly different power vectors than ``event_driven``), so it
   participates in the digest and recordings from different emulation
-  backends never alias.
+  backends never alias.  A run that builds no platform (no
+  ``platform``, or a workload in
+  :data:`~repro.scenario.registry.PLATFORM_FREE_WORKLOADS`) builds no
+  backend either, so its digest ignores the knob.
 
 On disk the store shards archives as
 ``<root>/<digest[:2]>/<digest>.npz`` (+ JSON sidecars).  A store built
@@ -45,6 +48,7 @@ import json
 import pathlib
 
 from repro.obs import catalog as obs_catalog
+from repro.scenario.registry import PLATFORM_FREE_WORKLOADS
 from repro.thermal.grid import used_die_knobs
 from repro.trace.format import load_archive, sidecar_path
 from repro.util.jsondata import json_canonical
@@ -139,9 +143,10 @@ def emulation_projection(scenario):
                                      config["refine_critical"],
                                      config["die_resolution"])
         config["refine_critical"], config["die_resolution"] = refine, list(die)
-    if data.get("platform") is None:
-        # A platform-less (profiled) run never builds an emulation
-        # backend, so every spelling of the knob is the same stream.
+    if (data.get("platform") is None
+            or data["workload"]["name"] in PLATFORM_FREE_WORKLOADS):
+        # A run without a platform never builds an emulation backend,
+        # so every spelling of the knob is the same stream.
         config["emulation_backend"] = "event_driven"
     return data
 

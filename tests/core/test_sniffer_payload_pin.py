@@ -9,15 +9,7 @@ starved link forces must follow from those bytes.  Counter sets grow
 mid-run here on purpose (a new instruction class on a core, a master
 registering late on the interconnect), so a payload sized once and
 cached would drift from the definition.
-
-``hetero_biglittle`` is a profiled design: its cores never run and its
-counters never move, so after the first window its sniffers size the
-payload from the baseline they hold instead of reading the platform.
-Its sniffers are switched off and back on mid-run instead, and the
-payload must still follow the definition window by window.
 """
-
-import dataclasses
 
 import pytest
 
@@ -51,21 +43,6 @@ def grow_counters(framework, window):
         platform.cores[1].class_counts["later_class"] = 0
 
 
-def toggle_sniffers(framework, window):
-    """Switch sniffers off and back on by attribute; counters untouched."""
-    by_name = {s.name: s for s in framework.sniffer_bank.count_sniffers()}
-    core, interconnect = (
-        by_name[f"{framework.platform.cores[0].name}.cnt"],
-        by_name[f"{framework.platform.interconnect.name}.cnt"],
-    )
-    if window == 3:
-        core.enabled = False
-    if window == 5:
-        interconnect.enabled = False
-    if window == 7:
-        core.enabled = interconnect.enabled = True
-
-
 def run(preset, config, change):
     scenario = PRESETS.get(preset)()
     scenario.config = config(scenario.config)
@@ -90,20 +67,13 @@ def short_starved_windows(config):
     return FrameworkConfig(sampling_period_s=2e-5, **STARVED)
 
 
-def starved_long_windows(config):
-    # A 0.1 ms window drains more of the link, so a smaller buffer keeps
-    # every window freezing.
-    return dataclasses.replace(config, **dict(STARVED, bram_capacity_bytes=512))
-
-
 @pytest.mark.parametrize(
     "preset, config, change",
     [
         ("dithering_noc", short_starved_windows, grow_counters),
         ("matrix_quickstart", short_starved_windows, grow_counters),
-        ("hetero_biglittle", starved_long_windows, toggle_sniffers),
     ],
-    ids=["dithering_noc", "matrix_quickstart", "hetero_biglittle"],
+    ids=["dithering_noc", "matrix_quickstart"],
 )
 def test_payload_and_freezes_follow_the_definition(preset, config, change):
     framework, dispatched = run(preset, config, change)

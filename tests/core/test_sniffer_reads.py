@@ -4,14 +4,12 @@ The paper's count-logging sniffers read counters the components keep
 anyway, so adding sniffers must not slow the emulation down.  This is
 the structural property behind
 ``test_sniffers.py::test_emulation_speed_is_flat_in_sniffer_count``,
-asserted with a count of ``flat_stats()`` reads instead of a clock:
-
-* on a platform that runs (``matrix_quickstart``), each window reads
-  every enabled count sniffer's component exactly once, at the window's
-  close, and never while :meth:`EventDrivenEngine.run_window` runs;
-* on a profiled design (``hetero_biglittle``), whose cores never
-  execute, only the first window reads, plus the one fresh baseline a
-  sniffer switched back on takes.  A DSE point is such a design too.
+asserted with a count of ``flat_stats()`` reads instead of a clock: on
+a platform that runs (``matrix_quickstart``), each window reads
+every enabled count sniffer's component exactly once, at the window's
+close, and never while :meth:`EventDrivenEngine.run_window` runs.  A
+profiled design (a DSE point) builds no platform at all, so it has no
+sniffer to read.
 
 A co-stepped group window is counted the same way: whatever the member
 count, one injection product and one readout product, no
@@ -22,10 +20,13 @@ and still one read per enabled count sniffer when the platforms run.
 import pytest
 
 from repro.core.framework import WindowGroup
-from repro.core.sniffers import CountLoggingSniffer, WindowRecords
+from repro.core.sniffers import WindowRecords
 from repro.dse.space import default_points, point_scenario
 from repro.emulation.engine import EventDrivenEngine
+from repro.scenario import spec
 from repro.scenario.presets import PRESETS
+from repro.scenario.runner import Runner
+from repro.scenario.spec import Scenario
 from repro.thermal.backends import CachedLU
 from repro.thermal.rc_network import RCNetwork
 
@@ -99,33 +100,29 @@ def test_a_running_platform_is_read_once_per_window_at_its_close(monkeypatch):
     assert counter.inside_run_window == 0
 
 
-@pytest.mark.parametrize("extra_sniffers", [0, 64])
-def test_a_profiled_design_is_read_once(monkeypatch, extra_sniffers):
-    framework, counter = build_counted(monkeypatch, "hetero_biglittle")
-    assert framework.workload.runs_platform is False
-    bank, platform = framework.sniffer_bank, framework.platform
-    for index in range(extra_sniffers):
-        bank.add(CountLoggingSniffer(f"extra{index}.cnt", platform.cores[0]))
-    toggled = bank.count_sniffers()[0]
-    reads = []
-    while framework.windows < 10:
-        if framework.windows == 3:
-            toggled.enabled = False
-        before = counter.reads
-        if framework.windows == 5:
-            toggled.enabled = True  # one fresh baseline
-        framework.step_window()
-        reads.append(counter.reads - before)
-    assert reads == [len(bank.count_sniffers()), 0, 0, 0, 0, 1, 0, 0, 0, 0]
+def test_a_dse_point_builds_no_platform(monkeypatch):
+    builds = counted_calls(monkeypatch, spec, "build_platform")
+    frameworks = []
+    build = Scenario.build
 
+    def recording_build(scenario, *args, **kwargs):
+        frameworks.append(build(scenario, *args, **kwargs))
+        return frameworks[-1]
 
-def test_a_dse_point_never_steps_its_platform():
-    point = next(p for p in default_points() if p.big and p.little)
-    framework, _ = point_scenario(point, max_windows=4).run()
-    assert framework.windows == 4
-    assert framework.workload.runs_platform is False
-    cores = framework.platform.cores
-    assert cores and all(core.stats()["cycles"] == 0 for core in cores)
+    monkeypatch.setattr(Scenario, "build", recording_build)
+    points = [p for p in default_points() if p.big and p.little][:3]
+    results = Runner().run_batched(
+        [point_scenario(p, max_windows=4) for p in points]
+    )
+    assert all(result.ok for result in results)
+    assert len(frameworks) == 3 and not builds
+    for framework in frameworks:
+        assert framework.windows == 4
+        assert framework.platform is None
+        assert len(framework.sniffer_bank) == 0
+    (result,) = Runner().run_batched([PRESETS.get("matrix_quickstart")()])
+    assert result.ok and len(builds) == 1
+    assert frameworks[-1].platform is not None
 
 
 def counted_calls(monkeypatch, owner, name):

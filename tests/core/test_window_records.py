@@ -15,11 +15,6 @@ read at once or only after later windows have closed.  One count
 sniffer is switched off over MMIO for good, another off and back on
 (counting afresh from the switch-on), and one event-logging sniffer
 rides along.
-
-A profiled design (``hetero_biglittle``) closes its windows without
-reading the platform once its sniffers hold a baseline; its windows
-must match the same eager reference, both ways, for a sniffer switched
-back on and for one added mid-run alike.
 """
 
 import pytest
@@ -27,7 +22,6 @@ import pytest
 from repro.core.sniffers import (
     EVENT_RECORD_BYTES,
     REG_ENABLE,
-    CountLoggingSniffer,
     EventLoggingSniffer,
     WindowRecords,
 )
@@ -76,8 +70,8 @@ def watch_close_window(bank, reference):
     closed = []
     close = bank.close_window
 
-    def closing(ran=True):
-        payload = close(ran=ran)
+    def closing():
+        payload = close()
         expected, expected_payload = reference.close()
         assert payload == expected_payload
         for sniffer in bank.count_sniffers():
@@ -90,7 +84,7 @@ def watch_close_window(bank, reference):
     return closed
 
 
-def collect_windows(bank, reference, windows, before, ran=True):
+def collect_windows(bank, reference, windows, before):
     """Close ``windows`` windows with ``bank.collect_window``, calling
     ``before(window)`` ahead of each, and check each payload against
     ``reference``.  Returns ``(records, expected)`` per window; odd
@@ -98,7 +92,7 @@ def collect_windows(bank, reference, windows, before, ran=True):
     closed = []
     for window in range(windows):
         before(window)
-        records, payload = bank.collect_window(ran=ran)
+        records, payload = bank.collect_window()
         expected, expected_payload = reference.close()
         assert payload == expected_payload
         read_now = window % 2 == 1
@@ -174,72 +168,6 @@ def test_lazy_records_match_the_eager_deltas():
         framework.sniffer_bank, reference, WINDOWS, run_window
     )
     check_dithering(framework, [expected for _, expected in closed], off, toggled)
-
-
-def profiled_run():
-    """A ``hetero_biglittle`` run, whose profile never runs the platform;
-    returns ``(framework, reference, toggle, toggled, added)``, where
-    ``toggle(window)`` switches ``toggled`` off ahead of window 0 and
-    back on ahead of window 4, and adds a count sniffer (into ``added``)
-    ahead of window 2."""
-    framework = PRESETS.get("hetero_biglittle")().build()
-    assert framework.workload.runs_platform is False
-    platform, bank = framework.platform, framework.sniffer_bank
-    # Counters a boot image left behind: the first window reports them,
-    # a sniffer switched on later counts from its switch-on.
-    for core in platform.cores[:2]:
-        core.instructions = core.class_counts["alu"] = 5
-    reference = EagerReference(bank)
-    by_name = {s.name: s for s in bank.count_sniffers()}
-    toggled = by_name[f"{platform.cores[1].name}.cnt"]
-    shared = platform.shared_mem
-    added = []
-
-    def toggle(window):
-        if window == 0:
-            toggled.enabled = False
-        if window == 2:
-            added.append(bank.add(
-                CountLoggingSniffer(f"{shared.name}.late.cnt", shared), platform.mmio
-            ))
-            reference.last[added[0].name] = {}
-        if window == 4:
-            toggled.enabled = True
-            reference.resume(toggled)
-
-    return framework, reference, toggle, toggled, added
-
-
-def check_profiled(framework, closed, toggled, added):
-    """What the ``hetero_biglittle`` run must have exercised."""
-    assert len(closed) == WINDOWS
-    core = f"{framework.platform.cores[0].name}.cnt"
-    assert closed[0][core]["instructions"] == 5
-    assert closed[1][core]["instructions"] == 0
-    assert closed[3][toggled.name] == {}
-    assert closed[4][toggled.name]["instructions"] == 0
-    (late,) = added
-    assert closed[2][late.name] == {"reads": 0, "writes": 0}
-    assert late.name not in closed[1]
-
-
-def test_profiled_framework_windows_match_the_eager_reference():
-    framework, reference, toggle, toggled, added = profiled_run()
-    closed = watch_close_window(framework.sniffer_bank, reference)
-    while framework.windows < WINDOWS:
-        toggle(framework.windows)
-        framework.step_window()
-    check_profiled(framework, closed, toggled, added)
-
-
-def test_profiled_records_match_the_eager_deltas():
-    framework, reference, toggle, toggled, added = profiled_run()
-    closed = collect_windows(
-        framework.sniffer_bank, reference, WINDOWS, toggle, ran=False
-    )
-    check_profiled(
-        framework, [expected for _, expected in closed], toggled, added
-    )
 
 
 def test_window_records_are_a_read_only_mapping(platform2):

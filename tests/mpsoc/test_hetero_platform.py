@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
+from repro.dse.space import DesignPoint, point_scenario
 from repro.mpsoc.platform import CoreConfig, MPSoCConfig, Platform
 from repro.mpsoc.processor import CORE_SPECS
 from repro.thermal.floorplan import floorplan_hetero
@@ -88,6 +89,34 @@ def test_framework_detects_heterogeneous_clocks():
         config=FrameworkConfig(spreader_resolution=(2, 2)),
     )
     assert homo._hetero_core_hz is None
+
+
+def test_a_profiled_design_takes_its_clocks_from_the_config():
+    # 2 big cores at 400 MHz beside 2 littles at 100 MHz: no platform is
+    # built, and the per-core clocks still reach the power model.
+    scenario = point_scenario(
+        DesignPoint(big=2, little=2, tech_node="65nm", big_hz=400 * MHZ)
+    )
+    framework = scenario.build()
+    assert framework.platform is None
+    static_hz = scenario.platform.static_core_frequencies()
+    assert static_hz == {0: 400 * MHZ, 1: 400 * MHZ, 2: 100 * MHZ, 3: 100 * MHZ}
+    assert framework._hetero_core_hz == static_hz
+    framework.step_window()
+    scale = framework.vpcm.virtual_hz / framework.config.virtual_hz
+    assert framework._level.core_frequencies == {
+        index: hz * scale for index, hz in static_hz.items()
+    }
+
+
+def test_a_platform_brings_its_own_clocks():
+    with pytest.raises(ValueError, match="core_hz"):
+        EmulationFramework(
+            Platform(hetero_config()),
+            floorplan_hetero(big=2, little=1),
+            config=FrameworkConfig(spreader_resolution=(2, 2)),
+            core_hz={0: 200 * MHZ, 1: 200 * MHZ, 2: 100 * MHZ},
+        )
 
 
 def test_little_cores_draw_proportionally_less_power():

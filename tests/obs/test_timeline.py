@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.obs.timeline import PHASE_ORDER, RunTimeline
 from repro.obs.tracing import SpanTracer
 
@@ -90,3 +91,18 @@ def test_render_shows_all_phases_and_total():
         assert phase in text
     assert "total" in text
     assert "other spans: run x1" in text
+
+
+@pytest.mark.parametrize("content", [None, "not json\n"],
+                         ids=["missing", "malformed"])
+def test_timeline_cli_refuses_a_bad_log_with_one_error_line(
+    tmp_path, capsys, content
+):
+    log = tmp_path / "run.jsonl"
+    if content is not None:
+        log.write_text(content)
+    assert repro_main(["obs", "timeline", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.dse.space import default_points, point_scenario
 from repro.scenario.presets import PRESETS
+from repro.scenario.runner import Runner
 from repro.scenario.spec import Scenario
 from repro.trace.capture import record
 from repro.trace.store import (
@@ -93,6 +95,25 @@ def test_platformless_digest_ignores_the_unused_emulation_backend():
         scenario.config.emulation_backend = backend
         digests.add(scenario_trace_digest(scenario))
     assert digests == {PINS["preset:matrix_tm_cached"]}
+
+
+def test_a_dse_point_digest_ignores_the_backend_it_never_builds():
+    """A DSE point names a platform but replays a profile, so it builds
+    neither the platform nor an emulation backend: its ``windowed``
+    spelling digests like its default twin and replays from the store."""
+    point = next(p for p in default_points() if p.big and p.little)
+    default = point_scenario(point, max_windows=4)
+    windowed = point_scenario(point, max_windows=4)
+    windowed.config.emulation_backend = "windowed"
+    assert default.platform is not None
+    assert default.config.emulation_backend == "event_driven"
+    assert scenario_trace_digest(windowed) == scenario_trace_digest(default)
+    store = TraceStore()
+    (recorded,) = Runner(capture_trace=True, trace_store=store).run([default])
+    (replayed,) = Runner(capture_trace=True, trace_store=store).run([windowed])
+    assert not recorded.replayed and replayed.replayed
+    assert len(store) == 1
+    assert replayed.trace.to_dict() == recorded.trace.to_dict()
 
 
 @pytest.mark.parametrize("section,knob,name", [
