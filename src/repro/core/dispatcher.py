@@ -26,18 +26,16 @@ class BramBuffer:
         self.peak_bytes = 0
         self.total_pushed = 0
 
-    @property
-    def free_bytes(self):
-        return self.capacity_bytes - self.level_bytes
-
     def push(self, nbytes):
         """Store ``nbytes``; returns the overflow that did not fit."""
         if nbytes < 0:
             raise ValueError("cannot push a negative byte count")
-        accepted = min(nbytes, self.free_bytes)
-        self.level_bytes += accepted
+        level = self.level_bytes
+        accepted = min(nbytes, self.capacity_bytes - level)
+        self.level_bytes = level = level + accepted
         self.total_pushed += accepted
-        self.peak_bytes = max(self.peak_bytes, self.level_bytes)
+        if level > self.peak_bytes:
+            self.peak_bytes = level
         return nbytes - accepted
 
     def drain(self, nbytes):
@@ -73,21 +71,21 @@ class EthernetDispatcher:
             raise ValueError("negative window inputs")
         wire_payload = payload_bytes + FRAME_HEADER_BYTES
         self.windows += 1
+        link, buffer = self.link, self.buffer
         # Concurrent drain while the window ran.
-        drain_capacity = self.link.bandwidth_bps / 8.0 * real_window_seconds
-        overflow = self.buffer.push(wire_payload)
-        self.buffer.drain(drain_capacity)
+        overflow = buffer.push(wire_payload)
+        buffer.drain(link.bandwidth_bps / 8.0 * real_window_seconds)
         freeze = 0.0
         if overflow > 0:
             # Platform frozen until the backlog fits: the link drains at
             # full rate with the producers stopped.
-            freeze = self.link.wire_bytes(overflow) * 8.0 / self.link.bandwidth_bps
-            self.buffer.drain(overflow)  # modelled as drained during freeze
+            freeze = link.wire_bytes(overflow) * 8.0 / link.bandwidth_bps
+            buffer.drain(overflow)  # modelled as drained during freeze
             self.freeze_events += 1
-        self.link.send(wire_payload)
+            self.freeze_seconds += freeze
+        link.send(wire_payload)
         if num_sensors:
-            self.link.send(self.feedback_bytes_per_sensor * num_sensors)
-        self.freeze_seconds += freeze
+            link.send(self.feedback_bytes_per_sensor * num_sensors)
         return freeze
 
     def stats(self):

@@ -21,14 +21,14 @@ from repro.core.dispatcher import BramBuffer, EthernetDispatcher
 from repro.core.sniffers import SnifferBank
 from repro.core.stats import ThermalTrace, WindowRow
 from repro.core.vpcm import FREEZE_ETHERNET, Vpcm
-from repro.emulation.backends import make_emulation_backend
+from repro.emulation.backends import EMULATION_BACKENDS, make_emulation_backend
 from repro.emulation.ethernet import EthernetLink
 from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.obs.timeline import PHASE_ORDER
 from repro.policy.builtin import NoManagementPolicy
-from repro.power.models import PowerModel, make_tech_node
-from repro.thermal.backends import CachedLU, make_backend
+from repro.power.models import TECH_NODES, PowerModel, make_tech_node
+from repro.thermal.backends import SOLVER_BACKENDS, CachedLU, make_backend
 from repro.thermal.rc_network import network_for
 from repro.thermal.sensors import SensorBank
 from repro.thermal.solver import ThermalSolver
@@ -37,15 +37,16 @@ from repro.util.registry import canonical_spec
 from repro.util.units import MHZ, MS
 
 
-#: Knobs written in the registry spec grammar, with their make functions.
-#: ``FrameworkConfig`` builds (and discards) one of each, so a bad spec
-#: fails at config time and not in a worker.  Live objects are refused:
-#: the config must stay JSON data that gives each framework its own
+#: Knobs written in the registry spec grammar, with their make functions
+#: and registries.  ``FrameworkConfig`` looks a bare name up in its
+#: registry and builds (and discards) a dict spec, so a bad spec fails
+#: at config time and not in a worker.  Live objects are refused: the
+#: config must stay JSON data that gives each framework its own
 #: backend.  ``tech_node`` also takes ``None`` or a ``TechNode.to_dict()``.
 _SPEC_KNOBS = (
-    ("solver_backend", make_backend),
-    ("emulation_backend", make_emulation_backend),
-    ("tech_node", make_tech_node),
+    ("solver_backend", make_backend, SOLVER_BACKENDS),
+    ("emulation_backend", make_emulation_backend, EMULATION_BACKENDS),
+    ("tech_node", make_tech_node, TECH_NODES),
 )
 
 
@@ -101,7 +102,7 @@ class FrameworkConfig:
                 f"initial temperature must be positive kelvin, "
                 f"got {self.initial_temperature_kelvin}"
             )
-        for knob, make in _SPEC_KNOBS:
+        for knob, make, registry in _SPEC_KNOBS:
             spec = getattr(self, knob)
             if not isinstance(spec, (str, dict)) and not (
                 knob == "tech_node" and spec is None
@@ -111,7 +112,10 @@ class FrameworkConfig:
                     f"{{'name': ..., 'params': ...}} dict, "
                     f"got {type(spec).__name__}"
                 )
-            make(spec)
+            if isinstance(spec, str):
+                registry.get(spec)
+            else:
+                make(spec)
             setattr(self, knob, canonical_spec(spec))
         if self.sensor_upper_kelvin <= self.sensor_lower_kelvin:
             raise ValueError(
@@ -674,11 +678,13 @@ class EmulationFramework(ThermalSide):
     def _window_dispatch(self):
         """Phase 3 of a window: the statistics stream to the host, and
         congestion freezes the clocks.  Nobody reads the records, so
-        the sniffers only size the payload."""
-        payload = self.sniffer_bank.close_window()
+        the sniffers only size the payload.  The window's board seconds
+        are kept for ``_window_commit``'s VPCM accounting."""
+        board = self._board_seconds = self.vpcm.window_real_seconds(
+            self.config.sampling_period_s
+        )
         freeze = self.dispatcher.dispatch_window(
-            payload,
-            self.vpcm.window_real_seconds(self.config.sampling_period_s),
+            self.sniffer_bank.close_window(), board,
             num_sensors=len(self.sensors.names),
         )
         if freeze > 0:
@@ -688,7 +694,9 @@ class EmulationFramework(ThermalSide):
         """Phase 5 of a window, after the thermal solve: sensors, policy,
         captures, trace."""
         # 5. Temperatures return to the sensors; the policy reacts via VPCM.
-        self.vpcm.account_window(self.config.sampling_period_s)
+        self.vpcm.account_window(
+            self.config.sampling_period_s, self._board_seconds
+        )
         now = self.vpcm.emulated_seconds
         row = self.sense(now, frequency, total_power_w, temps, hottest)
         self.policy.react(self.sensors, self.vpcm, now)
@@ -797,6 +805,14 @@ class WindowGroup:
     5. *other* — one sparse product reads every member out, and each
        senses, reacts, captures and commits its own row.
 
+    A steady window reuses the last window's watts and injection: the
+    block is converted again only when its bytes differ from the last
+    converted block (so ``-0.0`` for ``0.0``, or any NaN, is a change)
+    or a member's DFS level changed, and injected again only then or
+    when the group has recorded members, whose watts are new every
+    window.  Reused values are the ones a recomputation would give, so
+    every trace stays byte-identical.
+
     What stays per member is scalar bookkeeping: workload progress, the
     VPCM, the dispatcher, sensor hysteresis, the policy, captures and
     the trace.  A member's phases are an even share of each group
@@ -842,6 +858,10 @@ class WindowGroup:
                 if any(m.tech_node is not None for m in models) else None
             )
             self.levels = [None] * len(models)
+        # What a steady window reuses: the utilization bytes its watts
+        # were converted from, the live members' watts, and the
+        # injection (its columns, right-hand side and row totals).
+        self._inputs = self._watts = self._columns = None
         if backend is not None:
             stacked = self.temperatures = np.stack(
                 [member.solver.temperatures for member in members], axis=1
@@ -866,23 +886,33 @@ class WindowGroup:
                     self.ratio[j] = level.ratio
                     if level.scale is not None:
                         self.scale[j] = level.scale
+                    self._inputs = None
         t1 = time.perf_counter()
-        # 2. Activity -> power (per floorplan component).
+        # 2. Activity -> power (per floorplan component), converted again
+        #    only when a utilization's bits or a DFS level changed.
         if live:
-            watts = self.model.power(util, self.ratio, self.scale)
+            inputs = util.tobytes()
+            if inputs != self._inputs:
+                self._watts = self.model.power(util, self.ratio, self.scale)
+                self._inputs, self._columns = inputs, None
         t2 = time.perf_counter()
         # 3. Statistics stream to the host; congestion freezes the clocks.
         for k in live:
             members[k]._window_dispatch()
+        watts = self._watts
         if self.recorded:
             block = np.empty((len(members), len(network.component_names)))
             if live:
                 block[list(live)] = watts
             for k in self.recorded:
                 frequencies[k], block[k] = members[k]._window_recorded()
-            watts = block
-        power = network.injection(watts.T)
-        for member, column in zip(members, power.T):
+            watts, self._columns = block, None
+        if self._columns is None:
+            power = network.injection(watts.T)
+            self._columns = list(power.T)
+            self._rhs = None if self.backend is None else network.rhs(power)
+            self._totals = [sum(row) for row in watts.tolist()]
+        for member, column in zip(members, self._columns):
             member.network.power = column
         t3 = time.perf_counter()
         # 4. The SW thermal tool integrates one sampling period.
@@ -893,7 +923,7 @@ class WindowGroup:
         else:
             temperatures = self.temperatures
             temperatures[...] = self.backend.step_batch(
-                temperatures, self.period, network.rhs(power)
+                temperatures, self.period, self._rhs
             )
             for member in members:
                 member.solver.time += self.period
@@ -904,10 +934,10 @@ class WindowGroup:
         )
         rows = [
             member._window_commit(
-                frequency, member_watts, sum(watt_list), temps, max(temp_list)
+                frequency, member_watts, total, temps, max(temp_list)
             )
-            for member, frequency, member_watts, watt_list, temps, temp_list
-            in zip(members, frequencies, watts, watts.tolist(), means,
+            for member, frequency, member_watts, total, temps, temp_list
+            in zip(members, frequencies, watts, self._totals, means,
                    means.tolist())
         ]
         self._account(members, t0, t1, t2, t3, t4, time.perf_counter())

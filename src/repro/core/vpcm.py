@@ -112,10 +112,16 @@ class Vpcm:
         return sum(self.freezes.values())
 
     # -- window accounting ------------------------------------------------------------
-    def account_window(self, emulated_seconds):
-        """Advance emulated and real time by one sampling window."""
+    def account_window(self, emulated_seconds, real_seconds=None):
+        """Advance emulated and real time by one sampling window.
+
+        ``real_seconds`` is the window's :meth:`window_real_seconds`
+        when the caller already holds it.
+        """
+        if real_seconds is None:
+            real_seconds = self.window_real_seconds(emulated_seconds)
         self.emulated_seconds += emulated_seconds
-        self.real_seconds += self.window_real_seconds(emulated_seconds)
+        self.real_seconds += real_seconds
 
     def report(self):
         return {

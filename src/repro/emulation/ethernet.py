@@ -45,11 +45,10 @@ class EthernetLink:
         return self.wire_bytes(payload_bytes) * 8.0 / self.bandwidth_bps
 
     def send(self, payload_bytes):
-        """Account a transfer; returns its duration in seconds."""
-        duration = self.transfer_time(payload_bytes)
+        """Count a transfer's bytes and MAC frames (its duration is
+        :meth:`transfer_time`)."""
         self.bytes_sent += payload_bytes
         self.frames_sent += self.frame_count(payload_bytes)
-        return duration
 
     def round_trip_time(self, out_bytes, back_bytes):
         """Stats out + temperatures back, including turnaround latency."""

@@ -179,12 +179,18 @@ def trace_to(path):
 
 
 def read_jsonl(source):
-    """Parse a JSONL span log (path, file-like, or text) into events."""
+    """Parse a JSONL span log (path, file-like, or text) into events.
+
+    A ``str`` or ``os.PathLike`` with no newline that does not start
+    with ``{`` is a path, so a missing log raises ``FileNotFoundError``;
+    any other string is the log's text.
+    """
+    if isinstance(source, os.PathLike):
+        source = os.fspath(source)
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and "\n" not in source and os.path.exists(
-        source
-    ):
+    elif (isinstance(source, str) and "\n" not in source
+          and not source.startswith("{")):
         with open(source, encoding="utf-8") as handle:
             text = handle.read()
     elif isinstance(source, (str, bytes)):

@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
+from repro.emulation.backends import EMULATION_BACKENDS, make_emulation_backend
 from repro.policy.builtin import DualThresholdDfsPolicy, NoManagementPolicy
+from repro.power.models import TECH_NODES, make_tech_node
+from repro.thermal.backends import SOLVER_BACKENDS, make_backend
 from repro.thermal.floorplan import floorplan_4xarm11
 from repro.util.units import MHZ
 
@@ -147,6 +150,44 @@ def test_config_rejects_unknown_solver_backend():
                 "params": {"refactor_tolerance_kelvin": 0.0},
             }
         )
+
+
+#: Each spec knob of FrameworkConfig, with its registry and make function.
+SPEC_KNOBS = [
+    ("solver_backend", SOLVER_BACKENDS, make_backend),
+    ("emulation_backend", EMULATION_BACKENDS, make_emulation_backend),
+    ("tech_node", TECH_NODES, make_tech_node),
+]
+KNOB_IDS = [knob for knob, _, _ in SPEC_KNOBS]
+
+
+@pytest.mark.parametrize("knob, registry, make", SPEC_KNOBS, ids=KNOB_IDS)
+def test_every_shipped_bare_name_builds_and_configures(knob, registry, make):
+    # The config only looks a bare name up, so each shipped entry must
+    # also build from its bare name, as the framework will build it.
+    assert registry.names()
+    for name in registry.names():
+        assert make(name) is not None
+        assert getattr(FrameworkConfig(**{knob: name}), knob) == name
+
+
+@pytest.mark.parametrize("knob, registry, make", SPEC_KNOBS, ids=KNOB_IDS)
+def test_an_unknown_or_unregistered_name_is_refused_as_before(
+    knob, registry, make
+):
+    with pytest.raises(ValueError) as built:
+        make("no_such_entry")
+    with pytest.raises(ValueError) as configured:
+        FrameworkConfig(**{knob: "no_such_entry"})
+    assert str(configured.value) == str(built.value)
+    # No validated-name cache: an unregistered name is refused at once.
+    registry.register("briefly_registered", registry.get(registry.names()[0]))
+    try:
+        assert FrameworkConfig(**{knob: "briefly_registered"})
+    finally:
+        registry.unregister("briefly_registered")
+    with pytest.raises(ValueError, match="briefly_registered"):
+        FrameworkConfig(**{knob: "briefly_registered"})
 
 
 def test_config_solver_backend_round_trips_and_wires_solver():

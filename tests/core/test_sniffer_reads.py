@@ -12,7 +12,8 @@ profiled design (a DSE point) builds no platform at all, so it has no
 sniffer to read.
 
 A co-stepped group window is counted the same way: whatever the member
-count, one injection product and one readout product, no
+count, one readout product, one injection product when a member's power
+changed (none in a steady window), no
 :class:`~repro.core.sniffers.WindowRecords` built (nobody reads them),
 and still one read per enabled count sniffer when the platforms run.
 """
@@ -168,9 +169,10 @@ def test_a_dse_group_window_is_one_product_each_and_keeps_no_records(
     assert len(points) == 21
     frameworks = [point_scenario(p).build() for p in points[:members]]
     counts = step_counted(monkeypatch, frameworks, 6)
-    # One injection and one readout a window; nobody reads the sniffer
-    # records.
-    assert [c[:3] for c in counts] == [(1, 1, 0)] * 6
+    # A profile's utilizations are constant: one injection in the first
+    # window and none in the steady ones, one readout every window;
+    # nobody reads the sniffer records.
+    assert [c[:3] for c in counts] == [(1, 1, 0)] + [(0, 1, 0)] * 5
 
 
 def test_a_running_group_reads_each_sniffer_once_a_window(monkeypatch):

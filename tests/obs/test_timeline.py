@@ -1,6 +1,7 @@
 """RunTimeline: JSONL round-trip, phase math, digest stability."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -76,6 +77,24 @@ def test_jsonl_round_trip_summary_is_digest_stable(tmp_path):
     # Different structure (one more window) → different digest.
     other = _trace_run({phase: 0.001 for phase in PHASE_ORDER}, windows=3)
     assert RunTimeline(other.events).digest() != parsed.digest()
+
+
+def test_from_jsonl_reads_a_path_object_as_a_path(tmp_path):
+    log = tmp_path / "run.jsonl"
+    tracer = _trace_run(WALLS)
+    log.write_text("".join(json.dumps(event) + "\n" for event in tracer.events))
+    expected = RunTimeline(tracer.events).summary()
+    assert RunTimeline.from_jsonl(log).summary() == expected
+    assert RunTimeline.from_jsonl(str(log)).summary() == expected
+    # One-line text that starts with "{" is still the log itself.
+    one = json.dumps(tracer.events[0])
+    assert RunTimeline.from_jsonl(one).events == [tracer.events[0]]
+
+
+@pytest.mark.parametrize("as_path", [str, pathlib.Path], ids=["str", "Path"])
+def test_from_jsonl_on_a_missing_path_raises_file_not_found(tmp_path, as_path):
+    with pytest.raises(FileNotFoundError):
+        RunTimeline.from_jsonl(as_path(tmp_path / "mistyped.jsonl"))
 
 
 def test_summary_is_json_safe():
