@@ -786,9 +786,9 @@ class WindowGroup:
 
     Row ``j`` of ``utilization`` (emulated members x slots), ``ratio``
     and ``scale`` belongs to the ``j``-th emulated member, row ``k`` of
-    a window's watts and column ``k`` of ``temperatures`` (cells x
-    members, kept stacked between windows) to member ``k``.  A window
-    is five phases:
+    a window's watts and column ``k`` of its temperatures (cells x
+    members, gathered from the members' solvers) to member ``k``.  A
+    window is five phases:
 
     1. *emulate* — each emulated member runs its workload for one
        window, and its utilization vector fills its row;
@@ -800,25 +800,25 @@ class WindowGroup:
        sniffers only size the payload), each recorded member supplies
        its recorded watts, and one sparse product injects every member's
        power;
-    4. *solve* — one multi-RHS ``step_batch`` on the shared ``backend``,
-       or a lone member's own solver;
+    4. *solve* — one multi-RHS ``step_batch`` on ``backend`` from the
+       members' solver temperatures, which then hold the result;
     5. *other* — one sparse product reads every member out, and each
        senses, reacts, captures and commits its own row.
 
     A steady window reuses the last window's watts and injection: the
     block is converted again only when its bytes differ from the last
     converted block (so ``-0.0`` for ``0.0``, or any NaN, is a change)
-    or a member's DFS level changed, and injected again only then or
-    when the group has recorded members, whose watts are new every
-    window.  Reused values are the ones a recomputation would give, so
-    every trace stays byte-identical.
+    or a member's DFS level changed, and the window's watts block, live
+    rows and recorded rows alike, is injected again only when its bytes
+    differ from the block injected last.  Reused values are the ones a
+    recomputation would give, so every trace stays byte-identical.
 
     What stays per member is scalar bookkeeping: workload progress, the
     VPCM, the dispatcher, sensor hysteresis, the policy, captures and
     the trace.  A member's phases are an even share of each group
     phase (the emulated members' share, for the first two), so the
     members' phases add up to the window's wall time.  ``step_window()``
-    is a group of one, stepped by the member's own solver.
+    is a group of one, whose ``backend`` is the member's own solver's.
     """
 
     def __init__(self, runnables, backend=None):
@@ -830,7 +830,7 @@ class WindowGroup:
             raise ValueError(
                 "only a group of one steps without a shared backend"
             )
-        self.backend = backend
+        self.backend = members[0].solver.backend if backend is None else backend
         self.network = members[0].network
         self.period = members[0].config.sampling_period_s
         self.live = tuple(
@@ -859,15 +859,12 @@ class WindowGroup:
             )
             self.levels = [None] * len(models)
         # What a steady window reuses: the utilization bytes its watts
-        # were converted from, the live members' watts, and the
-        # injection (its columns, right-hand side and row totals).
-        self._inputs = self._watts = self._columns = None
-        if backend is not None:
-            stacked = self.temperatures = np.stack(
-                [member.solver.temperatures for member in members], axis=1
-            )
-            for k, member in enumerate(members):
-                member.solver.temperatures = stacked[:, k]
+        # were converted from, the live members' watts, and the bytes
+        # of the watts block injected last with that injection's
+        # right-hand side and row totals.
+        self._inputs = self._watts = self._injected = None
+        # Each window's starting temperatures, gathered from the solvers.
+        self._start = np.empty((self.network.num_cells, len(members)))
 
     def step(self):
         """Advance every member one sampling window; returns their
@@ -901,32 +898,27 @@ class WindowGroup:
             members[k]._window_dispatch()
         watts = self._watts
         if self.recorded:
-            block = np.empty((len(members), len(network.component_names)))
+            watts = np.empty((len(members), len(network.component_names)))
             if live:
-                block[list(live)] = watts
+                watts[list(live)] = self._watts
             for k in self.recorded:
-                frequencies[k], block[k] = members[k]._window_recorded()
-            watts, self._columns = block, None
-        if self._columns is None:
-            power = network.injection(watts.T)
-            self._columns = list(power.T)
-            self._rhs = None if self.backend is None else network.rhs(power)
+                frequencies[k], watts[k] = members[k]._window_recorded()
+        injected = watts.tobytes()
+        if injected != self._injected:
+            self._injected = injected
+            self._rhs = network.rhs(network.injection(watts.T))
             self._totals = [sum(row) for row in watts.tolist()]
-        for member, column in zip(members, self._columns):
-            member.network.power = column
         t3 = time.perf_counter()
-        # 4. The SW thermal tool integrates one sampling period.
-        if self.backend is None:
-            solver = members[0].solver
-            solver.step_be(self.period)
-            temperatures = solver.temperatures.reshape(-1, 1)
-        else:
-            temperatures = self.temperatures
-            temperatures[...] = self.backend.step_batch(
-                temperatures, self.period, self._rhs
-            )
-            for member in members:
-                member.solver.time += self.period
+        # 4. The SW thermal tool integrates one sampling period, from
+        #    whatever the members' solvers hold now.
+        start = self._start
+        for k, member in enumerate(members):
+            start[:, k] = member.solver.temperatures
+        temperatures = self.backend.step_batch(start, self.period, self._rhs)
+        for k, member in enumerate(members):
+            solver = member.solver
+            solver.temperatures = temperatures[:, k]
+            solver.time += self.period
         t4 = time.perf_counter()
         # 5. Temperatures return to the sensors; each policy reacts.
         means = np.ascontiguousarray(

@@ -4,13 +4,17 @@ The co-emulation loop advances one sampling period per window by solving
 
     (C/dt + G(T_n)) T_{n+1} = (C/dt) T_n + P + G_amb T_amb
 
+for a block of temperature columns: every backend's only step is
+:meth:`~SolverBackend.step_batch`, which takes the ``(n, B)``
+temperatures and each column's source term, so a lone run steps a
+one-column batch and a co-stepped group of B runs steps B columns.
 Two strategies for that solve, both behind one :class:`SolverBackend`
 interface and resolvable by name through :data:`SOLVER_BACKENDS`:
 
 ``sparse_be`` (:class:`SparseBE`)
     The reference: re-assemble ``C/dt + G(T_n)`` and run a fresh sparse
-    factorization every step.  Exact semi-implicit behaviour, and the
-    baseline every other backend is tested against.
+    factorization every step, column by column.  Exact semi-implicit
+    behaviour, and the baseline every other backend is tested against.
 
 ``cached_lu`` (:class:`CachedLU`)
     Factorize ``A = C/dt + G(T_ref)`` once and reuse the LU factors
@@ -28,8 +32,8 @@ interface and resolvable by name through :data:`SOLVER_BACKENDS`:
     structurally identical scenarios step together through **one**
     factorization and a single ``solve(n x B)`` call per window, so a
     B-scenario sweep costs one factorization instead of B x windows.
-    The shared reference temperature is the batch column mean, refreshed
-    under the same drift tolerance.
+    The shared reference temperature is the batch column mean (a lone
+    column is its own mean), refreshed under the same drift tolerance.
 
 ``batched_lu``
     An alias of ``cached_lu`` (and ``BatchedLU`` of :class:`CachedLU`),
@@ -54,8 +58,8 @@ SOLVER_BACKENDS = Registry("solver backend")
 class SolverBackend:
     """One strategy for the backward-Euler solve, bound to a network.
 
-    Subclasses implement :meth:`step`; :meth:`step_batch` has a generic
-    per-column reference implementation that exact backends inherit.
+    Subclasses implement :meth:`step_batch`, the only step: a lone run
+    steps a one-column batch.
     """
 
     name = None
@@ -84,28 +88,15 @@ class SolverBackend:
     def invalidate(self):
         """Drop any cached factorization (grid or material change)."""
 
-    def step(self, temperatures, dt):
-        """Return ``T_{n+1}`` after one implicit step of length ``dt``."""
-        raise NotImplementedError
-
     def step_batch(self, temperatures, dt, rhs):
-        """Step an ``(n, B)`` batch of temperature columns at once.
+        """Return ``T_{n+1}`` for an ``(n, B)`` batch of temperature
+        columns after one implicit step of length ``dt``.
 
         ``rhs`` holds each column's full source term ``P + G_amb T_amb``
         (the batch shares one network *structure* but not one power
-        vector).  The reference implementation solves column by column
-        with each column's own ``G(T)`` — exact, but B factorizations.
+        vector).
         """
-        out = np.empty_like(temperatures)
-        net = self.network
-        c_over_dt = net.capacitance / dt
-        for col in range(temperatures.shape[1]):
-            t = temperatures[:, col]
-            a = net.system_matrix(t, c_over_dt)
-            self.factorizations += 1
-            self.solves += 1
-            out[:, col] = spsolve(a, c_over_dt * t + rhs[:, col])
-        return out
+        raise NotImplementedError
 
     def stats(self):
         return {"factorizations": self.factorizations, "solves": self.solves}
@@ -121,14 +112,19 @@ class SparseBE(SolverBackend):
         super().__init__()
         self._matrix = None
 
-    def step(self, temperatures, dt):
+    def step_batch(self, temperatures, dt, rhs):
+        """Each column with its own ``G(T)``: exact, one factorization
+        per column."""
         net = self.network
         c_over_dt = net.capacitance / dt
-        self._matrix = net.system_matrix(temperatures, c_over_dt, self._matrix)
-        b = c_over_dt * temperatures + net.rhs()
-        self.factorizations += 1
-        self.solves += 1
-        return spsolve(self._matrix, b)
+        out = np.empty_like(temperatures)
+        for col in range(temperatures.shape[1]):
+            t = temperatures[:, col]
+            self._matrix = net.system_matrix(t, c_over_dt, self._matrix)
+            self.factorizations += 1
+            self.solves += 1
+            out[:, col] = spsolve(self._matrix, c_over_dt * t + rhs[:, col])
+        return out
 
 
 @SOLVER_BACKENDS.register("cached_lu")
@@ -199,18 +195,17 @@ class CachedLU(SolverBackend):
             self._refactor(reference, dt)
 
     # -- stepping ------------------------------------------------------------
-    def step(self, temperatures, dt):
-        self._ensure_factors(temperatures, dt)
-        b = self._c_over_dt * temperatures + self.network.rhs()
-        self.solves += 1
-        return self._solve(b)
-
     def step_batch(self, temperatures, dt, rhs):
         """One factorization (linearized at the batch-mean temperature)
-        and one multi-column backsolve for every column."""
-        self._ensure_factors(temperatures.mean(axis=1), dt)
+        and one multi-column backsolve for every column.  A lone column
+        is its own mean, so it is the reference without taking one."""
+        columns = temperatures.shape[1]
+        self._ensure_factors(
+            temperatures[:, 0] if columns == 1 else temperatures.mean(axis=1),
+            dt,
+        )
         b = self._c_over_dt[:, None] * temperatures + rhs
-        self.solves += temperatures.shape[1]
+        self.solves += columns
         return self._solve(b)
 
 

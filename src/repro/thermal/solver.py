@@ -6,7 +6,9 @@ non-linear silicon resistances for one step) and the linear system
 
     (C/dt + G(T_n)) T_{n+1} = (C/dt) T_n + P + G_amb T_amb
 
-is solved by a pluggable :class:`repro.thermal.backends.SolverBackend`.
+is solved by a pluggable :class:`repro.thermal.backends.SolverBackend`,
+whose one step method, ``step_batch``, :meth:`ThermalSolver.step_be`
+calls on a one-column batch with the network's current sources.
 This is unconditionally stable, so the framework can step exactly one
 10 ms sampling period per co-emulation exchange.
 
@@ -62,7 +64,9 @@ class ThermalSolver:
         """One semi-implicit backward-Euler step of length ``dt`` seconds."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.temperatures = self.backend.step(self.temperatures, dt)
+        self.temperatures = self.backend.step_batch(
+            self.temperatures[:, None], dt, self.network.rhs()[:, None]
+        )[:, 0]
         self.time += dt
         return self.temperatures
 

@@ -5,6 +5,7 @@ the ``sparse_be`` reference on grids up to the paper's 660-cell class."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import spsolve
 
 from repro.thermal.backends import (
     SOLVER_BACKENDS,
@@ -158,6 +159,68 @@ def test_multi_rhs_step_batch_matches_columns():
         worst = float(np.max(np.abs(temps[:, col] - reference[-1])))
         assert worst < 0.2, f"column {col}: {worst} K"
     assert backend.factorizations < 25
+
+
+# -- one step contract: step_be is a one-column step_batch ------------------
+
+def sparse_be_step(backend, temperatures, dt):
+    """``SparseBE.step`` as it was before ``step_batch`` became the
+    only step: the network's own sources, one factorization."""
+    net = backend.network
+    c_over_dt = net.capacitance / dt
+    backend._matrix = net.system_matrix(temperatures, c_over_dt, backend._matrix)
+    b = c_over_dt * temperatures + net.rhs()
+    backend.factorizations += 1
+    backend.solves += 1
+    return spsolve(backend._matrix, b)
+
+
+def cached_lu_step(backend, temperatures, dt):
+    """``CachedLU.step`` as it was before ``step_batch`` became the only
+    step: the lone vector is the linearization reference."""
+    backend._ensure_factors(temperatures, dt)
+    b = backend._c_over_dt * temperatures + backend.network.rhs()
+    backend.solves += 1
+    return backend._solve(b)
+
+
+ORACLE_STEPS = 120
+
+
+@pytest.mark.parametrize("backend,reference_step", [
+    ("sparse_be", sparse_be_step),
+    ("cached_lu", cached_lu_step),
+])
+def test_step_be_is_the_former_single_step_byte_for_byte(backend, reference_step):
+    """Over refactorizations, a ``dt`` change and an ``invalidate()``,
+    ``ThermalSolver.step_be`` through the one-column ``step_batch``
+    gives the former single-vector step's temperatures and counters."""
+    network = uniform_network()
+    solver, oracle = (
+        ThermalSolver(network.clone(), backend=backend) for _ in range(2)
+    )
+    for step in range(ORACLE_STEPS):
+        watts = {"block": 2.0 + np.sin(step / 7.0)}
+        dt = DT if step < 80 else 2 * DT
+        if step == 50:
+            solver.backend.invalidate()
+            oracle.backend.invalidate()
+        for side in (solver, oracle):
+            side.network.set_power(watts)
+        solver.step_be(dt)
+        oracle.temperatures = reference_step(
+            oracle.backend, oracle.temperatures, dt
+        )
+        assert solver.temperatures.tobytes() == oracle.temperatures.tobytes()
+        # A lone column is its own batch mean, bit for bit.
+        column = solver.temperatures[:, None]
+        assert column.mean(axis=1).tobytes() == solver.temperatures.tobytes()
+    assert solver.backend.stats() == oracle.backend.stats()
+    assert solver.backend.stats()["solves"] == ORACLE_STEPS
+    if backend == "cached_lu":
+        # Drift refactorizations beyond the invalidate and the dt change,
+        # and reuse between them (27 factorizations for 120 steps).
+        assert 3 < solver.backend.factorizations < ORACLE_STEPS / 2
 
 
 # -- energy balance ----------------------------------------------------------

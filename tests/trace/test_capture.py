@@ -8,7 +8,7 @@ from repro.trace.store import scenario_trace_digest
 from tests.trace.conftest import short_scenario
 
 
-def test_record_returns_live_run_plus_archive(stress_scenario):
+def test_record_returns_live_run_plus_archive(stress_scenario, injections):
     framework, report, archive = record(stress_scenario)
     assert archive.windows == report.windows == framework.windows
     assert archive.components == framework.network.component_names
@@ -16,10 +16,14 @@ def test_record_returns_live_run_plus_archive(stress_scenario):
         framework.config.sampling_period_s
     )
     # Every window's injected power is reproducible from the archive:
-    # injection @ recorded watts == what the live network saw last.
+    # the watts the live run injected last are its last recorded row,
+    # and injection @ that row == the sources the live run injected.
     last = archive.power_w[-1]
+    watts, sources = injections[-1]
+    assert watts[:, 0].tobytes() == last.tobytes()
+    assert sources.any()
     np.testing.assert_array_equal(
-        framework.network._injection @ last, framework.network.power
+        framework.network._injection @ last, sources[:, 0]
     )
 
 

@@ -183,8 +183,9 @@ def test_replay_config_object_roundtrip(stress_scenario):
     assert report.extras["thermal_cells"] == 72
 
 
-def test_replay_power_injection_is_bitwise(stress_scenario):
-    """The replayed per-cell injection vector equals the live one."""
+def test_replay_power_injection_is_bitwise(stress_scenario, injections):
+    """The replay injects the live run's watts, and the same per-cell
+    sources, bit for bit."""
     live = stress_scenario.build()
     from repro.trace.capture import PowerTraceCapture
 
@@ -192,6 +193,20 @@ def test_replay_power_injection_is_bitwise(stress_scenario):
     live.step_window()
     archive = capture.to_archive(live, scenario=stress_scenario)
     player = ReplaySource(archive)
+    replayed = []
+    window_recorded = player._window_recorded
+
+    def recording():
+        frequency, watts = window_recorded()
+        replayed.append(watts.copy())
+        return frequency, watts
+
+    player._window_recorded = recording
     player.step_window()
-    np.testing.assert_array_equal(player.network.power, live.network.power)
+    (live_watts, live_sources), (replay_watts, replay_sources) = injections
+    assert archive.power_w[0].tobytes() == live_watts[:, 0].tobytes()
+    assert replayed[0].tobytes() == replay_watts[:, 0].tobytes()
+    assert replayed[0].tobytes() == archive.power_w[0].tobytes()
+    assert live_sources.any()
+    assert replay_sources.tobytes() == live_sources.tobytes()
     assert player.solver.temperatures.shape == (player.network.num_cells,)
