@@ -19,7 +19,7 @@ from repro.mpsoc.platform import MPSoCConfig, build_platform
 from repro.policy.base import POLICIES
 from repro.scenario.registry import PLATFORM_FREE_WORKLOADS, WORKLOADS
 from repro.thermal.floorplan import FLOORPLANS
-from repro.util.jsondata import check_keys, json_copy
+from repro.util.jsondata import check_keys, json_canonical, json_copy
 from repro.util.registry import canonical_spec
 
 
@@ -135,6 +135,19 @@ class Scenario:
             "max_windows": self.max_windows,
             "max_stall_windows": self.max_stall_windows,
         }
+
+    def canonical_dict(self):
+        """``to_dict()`` as it reads back from JSON
+        (:func:`~repro.util.jsondata.json_canonical`), walked straight
+        from the scenario's own fields: the walk builds fresh containers
+        and changes nothing, so ``to_dict``'s copies of the floorplan,
+        workload and policy specs would be thrown away."""
+        return json_canonical(vars(self) | {
+            "platform": self.platform.to_dict() if self.platform else None,
+            "workload": vars(self.workload),
+            "policy": vars(self.policy),
+            "config": self.config.to_dict(),
+        })
 
     @classmethod
     def from_dict(cls, data):

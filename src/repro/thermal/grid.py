@@ -15,177 +15,177 @@ Two generation modes:
 * ``uniform`` — an ``nx x ny`` uniform grid per layer; this produces the
   fine grids (the paper's 660-cell solver-performance claim).
 
-Adjacency handles hanging nodes (a large cell bordering several small
-ones) by computing per-pair face overlaps.
+A :class:`Grid` is arrays: cell coordinates, then neighbour pairs and
+component cover computed from them in whole-array passes, with no
+per-cell Python loop.  Adjacency handles hanging nodes (a large cell
+bordering several small ones) by computing per-pair face overlaps:
+
+* two cells of one layer share a face when one's right (top) edge lies
+  within 2 quanta (0.2 nm) of the other's left (bottom) edge and their
+  spans along that edge overlap by more than 1 quantum;
+* a die cell and a spreader cell couple vertically when their overlap
+  is more than 1 quantum wide and high;
+* a component covers a die cell when their overlap has positive width
+  and height and an area above 1 square quantum.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.thermal.properties import ThermalProperties
 
-LAYER_DIE = "die"
-LAYER_SPREADER = "spreader"
-
 _QUANTUM = 1e-10  # 0.1 nm: coordinate quantum for face matching
-
-
-def _q(coord):
-    return round(coord / _QUANTUM)
+_FACE_GAP = 2 * _QUANTUM  # largest edge offset of two cells sharing a face
 
 
 @dataclass
-class Cell:
-    """One box-shaped thermal cell."""
+class Grid:
+    """The generated cell grid plus its adjacency structure, as arrays.
 
-    index: int
-    layer: str
-    x: float
-    y: float
-    width: float
-    height: float
-    thickness: float
-    component: str = None  # dominant floorplan component (reporting)
+    Cells are indexed die first (``die_cells``), then spreader.  Per
+    cell: ``x``, ``y`` (lower-left corner), ``width``, ``height`` and
+    ``thickness``.  Per lateral edge (neighbours within one layer):
+    ``lateral_i``, ``lateral_j``, the shared face length
+    ``lateral_face`` and ``lateral_x``, true where the face is normal to
+    x (``i`` left of ``j``; else ``i`` below ``j``).  Per vertical edge
+    (die cell ``vertical_i`` over spreader cell ``vertical_j``):
+    ``vertical_area``.  The die cells covering component
+    ``component_names[k]`` are ``cover_cells[cover_indptr[k]:
+    cover_indptr[k + 1]]``, ascending, with overlap areas
+    ``cover_areas`` (CSR layout).
+    """
+
+    floorplan: object
+    properties: ThermalProperties
+    x: np.ndarray
+    y: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    thickness: np.ndarray
+    num_die: int
+    lateral_i: np.ndarray
+    lateral_j: np.ndarray
+    lateral_face: np.ndarray
+    lateral_x: np.ndarray
+    vertical_i: np.ndarray
+    vertical_j: np.ndarray
+    vertical_area: np.ndarray
+    component_names: tuple
+    cover_indptr: np.ndarray
+    cover_cells: np.ndarray
+    cover_areas: np.ndarray
+
+    @property
+    def num_cells(self):
+        return len(self.x)
+
+    @property
+    def die_cells(self):
+        return np.arange(self.num_die)
+
+    @property
+    def spreader_cells(self):
+        return np.arange(self.num_die, self.num_cells)
 
     @property
     def area(self):
         return self.width * self.height
 
-    @property
-    def volume(self):
-        return self.area * self.thickness
-
-    @property
-    def x1(self):
-        return self.x + self.width
-
-    @property
-    def y1(self):
-        return self.y + self.height
-
-
-@dataclass
-class Grid:
-    """The generated cell grid plus its adjacency structure."""
-
-    floorplan: object
-    properties: ThermalProperties
-    cells: list = field(default_factory=list)
-    die_cells: list = field(default_factory=list)
-    spreader_cells: list = field(default_factory=list)
-    # (i, j, shared_face_length, axis): lateral neighbour pairs.
-    lateral_edges: list = field(default_factory=list)
-    # (i, j, overlap_area): die cell <-> spreader cell pairs.
-    vertical_edges: list = field(default_factory=list)
-    # component name -> [(die cell index, overlap area)]
-    component_cover: dict = field(default_factory=dict)
-
-    @property
-    def num_cells(self):
-        return len(self.cells)
-
-    def cells_of(self, layer):
-        indices = self.die_cells if layer == LAYER_DIE else self.spreader_cells
-        return [self.cells[i] for i in indices]
-
     def summary(self):
         return {
             "cells": self.num_cells,
-            "die_cells": len(self.die_cells),
-            "spreader_cells": len(self.spreader_cells),
-            "lateral_edges": len(self.lateral_edges),
-            "vertical_edges": len(self.vertical_edges),
+            "die_cells": self.num_die,
+            "spreader_cells": self.num_cells - self.num_die,
+            "lateral_edges": len(self.lateral_i),
+            "vertical_edges": len(self.vertical_i),
         }
 
 
 def _subdivide(x, y, w, h, nx, ny):
-    """Split a rectangle into an ``nx x ny`` array of sub-rectangles."""
-    rects = []
-    for i in range(nx):
-        for j in range(ny):
-            rects.append((x + i * w / nx, y + j * h / ny, w / nx, h / ny))
-    return rects
+    """Split rectangles into ``nx x ny`` sub-rectangles each (arrays,
+    one entry per rectangle; scalars broadcast), column by column:
+    ``(x, y, w, h)`` arrays of the pieces, one rectangle's consecutive."""
+    x, y, w, h, nx, ny = np.broadcast_arrays(
+        *map(np.atleast_1d, (x, y, w, h, nx, ny))
+    )
+    pieces = nx * ny
+    owner = np.repeat(np.arange(len(pieces)), pieces)
+    k = np.arange(int(pieces.sum())) - (np.cumsum(pieces) - pieces)[owner]
+    x, y, w, h, nx, ny = (a[owner] for a in (x, y, w, h, nx, ny))
+    i, j = k // ny, k % ny
+    return x + i * w / nx, y + j * h / ny, w / nx, h / ny
 
 
-def _component_rects(floorplan, refine):
-    """(rect, component name) list for component mode."""
-    rects = []
-    for comp in floorplan.components:
-        n = refine if (comp.critical and refine > 1) else 1
-        for rect in _subdivide(comp.x, comp.y, comp.width, comp.height, n, n):
-            rects.append((rect, None if comp.is_filler else comp.name))
-    return rects
+def _face_candidates(ends, starts):
+    """``(a, b)`` with ``|ends[a] - starts[b]| <= 2`` quanta, ``a``
+    ascending, from one sort of ``starts``."""
+    order = np.argsort(starts, kind="stable")
+    ordered = starts[order]
+    # Search a wider window than the rule, then apply the rule exactly.
+    lo = np.searchsorted(ordered, ends - 2 * _FACE_GAP)
+    hi = np.searchsorted(ordered, ends + 2 * _FACE_GAP, side="right")
+    count = hi - lo
+    a = np.repeat(np.arange(len(ends)), count)
+    # Pair t of cell a is starts[order[lo[a] + t - first pair of a]].
+    shift = np.repeat(lo + count - np.cumsum(count), count)
+    b = order[np.arange(len(a)) + shift]
+    near = np.abs(ends[a] - starts[b]) <= _FACE_GAP
+    return a[near], b[near]
 
 
-def _uniform_rects(width, height, nx, ny):
-    return [(rect, None) for rect in _subdivide(0.0, 0.0, width, height, nx, ny)]
+def _lateral_adjacency(x, y, x1, y1):
+    """Face-sharing pairs of one layer's cells: ``(i, j, face, is_x)``,
+    from the cells' ``(x, y, x1, y1)`` boxes.
 
-
-def _lateral_adjacency(cells):
-    """Face-sharing pairs within one layer, with shared face lengths.
-
-    Uses edge-coordinate bucketing: a cell's right edge can only touch
-    left edges at the same x coordinate (and likewise in y), so only
-    those few candidates are checked for overlap.
+    Edges come cell by cell (``i`` ascending); within a cell, x faces
+    before y faces, each by neighbour index.
     """
-    edges = []
-    left = defaultdict(list)  # quantized x0 -> cells
-    bottom = defaultdict(list)  # quantized y0 -> cells
-    for cell in cells:
-        left[_q(cell.x)].append(cell)
-        bottom[_q(cell.y)].append(cell)
-    def _candidates(buckets, coord):
-        # Look in the quantum bucket and its neighbours so values that
-        # round across a bucket boundary are still matched.
-        k = _q(coord)
-        for key in (k - 1, k, k + 1):
-            yield from buckets.get(key, ())
-
-    for cell in cells:
-        for other in _candidates(left, cell.x1):
-            if abs(cell.x1 - other.x) > 2 * _QUANTUM:
-                continue
-            overlap = min(cell.y1, other.y1) - max(cell.y, other.y)
-            if overlap > _QUANTUM:
-                edges.append((cell.index, other.index, overlap, "x"))
-        for other in _candidates(bottom, cell.y1):
-            if abs(cell.y1 - other.y) > 2 * _QUANTUM:
-                continue
-            overlap = min(cell.x1, other.x1) - max(cell.x, other.x)
-            if overlap > _QUANTUM:
-                edges.append((cell.index, other.index, overlap, "y"))
-    return edges
-
-
-def _rect_overlaps(cells_a, cells_b):
-    """(a, b, overlap_area) pairs across two layers via spatial hashing."""
-    if not cells_a or not cells_b:
-        return []
-    bin_size = max(max(c.width for c in cells_b), max(c.height for c in cells_b))
-    bins = defaultdict(list)
-    for cell in cells_b:
-        i0, i1 = int(cell.x / bin_size), int(cell.x1 / bin_size)
-        j0, j1 = int(cell.y / bin_size), int(cell.y1 / bin_size)
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                bins[(i, j)].append(cell)
     pairs = []
-    seen = set()
-    for cell in cells_a:
-        i0, i1 = int(cell.x / bin_size), int(cell.x1 / bin_size)
-        j0, j1 = int(cell.y / bin_size), int(cell.y1 / bin_size)
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                for other in bins.get((i, j), ()):
-                    key = (cell.index, other.index)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    dx = min(cell.x1, other.x1) - max(cell.x, other.x)
-                    dy = min(cell.y1, other.y1) - max(cell.y, other.y)
-                    if dx > _QUANTUM and dy > _QUANTUM:
-                        pairs.append((cell.index, other.index, dx * dy))
-    return pairs
+    for is_x, (lo, hi, across_lo, across_hi) in (
+        (True, (x, x1, y, y1)),
+        (False, (y, y1, x, x1)),
+    ):
+        i, j = _face_candidates(hi, lo)
+        face = (np.minimum(across_hi[i], across_hi[j])
+                - np.maximum(across_lo[i], across_lo[j]))
+        keep = face > _QUANTUM
+        i, j = i[keep], j[keep]
+        pairs.append((i, j, face[keep], np.full(len(i), is_x)))
+    i, j, face, is_x = (np.concatenate(part) for part in zip(*pairs))
+    order = np.lexsort((j, ~is_x, i))
+    return i[order], j[order], face[order], is_x[order]
+
+
+def _overlaps(ax, ay, ax1, ay1, bx, by, bx1, by1):
+    """Overlap widths and heights of every ``(a, b)`` rectangle pair,
+    as ``(len(a), len(b))`` arrays (non-positive where disjoint)."""
+    dx = np.minimum(ax1[:, None], bx1) - np.maximum(ax[:, None], bx)
+    dy = np.minimum(ay1[:, None], by1) - np.maximum(ay[:, None], by)
+    return dx, dy
+
+
+def _vertical_adjacency(die, spreader, spreader_width, spreader_height):
+    """Overlapping (die, spreader) cell pairs: ``(i, j, area)``, from
+    ``(x, y, x1, y1)`` boxes of each layer's cells.
+
+    Pairs come die cell by die cell.  Within one, they are ordered by
+    the first bin the two cells share on a square lattice as wide as the
+    largest spreader cell side (bins column by column), then by spreader
+    index: a bin-hashed overlap search yields them in this order, and
+    the network's edge order, and so its bytes, keep it.
+    """
+    dx, dy = _overlaps(*die, *spreader)
+    i, j = np.nonzero((dx > _QUANTUM) & (dy > _QUANTUM))
+    area = dx[i, j] * dy[i, j]
+    bin_size = max(spreader_width.max(), spreader_height.max())
+    # A coordinate's bin truncates toward zero, as int() does.
+    first_x = np.maximum((die[0] / bin_size).astype(np.int64)[i],
+                         (spreader[0] / bin_size).astype(np.int64)[j])
+    first_y = np.maximum((die[1] / bin_size).astype(np.int64)[i],
+                         (spreader[1] / bin_size).astype(np.int64)[j])
+    order = np.lexsort((j, first_y, first_x, i))
+    return i[order], j[order], area[order]
 
 
 #: The two die knobs' defaults; each grid mode reads only one of them.
@@ -220,66 +220,59 @@ def build_grid(
     uses ``die_resolution`` for the die instead.
     """
     props = properties or ThermalProperties()
+    comps = floorplan.components
+    cx, cy, cw, ch = (
+        np.array([getattr(c, key) for c in comps], dtype=float)
+        for key in ("x", "y", "width", "height")
+    )
     if mode == "component":
-        die_rects = _component_rects(floorplan, refine_critical)
+        n = [refine_critical if c.critical and refine_critical > 1 else 1
+             for c in comps]
+        die = _subdivide(cx, cy, cw, ch, n, n)
     elif mode == "uniform":
-        die_rects = _uniform_rects(floorplan.width, floorplan.height, *die_resolution)
+        die = _subdivide(0.0, 0.0, floorplan.width, floorplan.height,
+                         *die_resolution)
     else:
         raise ValueError(f"unknown grid mode {mode!r}")
-    spreader_rects = _uniform_rects(
-        floorplan.width, floorplan.height, *spreader_resolution
+    spreader = _subdivide(0.0, 0.0, floorplan.width, floorplan.height,
+                          *spreader_resolution)
+    num_die = len(die[0])
+    x, y, width, height = (np.concatenate(pair) for pair in zip(die, spreader))
+    thickness = np.repeat([props.die_thickness, props.spreader_thickness],
+                          [num_die, len(x) - num_die])
+    x1, y1 = x + width, y + height
+    die_box, spreader_box = (
+        (x[layer], y[layer], x1[layer], y1[layer])
+        for layer in (slice(None, num_die), slice(num_die, None))
     )
 
-    grid = Grid(floorplan=floorplan, properties=props)
-    for (x, y, w, h), comp_name in die_rects:
-        cell = Cell(
-            index=len(grid.cells),
-            layer=LAYER_DIE,
-            x=x,
-            y=y,
-            width=w,
-            height=h,
-            thickness=props.die_thickness,
-            component=comp_name,
-        )
-        grid.cells.append(cell)
-        grid.die_cells.append(cell.index)
-    for (x, y, w, h), _ in spreader_rects:
-        cell = Cell(
-            index=len(grid.cells),
-            layer=LAYER_SPREADER,
-            x=x,
-            y=y,
-            width=w,
-            height=h,
-            thickness=props.spreader_thickness,
-        )
-        grid.cells.append(cell)
-        grid.spreader_cells.append(cell.index)
-
-    die = [grid.cells[i] for i in grid.die_cells]
-    spreader = [grid.cells[i] for i in grid.spreader_cells]
-    grid.lateral_edges = _lateral_adjacency(die) + _lateral_adjacency(spreader)
-    grid.vertical_edges = _rect_overlaps(die, spreader)
+    die_lateral = _lateral_adjacency(*die_box)
+    i, j, face, is_x = _lateral_adjacency(*spreader_box)
+    lateral = (np.concatenate(pair) for pair in zip(
+        die_lateral, (i + num_die, j + num_die, face, is_x)
+    ))
+    vertical_i, vertical_j, vertical_area = _vertical_adjacency(
+        die_box, spreader_box, width[num_die:], height[num_die:]
+    )
 
     # Component coverage (power injection + sensor readout weights).
-    for comp in floorplan.components:
-        if comp.is_filler:
-            continue
-        cover = []
-        for cell in die:
-            area = comp.overlap_area(cell.x, cell.y, cell.x1, cell.y1)
-            if area > _QUANTUM * _QUANTUM:
-                cover.append((cell.index, area))
-        if not cover:
-            raise ValueError(
-                f"grid over {floorplan.name}: component {comp.name} covered "
-                f"by no die cell"
-            )
-        grid.component_cover[comp.name] = cover
-        # Tag uniform-mode cells with their dominant component.
-        for index, area in cover:
-            cell = grid.cells[index]
-            if cell.component is None and area >= 0.5 * cell.area:
-                cell.component = comp.name
-    return grid
+    active = [not c.is_filler for c in comps]
+    dx, dy = _overlaps(cx[active], cy[active], (cx + cw)[active],
+                       (cy + ch)[active], *die_box)
+    area = dx * dy
+    covered = (dx > 0) & (dy > 0) & (area > _QUANTUM * _QUANTUM)
+    names = tuple(c.name for c in floorplan.active_components())
+    counts = covered.sum(axis=1)
+    if not counts.all():
+        raise ValueError(
+            f"grid over {floorplan.name}: component "
+            f"{names[int(np.argmin(counts))]} covered by no die cell"
+        )
+    component, cover_cells = np.nonzero(covered)
+    cover_indptr = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(counts, out=cover_indptr[1:])
+    return Grid(
+        floorplan, props, x, y, width, height, thickness, num_die,
+        *lateral, vertical_i, vertical_j + num_die, vertical_area,
+        names, cover_indptr, cover_cells, area[component, cover_cells],
+    )

@@ -56,7 +56,7 @@ from scipy import sparse
 # ``_matvec`` against ``matrix @ vector`` byte for byte.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
-from repro.thermal.grid import LAYER_DIE, build_grid, used_die_knobs
+from repro.thermal.grid import build_grid, used_die_knobs
 from repro.thermal.properties import silicon_conductivity
 
 
@@ -80,72 +80,48 @@ class RCNetwork:
         n = grid.num_cells
         self.num_cells = n
 
-        cells = grid.cells
         props = self.properties
+        die = np.arange(n) < grid.num_die
+        die_material = props.die_material
+        spreader_material = props.spreader_material
         # Per-cell capacitance C = volumetric heat * volume.
-        self.capacitance = np.array(
-            [
-                (
-                    props.die_material.volumetric_heat
-                    if c.layer == LAYER_DIE
-                    else props.spreader_material.volumetric_heat
-                )
-                * c.volume
-                for c in cells
-            ]
-        )
+        self.capacitance = np.where(
+            die, die_material.volumetric_heat, spreader_material.volumetric_heat
+        ) * (grid.area * grid.thickness)
         # Which cells have temperature-dependent conductivity (silicon die).
-        self.is_nonlinear = np.array(
-            [
-                c.layer == LAYER_DIE and props.die_material.nonlinear
-                for c in cells
-            ],
-            dtype=bool,
-        )
-        self._linear_k = np.array(
-            [
-                (
-                    props.die_material.k(300.0)
-                    if c.layer == LAYER_DIE
-                    else props.spreader_material.k(300.0)
-                )
-                for c in cells
-            ]
+        self.is_nonlinear = die & bool(die_material.nonlinear)
+        self._linear_k = np.where(
+            die, die_material.k(300.0), spreader_material.k(300.0)
         )
 
         # Edge arrays: conductance of edge e = 1 / (geom_i/k_i + geom_j/k_j)
-        # where geom is the half-resistance geometric factor (1/m).
-        edge_i, edge_j, geom_i, geom_j = [], [], [], []
-        for i, j, face_len, axis in grid.lateral_edges:
-            ci, cj = cells[i], cells[j]
-            di = ci.width if axis == "x" else ci.height
-            dj = cj.width if axis == "x" else cj.height
-            edge_i.append(i)
-            edge_j.append(j)
-            geom_i.append((di / 2.0) / (face_len * ci.thickness))
-            geom_j.append((dj / 2.0) / (face_len * cj.thickness))
-        for i, j, area in grid.vertical_edges:
-            ci, cj = cells[i], cells[j]
-            edge_i.append(i)
-            edge_j.append(j)
-            geom_i.append((ci.thickness / 2.0) / area)
-            geom_j.append((cj.thickness / 2.0) / area)
-        self.edge_i = np.array(edge_i, dtype=np.int64)
-        self.edge_j = np.array(edge_j, dtype=np.int64)
-        self.geom_i = np.array(geom_i)
-        self.geom_j = np.array(geom_j)
+        # where geom is the half-resistance geometric factor (1/m); the
+        # lateral edges come first, then the vertical ones.
+        half = grid.thickness / 2.0
+        self.edge_i = np.concatenate((grid.lateral_i, grid.vertical_i))
+        self.edge_j = np.concatenate((grid.lateral_j, grid.vertical_j))
+        self.geom_i, self.geom_j = (
+            np.concatenate((
+                (np.where(grid.lateral_x, grid.width[lateral],
+                          grid.height[lateral]) / 2.0)
+                / (grid.lateral_face * grid.thickness[lateral]),
+                half[vertical] / grid.vertical_area,
+            ))
+            for lateral, vertical in (
+                (grid.lateral_i, grid.vertical_i),
+                (grid.lateral_j, grid.vertical_j),
+            )
+        )
 
         # Convection from top (spreader) cells to ambient: the package
         # resistance weighted by area ratio, in series with the copper
         # half resistance of the cell itself.
-        spreader_area = grid.floorplan.area
+        top = grid.spreader_cells
+        top_area = grid.area[top]
+        r_conv = props.package_to_air_resistance * (grid.floorplan.area / top_area)
+        r_half = half[top] / (spreader_material.k(300.0) * top_area)
         g_amb = np.zeros(n)
-        k_cu = props.spreader_material.k(300.0)
-        for index in grid.spreader_cells:
-            cell = cells[index]
-            r_conv = props.package_to_air_resistance * (spreader_area / cell.area)
-            r_half = (cell.thickness / 2.0) / (k_cu * cell.area)
-            g_amb[index] = 1.0 / (r_conv + r_half)
+        g_amb[top] = 1.0 / (r_conv + r_half)
         self.g_ambient = g_amb
         # The ambient Dirichlet term of every right-hand side.
         self._ambient_source = g_amb * props.ambient
@@ -155,34 +131,36 @@ class RCNetwork:
         self._structure = {}
 
         # Precomputed sparse injection / readout maps (component order is
-        # the floorplan's cover order; both matrices are built once).
-        self.component_names = tuple(grid.component_cover)
+        # the grid's cover order; both matrices are built once).
+        self.component_names = grid.component_names
         self._comp_index = {
             name: k for k, name in enumerate(self.component_names)
         }
-        comp_area = {
-            comp.name: comp.area for comp in grid.floorplan.components
-        }
-        inj_rows, inj_cols, inj_data = [], [], []
-        read_rows, read_cols, read_data = [], [], []
-        for k, name in enumerate(self.component_names):
-            cover = grid.component_cover[name]
-            cover_area = sum(area for _, area in cover)
-            for cell_index, overlap in cover:
-                inj_rows.append(cell_index)
-                inj_cols.append(k)
-                inj_data.append(overlap / comp_area[name])
-                read_rows.append(k)
-                read_cols.append(cell_index)
-                read_data.append(overlap / cover_area)
         m = len(self.component_names)
-        # injection: watts vector (m,) -> per-cell sources (n,)
-        self._injection = sparse.csr_matrix(
-            (inj_data, (inj_rows, inj_cols)), shape=(n, m)
+        cells, overlap = grid.cover_cells, grid.cover_areas
+        component = np.repeat(np.arange(m), np.diff(grid.cover_indptr))
+        comp_area = np.array(
+            [comp.area for comp in grid.floorplan.active_components()]
         )
+        # Each component's covered area, summed in cover order as a
+        # running sum (the zeros of uncovered cells add nothing).
+        covered = np.zeros((m, grid.num_die))
+        covered[component, cells] = overlap
+        cover_area = np.add.accumulate(covered, axis=1)[:, -1]
         # readout: cell temperatures (n,) -> area-weighted means (m,)
         self._readout = sparse.csr_matrix(
-            (read_data, (read_rows, read_cols)), shape=(m, n)
+            (overlap / cover_area[component], cells, grid.cover_indptr),
+            shape=(m, n),
+        )
+        # injection: watts vector (m,) -> per-cell sources (n,), the
+        # readout's pattern transposed (rows by cell, then component).
+        by_cell = np.lexsort((component, cells))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=n), out=indptr[1:])
+        self._injection = sparse.csr_matrix(
+            ((overlap / comp_area[component])[by_cell], component[by_cell],
+             indptr),
+            shape=(n, m),
         )
         self._inject_args = _matvec_args(self._injection)
         self._readout_args = _matvec_args(self._readout)

@@ -51,7 +51,6 @@ from repro.obs import catalog as obs_catalog
 from repro.scenario.registry import PLATFORM_FREE_WORKLOADS
 from repro.thermal.grid import used_die_knobs
 from repro.trace.format import load_archive, sidecar_path
-from repro.util.jsondata import json_canonical
 from repro.util.locking import FileLock, atomic_write_json
 
 #: Default on-disk location used by the ``python -m repro trace`` CLI.
@@ -98,7 +97,7 @@ _OPEN_LOOP_POLICIES = ("none",)
 
 
 def _scenario_dict(scenario):
-    """The *normalized* dict form of a scenario.
+    """The *normalized* dict form of a scenario, in canonical JSON form.
 
     Raw dicts may abbreviate (missing sections keep their defaults, a
     policy can be a bare name), so they are round-tripped through
@@ -109,7 +108,7 @@ def _scenario_dict(scenario):
         from repro.scenario.spec import Scenario
 
         scenario = Scenario.from_dict(scenario)
-    return scenario.to_dict()
+    return scenario.canonical_dict()
 
 
 def _policy_name(data):
@@ -129,7 +128,7 @@ def is_open_loop(scenario):
 def emulation_projection(scenario):
     """The sub-dict of a scenario that determines its boundary stream,
     in canonical JSON form."""
-    data = json_canonical(_scenario_dict(scenario))
+    data = _scenario_dict(scenario)
     data.pop("name", None)
     data.pop("description", None)
     config = data.get("config")

@@ -165,3 +165,23 @@ def test_run_report_round_trip_and_summary():
     text = report.summary()
     assert "workload done" in text
     assert "peak" in text and "K" in text
+
+
+def test_canonical_dict_is_the_canonical_to_dict_and_shares_nothing():
+    """The digest's canonical form walks the live specs: it must equal
+    canonicalizing a ``to_dict()`` copy, and editing it must not reach
+    the scenario."""
+    from repro.dse.space import default_points, point_scenario
+    from repro.util.jsondata import json_canonical
+
+    scenario = point_scenario(default_points()[0])
+    scenario.policy = PolicySpec("dual_threshold_dfs", {"levels": (1, 2)})
+    scenario.floorplan = {"name": "hetero", "params": {"big": 1, "little": 0}}
+    before = json.dumps(scenario.to_dict(), sort_keys=True)
+    data = scenario.canonical_dict()
+    assert data == json_canonical(scenario.to_dict())
+    assert data["policy"]["params"]["levels"] == [1, 2]
+    data["workload"]["params"]["profile"]["name"] = "edited"
+    data["policy"]["params"]["levels"].append(3)
+    data["floorplan"]["params"]["big"] = 9
+    assert json.dumps(scenario.to_dict(), sort_keys=True) == before

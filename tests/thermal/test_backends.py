@@ -324,9 +324,11 @@ def test_vectorized_readout_matches_manual_mean():
     network = component_network()
     temps = np.linspace(300.0, 360.0, network.num_cells)
     means = network.as_map(network.component_temperatures(temps))
-    for name, cover in network.grid.component_cover.items():
-        total = sum(area for _, area in cover)
-        manual = sum(temps[i] * area for i, area in cover) / total
+    grid = network.grid
+    for k, name in enumerate(grid.component_names):
+        cover = slice(grid.cover_indptr[k], grid.cover_indptr[k + 1])
+        cells, areas = grid.cover_cells[cover], grid.cover_areas[cover]
+        manual = (temps[cells] * areas).sum() / areas.sum()
         assert means[name] == pytest.approx(manual)
         assert network.component_temperature(name, temps) == pytest.approx(manual)
     with pytest.raises(KeyError):

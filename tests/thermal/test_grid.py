@@ -10,7 +10,7 @@ from repro.thermal.floorplan import (
     floorplan_4xarm7,
     floorplan_4xarm11,
 )
-from repro.thermal.grid import LAYER_DIE, LAYER_SPREADER, build_grid
+from repro.thermal.grid import build_grid
 
 
 def test_component_mode_one_cell_per_rect():
@@ -51,9 +51,9 @@ def test_uniform_grid_adjacency_counts():
     )
     # Per layer: nx*(ny-1) + (nx-1)*ny internal face pairs.
     per_layer = nx * (ny - 1) + (nx - 1) * ny
-    assert len(grid.lateral_edges) == 2 * per_layer
+    assert len(grid.lateral_i) == 2 * per_layer
     # Aligned grids: one vertical edge per column pair.
-    assert len(grid.vertical_edges) == nx * ny
+    assert len(grid.vertical_i) == nx * ny
 
 
 def test_fine_grid_cells_carry_about_five_resistances():
@@ -66,7 +66,7 @@ def test_fine_grid_cells_carry_about_five_resistances():
         die_resolution=(18, 18),
         spreader_resolution=(18, 18),
     )
-    per_cell = 2 * (len(grid.lateral_edges) + len(grid.vertical_edges))
+    per_cell = 2 * (len(grid.lateral_i) + len(grid.vertical_i))
     assert 3.5 < per_cell / grid.num_cells < 5.5
 
 
@@ -86,21 +86,21 @@ def test_hanging_nodes_multiple_neighbours():
     )
     grid = build_grid(plan, mode="component", refine_critical=2,
                       spreader_resolution=(1, 1))
-    coarse_index = next(
-        c.index for c in grid.cells if c.component == "coarse"
-    )
-    lateral_partners = [
-        (i, j) for i, j, _, _ in grid.lateral_edges if coarse_index in (i, j)
+    coarse = grid.component_names.index("coarse")
+    (coarse_index,) = grid.cover_cells[
+        grid.cover_indptr[coarse]:grid.cover_indptr[coarse + 1]
     ]
-    assert len(lateral_partners) == 2  # two fine half-cells share the face
+    partners = (grid.lateral_i == coarse_index) | (grid.lateral_j == coarse_index)
+    assert partners.sum() == 2  # two fine half-cells share the face
 
 
 def test_component_cover_complete_and_exact():
     plan = floorplan_4xarm7()
     grid = build_grid(plan, mode="uniform", die_resolution=(12, 12))
-    for comp in plan.active_components():
-        cover = grid.component_cover[comp.name]
-        total = sum(area for _, area in cover)
+    for k, comp in enumerate(plan.active_components()):
+        assert grid.component_names[k] == comp.name
+        cover = slice(grid.cover_indptr[k], grid.cover_indptr[k + 1])
+        total = grid.cover_areas[cover].sum()
         assert total == pytest.approx(comp.area, rel=1e-9)
 
 
@@ -108,13 +108,12 @@ def test_cells_geometry():
     plan = uniform_floorplan()
     grid = build_grid(plan, mode="uniform", die_resolution=(2, 2),
                       spreader_resolution=(2, 2))
-    for cell in grid.cells:
-        assert cell.area > 0
-        assert cell.volume == pytest.approx(cell.area * cell.thickness)
-        if cell.layer == LAYER_DIE:
-            assert cell.thickness == grid.properties.die_thickness
-        else:
-            assert cell.thickness == grid.properties.spreader_thickness
+    assert (grid.area > 0).all()
+    props = grid.properties
+    assert (grid.thickness[grid.die_cells] == props.die_thickness).all()
+    assert (
+        grid.thickness[grid.spreader_cells] == props.spreader_thickness
+    ).all()
 
 
 def test_summary():
@@ -136,8 +135,8 @@ def test_uniform_areas_tile_the_die(nx, ny):
     grid = build_grid(
         plan, mode="uniform", die_resolution=(nx, ny), spreader_resolution=(2, 2)
     )
-    die_area = sum(c.area for c in grid.cells_of(LAYER_DIE))
-    spread_area = sum(c.area for c in grid.cells_of(LAYER_SPREADER))
+    die_area = grid.area[grid.die_cells].sum()
+    spread_area = grid.area[grid.spreader_cells].sum()
     assert die_area == pytest.approx(plan.area, rel=1e-9)
     assert spread_area == pytest.approx(plan.area, rel=1e-9)
 
@@ -147,5 +146,43 @@ def test_uniform_areas_tile_the_die(nx, ny):
 def test_component_mode_tiles_exactly(refine):
     plan = floorplan_4xarm7()
     grid = build_grid(plan, mode="component", refine_critical=refine)
-    die_area = sum(c.area for c in grid.cells_of(LAYER_DIE))
+    die_area = grid.area[grid.die_cells].sum()
     assert die_area == pytest.approx(plan.area, rel=1e-9)
+
+
+@pytest.mark.parametrize("offset", [1.0e-10, 1.6e-10, 1.9e-10, -1.6e-10])
+def test_faces_offset_by_up_to_two_quanta_are_shared(offset):
+    """Two halves of a 2 x 1 mm die overlapping (or, negative, parted)
+    by up to 0.2 nm still share their face, whichever 0.1 nm buckets
+    their edges round into."""
+    plan = Floorplan(
+        name="halves",
+        width=2e-3,
+        height=1e-3,
+        components=[
+            FloorplanComponent("left", 0.0, 0.0, 1e-3 + offset, 1e-3,
+                               "arm11", ("core", 0)),
+            FloorplanComponent("right", 1e-3, 0.0, 1e-3, 1e-3,
+                               "arm11", ("core", 1)),
+        ],
+    )
+    grid = build_grid(plan, spreader_resolution=(1, 1))
+    assert (grid.lateral_i < grid.num_die).sum() == 1
+    assert grid.lateral_x[0]
+    assert grid.lateral_face[0] == pytest.approx(1e-3)
+
+
+def test_faces_offset_by_more_than_two_quanta_are_not_shared():
+    plan = Floorplan(
+        name="halves",
+        width=2e-3,
+        height=1e-3,
+        components=[
+            FloorplanComponent("left", 0.0, 0.0, 1e-3 + 2.5e-10, 1e-3,
+                               "arm11", ("core", 0)),
+            FloorplanComponent("right", 1e-3, 0.0, 1e-3, 1e-3,
+                               "arm11", ("core", 1)),
+        ],
+    )
+    grid = build_grid(plan, spreader_resolution=(1, 1))
+    assert len(grid.lateral_i) == 0

@@ -25,12 +25,13 @@ def make_network(die_res=(3, 3), spread_res=(3, 3)):
 def test_capacitances_match_materials():
     props = ThermalProperties()
     plan, grid, net = make_network()
-    for cell in grid.cells:
-        material = (
-            props.die_material if cell.layer == "die" else props.spreader_material
-        )
-        expected = material.volumetric_heat * cell.volume
-        assert net.capacitance[cell.index] == pytest.approx(expected)
+    volume = grid.area * grid.thickness
+    for cells, material in (
+        (grid.die_cells, props.die_material),
+        (grid.spreader_cells, props.spreader_material),
+    ):
+        expected = material.volumetric_heat * volume[cells]
+        assert net.capacitance[cells] == pytest.approx(expected)
 
 
 def test_total_capacitance_is_stack_capacitance():
@@ -55,11 +56,8 @@ def test_ambient_conductances_parallel_to_package_resistance():
 
 def test_only_spreader_cells_touch_ambient():
     plan, grid, net = make_network()
-    for cell in grid.cells:
-        if cell.layer == "die":
-            assert net.g_ambient[cell.index] == 0.0
-        else:
-            assert net.g_ambient[cell.index] > 0.0
+    assert (net.g_ambient[grid.die_cells] == 0.0).all()
+    assert (net.g_ambient[grid.spreader_cells] > 0.0).all()
 
 
 def test_conductance_matrix_symmetric():
@@ -101,10 +99,10 @@ def test_hotter_silicon_conducts_less():
 def test_set_power_spreads_by_overlap():
     plan, grid, net = make_network(die_res=(2, 2))
     net.set_power({"block": 8.0})
-    die_powers = net.power[[c.index for c in grid.cells_of("die")]]
+    die_powers = net.power[grid.die_cells]
     assert die_powers.sum() == pytest.approx(8.0)
     assert np.allclose(die_powers, 2.0)  # four equal cells
-    spread = net.power[[c.index for c in grid.cells_of("spreader")]]
+    spread = net.power[grid.spreader_cells]
     assert np.all(spread == 0.0)
 
 
