@@ -10,9 +10,9 @@ run-time thermal-management policy through the VPCM.
 """
 
 import numbers
-import time
 import weakref
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -388,32 +388,30 @@ class ThermalSide:
             group = self._alone = WindowGroup((self,))
         return group.step()[0]
 
-    def sense(self, now, frequency, total_power_w, temps, hottest):
+    def sense(self, now, temps, coolest, hottest):
         """Feed one solved window's component temperatures to the
-        sensors; returns its :class:`~repro.core.stats.WindowRow`.
+        sensors; returns the window's events, its sensor transitions.
 
         ``temps`` is the readout in the network's ``component_names``
-        order, ``hottest`` its maximum and ``total_power_w`` the
-        window's summed power.
+        order, ``coolest`` and ``hottest`` its minimum and maximum.
         """
         columns = self._sensor_columns
         transitions = self.sensors.update(
-            temps if columns is None else temps[columns], now, hottest
+            temps if columns is None else temps[columns], now, hottest,
+            coolest,
         )
-        return WindowRow(
-            now, frequency, total_power_w, hottest, temps,
-            tuple(sorted(transitions.items())),
-        )
+        return tuple(sorted(transitions.items())) if transitions else ()
 
-    def commit(self, row):
-        """Count one sensed window into the trace, peak and final."""
-        self.trace.add(*row)
-        hottest = row.max_temp_k
+    def commit(self, now, frequency, total_power_w, temps, hottest, events):
+        """Count one sensed window into the trace, peak and final;
+        returns its :class:`~repro.core.stats.WindowRow`.
+        ``total_power_w`` is the window's summed power."""
+        self.trace.add(now, frequency, total_power_w, hottest, temps, events)
         if not (self.peak_temp_k >= hottest):  # NaN-aware max
             self.peak_temp_k = hottest
         self.final_temp_k = hottest
         self.windows += 1
-        return row
+        return WindowRow(now, frequency, total_power_w, hottest, temps, events)
 
     # -- the run contract ------------------------------------------------------
     def bounds_reached(
@@ -636,17 +634,19 @@ class EmulationFramework(ThermalSide):
             if overrides:
                 merged.update(overrides)
             core_frequencies = merged
-        progress = None
+        period = self.config.sampling_period_s
+        cycles = self.vpcm.window_cycles(period)
         if core_frequencies and frequency > 0:
             # Per-core DFS: throttled cores make proportionally less
             # progress even though the fabric keeps the global clock.
             mean_hz = sum(core_frequencies.values()) / len(core_frequencies)
-            progress = min(1.0, mean_hz / frequency)
+            cycles = int(cycles * min(1.0, mean_hz / frequency))
         ratio, scale = self.power_model.clock_rows(
             frequency if frequency > 0 else 0.0, core_frequencies
         )
         self._level = level = ClockLevel(
-            key, progress, core_frequencies, ratio, scale
+            key, cycles, self.vpcm.window_real_seconds(period),
+            core_frequencies, ratio, scale,
         )
         return level
 
@@ -658,12 +658,7 @@ class EmulationFramework(ThermalSide):
         """
         frequency = self.vpcm.virtual_hz
         level = self._clocks(frequency)
-        progress_cycles = window_cycles = self.vpcm.window_cycles(
-            self.config.sampling_period_s
-        )
-        if level.progress is not None:
-            progress_cycles = int(window_cycles * level.progress)
-        if progress_cycles <= 0 and not self.workload.done:
+        if level.cycles <= 0 and not self.workload.done:
             # Zero-progress window: the virtual clock is gated (or so low
             # that ``Vpcm.window_cycles`` rounds to zero cycles) while
             # work remains.  Emulated time still advances, so only the
@@ -673,36 +668,34 @@ class EmulationFramework(ThermalSide):
         else:
             self.stall_windows = 0
             self._stall_bound_hit = False
-        return frequency, self.workload.advance(progress_cycles), level
+        return frequency, self.workload.advance(level.cycles), level
 
     def _window_dispatch(self):
         """Phase 3 of a window: the statistics stream to the host, and
         congestion freezes the clocks.  Nobody reads the records, so
-        the sniffers only size the payload.  The window's board seconds
-        are kept for ``_window_commit``'s VPCM accounting."""
-        board = self._board_seconds = self.vpcm.window_real_seconds(
-            self.config.sampling_period_s
-        )
+        the sniffers only size the payload; the board seconds are the
+        window's level's."""
         freeze = self.dispatcher.dispatch_window(
-            self.sniffer_bank.close_window(), board,
+            self.sniffer_bank.close_window(), self._level.board,
             num_sensors=len(self.sensors.names),
         )
         if freeze > 0:
             self.vpcm.freeze_seconds(freeze, FREEZE_ETHERNET)
 
-    def _window_commit(self, frequency, watts, total_power_w, temps, hottest):
+    def _window_commit(self, frequency, watts, total_power_w, temps, coolest,
+                       hottest):
         """Phase 5 of a window, after the thermal solve: sensors, policy,
         captures, trace."""
         # 5. Temperatures return to the sensors; the policy reacts via VPCM.
-        self.vpcm.account_window(
-            self.config.sampling_period_s, self._board_seconds
-        )
-        now = self.vpcm.emulated_seconds
-        row = self.sense(now, frequency, total_power_w, temps, hottest)
-        self.policy.react(self.sensors, self.vpcm, now)
+        vpcm = self.vpcm
+        vpcm.account_window(self.config.sampling_period_s, self._level.board)
+        now = vpcm.emulated_seconds
+        events = self.sense(now, temps, coolest, hottest)
+        self.policy.react(self.sensors, vpcm, now)
         for capture in self.captures:
             capture.on_window(self, watts)
-        return self.commit(row)
+        return self.commit(now, frequency, total_power_w, temps, hottest,
+                           events)
 
     def attach_capture(self, capture):
         """Register a per-window capture hook (``on_window(framework,
@@ -773,7 +766,8 @@ class ClockLevel(NamedTuple):
     the global clock or a per-core override changes."""
 
     key: tuple  # (global clock, per-core overrides) it was built for
-    progress: float | None  # per-core share of the window's cycles
+    cycles: int  # the cycles a window makes progress (Vpcm.window_cycles)
+    board: float  # a window's board seconds (Vpcm.window_real_seconds)
     core_frequencies: dict | None  # the per-core clock map, if any
     ratio: np.ndarray  # PowerModel.clock_rows
     scale: np.ndarray | None
@@ -872,7 +866,7 @@ class WindowGroup:
         members = [ref() for ref in self._members]
         live, network = self.live, self.network
         frequencies = [0.0] * len(members)
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         # 1. The emulated platforms run one window while the sniffers count.
         if live:
             util, levels = self.utilization, self.levels
@@ -884,15 +878,15 @@ class WindowGroup:
                     if level.scale is not None:
                         self.scale[j] = level.scale
                     self._inputs = None
-        t1 = time.perf_counter()
+        t1 = perf_counter()
         # 2. Activity -> power (per floorplan component), converted again
         #    only when a utilization's bits or a DFS level changed.
         if live:
             inputs = util.tobytes()
             if inputs != self._inputs:
                 self._watts = self.model.power(util, self.ratio, self.scale)
-                self._inputs, self._columns = inputs, None
-        t2 = time.perf_counter()
+                self._inputs = inputs
+        t2 = perf_counter()
         # 3. Statistics stream to the host; congestion freezes the clocks.
         for k in live:
             members[k]._window_dispatch()
@@ -906,9 +900,12 @@ class WindowGroup:
         injected = watts.tobytes()
         if injected != self._injected:
             self._injected = injected
-            self._rhs = network.rhs(network.injection(watts.T))
+            sources = network.injection(watts.T)
+            self._rhs = network.rhs(sources)
             self._totals = [sum(row) for row in watts.tolist()]
-        t3 = time.perf_counter()
+            for k, member in enumerate(members):
+                member.network.power = sources[:, k]
+        t3 = perf_counter()
         # 4. The SW thermal tool integrates one sampling period, from
         #    whatever the members' solvers hold now.
         start = self._start
@@ -919,20 +916,19 @@ class WindowGroup:
             solver = member.solver
             solver.temperatures = temperatures[:, k]
             solver.time += self.period
-        t4 = time.perf_counter()
+        t4 = perf_counter()
         # 5. Temperatures return to the sensors; each policy reacts.
-        means = np.ascontiguousarray(
-            network.component_temperatures(temperatures).T
-        )
+        means = network.component_temperatures(temperatures).T
         rows = [
             member._window_commit(
-                frequency, member_watts, total, temps, max(temp_list)
+                frequency, member_watts, total, temps, min(temp_list),
+                max(temp_list),
             )
             for member, frequency, member_watts, total, temps, temp_list
             in zip(members, frequencies, watts, self._totals, means,
                    means.tolist())
         ]
-        self._account(members, t0, t1, t2, t3, t4, time.perf_counter())
+        self._account(members, t0, t1, t2, t3, t4, perf_counter())
         return rows
 
     def _account(self, members, t0, t1, t2, t3, t4, t5):

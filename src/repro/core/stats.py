@@ -140,7 +140,10 @@ class ThermalTrace:
         """Append one window; ``temps`` is a vector in ``components``
         order (the fields of a :class:`WindowRow`)."""
         rows = len(self._time)
-        self._temps = put_row(self._temps, rows, temps)
+        if rows < len(self._temps):
+            self._temps[rows] = temps
+        else:
+            self._temps = put_row(self._temps, rows, temps)
         self._time.append(time_s)
         self._frequency.append(frequency_hz)
         self._power.append(total_power_w)

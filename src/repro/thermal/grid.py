@@ -33,10 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.thermal.floorplan import LENGTH_TOLERANCE
 from repro.thermal.properties import ThermalProperties
 
 _QUANTUM = 1e-10  # 0.1 nm: coordinate quantum for face matching
-_FACE_GAP = 2 * _QUANTUM  # largest edge offset of two cells sharing a face
+#: Largest edge offset of two cells sharing a face (2 quanta), which is
+#: also the length tolerance a floorplan validates to.
+_FACE_GAP = LENGTH_TOLERANCE
 
 
 @dataclass

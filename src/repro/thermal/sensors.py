@@ -103,23 +103,27 @@ class SensorBank:
             self._stale = False
         return self._sensors
 
-    def update(self, temperatures, time=None, hottest=None):
+    def update(self, temperatures, time=None, hottest=None, coolest=None):
         """Feed the sensors; returns ``{component: band}`` for changed ones.
 
         ``temperatures`` is a vector in ``names`` order, or a
         ``{component: kelvin}`` map that may cover only some sensors
-        (unknown names are ignored).  ``hottest``, when the caller
-        already knows it, is a bound no reading exceeds: with no sensor
-        latched and the bound below the upper threshold, nothing can
-        cross, so the readings are stored without being compared.
+        (unknown names are ignored).  ``hottest`` and ``coolest``, when
+        the caller already knows them, bound the readings from above
+        and below: with ``hottest`` under the upper threshold no sensor
+        can latch, and with no sensor latched or ``coolest`` above the
+        lower threshold none can release, so the readings are stored
+        without being compared.
         """
-        if (hottest is not None and not self._hot
-                and hottest < self.upper_kelvin
-                and not isinstance(temperatures, Mapping)):
+        mapping = isinstance(temperatures, Mapping)
+        if (hottest is not None and hottest < self.upper_kelvin
+                and (not self._hot
+                     or coolest is not None and coolest > self.lower_kelvin)
+                and not mapping):
             self.temperatures = np.array(temperatures, dtype=float)
             self._stale = True
             return {}
-        if isinstance(temperatures, Mapping):
+        if mapping:
             slots = [
                 k for k, name in enumerate(self.names) if name in temperatures
             ]

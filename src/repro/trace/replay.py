@@ -143,13 +143,13 @@ class ReplaySource(ThermalSide):
         return (float(self.archive.frequency_hz[index]),
                 self.archive.power_w[index][self._column_of])
 
-    def _window_commit(self, frequency, watts, total_power_w, temps, hottest):
+    def _window_commit(self, frequency, watts, total_power_w, temps, coolest,
+                       hottest):
         """The framework's commit at the recorded time, without a policy."""
         now = float(self.archive.time_s[self.windows])
         self.emulated_seconds = now
-        return self.commit(
-            self.sense(now, frequency, total_power_w, temps, hottest)
-        )
+        return self.commit(now, frequency, total_power_w, temps, hottest,
+                           self.sense(now, temps, coolest, hottest))
 
     # -- reporting ---------------------------------------------------------
     def overrides(self):

@@ -10,9 +10,10 @@ from repro.core.dispatcher import (
     BramBuffer,
     EthernetDispatcher,
 )
-from repro.core.framework import EmulationFramework
+from repro.core.framework import ClockLevel, EmulationFramework
 from repro.core.vpcm import FREEZE_ETHERNET, Vpcm
 from repro.emulation.ethernet import EthernetLink
+from repro.policy.builtin import NoManagementPolicy
 
 
 def test_buffer_push_and_drain():
@@ -150,13 +151,20 @@ def reference_window(vpcm, dispatcher, payload, period, num_sensors):
 
 def framework_window(vpcm, dispatcher, payload, period, num_sensors):
     """One window through the framework's own ``_window_dispatch`` and
-    the VPCM accounting of ``_window_commit``."""
+    the VPCM accounting of ``_window_commit``, on the board seconds of
+    the :class:`ClockLevel` the framework's ``_clocks`` builds for the
+    window's clock."""
     run = SimpleNamespace(
         vpcm=vpcm, dispatcher=dispatcher,
-        config=SimpleNamespace(sampling_period_s=period),
+        config=SimpleNamespace(sampling_period_s=period,
+                               virtual_hz=100e6),
         sniffer_bank=SimpleNamespace(close_window=lambda: payload),
         sensors=SimpleNamespace(names=("s",) * num_sensors),
+        policy=NoManagementPolicy(), _hetero_core_hz=None, _level=None,
+        power_model=SimpleNamespace(clock_rows=lambda hz, clocks: (None, None)),
     )
+    level = EmulationFramework._clocks(run, vpcm.virtual_hz)
+    assert isinstance(level, ClockLevel) and run._level is level
     freezes = []
     dispatch = dispatcher.dispatch_window
 
@@ -166,7 +174,7 @@ def framework_window(vpcm, dispatcher, payload, period, num_sensors):
 
     dispatcher.dispatch_window = recording
     EmulationFramework._window_dispatch(run)
-    vpcm.account_window(period, run._board_seconds)
+    vpcm.account_window(period, level.board)
     return freezes[0]
 
 

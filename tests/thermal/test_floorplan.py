@@ -4,11 +4,14 @@ import pytest
 
 from repro.power.library import DEFAULT_LIBRARY
 from repro.thermal.floorplan import (
+    FLOORPLANS,
+    LENGTH_TOLERANCE,
     Floorplan,
     FloorplanComponent,
     floorplan_4xarm11,
     floorplan_4xarm7,
 )
+from repro.thermal.grid import _FACE_GAP, build_grid
 
 
 def comp(name, x, y, w, h, power_class=None):
@@ -113,3 +116,57 @@ def test_summary_rows():
     rows = plan.summary()
     assert len(rows) == len(plan.components)
     assert all(len(row) == 4 for row in rows)
+
+
+# -- one length tolerance, the grid's face rule -------------------------------
+
+def halves(kind, offset):
+    """Two halves of a 2 x 1 mm die, misaligned by ``offset`` metres:
+    the left one wider (``overlap``) or narrower (``gap``), or the right
+    one shifted right (``overhang``: a gap and a die overrun)."""
+    left, right_x = 1e-3, 1e-3
+    if kind == "overlap":
+        left += offset
+    elif kind == "gap":
+        left -= offset
+    else:
+        right_x += offset
+    return Floorplan("halves", 2e-3, 1e-3, [
+        FloorplanComponent("left", 0.0, 0.0, left, 1e-3,
+                           "arm11", ("core", 0)),
+        FloorplanComponent("right", right_x, 0.0, 1e-3, 1e-3,
+                           "arm11", ("core", 1)),
+    ])
+
+
+def test_the_length_tolerance_is_the_grids_face_rule():
+    assert LENGTH_TOLERANCE == _FACE_GAP == 2e-10
+
+
+@pytest.mark.parametrize("kind", ["overlap", "gap", "overhang"])
+@pytest.mark.parametrize("offset", [1e-9, 1.9e-9, 5e-10])
+def test_nanometre_misalignments_are_rejected(kind, offset):
+    with pytest.raises(ValueError, match="overlap|covers|outside"):
+        halves(kind, offset)
+
+
+@pytest.mark.parametrize("kind", ["overlap", "gap", "overhang"])
+@pytest.mark.parametrize("offset", [1e-10, 5e-11, 1e-12])
+def test_sub_tolerance_misalignments_validate_and_share_a_face(kind, offset):
+    grid = build_grid(halves(kind, offset), spreader_resolution=(1, 1))
+    assert (grid.lateral_i < grid.num_die).sum() == 1
+    assert grid.lateral_face[0] == pytest.approx(1e-3)
+
+
+def _registered():
+    cases = [(name, {}) for name in FLOORPLANS.names() if name != "hetero"]
+    cases += [("hetero", {"big": big, "little": little})
+              for big in range(7) for little in range(7) if big + little]
+    return cases
+
+
+@pytest.mark.parametrize("name,params", _registered())
+def test_every_registered_floorplan_validates(name, params):
+    plan = FLOORPLANS.get(name)(**params)
+    plan.validate()
+    assert plan.components

@@ -2,12 +2,12 @@
 
 ``validate`` compares a component only with the earlier components
 whose y-spans it still meets.  The oracle below is the original
-quadratic check, kept here only as a reference: every pair is measured
-with :meth:`FloorplanComponent.overlap_area`, lower index first.  Both
-must accept the same floorplans and reject the rest with the same
-message — built-in floorplans, every ``hetero`` core mix, and random
-tilings with touching edges, shifted rectangles and overlaps sized
-around the area tolerance.
+quadratic check, kept here only as a reference, judged to the same
+length tolerance: every pair is measured by the width and height of its
+intersection.  Both must accept the same floorplans and reject the rest
+with the same message — built-in floorplans, every ``hetero`` core mix,
+and random tilings with touching edges, shifted rectangles and overlaps
+sized around the length tolerance.
 """
 
 import random
@@ -18,7 +18,7 @@ import pytest
 from repro.thermal import floorplan as floorplan_module
 from repro.thermal.floorplan import FLOORPLANS, Floorplan, FloorplanComponent
 
-TOLERANCE = floorplan_module._AREA_TOLERANCE
+TOLERANCE = floorplan_module.LENGTH_TOLERANCE
 
 
 def pairwise_validate(name, width, height, components):
@@ -40,12 +40,13 @@ def pairwise_validate(name, width, height, components):
         total += comp.area
     for i, a in enumerate(components):
         for b in components[i + 1:]:
-            if a.overlap_area(b.x, b.y, b.x1, b.y1) > TOLERANCE:
+            if (min(a.x1, b.x1) - max(a.x, b.x) > TOLERANCE
+                    and min(a.y1, b.y1) - max(a.y, b.y) > TOLERANCE):
                 raise ValueError(
                     f"{name}: components {a.name} and {b.name} overlap"
                 )
     area = width * height
-    if abs(total - area) > 1e-6 * area:
+    if abs(total - area) > TOLERANCE * min(width, height):
         raise ValueError(
             f"{name}: tiling covers {total:.3e} m^2 of {area:.3e} m^2"
         )
@@ -103,15 +104,13 @@ def perturb(rng, components, width):
     kind = rng.choice(
         ["shift_x", "shift_y", "duplicate", "grow", "shrink", "swap"]
     )
-    # Overlap areas from well below to well above the tolerance.
-    delta = rng.choice([1e-3, 1e-1, 1.0, 10.0, 1e3]) * TOLERANCE / comp.height
+    # Shifts and growths from well below to well above the tolerance.
+    delta = rng.choice([1e-3, 1e-1, 1.0, 10.0, 1e3]) * TOLERANCE
     delta *= rng.choice([-1, 1])
     if kind == "shift_x":
         components[index] = replace(comp, x=comp.x + delta)
     elif kind == "shift_y":
-        components[index] = replace(
-            comp, y=comp.y + delta * comp.height / comp.width
-        )
+        components[index] = replace(comp, y=comp.y + delta)
     elif kind == "duplicate":
         components.append(replace(comp, name=f"{comp.name}_dup",
                                   x=comp.x + rng.uniform(-0.5, 0.5) * width))

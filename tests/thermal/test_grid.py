@@ -172,17 +172,19 @@ def test_faces_offset_by_up_to_two_quanta_are_shared(offset):
     assert grid.lateral_face[0] == pytest.approx(1e-3)
 
 
-def test_faces_offset_by_more_than_two_quanta_are_not_shared():
-    plan = Floorplan(
-        name="halves",
-        width=2e-3,
-        height=1e-3,
-        components=[
-            FloorplanComponent("left", 0.0, 0.0, 1e-3 + 2.5e-10, 1e-3,
-                               "arm11", ("core", 0)),
-            FloorplanComponent("right", 1e-3, 0.0, 1e-3, 1e-3,
-                               "arm11", ("core", 1)),
-        ],
-    )
+def test_faces_offset_by_more_than_two_quanta_are_not_shared(monkeypatch):
+    """The face rule on its own: a 0.25 nm overlap, which a floorplan
+    no longer validates with, is built with validation switched off."""
+    components = [
+        FloorplanComponent("left", 0.0, 0.0, 1e-3 + 2.5e-10, 1e-3,
+                           "arm11", ("core", 0)),
+        FloorplanComponent("right", 1e-3, 0.0, 1e-3, 1e-3,
+                           "arm11", ("core", 1)),
+    ]
+    with pytest.raises(ValueError, match="overlap"):
+        Floorplan("halves", 2e-3, 1e-3, components)
+    monkeypatch.setattr(Floorplan, "validate", lambda plan: None)
+    plan = Floorplan(name="halves", width=2e-3, height=1e-3,
+                     components=components)
     grid = build_grid(plan, spreader_resolution=(1, 1))
     assert len(grid.lateral_i) == 0

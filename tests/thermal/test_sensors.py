@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.thermal.sensors import (
     IN_BAND,
@@ -119,22 +119,29 @@ def test_vector_bank_matches_independent_sensors(rows):
         min_size=1, max_size=60,
     )
 )
+@example(rows=[[351.0, 345.0, 345.0], [345.0, 345.0, 345.0],
+                [338.0, 345.0, 345.0], [345.0, 351.0, 339.5]])
 def test_a_known_hottest_reading_changes_nothing(rows):
     """A bank told each window's hottest reading skips the comparison
     while nothing is latched and the hottest is below the upper
-    threshold; its transitions and state stay those of a bank that
-    compares every reading."""
+    threshold, and one told the coolest reading too also skips it while
+    sensors are latched and every reading is above the lower threshold;
+    their transitions and state stay those of a bank that compares
+    every reading."""
     names = ["a", "b", "c"]
-    compared, bounded = SensorBank(names), SensorBank(names)
+    compared = SensorBank(names)
+    banks = SensorBank(names), SensorBank(names)
     for window, row in enumerate(rows):
         values = np.array(row)
-        assert bounded.update(values, window, max(row)) == compared.update(
-            values, window
-        )
-        assert bounded.any_hot == compared.any_hot
-        assert bounded.max_temperature() == compared.max_temperature()
-    assert bounded.crossings() == compared.crossings()
-    for name in names:
-        assert bounded.sensors[name].hot == compared.sensors[name].hot
-        assert (bounded.sensors[name].temperature
-                == compared.sensors[name].temperature)
+        expected = compared.update(values, window)
+        assert banks[0].update(values, window, max(row)) == expected
+        assert banks[1].update(values, window, max(row), min(row)) == expected
+        for bounded in banks:
+            assert bounded.any_hot == compared.any_hot
+            assert bounded.max_temperature() == compared.max_temperature()
+    for bounded in banks:
+        assert bounded.crossings() == compared.crossings()
+        for name in names:
+            assert bounded.sensors[name].hot == compared.sensors[name].hot
+            assert (bounded.sensors[name].temperature
+                    == compared.sensors[name].temperature)
