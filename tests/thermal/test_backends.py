@@ -179,7 +179,7 @@ def cached_lu_step(backend, temperatures, dt):
     """``CachedLU.step`` as it was before ``step_batch`` became the only
     step: the lone vector is the linearization reference."""
     backend._ensure_factors(temperatures, dt)
-    b = backend._c_over_dt * temperatures + backend.network.rhs()
+    b = backend._c_column[:, 0] * temperatures + backend.network.rhs()
     backend.solves += 1
     return backend._solve(b)
 
