@@ -900,11 +900,8 @@ class WindowGroup:
         injected = watts.tobytes()
         if injected != self._injected:
             self._injected = injected
-            sources = network.injection(watts.T)
-            self._rhs = network.rhs(sources)
+            self._rhs = network.rhs(network.injection(watts.T))
             self._totals = [sum(row) for row in watts.tolist()]
-            for k, member in enumerate(members):
-                member.network.power = sources[:, k]
         t3 = perf_counter()
         # 4. The SW thermal tool integrates one sampling period, from
         #    whatever the members' solvers hold now.

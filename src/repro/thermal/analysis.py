@@ -63,9 +63,8 @@ class OperatingPointAnalyzer:
         watts = self.power_model.component_power(
             activity, frequency_hz=frequency_hz
         )
-        self.network.set_power(watts)
         solver = ThermalSolver(self.network)
-        solver.steady_state()
+        solver.steady_state(self.network.injection(watts))
         return OperatingPoint(
             frequency_hz=frequency_hz,
             total_power_w=sum(watts.tolist()),

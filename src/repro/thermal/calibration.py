@@ -85,9 +85,8 @@ def steady_state_error(power=10.0, resolution=(6, 6), properties=None):
         spreader_resolution=resolution,
     )
     network = RCNetwork(grid)
-    network.set_power({"block": power})
     solver = ThermalSolver(network)
-    solver.steady_state()
+    solver.steady_state(network.injection(network.watts_vector({"block": power})))
     simulated = solver.max_temperature()
     analytic = analytic_layered_wall(power, plan.area, props)
     error = abs(simulated - analytic) / (analytic - props.ambient)
@@ -121,14 +120,14 @@ def transient_error(power=10.0, dt=0.05, properties=None):
         spreader_resolution=(4, 4),
     )
     network = RCNetwork(grid)
-    network.set_power({"block": power})
+    sources = network.injection(network.watts_vector({"block": power}))
     solver = ThermalSolver(network)
     tau = lumped_time_constant(props)
     rise = power * props.package_to_air_resistance
     worst = 0.0
     steps = int(round(tau / dt))
     for _ in range(steps):
-        solver.step_be(dt)
+        solver.step_be(dt, sources)
         lumped = props.ambient + rise * (1.0 - np.exp(-solver.time / tau))
         mean_t = float(np.mean(solver.temperatures))
         worst = max(worst, abs(mean_t - lumped) / rise)
@@ -151,9 +150,10 @@ def convergence_profile(power=10.0, resolutions=((2, 2), (4, 4), (8, 8), (16, 16
             spreader_resolution=resolution,
         )
         network = RCNetwork(grid)
-        network.set_power({"block": power})
         solver = ThermalSolver(network)
-        solver.steady_state()
+        solver.steady_state(
+            network.injection(network.watts_vector({"block": power}))
+        )
         profile.append((grid.num_cells, solver.max_temperature()))
     return profile
 

@@ -48,7 +48,6 @@ matrix assembly happen exactly once per structure per process.
 """
 
 import copy
-from collections.abc import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -165,9 +164,6 @@ class RCNetwork:
         self._inject_args = _matvec_args(self._injection)
         self._readout_args = _matvec_args(self._readout)
 
-        # Power injection vector (set_power refreshes it).
-        self.power = np.zeros(n)
-
     # -- power -----------------------------------------------------------------
     def watts_vector(self, component_powers):
         """A ``{component: watts}`` map as a vector in
@@ -183,29 +179,15 @@ class RCNetwork:
             watts[index] = value
         return watts
 
-    def set_power(self, watts):
-        """Set the current sources from component watts.
-
-        ``watts`` is a vector in ``component_names`` order, or a
-        ``{component: watts}`` map (converted by :meth:`watts_vector`).
-        Power is spread over the component's covering die cells
-        proportionally to overlap area ("the heat injected by the current
-        source corresponds to the power density of the architectural
-        component covering the cell multiplied by the surface area of the
-        cell") — one sparse product ``P = M_inj @ w`` (:meth:`injection`).
-        """
-        if isinstance(watts, Mapping):
-            watts = self.watts_vector(watts)
-        self.power = self.injection(watts)
-
     def injection(self, watts):
         """Per-cell sources ``M_inj @ w`` of a watts vector in
         ``component_names`` order, or of a block of them (components x
-        runs), without setting them."""
+        runs).  Power is spread over the component's covering die cells
+        proportionally to overlap area ("the heat injected by the
+        current source corresponds to the power density of the
+        architectural component covering the cell multiplied by the
+        surface area of the cell")."""
         return _matvec(self._inject_args, watts)
-
-    def total_power(self):
-        return float(self.power.sum())
 
     # -- readout ---------------------------------------------------------------
     def component_temperatures(self, temperatures):
@@ -217,13 +199,6 @@ class RCNetwork:
     def as_map(self, vector):
         """A per-component vector as ``{component: value}``."""
         return dict(zip(self.component_names, vector.tolist()))
-
-    def component_temperature(self, name, temperatures):
-        index = self._comp_index.get(name)
-        if index is None:
-            raise KeyError(f"no floorplan component {name!r}")
-        row = self._readout.getrow(index)
-        return float((row @ np.asarray(temperatures))[0])
 
     # -- conductance assembly ---------------------------------------------------
     def cell_conductivity(self, temperatures):
@@ -272,13 +247,14 @@ class RCNetwork:
         """Sparse G(T) (CSC): graph Laplacian over the edges + ambient leakage."""
         return self.system_matrix(temperatures)
 
-    def rhs(self, power=None):
-        """Right-hand side: injected power + ambient Dirichlet term;
-        with ``power``, a block of per-cell sources (cells x runs), one
-        column each."""
-        if power is None:
-            return self.power + self._ambient_source
-        return power + self._ambient_source[:, None]
+    def rhs(self, sources):
+        """Right-hand side of a block of per-cell sources (cells x runs,
+        one column each): the sources plus the ambient Dirichlet term."""
+        if sources.ndim != 2:
+            raise ValueError(
+                f"rhs takes a (cells x runs) block, got shape {sources.shape}"
+            )
+        return sources + self._ambient_source[:, None]
 
     # -- energy bookkeeping (property tests) ---------------------------------
     def heat_outflow(self, temperatures):
@@ -290,16 +266,18 @@ class RCNetwork:
 
     # -- structure sharing ----------------------------------------------------
     def clone(self):
-        """A new network sharing this one's immutable structure arrays.
+        """A new network object sharing every array of this one.
 
-        Only the per-run ``power`` vector is private; capacitances, edge
-        arrays, ambient conductances and the injection/readout matrices
-        are shared read-only.  This is what makes the assembly cache in
+        A network holds no per-run state, so the clone is a shallow
+        copy: capacitances, edge arrays, ambient conductances and the
+        injection/readout matrices are shared read-only.  It is a
+        distinct object because a backend binds to one network object
+        and refuses another
+        (:meth:`~repro.thermal.backends.SolverBackend.bind`), so each run
+        needs its own.  This is what makes the assembly cache in
         :func:`network_for` safe and cheap.
         """
-        twin = copy.copy(self)
-        twin.power = np.zeros(self.num_cells)
-        return twin
+        return copy.copy(self)
 
 
 def _matvec_args(matrix):

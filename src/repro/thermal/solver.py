@@ -8,7 +8,10 @@ non-linear silicon resistances for one step) and the linear system
 
 is solved by a pluggable :class:`repro.thermal.backends.SolverBackend`,
 whose one step method, ``step_batch``, :meth:`ThermalSolver.step_be`
-calls on a one-column batch with the network's current sources.
+calls on a one-column batch with the sources it is given.  Sources are
+always an argument, per-cell watts shaped ``(num_cells,)`` as
+:meth:`~repro.thermal.rc_network.RCNetwork.injection` returns them; the
+network holds none.
 This is unconditionally stable, so the framework can step exactly one
 10 ms sampling period per co-emulation exchange.
 
@@ -59,21 +62,34 @@ class ThermalSolver:
         self.time = 0.0
         self.backend = make_backend(backend).bind(network)
 
+    def _rhs(self, sources):
+        """The one-column right-hand side of per-cell ``sources``."""
+        sources = np.asarray(sources)
+        if sources.shape != (self.network.num_cells,):
+            raise ValueError(
+                f"sources must be shaped ({self.network.num_cells},), "
+                f"got {sources.shape}"
+            )
+        return self.network.rhs(sources[:, None])
+
     # -- transient -----------------------------------------------------------
-    def step_be(self, dt):
-        """One semi-implicit backward-Euler step of length ``dt`` seconds."""
+    def step_be(self, dt, sources):
+        """One semi-implicit backward-Euler step of length ``dt`` seconds
+        under per-cell ``sources``."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.temperatures = self.backend.step_batch(
-            self.temperatures[:, None], dt, self.network.rhs()[:, None]
+            self.temperatures[:, None], dt, self._rhs(sources)
         )[:, 0]
         self.time += dt
         return self.temperatures
 
-    def step_fe(self, dt):
-        """One explicit forward-Euler step; raises if ``dt`` is unstable."""
+    def step_fe(self, dt, sources):
+        """One explicit forward-Euler step under per-cell ``sources``;
+        raises if ``dt`` is unstable."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        rhs = self._rhs(sources)[:, 0]
         net = self.network
         g = net.conductance_matrix(self.temperatures)
         diag = g.diagonal()
@@ -84,37 +100,25 @@ class ThermalSolver:
                 f"explicit step dt={dt:.3e}s unstable (limit {dt_max:.3e}s); "
                 f"use step_be or a smaller dt"
             )
-        flux = net.rhs() - g.dot(self.temperatures)
+        flux = rhs - g.dot(self.temperatures)
         self.temperatures = self.temperatures + dt * flux / net.capacitance
         self.time += dt
         return self.temperatures
 
-    def run(self, duration, dt, method="be", callback=None):
-        """Integrate for ``duration`` seconds in steps of ``dt``.
-
-        ``callback(time, temperatures)`` is invoked after every step.
-        Returns the final temperature vector.
-        """
-        step = self.step_be if method == "be" else self.step_fe
-        steps = int(round(duration / dt))
-        for _ in range(steps):
-            step(dt)
-            if callback is not None:
-                callback(self.time, self.temperatures)
-        return self.temperatures
-
     # -- steady state ------------------------------------------------------------
-    def steady_state(self, tol=1e-6, max_iterations=100):
-        """Picard iteration on ``G(T) T = P + G_amb T_amb``.
+    def steady_state(self, sources, tol=1e-6, max_iterations=100):
+        """Picard iteration on ``G(T) T = P + G_amb T_amb`` for per-cell
+        ``sources`` ``P``.
 
         Converges in a handful of iterations: the non-linearity is mild
         (k ~ T^-4/3) and the package resistance dominating the stack
         keeps the fixed point strongly attracting.
         """
+        rhs = self._rhs(sources)[:, 0]
         net = self.network
         t = self.temperatures.copy()
         for _ in range(max_iterations):
-            t_next = spsolve(net.conductance_matrix(t), net.rhs())
+            t_next = spsolve(net.conductance_matrix(t), rhs)
             delta = float(np.max(np.abs(t_next - t)))
             t = t_next
             if delta < tol:
@@ -129,10 +133,6 @@ class ThermalSolver:
     # -- readout -------------------------------------------------------------------
     def max_temperature(self):
         return float(self.temperatures.max())
-
-    def component_temperature(self, name):
-        """Area-weighted mean temperature of a floorplan component."""
-        return self.network.component_temperature(name, self.temperatures)
 
     def component_temperatures(self):
         """All component means in one sparse product (``W @ T``), as a

@@ -11,10 +11,10 @@ there.  :func:`record` is the one-call front-end: build a scenario's
 framework, capture its run and return the finished
 :class:`~repro.trace.format.TraceArchive`.
 
-The recorded power vector is the one
-:meth:`~repro.thermal.rc_network.RCNetwork.set_power` injected (same
-component order, same float64 values), which is what makes replay under
-unchanged thermal knobs bit-for-bit faithful.
+The recorded power vector is the one the window passed to
+:meth:`~repro.thermal.rc_network.RCNetwork.injection` (same component
+order, same float64 values), which is what makes replay under unchanged
+thermal knobs bit-for-bit faithful.
 """
 
 import math

@@ -96,20 +96,21 @@ def test_hotter_silicon_conducts_less():
     )
 
 
-def test_set_power_spreads_by_overlap():
+def test_injection_spreads_by_overlap():
     plan, grid, net = make_network(die_res=(2, 2))
-    net.set_power({"block": 8.0})
-    die_powers = net.power[grid.die_cells]
+    sources = net.injection(net.watts_vector({"block": 8.0}))
+    assert sources.shape == (net.num_cells,)
+    die_powers = sources[grid.die_cells]
     assert die_powers.sum() == pytest.approx(8.0)
     assert np.allclose(die_powers, 2.0)  # four equal cells
-    spread = net.power[grid.spreader_cells]
+    spread = sources[grid.spreader_cells]
     assert np.all(spread == 0.0)
 
 
-def test_set_power_unknown_component():
+def test_watts_vector_unknown_component():
     plan, grid, net = make_network()
     with pytest.raises(KeyError):
-        net.set_power({"bogus": 1.0})
+        net.watts_vector({"bogus": 1.0})
 
 
 def test_heat_outflow_zero_at_ambient():
@@ -123,8 +124,8 @@ def test_heat_outflow_zero_at_ambient():
 def test_power_injection_conserves_watts(watts):
     """Property: injected power equals the sum of the current sources."""
     plan, grid, net = make_network()
-    net.set_power({"block": watts})
-    assert net.total_power() == pytest.approx(watts, rel=1e-12)
+    sources = net.injection(net.watts_vector({"block": watts}))
+    assert sources.sum() == pytest.approx(watts, rel=1e-12)
 
 
 def test_direct_kernel_equals_the_sparse_product_bytewise():
